@@ -64,12 +64,11 @@ def _metadata(run: RunConfig, command: str, seed: int | None) -> list[str]:
 _TRACE_HEADER = "r,z,p,theta_deg,q11,q12,q21,q22,det_q,bounce"
 
 
-def _trace_rows(field, result: TraceResult):
+def _trace_rows(result: TraceResult):
     # Bounce samples carry exactly the float range stored in the record.
     bounce_at = {b.r: b.boundary for b in result.bounces}
-    for row in result.samples:
+    for row, n in zip(result.samples, result.n):
         r, z, p, q11, q12, q21, q22 = row
-        n = field.index_at(r, z).n
         theta = math.degrees(math.asin(max(-1.0, min(1.0, p / n))))
         det = q11 * q22 - q12 * q21
         flag = bounce_at.pop(r, "")
@@ -86,7 +85,7 @@ def cmd_trace(run: RunConfig, out, seed: int | None) -> int:
         print(line, file=out)
     print(f"# status: {result.status.value}", file=out)
     print(_TRACE_HEADER, file=out)
-    for line in _trace_rows(field, result):
+    for line in _trace_rows(result):
         print(line, file=out)
     if result.status is not TraceStatus.COMPLETED:
         print(f"varitrace trace: ray ended with status {result.status.value}",
@@ -124,7 +123,7 @@ def cmd_fan(run: RunConfig, out, seed: int | None) -> int:
     for ray_id, (angle, result) in enumerate(zip(angles, results)):
         print(f"# ray {ray_id}: theta0_deg={_fmt(angle)} status={result.status.value}",
               file=out)
-        for line in _trace_rows(field, result):
+        for line in _trace_rows(result):
             print(f"{ray_id},{line}", file=out)
         if result.status is not TraceStatus.COMPLETED:
             print(f"varitrace fan: ray {ray_id} ended with status {result.status.value}",

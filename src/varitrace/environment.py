@@ -253,7 +253,7 @@ class GriddedField(SoundSpeedField):
     When tracing against this field, the grid must extend slightly past
     the boundaries the ray can touch (about one step's depth gain beyond
     the surface and the bottom): locating a boundary crossing evaluates
-    trial steps that overshoot before bisection pulls them back.
+    trial steps that overshoot it before the landing search returns.
     """
 
     kind = "gridded"
@@ -470,9 +470,17 @@ class PiecewiseBottom(Bathymetry):
             raise ValueError(f"expected two columns (r, z_b) in {path}")
         return cls(data[:, 0], data[:, 1])
 
-    def _profile(self, r: float) -> tuple[float, float, float]:
+    def _check_domain(self, r: float) -> None:
         if not (self.r_points[0] <= r <= self.r_points[-1]):
             raise DomainError("range outside piecewise bathymetry", "r", r)
+
+    def depth_at(self, r: float) -> float:
+        # One spline evaluation: the boundary gap needs no slope or z_b''.
+        self._check_domain(r)
+        return float(self._spline(r))
+
+    def _profile(self, r: float) -> tuple[float, float, float]:
+        self._check_domain(r)
         z_b = float(self._spline(r))
         slope = float(self._spline(r, 1))
         d2 = float(self._spline(r, 2))

@@ -1,10 +1,16 @@
 """Range marching of rays and their variation matrices.
 
-Integrates (z, p, q) jointly with a classical fixed-step RK4 scheme,
-detects surface and bottom crossings by sign change of the boundary gap
-(with a midpoint probe against double crossings), bisects the step length
-to land on the boundary, applies the reflection jump and resumes.  All
-abnormal endings are reported as statuses, never exceptions.
+Integrates (z, p, q) jointly with a classical fixed-step RK4 scheme.  Each
+step's own stage derivatives give a cubic dense output of depth (the
+continuous extension of RK4, Hairer, Norsett & Wanner, Solving ODEs I,
+II.6) at no extra right-hand-side evaluation.  A boundary crossing is
+bracketed by the sign of the boundary gap at the step end or, when both
+ends are inside, at the interpolated step midpoint (a shallow double
+crossing).  An Illinois search on the interpolated gap seeds a safeguarded
+secant search on the exact RK4 map from the step start, so the landing
+state is an RK4 state whose boundary residual is below ``bisect_tol``.
+The reflection jump is applied there and marching resumes.  All abnormal
+endings are reported as statuses, never exceptions.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .environment import Bathymetry, SoundSpeedField, surface_frame
-from .errors import DomainError, GeometryError, SingularReflectionError, SteepRayError
+from .errors import DomainError, GeometryError, SteepRayError
 from .ray_core import RayState, VariationMatrix, k_matrix, ray_rhs
 from .reflection import KappaMatrix, ReflectionContext, kappa_matrix
 
@@ -48,9 +54,10 @@ class TraceStatus(Enum):
 class TraceConfig:
     """Launch point, angle and step control for one trace.
 
-    ``dr`` is the base range step (m), ``bisect_tol`` the boundary
-    residual tolerance (m), ``steep_cutoff`` the grazing-angle limit (rad)
-    beyond which marching in range is abandoned.
+    ``dr`` is the base range step (m), ``bisect_tol`` the landing
+    residual (m): a bounce is located where the boundary gap of the exact
+    RK4 state is below it.  ``steep_cutoff`` is the grazing-angle limit
+    (rad) beyond which marching in range is abandoned.
     """
 
     r_start: float
@@ -91,11 +98,19 @@ class BounceRecord:
 
 @dataclass
 class TraceResult:
-    """Sampled trajectory (columns r, z, p, q11, q12, q21, q22) plus bounces."""
+    """Sampled trajectory (columns r, z, p, q11, q12, q21, q22) plus bounces.
+
+    ``n`` holds the refractive index at each sample, as the integrator
+    evaluated it there.  ``unconverged_bounces`` counts bounces whose
+    location search stopped at its iteration cap before the boundary
+    residual fell below ``bisect_tol``.
+    """
 
     samples: np.ndarray
+    n: np.ndarray
     bounces: list[BounceRecord]
     status: TraceStatus
+    unconverged_bounces: int = 0
 
     @property
     def r(self) -> np.ndarray:
@@ -152,7 +167,8 @@ def _rhs(field_: SoundSpeedField, r: float, y: tuple) -> tuple:
     )
 
 
-def _rk4_step(field_: SoundSpeedField, r: float, y: tuple, h: float) -> tuple:
+def _rk4_step(field_: SoundSpeedField, r: float, y: tuple, h: float):
+    """One RK4 step: the new state and the stage derivatives k1..k4."""
     k1 = _rhs(field_, r, y)
     y2 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1))
     k2 = _rhs(field_, r + 0.5 * h, y2)
@@ -160,15 +176,20 @@ def _rk4_step(field_: SoundSpeedField, r: float, y: tuple, h: float) -> tuple:
     k3 = _rhs(field_, r + 0.5 * h, y3)
     y4 = tuple(yi + h * ki for yi, ki in zip(y, k3))
     k4 = _rhs(field_, r + h, y4)
-    return tuple(
+    y_new = tuple(
         yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
         for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
     )
+    return y_new, (k1, k2, k3, k4)
 
 
 # ---------------------------------------------------------------------------
 # Boundary events
 # ---------------------------------------------------------------------------
+
+# Iteration caps of the interpolant search and of the exact landing search.
+_SEED_MAX_ITER = 100
+_LAND_MAX_ITER = 60
 
 
 def _gap(bath: Bathymetry, boundary: str, r: float, z: float) -> float:
@@ -178,56 +199,104 @@ def _gap(bath: Bathymetry, boundary: str, r: float, z: float) -> float:
     return z - bath.depth_at(r)
 
 
-def _bisect_crossing(field_, bath, boundary, r0, y0, lo, hi, tol):
-    """Shrink [lo, hi] (step lengths from r0) onto the boundary crossing.
+def _seed(gap, hi: float, g_lo: float, g_hi: float, tol: float):
+    """Illinois search for the crossing of ``gap`` in [0, hi].
 
-    Treats gap <= 0 as inside, so a step that starts exactly on a boundary
-    and initially moves away still converges to the genuine re-crossing.
+    ``g_lo = gap(0) <= 0 < g_hi = gap(hi)``.  A start exactly on a boundary
+    (the step after a bounce) is the departure, not the crossing, so the
+    bracket is bisected until its lower end leaves it.  Returns the root
+    estimate and the gap slope from the last two iterates.
     """
-    y_hit = None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        y_mid = _rk4_step(field_, r0, y0, mid)
-        g_mid = _gap(bath, boundary, r0 + mid, y_mid[0])
-        if abs(g_mid) < tol:
-            return mid, y_mid
-        if g_mid > 0.0:
-            hi = mid
-            y_hit = y_mid
+    lo = 0.0
+    s_prev, g_prev = hi, g_hi
+    slope = (g_hi - g_lo) / hi
+    side = 0
+    for _ in range(_SEED_MAX_ITER):
+        if g_lo == 0.0:
+            s = 0.5 * (lo + hi)
         else:
-            lo = mid
-    if y_hit is None:
-        y_hit = _rk4_step(field_, r0, y0, hi)
-    return hi, y_hit
+            s = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        g = gap(s)
+        if s != s_prev and g != g_prev:
+            slope = (g - g_prev) / (s - s_prev)
+        s_prev, g_prev = s, g
+        if abs(g) < tol or not lo < s < hi:
+            break
+        if g > 0.0:
+            hi, g_hi = s, g
+            if side > 0:
+                g_lo *= 0.5
+            side = 1
+        else:
+            lo, g_lo = s, g
+            if side < 0:
+                g_hi *= 0.5
+            side = -1
+    return s, slope
 
 
-def _find_crossing(field_, bath, r0, y0, h, y_end, tol):
+def _land(field_, bath, boundary, r0, y0, hi, s, slope, tol):
+    """Exact RK4 state on the boundary, by a secant search on the true map.
+
+    G(s) = gap(r0 + s, RK4(r0, y0, s).z) is searched from the interpolant's
+    root ``s`` and slope; proposals outside the bracket (0, hi), tightened
+    by every evaluation, fall back to bisection.  Returns (s, state,
+    converged); at the iteration cap, the last evaluated state.
+    """
+    lo = 0.0
+    g_prev = None
+    for _ in range(_LAND_MAX_ITER):
+        y = _rk4_step(field_, r0, y0, s)[0]
+        g = _gap(bath, boundary, r0 + s, y[0])
+        if abs(g) < tol:
+            return s, y, True
+        if g > 0.0:
+            hi = s
+        else:
+            lo = s
+        if g_prev is not None and g != g_prev:
+            slope = (g - g_prev) / (s - s_prev)
+        s_prev, g_prev = s, g
+        s = s - g / slope if slope != 0.0 else lo
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+    return s_prev, y, False
+
+
+def _find_crossing(field_, bath, r0, y0, h, y_end, stages, tol):
     """First boundary crossing within a step, or None.
 
-    Checks the step endpoint for each boundary and, when both endpoints
-    are inside, probes the step midpoint to catch shallow double
-    crossings.  Returns (step_fraction_length, boundary, state_at_hit).
+    A crossing is bracketed by the gap at the step end or, when that is
+    inside, at the midpoint of the step's dense output (a shallow double
+    crossing).  Returns (step_length, boundary, state_at_hit, converged).
     """
+    # Depth on the RK4 continuous extension, expanded in powers of s = t h:
+    # b1 = t - 3t^2/2 + 2t^3/3, b2 = b3 = t^2 - 2t^3/3, b4 = -t^2/2 + 2t^3/3.
+    z0 = y0[0]
+    d1, d2, d3, d4 = (k[0] for k in stages)
+    c2 = (-1.5 * d1 + d2 + d3 - 0.5 * d4) / h
+    c3 = (2.0 / 3.0) * (d1 - d2 - d3 + d4) / (h * h)
+
     hits = []
-    y_mid = None
     for boundary in (SURFACE, BOTTOM):
-        g0 = _gap(bath, boundary, r0, y0[0])
-        g1 = _gap(bath, boundary, r0 + h, y_end[0])
-        if g0 <= 0.0 and g1 > 0.0:
-            hits.append(_bisect_crossing(field_, bath, boundary, r0, y0, 0.0, h, tol)
-                        + (boundary,))
-            continue
-        if g0 <= 0.0 and g1 <= 0.0:
-            if y_mid is None:
-                y_mid = _rk4_step(field_, r0, y0, 0.5 * h)
-            g_mid = _gap(bath, boundary, r0 + 0.5 * h, y_mid[0])
-            if g_mid > 0.0:
-                hits.append(_bisect_crossing(field_, bath, boundary, r0, y0,
-                                             0.0, 0.5 * h, tol) + (boundary,))
+        def gap(s, boundary=boundary):
+            return _gap(bath, boundary, r0 + s, z0 + s * (d1 + s * (c2 + s * c3)))
+
+        # The step starts inside or, after a bounce, exactly on a boundary,
+        # so only the far end and the midpoint need checking.
+        hi = h
+        g_hi = _gap(bath, boundary, r0 + h, y_end[0])
+        if g_hi <= 0.0:
+            hi = 0.5 * h
+            g_hi = gap(hi)
+            if g_hi <= 0.0:
+                continue
+        s, slope = _seed(gap, hi, _gap(bath, boundary, r0, z0), g_hi, tol)
+        s, y_hit, converged = _land(field_, bath, boundary, r0, y0, hi, s, slope, tol)
+        hits.append((s, boundary, y_hit, converged))
     if not hits:
         return None
-    h_hit, y_hit, boundary = min(hits, key=lambda item: item[0])
-    return h_hit, boundary, y_hit
+    return min(hits, key=lambda item: item[0])
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +336,16 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
     r = cfg.r_start
     y = (z0, p0, 1.0, 0.0, 0.0, 1.0)
     rows = [(r, *y)]
+    ns = [s0.n]
     bounces: list[BounceRecord] = []
     status = TraceStatus.COMPLETED
+    unconverged = 0
 
     while r < cfg.r_end - 1e-12:
         h = min(cfg.dr, cfg.r_end - r)
         try:
-            y_end = _rk4_step(field_, r, y, h)
-            hit = _find_crossing(field_, bath, r, y, h, y_end, cfg.bisect_tol)
+            y_end, stages = _rk4_step(field_, r, y, h)
+            hit = _find_crossing(field_, bath, r, y, h, y_end, stages, cfg.bisect_tol)
         except SteepRayError:
             status = TraceStatus.STEEP_RAY
             break
@@ -286,14 +357,15 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             r += h
             y = y_end
             s = field_.index_at(r, y[0])
+            rows.append((r, *y))
+            ns.append(s.n)
             if abs(y[1]) >= s.n * cutoff_sin:
-                rows.append((r, *y))
                 status = TraceStatus.STEEP_RAY
                 break
-            rows.append((r, *y))
             continue
 
-        h_hit, boundary, y_hit = hit
+        h_hit, boundary, y_hit, converged = hit
+        unconverged += not converged
         r_hit = r + h_hit
         try:
             if boundary == SURFACE:
@@ -311,32 +383,26 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
         p_hit = y_hit[1]
         tz = p_hit / s.n
         if abs(tz) >= 1.0:
-            rows.append((r_hit, z_hit, *y_hit[1:]))
             status = TraceStatus.STEEP_RAY
-            break
-        t = np.array([math.sqrt(1.0 - tz * tz), tz])
-        t1 = t - 2.0 * float(t @ frame.as_array()) * frame.as_array()
-        if t1[0] <= 1e-9:
+        else:
+            t = np.array([math.sqrt(1.0 - tz * tz), tz])
+            t1 = t - 2.0 * float(t @ frame.as_array()) * frame.as_array()
+            if t1[0] <= 1e-9:
+                status = TraceStatus.BACKSCATTERED
+            elif len(bounces) >= cfg.max_bounces:
+                status = TraceStatus.MAX_BOUNCES
+            else:
+                try:
+                    ctx = ReflectionContext(t=t, frame=frame, sample=s)
+                    kappa = kappa_matrix(ctx)
+                except GeometryError:
+                    # Includes SingularReflectionError, a tangential contact:
+                    # the jump matrix diverges and the range-marching
+                    # picture ends here.
+                    status = TraceStatus.BACKSCATTERED
+        if status is not TraceStatus.COMPLETED:
             rows.append((r_hit, z_hit, *y_hit[1:]))
-            status = TraceStatus.BACKSCATTERED
-            break
-        if len(bounces) >= cfg.max_bounces:
-            rows.append((r_hit, z_hit, *y_hit[1:]))
-            status = TraceStatus.MAX_BOUNCES
-            break
-
-        try:
-            ctx = ReflectionContext(t=t, frame=frame, sample=s)
-            kappa = kappa_matrix(ctx)
-        except SingularReflectionError:
-            # Tangential contact: the jump matrix diverges and the
-            # range-marching picture ends here.
-            rows.append((r_hit, z_hit, *y_hit[1:]))
-            status = TraceStatus.BACKSCATTERED
-            break
-        except GeometryError:
-            rows.append((r_hit, z_hit, *y_hit[1:]))
-            status = TraceStatus.BACKSCATTERED
+            ns.append(s.n)
             break
 
         p1 = s.n * float(ctx.t1[1])
@@ -355,12 +421,14 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
         )
         r = r_hit
         rows.append((r, *y))
+        ns.append(s.n)
         if abs(p1) >= s.n * cutoff_sin:
             status = TraceStatus.STEEP_RAY
             break
 
-    return TraceResult(samples=np.array(rows, dtype=float), bounces=bounces,
-                       status=status)
+    return TraceResult(samples=np.array(rows, dtype=float), n=np.array(ns),
+                       bounces=bounces, status=status,
+                       unconverged_bounces=unconverged)
 
 
 def trace_fan(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,

@@ -278,3 +278,43 @@ class TestVerifyCommand:
         cfg = write_cfg(tmp_path, text)
         assert main(["verify", "--config", cfg]) == 2
         assert "r_after_bounce" in capsys.readouterr().err
+
+
+class TestCarriedIndex:
+    """The writer prints theta from the index the integrator evaluated; the
+    bytes equal those of a writer that evaluates the field again per row."""
+
+    BOUNCING = BASE_CFG.replace("kind = constant\nc0 = 1500.0", "kind = munk")
+    CASES = [
+        ("trace", BOUNCING),
+        ("trace", BASE_CFG.replace("kind = flat\ndepth = 1000.0",
+                                   "kind = linear-slope\ndepth0 = 500.0\nslope = -1.5")),
+        ("fan", BOUNCING.replace("z0 = 0.0", "z0 = 500.0")
+         + "\n[fan]\nangles_deg = -20, 0.5, 20\n"),
+    ]
+
+    @pytest.mark.parametrize("command,text", CASES,
+                             ids=["trace", "trace-backscattered", "fan"])
+    def test_bytes_match_reevaluating_writer(self, tmp_path, monkeypatch, command, text):
+        import varitrace.cli as cli
+
+        cfg = write_cfg(tmp_path, text)
+        field = load_config(cfg).build_field()
+
+        def reevaluating_rows(result):
+            bounce_at = {b.r: b.boundary for b in result.bounces}
+            for row in result.samples:
+                r, z, p, q11, q12, q21, q22 = row
+                n = field.index_at(r, z).n
+                theta = math.degrees(math.asin(max(-1.0, min(1.0, p / n))))
+                det = q11 * q22 - q12 * q21
+                yield ",".join([cli._fmt(v) for v in (r, z, p, theta, q11, q12,
+                                                      q21, q22, det)]
+                               + [bounce_at.pop(r, "")])
+
+        carried, reevaluated = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([command, "--config", cfg, "--output", str(carried)]) == 0
+        monkeypatch.setattr(cli, "_trace_rows", reevaluating_rows)
+        assert main([command, "--config", cfg, "--output", str(reevaluated)]) == 0
+        assert len(read_rows(carried)) > 2
+        assert carried.read_bytes() == reevaluated.read_bytes()

@@ -189,6 +189,16 @@ class TestBathymetry:
         for ri, zi in zip(r, z):
             assert bath.depth_at(ri) == pytest.approx(zi, abs=1e-12)
 
+    def test_piecewise_depth_matches_bottom_sample_bitwise(self):
+        r = np.array([0.0, 100.0, 250.0, 400.0, 600.0])
+        z = np.array([1000.0, 1020.0, 985.0, 1010.0, 990.0])
+        bath = PiecewiseBottom(r, z)
+        points = np.concatenate([r, 0.5 * (r[:-1] + r[1:])])
+        for ri in points:
+            assert bath.depth_at(ri) == bath.bottom_at(ri).z_b
+        with pytest.raises(DomainError):
+            bath.depth_at(600.5)
+
     def test_piecewise_from_file(self, tmp_path):
         path = tmp_path / "bottom.txt"
         path.write_text(

@@ -20,7 +20,7 @@ from varitrace import (
     fd_jacobian,
     verify_kappa,
 )
-from varitrace.presets import STUDY_PERTURBATION, preset
+from varitrace.presets import PRESET_NAMES, STUDY_PERTURBATION, preset
 
 HOMOGENEOUS = ConstantField(c0=1500.0)
 DEEP = FlatBottom(5000.0)
@@ -110,6 +110,15 @@ class TestVerifyKappa:
             errs.append(verify_kappa(scenario.field, scenario.bath, scenario.cfg,
                                      pert, scenario.r_after_bounce).max_rel_err)
         assert math.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.3)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_default_offsets_reach_the_event_location_floor(self, name):
+        """At the default offsets the FD error is set by how exactly each
+        perturbed trace lands on the boundary, not by truncation."""
+        sc = preset(name)
+        v = verify_kappa(sc.field, sc.bath, sc.cfg, BeamPerturbation(),
+                         sc.r_after_bounce)
+        assert v.max_rel_err <= 1e-6
 
     def test_arc_homogeneous_curvature_term(self):
         """Numeric jump off a circular basin matches the analytic curvature

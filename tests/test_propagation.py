@@ -395,3 +395,100 @@ class TestShallowGrazingDetection:
         coarse = trace_ray(HOMOGENEOUS, bath, cfg_coarse)
         assert fine.bounces and coarse.bounces
         assert coarse.bounces[0].r == pytest.approx(fine.bounces[0].r, abs=1e-6)
+
+    def test_double_crossing_caught_in_refracting_field(self):
+        """In a strong channel the step's dense output is not exact; a coarse
+        step whose ends both lie in the water still finds the dip past the
+        crest, at the bounce the fine step finds."""
+        field = MunkField(z_axis=50.0, scale_depth=100.0)
+        bath = SinusoidalBottom(100.0, 4.0, 2.0 * math.pi / 80.0)
+        cfg_fine = TraceConfig(r_start=0.0, r_end=400.0, z0=90.0,
+                               theta0=math.radians(2.0), dr=1.0)
+        fine = trace_ray(field, bath, cfg_fine)
+        coarse = trace_ray(field, bath, replace(cfg_fine, dr=35.0))
+        assert fine.bounces and coarse.bounces
+        r_hit = fine.bounces[0].r
+
+        # Premise: without the bottom, the ray is in the water at both ends
+        # of the coarse step that holds the hit and below the bottom around
+        # its midpoint.
+        start = 35.0 * math.floor(r_hit / 35.0)
+        free = trace_ray(field, FlatBottom(200.0), replace(cfg_fine, r_end=start + 35.0))
+        assert not free.bounces
+        gap = {r: z - bath.depth_at(r) for r, z in free.samples[:, :2]}
+        assert gap[start] < 0.0 and gap[start + 35.0] < 0.0
+        assert gap[start + 17.0] > 0.0 and gap[start + 18.0] > 0.0
+
+        assert coarse.bounces[0].r == pytest.approx(r_hit, abs=1e-5)
+
+
+README_FIELD = MunkField()
+README_BATH = SinusoidalBottom(mean_depth=2000.0, amplitude=60.0, wavenumber=0.003)
+README_CFG = TraceConfig(r_start=0.0, r_end=30_000.0, z0=900.0,
+                         theta0=math.radians(14.0), dr=20.0)
+
+
+@pytest.fixture
+def rhs_calls(monkeypatch):
+    """Count right-hand-side evaluations of the integrator."""
+    import varitrace.propagation as propagation
+
+    calls = [0]
+    original = propagation.ray_rhs
+
+    def counted(sample, p):
+        calls[0] += 1
+        return original(sample, p)
+
+    monkeypatch.setattr(propagation, "ray_rhs", counted)
+    return calls
+
+
+class TestEventLocationWork:
+    """Work pinned by counting evaluations, never by wall time."""
+
+    def test_rhs_evaluations_per_sample_on_readme_config(self, rhs_calls):
+        res = trace_ray(README_FIELD, README_BATH, README_CFG)
+        assert res.status is TraceStatus.COMPLETED and res.bounces
+        assert rhs_calls[0] / len(res.samples) <= 4.1
+
+    @pytest.mark.parametrize("field", [
+        HOMOGENEOUS, LinearGradientField(c_surface=1500.0, gradient=2e-4)],
+        ids=["homogeneous", "gradient"])
+    def test_locator_steps_per_bounce_on_flat_zigzag(self, rhs_calls, field):
+        cfg = TraceConfig(r_start=0.0, r_end=8000.0, z0=150.0,
+                          theta0=math.radians(30.0), dr=7.0)
+        res = trace_ray(field, FlatBottom(300.0), cfg)
+        assert res.status is TraceStatus.COMPLETED
+        assert len(res.bounces) >= 15
+        # Each marching pass takes one 4-evaluation step and adds one sample;
+        # the rest is locator work: at most 4 RK4 steps per bounce.
+        locator = rhs_calls[0] - 4 * (len(res.samples) - 1)
+        assert locator <= 16 * len(res.bounces)
+
+
+class TestLocatorConvergence:
+    def test_unreachable_tolerance_is_counted(self):
+        """A residual below rounding cannot always be met; the capped
+        landings are counted and the trace still completes."""
+        field = LinearGradientField(c_surface=1500.0, gradient=2e-4)
+        cfg = TraceConfig(r_start=0.0, r_end=3000.0, z0=100.0,
+                          theta0=math.radians(30.0), dr=10.0)
+        loose = trace_ray(field, FlatBottom(400.0), cfg)
+        tight = trace_ray(field, FlatBottom(400.0), replace(cfg, bisect_tol=1e-300))
+        assert loose.unconverged_bounces == 0
+        assert tight.status is TraceStatus.COMPLETED
+        assert len(tight.bounces) == len(loose.bounces)
+        assert 1 <= tight.unconverged_bounces <= len(tight.bounces)
+        for a, b in zip(tight.bounces, loose.bounces):
+            assert a.r == pytest.approx(b.r, abs=1e-8)
+
+    def test_readme_config_and_presets_converge(self):
+        from varitrace.presets import PRESET_NAMES, preset
+
+        runs = [(README_FIELD, README_BATH, README_CFG)]
+        runs += [(sc.field, sc.bath, sc.cfg) for sc in map(preset, PRESET_NAMES)]
+        for field, bath, cfg in runs:
+            res = trace_ray(field, bath, cfg)
+            assert res.bounces
+            assert res.unconverged_bounces == 0
