@@ -62,18 +62,20 @@ def _metadata(run: RunConfig, command: str, seed: int | None) -> list[str]:
 # ---------------------------------------------------------------------------
 
 _TRACE_HEADER = "r,z,p,theta_deg,q11,q12,q21,q22,det_q,bounce"
+_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
 
 
 def _trace_rows(result: TraceResult):
     # Bounce samples carry exactly the float range stored in the record.
     bounce_at = {b.r: b.boundary for b in result.bounces}
-    for row, n in zip(result.samples, result.n):
-        r, z, p, q11, q12, q21, q22 = row
+    for (r, z, p, q11, q12, q21, q22), n in zip(result.samples.tolist(), result.n.tolist()):
         theta = math.degrees(math.asin(max(-1.0, min(1.0, p / n))))
-        det = q11 * q22 - q12 * q21
-        flag = bounce_at.pop(r, "")
-        yield ",".join([_fmt(r), _fmt(z), _fmt(p), _fmt(theta), _fmt(q11),
-                        _fmt(q12), _fmt(q21), _fmt(q22), _fmt(det), flag])
+        yield _ROW % (r, z, p, theta, q11, q12, q21, q22, q11 * q22 - q12 * q21,
+                      bounce_at.pop(r, ""))
+
+
+def _write_rows(out, rows, prefix: str = "") -> None:
+    out.write("".join([f"{prefix}{row}\n" for row in rows]))
 
 
 def cmd_trace(run: RunConfig, out, seed: int | None) -> int:
@@ -85,8 +87,7 @@ def cmd_trace(run: RunConfig, out, seed: int | None) -> int:
         print(line, file=out)
     print(f"# status: {result.status.value}", file=out)
     print(_TRACE_HEADER, file=out)
-    for line in _trace_rows(result):
-        print(line, file=out)
+    _write_rows(out, _trace_rows(result))
     if result.status is not TraceStatus.COMPLETED:
         print(f"varitrace trace: ray ended with status {result.status.value}",
               file=sys.stderr)
@@ -123,8 +124,7 @@ def cmd_fan(run: RunConfig, out, seed: int | None) -> int:
     for ray_id, (angle, result) in enumerate(zip(angles, results)):
         print(f"# ray {ray_id}: theta0_deg={_fmt(angle)} status={result.status.value}",
               file=out)
-        for line in _trace_rows(result):
-            print(f"{ray_id},{line}", file=out)
+        _write_rows(out, _trace_rows(result), f"{ray_id},")
         if result.status is not TraceStatus.COMPLETED:
             print(f"varitrace fan: ray {ray_id} ended with status {result.status.value}",
                   file=sys.stderr)

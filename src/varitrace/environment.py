@@ -18,6 +18,13 @@ Coordinate conventions used throughout the package:
   analytic reflection jump agree with the finite-difference calibration
   tests in the oracle module.
 
+Sampled profiles (a range-independent ``GriddedField`` and a
+``PiecewiseBottom``) are fitted once with scipy's natural ``CubicSpline``.
+Queries then read a plain-Python table of the spline's piecewise
+coefficients, which returns value, slope and second derivative in one
+call and sums in scipy ``PPoly``'s own order, so every result equals the
+spline's own evaluation bit for bit without a scipy call per query.
+
 All field and bathymetry objects are immutable after construction and all
 queries are pure functions, so they can be shared freely between
 concurrent ray traces.
@@ -27,7 +34,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
@@ -53,11 +62,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IndexSample:
+class IndexSample(NamedTuple):
     """Refractive index and its partial derivatives at one point.
 
     ``n`` is dimensionless, ``n_r`` and ``n_z`` are 1/m, ``n_zz`` is 1/m^2.
+    A named tuple: immutable, cheap to build on every right-hand-side
+    evaluation, and unpackable as ``n, n_r, n_z, n_zz``.
     """
 
     n: float
@@ -116,6 +126,37 @@ def _bottom_frame(slope: float, d2: float) -> NormalFrame:
     nz = -1.0 / norm
     curvature = -d2 / norm**3
     return NormalFrame(nr=nr, nz=nz, alpha=math.atan2(nz, nr), curvature=curvature)
+
+
+class _CubicTable:
+    """Scalar evaluation of a fitted 1D ``CubicSpline``.
+
+    Holds the breakpoints and the piecewise coefficients as Python lists
+    and returns (value, first, second derivative) at one point.  Each sum
+    runs in the order scipy ``PPoly`` uses, so the results equal
+    ``float(spline(v, nu))`` for nu = 0, 1, 2 bit for bit.  Callers check
+    the domain first; a point at or past the last knot uses the last
+    interval, as ``PPoly`` does.
+    """
+
+    __slots__ = ("_x", "_a", "_b", "_c", "_d", "_last")
+
+    def __init__(self, spline: CubicSpline):
+        self._x = spline.x.tolist()
+        # Coefficients of s^3, s^2, s and 1 on each interval, s = v - x[i].
+        self._a, self._b, self._c, self._d = spline.c.tolist()
+        self._last = len(self._x) - 2
+
+    def __call__(self, v: float) -> tuple[float, float, float]:
+        i = bisect_right(self._x, v) - 1
+        if i > self._last:
+            i = self._last
+        s = v - self._x[i]
+        a, b, c = self._a[i], self._b[i], self._c[i]
+        s2 = s * s
+        return (self._d[i] + c * s + b * s2 + a * (s2 * s),
+                c + b * s * 2.0 + a * s2 * 3.0,
+                b * 2.0 + a * s * 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +289,8 @@ class GriddedField(SoundSpeedField):
     A C2 cubic spline interpolates c; index derivatives come from the
     spline.  Linear interpolation is deliberately not offered because the
     variation equation needs a continuous n_zz.  Pass ``ranges=None`` for
-    a range-independent profile (natural cubic spline in depth).
+    a range-independent profile (natural cubic spline in depth, evaluated
+    through its coefficient table).
 
     When tracing against this field, the grid must extend slightly past
     the boundaries the ray can touch (about one step's depth gain beyond
@@ -273,7 +315,7 @@ class GriddedField(SoundSpeedField):
             if c_values.shape != depths.shape:
                 raise ValueError("c_values must match depths for a 1D profile")
             self.ranges = None
-            self._spline = CubicSpline(depths, c_values, bc_type="natural")
+            self._table = _CubicTable(CubicSpline(depths, c_values, bc_type="natural"))
         else:
             ranges = np.asarray(ranges, dtype=float)
             if ranges.ndim != 1 or ranges.size < 4:
@@ -294,16 +336,14 @@ class GriddedField(SoundSpeedField):
     def sound_speed(self, r: float, z: float) -> float:
         self._check_domain(r, z)
         if self.ranges is None:
-            return float(self._spline(z))
+            return self._table(z)[0]
         return float(self._spline.ev(r, z))
 
     def index_at(self, r: float, z: float) -> IndexSample:
         self._check_domain(r, z)
         if self.ranges is None:
-            c = float(self._spline(z))
+            c, c_z, c_zz = self._table(z)
             c_r = 0.0
-            c_z = float(self._spline(z, 1))
-            c_zz = float(self._spline(z, 2))
         else:
             c = float(self._spline.ev(r, z))
             c_r = float(self._spline.ev(r, z, dx=1))
@@ -456,7 +496,7 @@ class PiecewiseBottom(Bathymetry):
             raise ValueError("bathymetry depths must all be positive")
         self.r_points = r_points
         self.z_points = z_points
-        self._spline = CubicSpline(r_points, z_points, bc_type="natural")
+        self._table = _CubicTable(CubicSpline(r_points, z_points, bc_type="natural"))
 
     @classmethod
     def from_file(cls, path) -> "PiecewiseBottom":
@@ -474,14 +514,6 @@ class PiecewiseBottom(Bathymetry):
         if not (self.r_points[0] <= r <= self.r_points[-1]):
             raise DomainError("range outside piecewise bathymetry", "r", r)
 
-    def depth_at(self, r: float) -> float:
-        # One spline evaluation: the boundary gap needs no slope or z_b''.
-        self._check_domain(r)
-        return float(self._spline(r))
-
     def _profile(self, r: float) -> tuple[float, float, float]:
         self._check_domain(r)
-        z_b = float(self._spline(r))
-        slope = float(self._spline(r, 1))
-        d2 = float(self._spline(r, 2))
-        return z_b, slope, d2
+        return self._table(r)

@@ -110,30 +110,26 @@ def _centered_jacobian(field_, bath, cfg, z0, p0, h_p, h_z, signature) -> np.nda
     return np.array(cols).T  # rows (p, z), columns (p0, z0)
 
 
-def fd_jacobian(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
-                pert: BeamPerturbation, r_query: float) -> JacobianEstimate:
-    """Numerical flow-map Jacobian at r_query via centered differences.
-
-    Runs four perturbed traces per Richardson level plus the central one;
-    all must reach r_query with the central ray's bounce sequence.  On a
-    sequence mismatch the perturbations are halved up to five times before
-    failing with PerturbationTooLargeError.
-    """
+def _central_trace(field_, bath, cfg, r_query):
+    """Query config, launch pulse and central trace up to r_query."""
     if not cfg.r_start <= r_query <= cfg.r_end:
         raise ValueError(f"r_query = {r_query:g} outside the trace range")
     cfg_q = replace(cfg, r_end=r_query)
     n0 = field_.index_at(cfg.r_start, cfg.z0).n
     p0 = n0 * math.sin(cfg.theta0)
+    return cfg_q, p0, trace_from_pulse(field_, bath, cfg_q, cfg.z0, p0)
 
-    central = trace_from_pulse(field_, bath, cfg_q, cfg.z0, p0)
-    _endpoint(central, r_query)
+
+def _fd_about(field_, bath, cfg_q, p0, central, pert) -> JacobianEstimate:
+    """FD Jacobian about an already traced central ray (see fd_jacobian)."""
+    _endpoint(central, cfg_q.r_end)
     signature = _bounce_signature(central)
 
     last_error: Exception | None = None
     for _ in range(MAX_HALVINGS + 1):
         try:
             levels = [
-                _centered_jacobian(field_, bath, cfg_q, cfg.z0, p0,
+                _centered_jacobian(field_, bath, cfg_q, cfg_q.z0, p0,
                                    pert.h_p / 2**i, pert.h_z / 2**i, signature)
                 for i in range(pert.richardson_levels)
             ]
@@ -145,6 +141,19 @@ def fd_jacobian(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
             pert = pert.halved()
     raise PerturbationTooLargeError(
         f"bounce sequences still differ after {MAX_HALVINGS} halvings: {last_error}")
+
+
+def fd_jacobian(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
+                pert: BeamPerturbation, r_query: float) -> JacobianEstimate:
+    """Numerical flow-map Jacobian at r_query via centered differences.
+
+    Runs four perturbed traces per Richardson level plus the central one;
+    all must reach r_query with the central ray's bounce sequence.  On a
+    sequence mismatch the perturbations are halved up to five times before
+    failing with PerturbationTooLargeError.
+    """
+    cfg_q, p0, central = _central_trace(field_, bath, cfg, r_query)
+    return _fd_about(field_, bath, cfg_q, p0, central, pert)
 
 
 @dataclass(frozen=True)
@@ -173,11 +182,9 @@ def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
     falling back to absolute differences for near-zero entries.
     """
     # Analytic side: an ordinary trace, which integrates dq/dr = Kq and
-    # applies the jump matrix at the bounce.
-    cfg_q = replace(cfg, r_end=r_after_bounce)
-    n0 = field_.index_at(cfg.r_start, cfg.z0).n
-    p0 = n0 * math.sin(cfg.theta0)
-    central = trace_from_pulse(field_, bath, cfg_q, cfg.z0, p0)
+    # applies the jump matrix at the bounce.  The same trace is the
+    # central ray of the numeric side.
+    cfg_q, p0, central = _central_trace(field_, bath, cfg, r_after_bounce)
     if central.status is not TraceStatus.COMPLETED:
         raise GeometryError(
             f"central ray did not reach {r_after_bounce:g}: {central.status.value}")
@@ -187,7 +194,7 @@ def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
             f"got {len(central.bounces)}")
     analytic = central.final_state().q.as_array()
 
-    estimate = fd_jacobian(field_, bath, cfg, pert, r_after_bounce)
+    estimate = _fd_about(field_, bath, cfg_q, p0, central, pert)
     rel = _relative_errors(analytic, estimate.matrix)
     return KappaVerification(analytic=analytic, numeric=estimate.matrix,
                              rel_err=rel, max_rel_err=float(rel.max()),

@@ -1,7 +1,9 @@
 """Range marching of rays and their variation matrices.
 
-Integrates (z, p, q) jointly with a classical fixed-step RK4 scheme.  Each
-step's own stage derivatives give a cubic dense output of depth (the
+Integrates (z, p, q) jointly with a classical fixed-step RK4 scheme,
+written out over the six state components: each stage makes one
+``index_at`` call and one call of the closed form ``ray_variation_rhs``.
+Each step's own stage derivatives give a cubic dense output of depth (the
 continuous extension of RK4, Hairer, Norsett & Wanner, Solving ODEs I,
 II.6) at no extra right-hand-side evaluation.  A boundary crossing is
 bracketed by the sign of the boundary gap at the step end or, when both
@@ -23,7 +25,7 @@ import numpy as np
 
 from .environment import Bathymetry, SoundSpeedField, surface_frame
 from .errors import DomainError, GeometryError, SteepRayError
-from .ray_core import RayState, VariationMatrix, k_matrix, ray_rhs
+from .ray_core import RayState, VariationMatrix, ray_variation_rhs
 from .reflection import KappaMatrix, ReflectionContext, kappa_matrix
 
 __all__ = [
@@ -152,33 +154,34 @@ class SpreadingFactor:
 # ---------------------------------------------------------------------------
 
 
-def _rhs(field_: SoundSpeedField, r: float, y: tuple) -> tuple:
-    z, p, q11, q12, q21, q22 = y
-    s = field_.index_at(r, z)
-    dz, dp = ray_rhs(s, p)
-    k = k_matrix(s, p)
-    return (
-        dz,
-        dp,
-        k.k11 * q11 + k.k12 * q21,
-        k.k11 * q12 + k.k12 * q22,
-        k.k21 * q11 + k.k22 * q21,
-        k.k21 * q12 + k.k22 * q22,
-    )
-
-
 def _rk4_step(field_: SoundSpeedField, r: float, y: tuple, h: float):
-    """One RK4 step: the new state and the stage derivatives k1..k4."""
-    k1 = _rhs(field_, r, y)
-    y2 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1))
-    k2 = _rhs(field_, r + 0.5 * h, y2)
-    y3 = tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k2))
-    k3 = _rhs(field_, r + 0.5 * h, y3)
-    y4 = tuple(yi + h * ki for yi, ki in zip(y, k3))
-    k4 = _rhs(field_, r + h, y4)
-    y_new = tuple(
-        yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    """One RK4 step: the new state and the stage derivatives k1..k4.
+
+    Written out over the six components (z, p, q11, q12, q21, q22), with
+    one ``index_at`` and one ``ray_variation_rhs`` call per stage.
+    """
+    index_at = field_.index_at
+    z, p, a, b, c, d = y
+    hh = 0.5 * h
+    k1 = z1, p1, a1, b1, c1, d1 = ray_variation_rhs(index_at(r, z), p, a, b, c, d)
+    rm = r + hh
+    k2 = z2, p2, a2, b2, c2, d2 = ray_variation_rhs(
+        index_at(rm, z + hh * z1), p + hh * p1,
+        a + hh * a1, b + hh * b1, c + hh * c1, d + hh * d1)
+    k3 = z3, p3, a3, b3, c3, d3 = ray_variation_rhs(
+        index_at(rm, z + hh * z2), p + hh * p2,
+        a + hh * a2, b + hh * b2, c + hh * c2, d + hh * d2)
+    k4 = z4, p4, a4, b4, c4, d4 = ray_variation_rhs(
+        index_at(r + h, z + h * z3), p + h * p3,
+        a + h * a3, b + h * b3, c + h * c3, d + h * d3)
+    h6 = h / 6.0
+    y_new = (
+        z + h6 * (z1 + 2.0 * z2 + 2.0 * z3 + z4),
+        p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+        a + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+        b + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+        c + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
+        d + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4),
     )
     return y_new, (k1, k2, k3, k4)
 
@@ -241,7 +244,9 @@ def _land(field_, bath, boundary, r0, y0, hi, s, slope, tol):
     G(s) = gap(r0 + s, RK4(r0, y0, s).z) is searched from the interpolant's
     root ``s`` and slope; proposals outside the bracket (0, hi), tightened
     by every evaluation, fall back to bisection.  Returns (s, state,
-    converged); at the iteration cap, the last evaluated state.
+    converged); at the iteration cap, or once the bracket has collapsed
+    to adjacent floats so that no new point lies strictly inside it, the
+    last evaluated state.
     """
     lo = 0.0
     g_prev = None
@@ -260,6 +265,8 @@ def _land(field_, bath, boundary, r0, y0, hi, s, slope, tol):
         s = s - g / slope if slope != 0.0 else lo
         if not lo < s < hi:
             s = 0.5 * (lo + hi)
+            if not lo < s < hi:
+                break
     return s_prev, y, False
 
 

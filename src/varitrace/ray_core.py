@@ -4,8 +4,12 @@ The ray Hamiltonian is H(z, p; r) = -sqrt(n(r, z)^2 - p^2) where the pulse
 p = n sin(theta) is conjugate to depth and theta is the grazing angle.
 Rays obey dz/dr = dH/dp, dp/dr = -dH/dz; the 2x2 variation matrix
 q = d(p, z)/d(p0, z0) obeys dq/dr = K q with K built from the second
-derivatives of H.  The closed forms below are validated against finite
-differences of ``hamiltonian`` and ``ray_rhs`` in the test suite.
+derivatives of H.  One closed form, ``ray_variation_rhs``, gives the whole
+right-hand side (dz, dp, dq) with the product K q written out; it is the
+integrator's only call per evaluation.  ``ray_rhs`` and ``k_matrix`` are
+views of it at q = I, so the tests that validate them against finite
+differences of ``hamiltonian`` and ``ray_rhs`` check the formula the
+integrator runs.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ __all__ = [
     "hamiltonian",
     "ray_rhs",
     "k_matrix",
+    "ray_variation_rhs",
 ]
 
 
@@ -102,21 +107,36 @@ def hamiltonian(n: float, p: float) -> float:
     return -_w(n, p)
 
 
-def ray_rhs(sample: IndexSample, p: float) -> tuple[float, float]:
-    """Right-hand side (dz/dr, dp/dr) of the ray equations.
+def ray_variation_rhs(sample: IndexSample, p: float, q11: float, q12: float,
+                      q21: float, q22: float) -> tuple:
+    """Right-hand side (dz, dp, dq11, dq12, dq21, dq22) of ray and variation.
 
-    dz/dr = p / w and dp/dr = n n_z / w with w = sqrt(n^2 - p^2).
+    dz/dr = p / w and dp/dr = n n_z / w with w = sqrt(n^2 - p^2), and
+    dq/dr = K q with k11 = p n n_z / w^3, k12 = (n_z^2 + n n_zz) / w -
+    (n n_z)^2 / w^3, k21 = n^2 / w^3 and k22 = -k11.
     """
-    w = _w(sample.n, p)
-    return p / w, sample.n * sample.n_z / w
-
-
-def k_matrix(sample: IndexSample, p: float) -> KMatrix:
-    """Second-derivative matrix K of the variation equation at one point."""
-    n, n_z, n_zz = sample.n, sample.n_z, sample.n_zz
+    n, _, n_z, n_zz = sample
     w = _w(n, p)
     w3 = w * w * w
     k11 = p * n * n_z / w3
     k12 = (n_z * n_z + n * n_zz) / w - (n * n_z) ** 2 / w3
     k21 = n * n / w3
-    return KMatrix(k11=k11, k12=k12, k21=k21, k22=-k11)
+    k22 = -k11
+    return (
+        p / w,
+        n * n_z / w,
+        k11 * q11 + k12 * q21,
+        k11 * q12 + k12 * q22,
+        k21 * q11 + k22 * q21,
+        k21 * q12 + k22 * q22,
+    )
+
+
+def ray_rhs(sample: IndexSample, p: float) -> tuple[float, float]:
+    """Right-hand side (dz/dr, dp/dr) of the ray equations."""
+    return ray_variation_rhs(sample, p, 1.0, 0.0, 0.0, 1.0)[:2]
+
+
+def k_matrix(sample: IndexSample, p: float) -> KMatrix:
+    """Second-derivative matrix K of the variation equation at one point."""
+    return KMatrix(*ray_variation_rhs(sample, p, 1.0, 0.0, 0.0, 1.0)[2:])

@@ -318,3 +318,25 @@ class TestCarriedIndex:
         assert main([command, "--config", cfg, "--output", str(reevaluated)]) == 0
         assert len(read_rows(carried)) > 2
         assert carried.read_bytes() == reevaluated.read_bytes()
+
+    def test_rows_match_format_reference(self, tmp_path):
+        """One %-format per row gives the bytes of per-field
+        format(x, ".17g"), bounce flags included."""
+        import varitrace.cli as cli
+        from varitrace.propagation import trace_ray
+
+        run = load_config(write_cfg(tmp_path, self.BOUNCING))
+        result = trace_ray(run.build_field(), run.build_bathymetry(),
+                           run.build_trace_config())
+        assert result.bounces
+        bounce_at = {b.r: b.boundary for b in result.bounces}
+        expected = []
+        for row, n in zip(result.samples, result.n):
+            r, z, p, q11, q12, q21, q22 = row
+            theta = math.degrees(math.asin(max(-1.0, min(1.0, p / n))))
+            fields = [format(v, ".17g") for v in (r, z, p, theta, q11, q12, q21, q22,
+                                                  q11 * q22 - q12 * q21)]
+            expected.append(",".join(fields + [bounce_at.pop(r, "")]))
+        rows = list(cli._trace_rows(result))
+        assert sum(1 for line in rows if not line.endswith(",")) == len(result.bounces)
+        assert rows == expected

@@ -242,3 +242,50 @@ class TestNormalFrames:
     def test_non_unit_normal_rejected(self):
         with pytest.raises(ValueError):
             NormalFrame(nr=1.0, nz=1.0, alpha=0.0, curvature=0.0)
+
+
+class TestSplineTable:
+    """The coefficient table that sampled profiles evaluate through returns
+    scipy's own spline values, bit for bit."""
+
+    @staticmethod
+    def _thermocline():
+        z = np.linspace(0.0, 220.0, 45)
+        c = 1520.0 - 12.0 * (1.0 + np.tanh((z - 60.0) / 17.5)) / 2.0 + 0.017 * z
+        return z, c
+
+    @staticmethod
+    def _bathymetry():
+        r = np.linspace(0.0, 20_000.0, 41)
+        z = 180.0 + 12.0 * np.sin(r / 1700.0) + 4.0 * np.cos(r / 430.0)
+        return r, z
+
+    @pytest.mark.parametrize("knots", ["_thermocline", "_bathymetry"])
+    def test_matches_scipy_bitwise(self, knots):
+        from scipy.interpolate import CubicSpline
+
+        from varitrace.environment import _CubicTable
+
+        x, y = getattr(self, knots)()
+        cs = CubicSpline(x, y, bc_type="natural")
+        table = _CubicTable(cs)
+        rng = np.random.default_rng(20)
+        points = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), [x[0], x[-1]],
+                                 rng.uniform(x[0], x[-1], 1000)])
+        for v in points.tolist():
+            expected = (float(cs(v)), float(cs(v, 1)), float(cs(v, 2)))
+            assert table(v) == expected, v
+
+    def test_profiles_evaluate_without_scipy_calls(self, monkeypatch):
+        from scipy.interpolate import CubicSpline
+
+        field = GriddedField(*self._thermocline())
+        bath = PiecewiseBottom(*self._bathymetry())
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("spline evaluated through scipy")
+
+        monkeypatch.setattr(CubicSpline, "__call__", no_call)
+        assert field.index_at(0.0, 61.3).n_zz != 0.0
+        assert field.sound_speed(0.0, 61.3) > 0.0
+        assert bath.depth_at(1234.5) == bath.bottom_at(1234.5).z_b

@@ -120,6 +120,23 @@ class TestVerifyKappa:
                          sc.r_after_bounce)
         assert v.max_rel_err <= 1e-6
 
+    def test_central_ray_traced_once(self, monkeypatch):
+        """One default call traces the central ray once and four perturbed
+        rays per Richardson level: 1 + 4 * 2 traces."""
+        import varitrace.oracle as oracle
+
+        calls = [0]
+        original = oracle.trace_from_pulse
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "trace_from_pulse", counted)
+        sc = preset("flat-linear")
+        verify_kappa(sc.field, sc.bath, sc.cfg, BeamPerturbation(), sc.r_after_bounce)
+        assert calls[0] == 9
+
     def test_arc_homogeneous_curvature_term(self):
         """Numeric jump off a circular basin matches the analytic curvature
         formula -2 curv n t1r tr / <t,N> through the composed q."""

@@ -434,14 +434,16 @@ def rhs_calls(monkeypatch):
     import varitrace.propagation as propagation
 
     calls = [0]
-    original = propagation.ray_rhs
+    original = propagation.ray_variation_rhs
 
-    def counted(sample, p):
+    def counted(*args):
         calls[0] += 1
-        return original(sample, p)
+        return original(*args)
 
-    monkeypatch.setattr(propagation, "ray_rhs", counted)
-    return calls
+    monkeypatch.setattr(propagation, "ray_variation_rhs", counted)
+    yield calls
+    # A count that never moved means the integrator bypassed the counted name.
+    assert calls[0] > 0
 
 
 class TestEventLocationWork:
@@ -482,6 +484,18 @@ class TestLocatorConvergence:
         assert 1 <= tight.unconverged_bounces <= len(tight.bounces)
         for a, b in zip(tight.bounces, loose.bounces):
             assert a.r == pytest.approx(b.r, abs=1e-8)
+
+    def test_collapsed_bracket_ends_the_landing(self, rhs_calls):
+        """Below rounding, the landing search stops once its bracket holds
+        no float strictly inside, instead of running to the cap."""
+        field = LinearGradientField(c_surface=1500.0, gradient=2e-4)
+        cfg = TraceConfig(r_start=0.0, r_end=3000.0, z0=100.0,
+                          theta0=math.radians(30.0), dr=10.0, bisect_tol=1e-300)
+        res = trace_ray(field, FlatBottom(400.0), cfg)
+        assert res.status is TraceStatus.COMPLETED and res.bounces
+        assert res.unconverged_bounces >= 1
+        locator = rhs_calls[0] - 4 * (len(res.samples) - 1)
+        assert locator <= 16 * len(res.bounces)
 
     def test_readme_config_and_presets_converge(self):
         from varitrace.presets import PRESET_NAMES, preset

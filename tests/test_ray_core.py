@@ -16,6 +16,7 @@ from varitrace import (
     k_matrix,
     ray_rhs,
 )
+from varitrace.ray_core import ray_variation_rhs
 
 
 class TestHamiltonian:
@@ -153,3 +154,21 @@ class TestVariationMatrix:
         state = RayState(r=0.0, z=100.0, p=0.5)
         assert state.grazing_angle(1.0) == pytest.approx(math.asin(0.5), rel=1e-15)
         assert state.q == VariationMatrix.identity()
+
+
+class TestFusedKernel:
+    """ray_variation_rhs is the integrator's only formula; its views and
+    its written-out K q product agree with it bit for bit."""
+
+    def test_dq_equals_k_times_q(self):
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            s = IndexSample(n=rng.uniform(0.9, 1.2), n_r=rng.uniform(-0.01, 0.01),
+                            n_z=rng.uniform(-0.02, 0.02), n_zz=rng.uniform(-1e-4, 1e-4))
+            p = rng.uniform(-0.8, 0.8)
+            q11, q12, q21, q22 = rng.uniform(-5.0, 5.0, 4).tolist()
+            k = k_matrix(s, p)
+            out = ray_variation_rhs(s, p, q11, q12, q21, q22)
+            assert out[:2] == ray_rhs(s, p)
+            assert out[2:] == (k.k11 * q11 + k.k12 * q21, k.k11 * q12 + k.k12 * q22,
+                               k.k21 * q11 + k.k22 * q21, k.k21 * q12 + k.k22 * q22)
