@@ -39,11 +39,9 @@ from .errors import (
     VaritraceError,
 )
 from .oracle import (
-    BeamOffsets,
     BeamPerturbation,
     JacobianEstimate,
     KappaVerification,
-    beam_geometry_check,
     fd_jacobian,
     verify_kappa,
 )
@@ -58,15 +56,12 @@ from .propagation import (
     trace_from_pulse,
     trace_ray,
 )
-from .ray_core import KMatrix, RayState, VariationMatrix, hamiltonian, k_matrix, ray_rhs
+from .ray_core import KMatrix, hamiltonian, k_matrix, ray_rhs
 from .reflection import (
     IdentityPair,
     KappaMatrix,
     ReflectionContext,
-    apply_reflection,
     identity_checks,
     kappa_matrix,
     reflect_direction,
-    reflect_pulse,
-    reflect_pulse_quotient,
 )

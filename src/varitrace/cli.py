@@ -18,20 +18,11 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .environment import IndexSample, NormalFrame
-from .errors import ConfigError, DomainError, SingularReflectionError
+from .errors import ConfigError, GeometryError, SingularReflectionError, VaritraceError
 from .oracle import BeamPerturbation, verify_kappa
 from .presets import PRESET_NAMES, STUDY_PERTURBATION, VerificationScenario, preset
 from .propagation import TraceResult, TraceStatus, trace_fan, trace_ray
-from .reflection import (
-    ReflectionContext,
-    corrupt_kappa12_for_testing,
-    identity_checks,
-    kappa_matrix,
-)
-
-# Scan rows where the formula is genuinely singular (vertical rays,
-# tangential hits) or the reflected ray runs backward are flagged invalid.
-SCAN_EPS = 1e-6
+from .reflection import ReflectionContext, identity_checks, kappa_matrix
 
 DEFAULT_SCAN_THETAS = [-90.0 + 10.0 * k for k in range(1, 18)]  # -80 .. 80
 
@@ -140,29 +131,26 @@ def scan_kappa(theta_deg: float, alpha_deg: float, curvature: float,
                n: float, n_z: float, n_r: float):
     """Jump-matrix entries for one (incident angle, normal angle) pair.
 
-    Returns (k11, k12, k22) or None where the preconditions fail (vertical
-    incident or reflected ray, tangential geometry, backward reflection).
-    The jump matrix is invariant under flipping the normal together with
-    the curvature sign, so pairs describing the mirrored normal are
-    evaluated through that equivalence.
+    Returns (k11, k12, k22), or None where the bounce is invalid as the
+    tracer would judge it (vertical incident or reflected ray, tangential
+    geometry, backward reflection).  The jump matrix is invariant under
+    flipping the normal together with the curvature sign, so pairs
+    describing the mirrored normal are evaluated through that equivalence.
     """
     theta = math.radians(theta_deg)
     alpha = math.radians(alpha_deg)
     t = np.array([math.cos(theta), math.sin(theta)])
     nr, nz = math.cos(alpha), math.sin(alpha)
-    n_t = t[0] * nr + t[1] * nz
-    if abs(t[0]) < SCAN_EPS or abs(n_t) < SCAN_EPS:
-        return None
-    t1r = t[0] - 2.0 * nr * n_t
-    if t1r <= SCAN_EPS:
-        return None  # backward or vertical reflected ray
-    if n_t > 0.0:
+    if t[0] * nr + t[1] * nz > 0.0:
         nr, nz, curvature = -nr, -nz, -curvature
     frame = NormalFrame(nr=nr, nz=nz, alpha=math.atan2(nz, nr), curvature=curvature)
     sample = IndexSample(n=n, n_r=n_r, n_z=n_z, n_zz=0.0)
     try:
-        kappa = kappa_matrix(ReflectionContext(t=t, frame=frame, sample=sample))
-    except SingularReflectionError:
+        ctx = ReflectionContext(t=t, frame=frame, sample=sample)
+        if not ctx.forward:
+            return None
+        kappa = kappa_matrix(ctx)
+    except GeometryError:
         return None
     return kappa.k11, kappa.k12, kappa.k22
 
@@ -285,7 +273,7 @@ def _verify_structure(rng: np.random.Generator, out) -> bool:
     return passed
 
 
-def cmd_verify(run: RunConfig, out, seed: int | None, corrupt: bool = False) -> int:
+def cmd_verify(run: RunConfig, out, seed: int | None) -> int:
     sec = run.section("verify", required=False)
     sec.check_keys({"preset", "tolerance", "r_after_bounce"})
     which = sec.get_str("preset", "all")
@@ -310,15 +298,11 @@ def cmd_verify(run: RunConfig, out, seed: int | None, corrupt: bool = False) -> 
             f"{', '.join(PRESET_NAMES)}")
 
     rng = np.random.default_rng(0 if seed is None else seed)
-    hook = corrupt_kappa12_for_testing() if corrupt else nullcontext()
     ok = True
-    with hook:
-        if corrupt:
-            print("NOTE: kappa12 sign deliberately corrupted (test hook)", file=out)
-        for scenario in scenarios:
-            ok &= _verify_scenario(scenario, tolerance, out)
-        ok &= _verify_identities(rng, out)
-        ok &= _verify_structure(rng, out)
+    for scenario in scenarios:
+        ok &= _verify_scenario(scenario, tolerance, out)
+    ok &= _verify_identities(rng, out)
+    ok &= _verify_structure(rng, out)
     print(f"OVERALL {'PASS' if ok else 'FAIL'}", file=out)
     return 0 if ok else 1
 
@@ -347,9 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default="-", help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for randomized verification sweeps")
-        if name == "verify":
-            p.add_argument("--corrupt-kappa12", action="store_true",
-                           help=argparse.SUPPRESS)
     return parser
 
 
@@ -364,11 +345,11 @@ def main(argv=None) -> int:
                 return cmd_fan(run, out, args.seed)
             if args.command == "kappa-scan":
                 return cmd_kappa_scan(run, out, args.seed)
-            return cmd_verify(run, out, args.seed,
-                              corrupt=getattr(args, "corrupt_kappa12", False))
-    except (ConfigError, DomainError, ValueError) as exc:
+            return cmd_verify(run, out, args.seed)
+    except (VaritraceError, ValueError) as exc:
         # config-derived values that fail validation (launch outside the
-        # water column, angles past the cutoff, ...) are usage errors too
+        # water column, angles past the cutoff, a custom verify scenario
+        # that does not bounce exactly once, ...) are usage errors too
         print(f"varitrace: config error: {exc}", file=sys.stderr)
         return 2
 

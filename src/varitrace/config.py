@@ -69,7 +69,7 @@ class _Section:
             raise ConfigError(
                 f"unknown key(s) in [{self.name}]: {', '.join(sorted(unknown))}")
 
-    def _fetch(self, key: str, default, required: bool):
+    def _fetch(self, key: str, required: bool):
         if key not in self.raw:
             if required:
                 raise ConfigError(f"missing required key '{key}' in [{self.name}]")
@@ -77,12 +77,12 @@ class _Section:
         return self.raw[key]
 
     def get_str(self, key: str, default: str | None = None, required: bool = False) -> str | None:
-        value = self._fetch(key, default, required)
+        value = self._fetch(key, required)
         return default if value is None else value
 
     def get_float(self, key: str, default: float | None = None,
                   required: bool = False) -> float | None:
-        value = self._fetch(key, default, required)
+        value = self._fetch(key, required)
         if value is None:
             return default
         try:
@@ -92,7 +92,7 @@ class _Section:
 
     def get_int(self, key: str, default: int | None = None,
                 required: bool = False) -> int | None:
-        value = self._fetch(key, default, required)
+        value = self._fetch(key, required)
         if value is None:
             return default
         try:

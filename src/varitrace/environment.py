@@ -311,6 +311,8 @@ class GriddedField(SoundSpeedField):
         if np.any(c_values <= 0.0):
             raise ValueError("gridded sound speeds must all be positive")
         self.depths = depths
+        self._z_span = (float(depths[0]), float(depths[-1]))
+        self._r_span = None
         if ranges is None:
             if c_values.shape != depths.shape:
                 raise ValueError("c_values must match depths for a 1D profile")
@@ -325,12 +327,16 @@ class GriddedField(SoundSpeedField):
             if c_values.shape != (ranges.size, depths.size):
                 raise ValueError("c_values must have shape (len(ranges), len(depths))")
             self.ranges = ranges
+            self._r_span = (float(ranges[0]), float(ranges[-1]))
             self._spline = RectBivariateSpline(ranges, depths, c_values, kx=3, ky=3, s=0)
 
     def _check_domain(self, r: float, z: float) -> None:
-        if not (self.depths[0] <= z <= self.depths[-1]):
+        # The grid ends are held as Python floats: comparing against numpy
+        # array elements costs about three times as much per query.
+        z_lo, z_hi = self._z_span
+        if not (z_lo <= z <= z_hi):
             raise DomainError("depth outside gridded field", "z", z)
-        if self.ranges is not None and not (self.ranges[0] <= r <= self.ranges[-1]):
+        if self._r_span is not None and not (self._r_span[0] <= r <= self._r_span[1]):
             raise DomainError("range outside gridded field", "r", r)
 
     def sound_speed(self, r: float, z: float) -> float:
@@ -496,6 +502,7 @@ class PiecewiseBottom(Bathymetry):
             raise ValueError("bathymetry depths must all be positive")
         self.r_points = r_points
         self.z_points = z_points
+        self._r_span = (float(r_points[0]), float(r_points[-1]))
         self._table = _CubicTable(CubicSpline(r_points, z_points, bc_type="natural"))
 
     @classmethod
@@ -511,7 +518,8 @@ class PiecewiseBottom(Bathymetry):
         return cls(data[:, 0], data[:, 1])
 
     def _check_domain(self, r: float) -> None:
-        if not (self.r_points[0] <= r <= self.r_points[-1]):
+        r_lo, r_hi = self._r_span
+        if not (r_lo <= r <= r_hi):
             raise DomainError("range outside piecewise bathymetry", "r", r)
 
     def _profile(self, r: float) -> tuple[float, float, float]:

@@ -24,10 +24,8 @@ __all__ = [
     "BeamPerturbation",
     "JacobianEstimate",
     "KappaVerification",
-    "BeamOffsets",
     "fd_jacobian",
     "verify_kappa",
-    "beam_geometry_check",
 ]
 
 # Retries with halved perturbations before giving up on a bounce-sequence
@@ -192,34 +190,10 @@ def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
         raise GeometryError(
             f"expected exactly one bounce before r = {r_after_bounce:g}, "
             f"got {len(central.bounces)}")
-    analytic = central.final_state().q.as_array()
+    analytic = central.q[-1]
 
     estimate = _fd_about(field_, bath, cfg_q, p0, central, pert)
     rel = _relative_errors(analytic, estimate.matrix)
     return KappaVerification(analytic=analytic, numeric=estimate.matrix,
                              rel_err=rel, max_rel_err=float(rel.max()),
                              estimate=estimate)
-
-
-@dataclass(frozen=True)
-class BeamOffsets:
-    """Incidence-point offsets (dr, dz) of a neighboring beam ray."""
-
-    dr: float
-    dz: float
-
-
-def beam_geometry_check(t, n_vec, delta_z: float) -> BeamOffsets:
-    """Offsets of the neighbor ray's hit point on a locally planar boundary.
-
-    A neighbor displaced by delta_z below the central ray at the central
-    hit range strikes the (planar) boundary at
-    dr = (tr Nz / <t,N>) delta_z, dz = -(tr Nr / <t,N>) delta_z.
-    The test suite checks these against an explicit ray/line intersection.
-    """
-    tr, tz = float(t[0]), float(t[1])
-    nr, nz = float(n_vec[0]), float(n_vec[1])
-    n_t = tr * nr + tz * nz
-    if n_t == 0.0:
-        raise GeometryError("tangential geometry: <t, N> = 0")
-    return BeamOffsets(dr=tr * nz / n_t * delta_z, dz=-tr * nr / n_t * delta_z)

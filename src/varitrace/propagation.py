@@ -18,14 +18,14 @@ endings are reported as statuses, never exceptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .environment import Bathymetry, SoundSpeedField, surface_frame
 from .errors import DomainError, GeometryError, SteepRayError
-from .ray_core import RayState, VariationMatrix, ray_variation_rhs
+from .ray_core import ray_variation_rhs
 from .reflection import KappaMatrix, ReflectionContext, kappa_matrix
 
 __all__ = [
@@ -135,10 +135,6 @@ class TraceResult:
     def det_q(self) -> np.ndarray:
         s = self.samples
         return s[:, 3] * s[:, 6] - s[:, 4] * s[:, 5]
-
-    def final_state(self) -> RayState:
-        r, z, p, q11, q12, q21, q22 = self.samples[-1]
-        return RayState(r=r, z=z, p=p, q=VariationMatrix(q11, q12, q21, q22))
 
 
 @dataclass(frozen=True)
@@ -393,20 +389,19 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             status = TraceStatus.STEEP_RAY
         else:
             t = np.array([math.sqrt(1.0 - tz * tz), tz])
-            t1 = t - 2.0 * float(t @ frame.as_array()) * frame.as_array()
-            if t1[0] <= 1e-9:
-                status = TraceStatus.BACKSCATTERED
-            elif len(bounces) >= cfg.max_bounces:
-                status = TraceStatus.MAX_BOUNCES
-            else:
-                try:
-                    ctx = ReflectionContext(t=t, frame=frame, sample=s)
-                    kappa = kappa_matrix(ctx)
-                except GeometryError:
-                    # Includes SingularReflectionError, a tangential contact:
-                    # the jump matrix diverges and the range-marching
-                    # picture ends here.
+            try:
+                ctx = ReflectionContext(t=t, frame=frame, sample=s)
+                if not ctx.forward:
                     status = TraceStatus.BACKSCATTERED
+                elif len(bounces) >= cfg.max_bounces:
+                    status = TraceStatus.MAX_BOUNCES
+                else:
+                    kappa = kappa_matrix(ctx)
+            except GeometryError:
+                # A non-incoming ray, or a SingularReflectionError such as
+                # a tangential contact: the jump matrix diverges and the
+                # range-marching picture ends here.
+                status = TraceStatus.BACKSCATTERED
         if status is not TraceStatus.COMPLETED:
             rows.append((r_hit, z_hit, *y_hit[1:]))
             ns.append(s.n)

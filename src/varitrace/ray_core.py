@@ -15,7 +15,7 @@ integrator runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,58 +23,12 @@ from .environment import IndexSample
 from .errors import SteepRayError
 
 __all__ = [
-    "RayState",
-    "VariationMatrix",
     "KMatrix",
     "hamiltonian",
     "ray_rhs",
     "k_matrix",
     "ray_variation_rhs",
 ]
-
-
-@dataclass(frozen=True)
-class VariationMatrix:
-    """Jacobian of the ray flow map (p0, z0) -> (p, z).
-
-    q11 = dp/dp0, q12 = dp/dz0 (1/m), q21 = dz/dp0 (m), q22 = dz/dz0.
-    Starts as the identity and keeps det q = 1 along smooth arcs and
-    through reflections.
-    """
-
-    q11: float = 1.0
-    q12: float = 0.0
-    q21: float = 0.0
-    q22: float = 1.0
-
-    @classmethod
-    def identity(cls) -> "VariationMatrix":
-        return cls()
-
-    @classmethod
-    def from_array(cls, m) -> "VariationMatrix":
-        m = np.asarray(m, dtype=float)
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.q11, self.q12], [self.q21, self.q22]])
-
-    def det(self) -> float:
-        return self.q11 * self.q22 - self.q12 * self.q21
-
-
-@dataclass(frozen=True)
-class RayState:
-    """Ray position, pulse and variation matrix at range r."""
-
-    r: float
-    z: float
-    p: float
-    q: VariationMatrix = field(default_factory=VariationMatrix.identity)
-
-    def grazing_angle(self, n: float) -> float:
-        """Grazing angle theta = arcsin(p / n) in radians."""
-        return math.asin(self.p / n)
 
 
 @dataclass(frozen=True)

@@ -15,50 +15,36 @@ The off-diagonal entry implemented here is
 
 which is what the narrow-beam limit gives; the finite-difference oracle
 tests reproduce every term, including the curvature one, entry by entry.
+
+Whether a bounce is valid is decided here and nowhere else.
+``ReflectionContext`` derives t1 and <t, N> and rejects a ray that is not
+incoming; its ``forward`` test says whether the reflected ray still
+advances in range (t1r > SINGULAR_TOL); ``kappa_matrix`` raises on the
+remaining singular geometries.  The tracer and the kappa scan both build
+one context and ask it.
 """
 
 from __future__ import annotations
 
-import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .environment import IndexSample, NormalFrame
 from .errors import GeometryError, SingularReflectionError
-from .ray_core import RayState, VariationMatrix
 
 __all__ = [
     "ReflectionContext",
     "KappaMatrix",
     "IdentityPair",
     "reflect_direction",
-    "reflect_pulse",
-    "reflect_pulse_quotient",
     "kappa_matrix",
-    "apply_reflection",
     "identity_checks",
 ]
 
 # Entries of kappa blow up near vertical rays and tangential hits; below
 # this scale they are reported as singular instead of returned huge.
 SINGULAR_TOL = 1e-6
-
-# Test-only hook used by `varitrace verify --corrupt-kappa12` to prove the
-# verification gate actually fails on a corrupted formula.
-_KAPPA12_SIGN = 1.0
-
-
-@contextmanager
-def corrupt_kappa12_for_testing():
-    """Flip the sign of kappa12 inside this context (mutation sanity check)."""
-    global _KAPPA12_SIGN
-    _KAPPA12_SIGN = -1.0
-    try:
-        yield
-    finally:
-        _KAPPA12_SIGN = 1.0
 
 
 def reflect_direction(t, n_vec) -> np.ndarray:
@@ -75,27 +61,6 @@ def reflect_direction(t, n_vec) -> np.ndarray:
     return t - 2.0 * n_t * n_vec
 
 
-def reflect_pulse(p: float, t, n_vec, n: float) -> float:
-    """Reflected pulse p1 = n * t1_z.
-
-    Equivalent to the quotient form p (1 - 2 Nz (Nr tr/tz + Nz)) wherever
-    tz != 0, but stays finite for horizontal incident rays.
-    """
-    if abs(p - n * float(t[1])) > 1e-9 * max(1.0, abs(p)):
-        raise GeometryError(f"pulse {p:g} inconsistent with direction and index")
-    t1 = reflect_direction(t, n_vec)
-    return n * float(t1[1])
-
-
-def reflect_pulse_quotient(p: float, t, n_vec) -> float:
-    """Pulse jump in quotient form; needs tz != 0.  Cross-check only."""
-    tr, tz = float(t[0]), float(t[1])
-    nr, nz = float(n_vec[0]), float(n_vec[1])
-    if tz == 0.0:
-        raise GeometryError("quotient form of the pulse jump is undefined at tz = 0")
-    return p * (1.0 - 2.0 * nz * (nr * tr / tz + nz))
-
-
 @dataclass(frozen=True)
 class ReflectionContext:
     """Everything kappa needs at one bounce point.
@@ -103,7 +68,8 @@ class ReflectionContext:
     ``t`` is the incident unit tangent (cos theta, sin theta), ``frame``
     the boundary normal frame and ``sample`` the local index sample.  The
     reflected tangent and <t, N> are derived on construction; a
-    non-incoming ray (<t, N> >= 0) is rejected.
+    non-incoming ray (<t, N> >= 0) is rejected.  ``forward`` is the one
+    test of whether the reflected ray still advances in range.
     """
 
     t: np.ndarray
@@ -118,8 +84,9 @@ class ReflectionContext:
         object.__setattr__(self, "n_t", float(t[0] * self.frame.nr + t[1] * self.frame.nz))
 
     @property
-    def theta_incident(self) -> float:
-        return math.atan2(float(self.t[1]), float(self.t[0]))
+    def forward(self) -> bool:
+        """Whether the reflected ray keeps advancing in range."""
+        return float(self.t1[0]) > SINGULAR_TOL
 
 
 @dataclass(frozen=True)
@@ -146,7 +113,7 @@ def kappa_matrix(ctx: ReflectionContext) -> KappaMatrix:
     described in the module docstring.  Vertical incident or reflected
     rays and tangential hits are genuine singularities and raise.
     """
-    tr, tz = float(ctx.t[0]), float(ctx.t[1])
+    tr = float(ctx.t[0])
     t1r = float(ctx.t1[0])
     n_t = ctx.n_t
     if abs(tr) < SINGULAR_TOL:
@@ -161,17 +128,7 @@ def kappa_matrix(ctx: ReflectionContext) -> KappaMatrix:
     k12 = (-curv * s.n * t1r * tr
            + nz * ((tr * tr + t1r * t1r) / (2.0 * tr * t1r) - nr * nr) * s.n_z
            + nr * nz * nz * s.n_r) * 2.0 / n_t
-    return KappaMatrix(k11=-t1r / tr, k12=_KAPPA12_SIGN * k12, k22=-tr / t1r)
-
-
-def apply_reflection(state: RayState, ctx: ReflectionContext) -> RayState:
-    """Bounce a ray state: p -> n t1_z, z unchanged, q -> kappa q."""
-    n = ctx.sample.n
-    if abs(state.p - n * float(ctx.t[1])) > 1e-6:
-        raise GeometryError("reflection context does not match the ray state pulse")
-    kappa = kappa_matrix(ctx)
-    q_new = VariationMatrix.from_array(kappa.as_array() @ state.q.as_array())
-    return RayState(r=state.r, z=state.z, p=n * float(ctx.t1[1]), q=q_new)
+    return KappaMatrix(k11=-t1r / tr, k12=k12, k22=-tr / t1r)
 
 
 @dataclass(frozen=True)

@@ -225,7 +225,7 @@ def test_criterion_5_closed_form_flow():
 
     res = trace_ray(field, bath, cfg)
     assert res.status is TraceStatus.COMPLETED and not res.bounces
-    analytic = res.final_state().q.as_array()
+    analytic = res.q[-1]
     scale = np.abs(expected).max()
     assert np.abs(analytic - expected).max() / scale < 1e-8
 

@@ -1,6 +1,7 @@
 """CLI tests: config validation, CSV output, exit codes, verify gate."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from varitrace.cli import DEFAULT_SCAN_THETAS, main, scan_kappa
 from varitrace.config import load_config
 from varitrace.errors import ConfigError
+from varitrace.reflection import kappa_matrix
 
 BASE_CFG = """\
 [environment]
@@ -217,6 +219,18 @@ n_r = 0.0
         assert scan_kappa(0.0, 150.0, 0.0, 1.0, 0.01, 0.0) is None
         assert scan_kappa(0.0, 90.0, 0.0, 1.0, 0.01, 0.0) is None  # tangential
 
+    @pytest.mark.parametrize("t1r,valid", [(5e-7, False), (2e-6, True)])
+    def test_forward_threshold_is_the_tracers(self, t1r, valid):
+        """A reflected ray with t1r at or below SINGULAR_TOL is invalid, as
+        it is a backscatter for the tracer; just above it, values return."""
+        theta = 30.0
+        # t1 points along 2 alpha - theta + 180 degrees, so t1r = -cos(2 alpha - theta)
+        alpha = 0.5 * (theta + math.degrees(math.acos(-t1r)))
+        tr, tz = math.cos(math.radians(theta)), math.sin(math.radians(theta))
+        nr, nz = math.cos(math.radians(alpha)), math.sin(math.radians(alpha))
+        assert tr - 2.0 * nr * (tr * nr + tz * nz) == pytest.approx(t1r, rel=1e-6)
+        assert (scan_kappa(theta, alpha, 0.02, 1.0, 0.01, 0.0) is not None) is valid
+
     def test_invalid_rows_have_empty_values(self, tmp_path):
         cfg = write_cfg(tmp_path, self.SCAN_CFG)
         out = tmp_path / "scan.csv"
@@ -247,11 +261,26 @@ class TestVerifyCommand:
         assert "OVERALL PASS" in out
         assert "convergence order" in out
 
-    def test_corrupted_kappa12_fails(self, tmp_path, capsys):
+    def test_corrupted_kappa12_fails(self, tmp_path, capsys, monkeypatch):
+        """Mutation check: the gate fails once the tracer's kappa12 has the
+        wrong sign."""
+        import varitrace.propagation as propagation
+
+        def flipped(ctx):
+            k = kappa_matrix(ctx)
+            return replace(k, k12=-k.k12)
+
+        monkeypatch.setattr(propagation, "kappa_matrix", flipped)
         cfg = write_cfg(tmp_path, "[verify]\npreset = arc-homogeneous\n")
-        assert main(["verify", "--config", cfg, "--corrupt-kappa12"]) == 1
+        assert main(["verify", "--config", cfg]) == 1
         out = capsys.readouterr().out
         assert "OVERALL FAIL" in out
+
+    def test_corrupt_flag_rejected(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[verify]\npreset = arc-homogeneous\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", cfg, "--corrupt-kappa12"])
+        assert exc.value.code == 2
 
     def test_unknown_preset_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[verify]\npreset = bogus\n")
@@ -278,6 +307,16 @@ class TestVerifyCommand:
         cfg = write_cfg(tmp_path, text)
         assert main(["verify", "--config", cfg]) == 2
         assert "r_after_bounce" in capsys.readouterr().err
+
+    def test_custom_scenario_with_many_bounces_is_config_error(self, tmp_path, capsys):
+        text = (
+            "[environment]\nkind = constant\n"
+            "[bathymetry]\nkind = flat\ndepth = 100.0\n"
+            "[trace]\nr_start = 0\nr_end = 2000\nz0 = 80\ntheta0_deg = 30\ndr = 0.5\n"
+            "[verify]\npreset = custom\nr_after_bounce = 2000\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["verify", "--config", cfg]) == 2
+        assert "config error: expected exactly one bounce" in capsys.readouterr().err
 
 
 class TestCarriedIndex:

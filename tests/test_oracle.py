@@ -1,6 +1,7 @@
 """FD-oracle tests: flow-map Jacobians vs analytic variation matrices."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from varitrace import (
     PerturbationTooLargeError,
     SoundSpeedField,
     TraceConfig,
-    beam_geometry_check,
     fd_jacobian,
     verify_kappa,
 )
@@ -24,6 +24,30 @@ from varitrace.presets import PRESET_NAMES, STUDY_PERTURBATION, preset
 
 HOMOGENEOUS = ConstantField(c0=1500.0)
 DEEP = FlatBottom(5000.0)
+
+
+@dataclass(frozen=True)
+class BeamOffsets:
+    """Incidence-point offsets (dr, dz) of a neighboring beam ray."""
+
+    dr: float
+    dz: float
+
+
+def beam_geometry_check(t, n_vec, delta_z: float) -> BeamOffsets:
+    """Offsets of the neighbor ray's hit point on a locally planar boundary.
+
+    A neighbor displaced by delta_z below the central ray at the central
+    hit range strikes the (planar) boundary at
+    dr = (tr Nz / <t,N>) delta_z, dz = -(tr Nr / <t,N>) delta_z.
+    TestBeamGeometry checks these against an explicit ray/line intersection.
+    """
+    tr, tz = float(t[0]), float(t[1])
+    nr, nz = float(n_vec[0]), float(n_vec[1])
+    n_t = tr * nr + tz * nz
+    if n_t == 0.0:
+        raise GeometryError("tangential geometry: <t, N> = 0")
+    return BeamOffsets(dr=tr * nz / n_t * delta_z, dz=-tr * nr / n_t * delta_z)
 
 
 class TestFdJacobian:

@@ -79,7 +79,7 @@ class TestClosedFormFlow:
         assert not res.bounces
         w = n * math.cos(math.radians(theta_deg))
         expected = np.array([[1.0, 0.0], [R * n * n / w**3, 1.0]])
-        np.testing.assert_allclose(res.final_state().q.as_array(), expected,
+        np.testing.assert_allclose(res.q[-1], expected,
                                    rtol=1e-8, atol=1e-12)
 
     def test_determinant_stays_near_one_with_bounces(self):

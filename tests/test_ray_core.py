@@ -9,9 +9,7 @@ from varitrace import (
     IndexSample,
     LinearGradientField,
     MunkField,
-    RayState,
     SteepRayError,
-    VariationMatrix,
     hamiltonian,
     k_matrix,
     ray_rhs,
@@ -137,23 +135,6 @@ class TestKMatrix:
         e1 = np.abs(k_fd(field, 0.0, z, p, 2e-3, 1.0) - analytic).max()
         e2 = np.abs(k_fd(field, 0.0, z, p, 1e-3, 0.5) - analytic).max()
         assert e1 / e2 == pytest.approx(4.0, rel=0.3)
-
-
-class TestVariationMatrix:
-    def test_identity_start(self):
-        q = VariationMatrix.identity()
-        assert (q.q11, q.q12, q.q21, q.q22) == (1.0, 0.0, 0.0, 1.0)
-        assert q.det() == 1.0
-
-    def test_array_round_trip(self):
-        q = VariationMatrix(1.5, -0.25, 3.0, 0.17)
-        assert VariationMatrix.from_array(q.as_array()) == q
-        assert q.det() == pytest.approx(1.5 * 0.17 + 0.25 * 3.0, rel=1e-15)
-
-    def test_ray_state_grazing_angle(self):
-        state = RayState(r=0.0, z=100.0, p=0.5)
-        assert state.grazing_angle(1.0) == pytest.approx(math.asin(0.5), rel=1e-15)
-        assert state.q == VariationMatrix.identity()
 
 
 class TestFusedKernel:
