@@ -39,7 +39,8 @@ class BeamPerturbation:
 
     ``h_p`` perturbs the launch pulse (dimensionless), ``h_z`` the launch
     depth (m); both must be small against the problem scales.
-    ``richardson_levels`` >= 2 controls the error estimate.
+    ``richardson_levels`` >= 2 offset sizes, each half the one before,
+    are traced (four rays each); the error estimate compares the last two.
     """
 
     h_p: float = 1e-6
@@ -60,9 +61,9 @@ class BeamPerturbation:
 class JacobianEstimate:
     """Centered-difference flow-map Jacobian and its Richardson error bars.
 
-    ``matrix`` is the estimate at the requested perturbation; ``error`` is
-    the per-entry error estimate |J(h) - J(h/2)| * 4/3 from comparing
-    successive halvings.
+    ``matrix`` is the estimate at the requested perturbation h; ``error``
+    is the per-entry estimate |J(h') - J(h'/2)| * 4/3 from the last two
+    Richardson levels h' and h'/2.
     """
 
     matrix: np.ndarray
@@ -118,22 +119,20 @@ def _central_trace(field_, bath, cfg, r_query):
     return cfg_q, p0, trace_from_pulse(field_, bath, cfg_q, cfg.z0, p0)
 
 
-def _fd_about(field_, bath, cfg_q, p0, central, pert) -> JacobianEstimate:
-    """FD Jacobian about an already traced central ray (see fd_jacobian)."""
+def _fd_levels(field_, bath, cfg_q, p0, central, pert):
+    """FD Jacobians about an already traced central ray, one per Richardson
+    level (see fd_jacobian); returns them with the perturbation used."""
     _endpoint(central, cfg_q.r_end)
     signature = _bounce_signature(central)
 
     last_error: Exception | None = None
     for _ in range(MAX_HALVINGS + 1):
         try:
-            levels = [
+            return pert, [
                 _centered_jacobian(field_, bath, cfg_q, cfg_q.z0, p0,
                                    pert.h_p / 2**i, pert.h_z / 2**i, signature)
                 for i in range(pert.richardson_levels)
             ]
-            error = np.abs(levels[-2] - levels[-1]) * (4.0 / 3.0)
-            return JacobianEstimate(matrix=levels[0], error=error,
-                                    h_p=pert.h_p, h_z=pert.h_z)
         except PerturbationTooLargeError as exc:
             last_error = exc
             pert = pert.halved()
@@ -147,22 +146,26 @@ def fd_jacobian(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
 
     Runs four perturbed traces per Richardson level plus the central one;
     all must reach r_query with the central ray's bounce sequence.  On a
-    sequence mismatch the perturbations are halved up to five times before
-    failing with PerturbationTooLargeError.
+    sequence mismatch every level's perturbations are halved together, up
+    to five times, before failing with PerturbationTooLargeError.
     """
     cfg_q, p0, central = _central_trace(field_, bath, cfg, r_query)
-    return _fd_about(field_, bath, cfg_q, p0, central, pert)
+    pert, levels = _fd_levels(field_, bath, cfg_q, p0, central, pert)
+    error = np.abs(levels[-2] - levels[-1]) * (4.0 / 3.0)
+    return JacobianEstimate(matrix=levels[0], error=error, h_p=pert.h_p, h_z=pert.h_z)
 
 
 @dataclass(frozen=True)
 class KappaVerification:
-    """Analytic vs numeric variation matrix just past a single bounce."""
+    """Analytic vs numeric variation matrix just past a single bounce.
 
-    analytic: np.ndarray
-    numeric: np.ndarray
+    ``level_errs`` is the max relative error at each Richardson level;
+    ``rel_err`` and ``max_rel_err`` are those of the first level.
+    """
+
     rel_err: np.ndarray
     max_rel_err: float
-    estimate: JacobianEstimate
+    level_errs: tuple[float, ...]
 
 
 def _relative_errors(a: np.ndarray, b: np.ndarray, floor: float = 1e-12) -> np.ndarray:
@@ -176,8 +179,9 @@ def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
     """Compare analytic q (jump applied) with the FD Jacobian after one bounce.
 
     The central trace must bounce exactly once before ``r_after_bounce``.
-    Entrywise relative errors use max(|analytic|, |numeric|) as the scale,
-    falling back to absolute differences for near-zero entries.
+    Each Richardson level of ``pert`` is compared, entrywise, with
+    max(|analytic|, |numeric|) as the scale, falling back to absolute
+    differences for near-zero entries.
     """
     # Analytic side: an ordinary trace, which integrates dq/dr = Kq and
     # applies the jump matrix at the bounce.  The same trace is the
@@ -192,8 +196,8 @@ def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
             f"got {len(central.bounces)}")
     analytic = central.q[-1]
 
-    estimate = _fd_about(field_, bath, cfg_q, p0, central, pert)
-    rel = _relative_errors(analytic, estimate.matrix)
-    return KappaVerification(analytic=analytic, numeric=estimate.matrix,
-                             rel_err=rel, max_rel_err=float(rel.max()),
-                             estimate=estimate)
+    _, levels = _fd_levels(field_, bath, cfg_q, p0, central, pert)
+    rels = [_relative_errors(analytic, numeric) for numeric in levels]
+    level_errs = tuple(float(rel.max()) for rel in rels)
+    return KappaVerification(rel_err=rels[0], max_rel_err=level_errs[0],
+                             level_errs=level_errs)

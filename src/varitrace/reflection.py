@@ -20,8 +20,8 @@ Whether a bounce is valid is decided here and nowhere else.
 ``ReflectionContext`` derives t1 and <t, N> and rejects a ray that is not
 incoming; its ``forward`` test says whether the reflected ray still
 advances in range (t1r > SINGULAR_TOL); ``kappa_matrix`` raises on the
-remaining singular geometries.  The tracer and the kappa scan both build
-one context and ask it.
+remaining singular geometries.  The tracer, the kappa scan and the
+verify sweeps ask these and keep no incidence test of their own.
 """
 
 from __future__ import annotations

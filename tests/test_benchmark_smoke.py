@@ -29,3 +29,6 @@ def test_smoke_run_is_correct_and_counts_work(workload):
     metrics = summary["metrics"]
     assert metrics["propagation.samples"]["value"] > 0
     assert metrics["environment.index_at.calls"]["value"] > 0
+    if workload == "verify-all":
+        # one preset: 9 traces at the default offsets, 13 for the study
+        assert metrics["oracle.traces"]["value"] == 22

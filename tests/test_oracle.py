@@ -91,12 +91,14 @@ class TestFdJacobian:
     def test_perturbation_auto_halves_when_launch_leaves_water(self):
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=40.0,
                           theta0=math.radians(5.0), dr=1.0)
-        pert = BeamPerturbation(h_p=1e-6, h_z=60.0)  # z0 - h_z < 0 at first try
-        est = fd_jacobian(HOMOGENEOUS, FlatBottom(500.0), cfg, pert, 100.0)
-        assert est.h_z < 60.0
         w = math.cos(math.radians(5.0))
-        np.testing.assert_allclose(est.matrix, [[1.0, 0.0], [100.0 / w**3, 1.0]],
-                                   rtol=1e-4, atol=1e-4)
+        for levels in (2, 3):
+            # z0 - h_z < 0 at first try
+            pert = BeamPerturbation(h_p=1e-6, h_z=60.0, richardson_levels=levels)
+            est = fd_jacobian(HOMOGENEOUS, FlatBottom(500.0), cfg, pert, 100.0)
+            assert est.h_z < 60.0
+            np.testing.assert_allclose(est.matrix, [[1.0, 0.0], [100.0 / w**3, 1.0]],
+                                       rtol=1e-4, atol=1e-4)
 
     def test_bounce_sequence_mismatch_raises_after_halvings(self):
         theta = math.radians(35.0)
@@ -127,13 +129,25 @@ class TestVerifyKappa:
         v = verify_kappa(scenario.field, scenario.bath, scenario.cfg,
                          BeamPerturbation(), scenario.r_after_bounce)
         assert v.max_rel_err < 1e-3
-        errs = []
-        for i in range(2):
+        errs = verify_kappa(scenario.field, scenario.bath, scenario.cfg,
+                            STUDY_PERTURBATION, scenario.r_after_bounce).level_errs
+        assert math.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.3)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_study_levels_equal_separate_calls(self, name):
+        """The one-call study's level errors are, bit for bit, the errors
+        of separate calls at h, h/2 and h/4, each with two levels."""
+        sc = preset(name)
+        study = verify_kappa(sc.field, sc.bath, sc.cfg, STUDY_PERTURBATION,
+                             sc.r_after_bounce)
+        reference = []
+        for i in range(3):
             pert = BeamPerturbation(h_p=STUDY_PERTURBATION.h_p / 2**i,
                                     h_z=STUDY_PERTURBATION.h_z / 2**i)
-            errs.append(verify_kappa(scenario.field, scenario.bath, scenario.cfg,
-                                     pert, scenario.r_after_bounce).max_rel_err)
-        assert math.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.3)
+            reference.append(verify_kappa(sc.field, sc.bath, sc.cfg, pert,
+                                          sc.r_after_bounce).max_rel_err)
+        assert study.level_errs == tuple(reference)
+        assert study.max_rel_err == study.level_errs[0]
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_default_offsets_reach_the_event_location_floor(self, name):
@@ -145,8 +159,9 @@ class TestVerifyKappa:
         assert v.max_rel_err <= 1e-6
 
     def test_central_ray_traced_once(self, monkeypatch):
-        """One default call traces the central ray once and four perturbed
-        rays per Richardson level: 1 + 4 * 2 traces."""
+        """One call traces the central ray once and four perturbed rays per
+        Richardson level: 1 + 4 * 2 traces at the defaults, 1 + 4 * 3 for
+        the study."""
         import varitrace.oracle as oracle
 
         calls = [0]
@@ -158,8 +173,10 @@ class TestVerifyKappa:
 
         monkeypatch.setattr(oracle, "trace_from_pulse", counted)
         sc = preset("flat-linear")
-        verify_kappa(sc.field, sc.bath, sc.cfg, BeamPerturbation(), sc.r_after_bounce)
-        assert calls[0] == 9
+        for pert, traces in ((BeamPerturbation(), 9), (STUDY_PERTURBATION, 13)):
+            calls[0] = 0
+            verify_kappa(sc.field, sc.bath, sc.cfg, pert, sc.r_after_bounce)
+            assert calls[0] == traces
 
     def test_arc_homogeneous_curvature_term(self):
         """Numeric jump off a circular basin matches the analytic curvature

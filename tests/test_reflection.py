@@ -237,8 +237,10 @@ class TestIdentities:
         assert pair.lhs2 == pytest.approx(pair.rhs2, abs=1e-15)
 
     def test_spot_value_45deg_and_100deg(self):
+        """The identities hold for any unit t, N: this pair is outgoing."""
         t = np.array([math.cos(math.radians(45.0)), math.sin(math.radians(45.0))])
         n_vec = np.array([math.cos(math.radians(100.0)), math.sin(math.radians(100.0))])
+        assert float(t @ n_vec) > 0.0
         pair = identity_checks(t, n_vec)
         assert pair.lhs1 == pytest.approx(pair.rhs1, abs=1e-12)
         assert pair.lhs2 == pytest.approx(pair.rhs2, abs=1e-12)
