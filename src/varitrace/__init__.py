@@ -56,7 +56,6 @@ from .propagation import (
     trace_from_pulse,
     trace_ray,
 )
-from .ray_core import KMatrix, hamiltonian, k_matrix, ray_rhs
 from .reflection import (
     IdentityPair,
     KappaMatrix,

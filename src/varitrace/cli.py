@@ -143,7 +143,7 @@ def scan_kappa(theta_deg: float, alpha_deg: float, curvature: float,
     nr, nz = math.cos(alpha), math.sin(alpha)
     if t[0] * nr + t[1] * nz > 0.0:
         nr, nz, curvature = -nr, -nz, -curvature
-    frame = NormalFrame(nr=nr, nz=nz, alpha=math.atan2(nz, nr), curvature=curvature)
+    frame = NormalFrame(nr=nr, nz=nz, curvature=curvature)
     sample = IndexSample(n=n, n_r=n_r, n_z=n_z, n_zz=0.0)
     try:
         ctx = ReflectionContext(t=t, frame=frame, sample=sample)
@@ -218,6 +218,9 @@ def _verify_scenario(scenario: VerificationScenario, tolerance: float, out) -> b
 
 
 def _verify_identities(rng: np.random.Generator, out) -> bool:
+    """Both tangent-ratio identities over random valid pairs, each held to
+    1e-10 relative to max(1, |lhs|, |rhs|): near a vertical reflected ray
+    the sides reach about 1e6, where 1e-10 absolute is below one ulp."""
     worst = 0.0
     checked = 0
     while checked < 10_000:
@@ -230,11 +233,12 @@ def _verify_identities(rng: np.random.Generator, out) -> bool:
             pair = identity_checks(t, n_vec)
         except GeometryError:
             continue
-        worst = max(worst, abs(pair.lhs1 - pair.rhs1), abs(pair.lhs2 - pair.rhs2))
+        for lhs, rhs in ((pair.lhs1, pair.rhs1), (pair.lhs2, pair.rhs2)):
+            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
         checked += 1
-    passed = worst < 1e-10
-    print(f"identities: max |lhs - rhs| {worst:.3e} over {checked} pairs "
-          f"(tol 1e-10) {'PASS' if passed else 'FAIL'}", file=out)
+    passed = worst <= 1e-10
+    print(f"identities: max |lhs - rhs| / max(1, |lhs|, |rhs|) {worst:.3e} over "
+          f"{checked} pairs (tol 1e-10) {'PASS' if passed else 'FAIL'}", file=out)
     return passed
 
 
@@ -248,7 +252,7 @@ def _verify_structure(rng: np.random.Generator, out) -> bool:
         alpha = rng.uniform(-math.pi, math.pi)
         t = np.array([math.cos(theta), math.sin(theta)])
         frame = NormalFrame(nr=math.cos(alpha), nz=math.sin(alpha),
-                            alpha=alpha, curvature=rng.uniform(-0.05, 0.05))
+                            curvature=rng.uniform(-0.05, 0.05))
         sample = IndexSample(n=rng.uniform(0.9, 1.1), n_r=rng.uniform(-0.01, 0.01),
                              n_z=rng.uniform(-0.02, 0.02), n_zz=0.0)
         try:

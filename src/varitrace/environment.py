@@ -20,10 +20,12 @@ Coordinate conventions used throughout the package:
 
 Sampled profiles (a range-independent ``GriddedField`` and a
 ``PiecewiseBottom``) are fitted once with scipy's natural ``CubicSpline``.
-Queries then read a plain-Python table of the spline's piecewise
-coefficients, which returns value, slope and second derivative in one
-call and sums in scipy ``PPoly``'s own order, so every result equals the
-spline's own evaluation bit for bit without a scipy call per query.
+Their constructors are the only place scipy is imported, so analytic
+fields and bottoms never load it.  Queries then read a plain-Python table
+of the spline's piecewise coefficients, which returns value, slope and
+second derivative in one call and sums in scipy ``PPoly``'s own order, so
+every result equals the spline's own evaluation bit for bit without a
+scipy call per query.
 
 All field and bathymetry objects are immutable after construction and all
 queries are pure functions, so they can be shared freely between
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .errors import DomainError
 
@@ -78,16 +79,11 @@ class IndexSample(NamedTuple):
 
 @dataclass(frozen=True)
 class NormalFrame:
-    """Unit internal normal, its angle and the signed boundary curvature.
-
-    ``(nr, nz) = (cos(alpha), sin(alpha))`` points into the water column.
-    ``curvature`` is in 1/m; ``radius`` is ``1/|curvature|`` (infinite for
-    a flat boundary).
-    """
+    """Unit internal normal ``(nr, nz)``, pointing into the water column,
+    and the signed boundary curvature in 1/m."""
 
     nr: float
     nz: float
-    alpha: float
     curvature: float
 
     def __post_init__(self):
@@ -95,26 +91,21 @@ class NormalFrame:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"normal must be unit length, got |N| = {norm!r}")
 
-    @property
-    def radius(self) -> float:
-        return math.inf if self.curvature == 0.0 else 1.0 / abs(self.curvature)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.nr, self.nz])
 
 
 @dataclass(frozen=True)
 class BottomSample:
-    """Bottom depth, slope and normal frame at one range."""
+    """Bottom depth and normal frame at one range."""
 
     z_b: float
-    slope: float
     frame: NormalFrame
 
 
 def surface_frame() -> NormalFrame:
     """Frame of the flat free surface z = 0 (normal points down, into water)."""
-    return NormalFrame(nr=0.0, nz=1.0, alpha=math.pi / 2.0, curvature=0.0)
+    return NormalFrame(nr=0.0, nz=1.0, curvature=0.0)
 
 
 def _bottom_frame(slope: float, d2: float) -> NormalFrame:
@@ -122,10 +113,7 @@ def _bottom_frame(slope: float, d2: float) -> NormalFrame:
     # The curvature sign (positive = concave up, toward the water) is the
     # one the finite-difference calibration of the reflection jump pins.
     norm = math.sqrt(1.0 + slope * slope)
-    nr = slope / norm
-    nz = -1.0 / norm
-    curvature = -d2 / norm**3
-    return NormalFrame(nr=nr, nz=nz, alpha=math.atan2(nz, nr), curvature=curvature)
+    return NormalFrame(nr=slope / norm, nz=-1.0 / norm, curvature=-d2 / norm**3)
 
 
 class _CubicTable:
@@ -141,7 +129,7 @@ class _CubicTable:
 
     __slots__ = ("_x", "_a", "_b", "_c", "_d", "_last")
 
-    def __init__(self, spline: CubicSpline):
+    def __init__(self, spline):
         self._x = spline.x.tolist()
         # Coefficients of s^3, s^2, s and 1 on each interval, s = v - x[i].
         self._a, self._b, self._c, self._d = spline.c.tolist()
@@ -301,6 +289,8 @@ class GriddedField(SoundSpeedField):
     kind = "gridded"
 
     def __init__(self, depths, c_values, ranges=None, c0: float = 1500.0):
+        from scipy.interpolate import CubicSpline, RectBivariateSpline
+
         super().__init__(c0)
         depths = np.asarray(depths, dtype=float)
         c_values = np.asarray(c_values, dtype=float)
@@ -370,7 +360,7 @@ class GriddedField(SoundSpeedField):
 
 
 class Bathymetry(ABC):
-    """Bottom profile z_b(r) > 0 with slope and curvature."""
+    """Bottom profile z_b(r) > 0 with its normal frame and curvature."""
 
     kind: str = "abstract"
 
@@ -382,11 +372,11 @@ class Bathymetry(ABC):
         return self._profile(r)[0]
 
     def bottom_at(self, r: float) -> BottomSample:
-        """Depth, slope and into-water normal frame at range r."""
+        """Depth and into-water normal frame at range r."""
         z_b, slope, d2 = self._profile(r)
         if z_b <= 0.0:
             raise DomainError("bottom reaches the free surface", "r", r)
-        return BottomSample(z_b=z_b, slope=slope, frame=_bottom_frame(slope, d2))
+        return BottomSample(z_b=z_b, frame=_bottom_frame(slope, d2))
 
 
 class FlatBottom(Bathymetry):
@@ -492,6 +482,8 @@ class PiecewiseBottom(Bathymetry):
     kind = "piecewise"
 
     def __init__(self, r_points, z_points):
+        from scipy.interpolate import CubicSpline
+
         r_points = np.asarray(r_points, dtype=float)
         z_points = np.asarray(z_points, dtype=float)
         if r_points.ndim != 1 or r_points.size < 4:

@@ -1,8 +1,9 @@
 """Range marching of rays and their variation matrices.
 
 Integrates (z, p, q) jointly with a classical fixed-step RK4 scheme,
-written out over the six state components: each stage makes one
-``index_at`` call and one call of the closed form ``ray_variation_rhs``.
+written out over the six state components: each stage makes one call of
+the closed form ``ray_variation_rhs``, and stages 2-4 one ``index_at``
+call; stage 1 reuses the sample the trace loop holds for the step start.
 Each step's own stage derivatives give a cubic dense output of depth (the
 continuous extension of RK4, Hairer, Norsett & Wanner, Solving ODEs I,
 II.6) at no extra right-hand-side evaluation.  A boundary crossing is
@@ -23,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .environment import Bathymetry, SoundSpeedField, surface_frame
+from .environment import Bathymetry, IndexSample, SoundSpeedField, surface_frame
 from .errors import DomainError, GeometryError, SteepRayError
 from .ray_core import ray_variation_rhs
 from .reflection import KappaMatrix, ReflectionContext, kappa_matrix
@@ -150,16 +151,18 @@ class SpreadingFactor:
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(field_: SoundSpeedField, r: float, y: tuple, h: float):
+def _rk4_step(field_: SoundSpeedField, r: float, y: tuple, sample: IndexSample,
+              h: float):
     """One RK4 step: the new state and the stage derivatives k1..k4.
 
     Written out over the six components (z, p, q11, q12, q21, q22), with
-    one ``index_at`` and one ``ray_variation_rhs`` call per stage.
+    one ``ray_variation_rhs`` call per stage; ``sample`` is the index at
+    the start (r, z), so only stages 2-4 call ``index_at``.
     """
     index_at = field_.index_at
     z, p, a, b, c, d = y
     hh = 0.5 * h
-    k1 = z1, p1, a1, b1, c1, d1 = ray_variation_rhs(index_at(r, z), p, a, b, c, d)
+    k1 = z1, p1, a1, b1, c1, d1 = ray_variation_rhs(sample, p, a, b, c, d)
     rm = r + hh
     k2 = z2, p2, a2, b2, c2, d2 = ray_variation_rhs(
         index_at(rm, z + hh * z1), p + hh * p1,
@@ -234,7 +237,7 @@ def _seed(gap, hi: float, g_lo: float, g_hi: float, tol: float):
     return s, slope
 
 
-def _land(field_, bath, boundary, r0, y0, hi, s, slope, tol):
+def _land(field_, bath, boundary, r0, y0, sample0, hi, s, slope, tol):
     """Exact RK4 state on the boundary, by a secant search on the true map.
 
     G(s) = gap(r0 + s, RK4(r0, y0, s).z) is searched from the interpolant's
@@ -247,7 +250,7 @@ def _land(field_, bath, boundary, r0, y0, hi, s, slope, tol):
     lo = 0.0
     g_prev = None
     for _ in range(_LAND_MAX_ITER):
-        y = _rk4_step(field_, r0, y0, s)[0]
+        y = _rk4_step(field_, r0, y0, sample0, s)[0]
         g = _gap(bath, boundary, r0 + s, y[0])
         if abs(g) < tol:
             return s, y, True
@@ -266,7 +269,7 @@ def _land(field_, bath, boundary, r0, y0, hi, s, slope, tol):
     return s_prev, y, False
 
 
-def _find_crossing(field_, bath, r0, y0, h, y_end, stages, tol):
+def _find_crossing(field_, bath, r0, y0, sample0, h, y_end, stages, tol):
     """First boundary crossing within a step, or None.
 
     A crossing is bracketed by the gap at the step end or, when that is
@@ -295,7 +298,8 @@ def _find_crossing(field_, bath, r0, y0, h, y_end, stages, tol):
             if g_hi <= 0.0:
                 continue
         s, slope = _seed(gap, hi, _gap(bath, boundary, r0, z0), g_hi, tol)
-        s, y_hit, converged = _land(field_, bath, boundary, r0, y0, hi, s, slope, tol)
+        s, y_hit, converged = _land(field_, bath, boundary, r0, y0, sample0,
+                                    hi, s, slope, tol)
         hits.append((s, boundary, y_hit, converged))
     if not hits:
         return None
@@ -320,9 +324,9 @@ def trace_ray(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig) -> Tr
 def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
                      z0: float, p0: float) -> TraceResult:
     """Trace from explicit initial (z0, p0); used by the FD oracle."""
-    s0 = field_.index_at(cfg.r_start, z0)
+    s = field_.index_at(cfg.r_start, z0)
     cutoff_sin = math.sin(cfg.steep_cutoff)
-    if abs(p0) >= s0.n * cutoff_sin:
+    if abs(p0) >= s.n * cutoff_sin:
         raise ValueError(f"initial pulse {p0:g} exceeds the steep-ray cutoff")
     z_bottom = bath.depth_at(cfg.r_start)
     if not 0.0 <= z0 <= z_bottom:
@@ -331,15 +335,16 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
     if z0 == 0.0 and p0 <= 0.0:
         raise ValueError("source on the free surface must launch downward")
     if z0 == z_bottom:
-        tz0 = p0 / s0.n
+        tz0 = p0 / s.n
         t0 = np.array([math.sqrt(max(0.0, 1.0 - tz0 * tz0)), tz0])
         if float(t0 @ bath.bottom_at(cfg.r_start).frame.as_array()) <= 0.0:
             raise ValueError("source on the bottom must launch into the water")
 
+    # s is always the index sample at (r, y[0]), the next step's k1 sample.
     r = cfg.r_start
     y = (z0, p0, 1.0, 0.0, 0.0, 1.0)
     rows = [(r, *y)]
-    ns = [s0.n]
+    ns = [s.n]
     bounces: list[BounceRecord] = []
     status = TraceStatus.COMPLETED
     unconverged = 0
@@ -347,8 +352,9 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
     while r < cfg.r_end - 1e-12:
         h = min(cfg.dr, cfg.r_end - r)
         try:
-            y_end, stages = _rk4_step(field_, r, y, h)
-            hit = _find_crossing(field_, bath, r, y, h, y_end, stages, cfg.bisect_tol)
+            y_end, stages = _rk4_step(field_, r, y, s, h)
+            hit = _find_crossing(field_, bath, r, y, s, h, y_end, stages,
+                                 cfg.bisect_tol)
         except SteepRayError:
             status = TraceStatus.STEEP_RAY
             break

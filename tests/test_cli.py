@@ -276,6 +276,35 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "OVERALL FAIL" in out
 
+    def test_identity_gate_scales_with_the_sides(self, tmp_path, capsys):
+        """This seed draws a reflected ray near vertical, where the sides of
+        the second identity reach about 7e5 and differ by 2 ulps; the gate
+        holds the difference to 1e-10 relative to the larger side."""
+        cfg = write_cfg(tmp_path, "[verify]\npreset = arc-homogeneous\n")
+        assert main(["verify", "--config", cfg, "--seed", "1715831031"]) == 0
+        out = capsys.readouterr().out
+        assert "OVERALL PASS" in out
+
+    def test_flipped_identity_term_fails(self, tmp_path, capsys, monkeypatch):
+        """Mutation check: the identity sweep fails once the 2 Nz Nr tz/tr
+        term of the first identity has the wrong sign."""
+        import varitrace.cli as cli
+
+        original = cli.identity_checks
+
+        def flipped(t, n_vec):
+            (tr, tz), (nr, nz) = t, n_vec
+            pair = original(t, n_vec)
+            return replace(pair, lhs1=1.0 - 2.0 * nz * nz - 2.0 * nz * nr * tz / tr)
+
+        monkeypatch.setattr(cli, "identity_checks", flipped)
+        cfg = write_cfg(tmp_path, "[verify]\npreset = arc-homogeneous\n")
+        assert main(["verify", "--config", cfg]) == 1
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines()
+                if line.startswith("identities:") and line.endswith("FAIL")]
+        assert "OVERALL FAIL" in out
+
     def test_corrupt_flag_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "[verify]\npreset = arc-homogeneous\n")
         with pytest.raises(SystemExit) as exc:

@@ -21,6 +21,16 @@ from varitrace import (
 )
 
 
+def slope_of(frame):
+    """Bottom slope z_b' from the into-water normal (z_b', -1) / norm."""
+    return -frame.nr / frame.nz
+
+
+def radius_of(frame):
+    """Radius of curvature 1/|curvature|, infinite for a flat boundary."""
+    return math.inf if frame.curvature == 0.0 else 1.0 / abs(frame.curvature)
+
+
 def n_of(field, r, z):
     return field.c0 / field.sound_speed(r, z)
 
@@ -128,11 +138,11 @@ class TestBathymetry:
     def test_flat_bottom_trivial(self):
         sample = FlatBottom(1000.0).bottom_at(123.0)
         assert sample.z_b == 1000.0
-        assert sample.slope == 0.0
+        assert slope_of(sample.frame) == 0.0
         assert sample.frame.curvature == 0.0
         assert sample.frame.nr == 0.0
         assert sample.frame.nz == -1.0
-        assert math.isinf(sample.frame.radius)
+        assert math.isinf(radius_of(sample.frame))
 
     def test_sinusoidal_crest(self):
         B, A, k = 1000.0, 50.0, 2e-3
@@ -140,7 +150,7 @@ class TestBathymetry:
         crest = (math.pi / 2) / k
         sample = bath.bottom_at(crest)
         assert sample.z_b == pytest.approx(B + A, rel=1e-14)
-        assert sample.slope == pytest.approx(0.0, abs=1e-12)
+        assert slope_of(sample.frame) == pytest.approx(0.0, abs=1e-12)
         assert abs(sample.frame.curvature) == pytest.approx(A * k * k, rel=1e-9)
         # deepest point of the corrugation is concave up: positive curvature
         assert sample.frame.curvature > 0.0
@@ -152,9 +162,9 @@ class TestBathymetry:
         def slope_fd(h):
             return (bath.depth_at(r + h) - bath.depth_at(r - h)) / (2 * h)
 
-        sample = bath.bottom_at(r)
-        e1 = abs(sample.slope - slope_fd(h))
-        e2 = abs(sample.slope - slope_fd(h / 2))
+        slope = slope_of(bath.bottom_at(r).frame)
+        e1 = abs(slope - slope_fd(h))
+        e2 = abs(slope - slope_fd(h / 2))
         assert e1 / e2 == pytest.approx(4.0, rel=0.3)
 
     @pytest.mark.parametrize("bulge,sign", [("down", 1.0), ("up", -1.0)])
@@ -166,7 +176,7 @@ class TestBathymetry:
             frame = bath.bottom_at(u).frame
             assert abs(frame.curvature) == pytest.approx(1.0 / R, rel=1e-8)
             assert frame.curvature * sign > 0.0
-            assert frame.radius == pytest.approx(R, rel=1e-8)
+            assert radius_of(frame) == pytest.approx(R, rel=1e-8)
 
     def test_arc_domain(self):
         bath = ArcBottom(radius=50.0, r_center=100.0, z_center=30.0, bulge="down")
@@ -177,7 +187,7 @@ class TestBathymetry:
         bath = LinearSlopeBottom(depth0=500.0, slope=0.1)
         sample = bath.bottom_at(1000.0)
         assert sample.z_b == pytest.approx(600.0)
-        assert sample.slope == 0.1
+        assert slope_of(sample.frame) == 0.1
         assert sample.frame.curvature == 0.0
         # bottom deepening to the right: into-water normal tilts forward
         assert sample.frame.nr > 0.0
@@ -236,12 +246,10 @@ class TestNormalFrames:
             frame = bath.bottom_at(r).frame
             assert frame.nr**2 + frame.nz**2 == pytest.approx(1.0, abs=1e-12)
             assert frame.nz < 0.0  # bottom normal points up into the water
-            assert math.cos(frame.alpha) == pytest.approx(frame.nr, abs=1e-12)
-            assert math.sin(frame.alpha) == pytest.approx(frame.nz, abs=1e-12)
 
     def test_non_unit_normal_rejected(self):
         with pytest.raises(ValueError):
-            NormalFrame(nr=1.0, nz=1.0, alpha=0.0, curvature=0.0)
+            NormalFrame(nr=1.0, nz=1.0, curvature=0.0)
 
 
 class TestSplineTable:

@@ -1,8 +1,12 @@
 """Package-surface guard: no test hooks or mutable globals in the modules,
-and every exported name exists."""
+every exported name exists, scipy loads only to fit a sampled profile, and
+the README's library example runs as written."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,7 @@ import varitrace
 
 SRC = Path(varitrace.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def parse(path):
@@ -64,3 +69,95 @@ def test_package_imports_exist():
     assert imported
     for name in imported:
         assert hasattr(varitrace, name), f"varitrace does not provide {name}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_imported_only_inside_functions(path):
+    tree = parse(path)
+    in_functions = {id(node)
+                    for func in ast.walk(tree)
+                    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(func)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            assert id(node) in in_functions, (
+                f"{path.name}:{node.lineno}: scipy imported at module level")
+
+
+ANALYTIC_CFG = """\
+[environment]
+kind = munk
+[bathymetry]
+kind = sinusoidal
+mean_depth = 2000.0
+amplitude = 60.0
+wavenumber = 0.003
+[trace]
+r_start = 0.0
+r_end = 3000.0
+z0 = 900.0
+theta0_deg = 14.0
+dr = 20.0
+"""
+
+SAMPLED_CFG = """\
+[environment]
+kind = gridded
+file = ssp.txt
+[bathymetry]
+kind = piecewise
+file = bottom.txt
+[trace]
+r_start = 0.0
+r_end = 3000.0
+z0 = 50.0
+theta0_deg = 10.0
+dr = 10.0
+"""
+
+# Run the CLI in a fresh interpreter and report which scipy modules it loaded.
+_PROBE = """\
+import sys
+import varitrace.cli as cli
+code = cli.main(["trace", "--config", sys.argv[1], "--output", sys.argv[2]])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("text,loads_scipy", [(ANALYTIC_CFG, False), (SAMPLED_CFG, True)],
+                         ids=["analytic", "sampled"])
+def test_scipy_loaded_only_to_fit_sampled_profiles(tmp_path, text, loads_scipy):
+    (tmp_path / "ssp.txt").write_text("".join(
+        f"{z} {1500.0 + 0.05 * z}\n" for z in range(-20, 260, 20)))
+    (tmp_path / "bottom.txt").write_text("".join(
+        f"{r} {200.0 + 10.0 * (r % 1000 == 0)}\n" for r in range(0, 3500, 250)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, str(cfg), str(out)],
+                          env=env, capture_output=True, text=True, check=True)
+    code, modules = proc.stdout.split(" ", 1)
+    assert code == "0"
+    assert "# status: completed" in out.read_text()
+    assert ("scipy.interpolate" in modules) is loads_scipy
+    if not loads_scipy:
+        assert modules.strip() == "[]"
+
+
+def test_readme_library_example_runs():
+    text = README.read_text()
+    section = text.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    result = namespace["result"]
+    assert result.bounces
+    assert namespace["spreading_at"](result, 25_000.0).value > 0.0

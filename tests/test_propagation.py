@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hamiltonian_reference import hamiltonian
 from varitrace import (
     ArcBottom,
     ConstantField,
@@ -17,7 +18,6 @@ from varitrace import (
     SinusoidalBottom,
     TraceConfig,
     TraceStatus,
-    hamiltonian,
     spreading_at,
     trace_fan,
     trace_from_pulse,
@@ -430,20 +430,26 @@ README_CFG = TraceConfig(r_start=0.0, r_end=30_000.0, z0=900.0,
 
 @pytest.fixture
 def rhs_calls(monkeypatch):
-    """Count right-hand-side evaluations of the integrator."""
+    """Count right-hand-side evaluations of the integrator ([0]) and
+    ``index_at`` calls on every field class ([1])."""
     import varitrace.propagation as propagation
+    from varitrace import SoundSpeedField
 
-    calls = [0]
-    original = propagation.ray_variation_rhs
+    calls = [0, 0]
 
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
+    def counting(original, slot):
+        def counted(*args):
+            calls[slot] += 1
+            return original(*args)
+        return counted
 
-    monkeypatch.setattr(propagation, "ray_variation_rhs", counted)
+    monkeypatch.setattr(propagation, "ray_variation_rhs",
+                        counting(propagation.ray_variation_rhs, 0))
+    for cls in SoundSpeedField.__subclasses__():
+        monkeypatch.setattr(cls, "index_at", counting(cls.index_at, 1))
     yield calls
     # A count that never moved means the integrator bypassed the counted name.
-    assert calls[0] > 0
+    assert calls[0] > 0 and calls[1] > 0
 
 
 class TestEventLocationWork:
@@ -453,6 +459,14 @@ class TestEventLocationWork:
         res = trace_ray(README_FIELD, README_BATH, README_CFG)
         assert res.status is TraceStatus.COMPLETED and res.bounces
         assert rhs_calls[0] / len(res.samples) <= 4.1
+
+    def test_one_index_evaluation_per_rk4_state(self, rhs_calls):
+        """Each step's k1 stage reuses the index sample taken at its start
+        state, so index_at runs at most once per RHS evaluation, plus once
+        per bounce point and twice at launch."""
+        res = trace_ray(README_FIELD, README_BATH, README_CFG)
+        assert res.status is TraceStatus.COMPLETED and res.bounces
+        assert rhs_calls[1] <= rhs_calls[0] + len(res.bounces) + 2
 
     @pytest.mark.parametrize("field", [
         HOMOGENEOUS, LinearGradientField(c_surface=1500.0, gradient=2e-4)],

@@ -25,7 +25,7 @@ HOMOGENEOUS = IndexSample(1.0, 0.0, 0.0, 0.0)
 def reflected_pulse(t, n_vec, n):
     """The tracer's pulse jump p1 = n * t1_z, read off the bounce context."""
     nr, nz = float(n_vec[0]), float(n_vec[1])
-    frame = NormalFrame(nr=nr, nz=nz, alpha=math.atan2(nz, nr), curvature=0.0)
+    frame = NormalFrame(nr=nr, nz=nz, curvature=0.0)
     ctx = ReflectionContext(t=t, frame=frame, sample=IndexSample(n, 0.0, 0.0, 0.0))
     return n * float(ctx.t1[1])
 
@@ -133,8 +133,7 @@ class TestKappaMatrix:
             t, n_vec = random_incoming_pair(rng, min_margin=1e-2)
             curv = rng.uniform(-0.05, 0.05)
             n = rng.uniform(0.9, 1.1)
-            frame = NormalFrame(nr=float(n_vec[0]), nz=float(n_vec[1]),
-                                alpha=math.atan2(n_vec[1], n_vec[0]), curvature=curv)
+            frame = NormalFrame(nr=float(n_vec[0]), nz=float(n_vec[1]), curvature=curv)
             sample = IndexSample(n, 0.0, 0.0, 0.0)
             try:
                 k = kappa_matrix(ReflectionContext(t=t, frame=frame, sample=sample))
@@ -154,7 +153,6 @@ class TestKappaMatrix:
         while checked < 500:
             t, n_vec = random_incoming_pair(rng)
             frame = NormalFrame(nr=float(n_vec[0]), nz=float(n_vec[1]),
-                                alpha=math.atan2(n_vec[1], n_vec[0]),
                                 curvature=rng.uniform(-0.1, 0.1))
             sample = IndexSample(rng.uniform(0.9, 1.1), rng.uniform(-0.01, 0.01),
                                  rng.uniform(-0.02, 0.02), 0.0)
@@ -176,8 +174,7 @@ class TestKappaMatrix:
             curv = rng.uniform(-0.05, 0.05)
             sample = IndexSample(rng.uniform(0.9, 1.1), rng.uniform(-0.01, 0.01),
                                  rng.uniform(-0.02, 0.02), 0.0)
-            frame = NormalFrame(nr=float(n_vec[0]), nz=float(n_vec[1]),
-                                alpha=math.atan2(n_vec[1], n_vec[0]), curvature=curv)
+            frame = NormalFrame(nr=float(n_vec[0]), nz=float(n_vec[1]), curvature=curv)
             # flipping the internal normal describes the same physical
             # boundary seen from the other side, with opposite curvature;
             # the context requires an incoming ray, so compare the raw
@@ -212,8 +209,7 @@ class TestKappaMatrix:
     def test_tangential_hit_raises(self):
         # t nearly parallel to the boundary: <t, N> tiny but negative
         alpha = -math.pi / 2
-        frame = NormalFrame(nr=math.cos(alpha), nz=math.sin(alpha),
-                            alpha=alpha, curvature=0.0)
+        frame = NormalFrame(nr=math.cos(alpha), nz=math.sin(alpha), curvature=0.0)
         eps = 1e-8
         t = np.array([math.cos(eps), math.sin(eps)])  # grazing along the bottom
         with pytest.raises(SingularReflectionError):
@@ -222,8 +218,7 @@ class TestKappaMatrix:
     def test_vertical_reflected_ray_raises(self):
         # 45-degree wall turns a horizontal-ish ray vertical
         alpha = math.radians(135.0)
-        frame = NormalFrame(nr=math.cos(alpha), nz=math.sin(alpha),
-                            alpha=alpha, curvature=0.0)
+        frame = NormalFrame(nr=math.cos(alpha), nz=math.sin(alpha), curvature=0.0)
         t = np.array([1.0, 0.0])
         with pytest.raises(SingularReflectionError):
             kappa_matrix(ReflectionContext(t=t, frame=frame, sample=HOMOGENEOUS))
