@@ -31,10 +31,31 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+class _OutputFile:
+    """Text file opened for writing at its first write, so a command that
+    fails while building or tracing leaves an existing file as it was."""
+
+    def __init__(self, path: str):
+        self._path = path
+        self._file = None
+
+    def write(self, text: str) -> int:
+        if self._file is None:
+            self._file = open(self._path, "w")
+        return self._file.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._file is not None:
+            self._file.close()
+
+
 def _open_output(path: str | None):
     if path is None or path == "-":
         return nullcontext(sys.stdout)
-    return open(path, "w")
+    return _OutputFile(path)
 
 
 def _metadata(run: RunConfig, command: str, seed: int | None) -> list[str]:

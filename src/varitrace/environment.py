@@ -18,14 +18,14 @@ Coordinate conventions used throughout the package:
   analytic reflection jump agree with the finite-difference calibration
   tests in the oracle module.
 
-Sampled profiles (a range-independent ``GriddedField`` and a
-``PiecewiseBottom``) are fitted once with scipy's natural ``CubicSpline``.
-Their constructors are the only place scipy is imported, so analytic
-fields and bottoms never load it.  Queries then read a plain-Python table
-of the spline's piecewise coefficients, which returns value, slope and
-second derivative in one call and sums in scipy ``PPoly``'s own order, so
-every result equals the spline's own evaluation bit for bit without a
-scipy call per query.
+Sampled 1D profiles (a range-independent ``GriddedField`` and a
+``PiecewiseBottom``) are fitted once with a natural cubic spline in plain
+Python, repeating scipy ``CubicSpline``'s arithmetic so the coefficients
+equal scipy's bit for bit.  Queries read that coefficient table, which
+returns value, slope and second derivative in one call and sums in scipy
+``PPoly``'s own order.  scipy is imported only to fit a range-dependent
+2D ``GriddedField`` (and by the tests, which compare the fit with it);
+every other field and bottom never loads it.
 
 All field and bathymetry objects are immutable after construction and all
 queries are pure functions, so they can be shared freely between
@@ -116,24 +116,81 @@ def _bottom_frame(slope: float, d2: float) -> NormalFrame:
     return NormalFrame(nr=slope / norm, nz=-1.0 / norm, curvature=-d2 / norm**3)
 
 
-class _CubicTable:
-    """Scalar evaluation of a fitted 1D ``CubicSpline``.
+def _gtsv(dl: list, d: list, du: list, b: list) -> list:
+    """Solve a tridiagonal system in place, as LAPACK ``dgtsv`` does for
+    one right-hand side: elimination with partial pivoting (row
+    interchanges fill ``dl`` with a second superdiagonal), then back
+    substitution.  ``dl``/``du`` are the sub- and superdiagonals."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
 
-    Holds the breakpoints and the piecewise coefficients as Python lists
-    and returns (value, first, second derivative) at one point.  Each sum
-    runs in the order scipy ``PPoly`` uses, so the results equal
-    ``float(spline(v, nu))`` for nu = 0, 1, 2 bit for bit.  Callers check
-    the domain first; a point at or past the last knot uses the last
-    interval, as ``PPoly`` does.
+
+class _CubicTable:
+    """Natural cubic spline through samples (x, y), fitted and evaluated in
+    plain Python.
+
+    The fit repeats scipy's ``CubicSpline(x, y, bc_type="natural")``
+    arithmetic in scipy's order: the same banded system for the knot
+    slopes, solved by ``dgtsv``'s algorithm, and ``CubicHermiteSpline``'s
+    coefficient formulas, so the coefficients equal scipy's bit for bit.
+    A call returns (value, first, second derivative) at one point, summed
+    in scipy ``PPoly``'s order, so it equals ``float(spline(v, nu))`` for
+    nu = 0, 1, 2 bit for bit.  Callers check the domain first; a point at
+    or past the last knot uses the last interval, as ``PPoly`` does.
     """
 
     __slots__ = ("_x", "_a", "_b", "_c", "_d", "_last")
 
-    def __init__(self, spline):
-        self._x = spline.x.tolist()
+    def __init__(self, x, y):
+        x = [float(v) for v in x]
+        y = [float(v) for v in y]
+        if not all(math.isfinite(v) for v in x + y):
+            raise ValueError("spline samples must all be finite")
+        n = len(x)
+        dx = [x[i + 1] - x[i] for i in range(n - 1)]
+        slope = [(y[i + 1] - y[i]) / dx[i] for i in range(n - 1)]
+        # Knot slopes m from row i: dx[i] m[i-1] + 2 (dx[i-1] + dx[i]) m[i]
+        # + dx[i-1] m[i+1] = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]); the end
+        # rows are scipy's for a zero second derivative, signed-zero term
+        # included.
+        d = ([2.0 * dx[0]] + [2.0 * (dx[i - 1] + dx[i]) for i in range(1, n - 1)]
+             + [2.0 * dx[-1]])
+        b = ([-0.5 * 0.0 * (dx[0] * dx[0]) + 3.0 * (y[1] - y[0])]
+             + [3.0 * (dx[i] * slope[i - 1] + dx[i - 1] * slope[i]) for i in range(1, n - 1)]
+             + [0.5 * 0.0 * (dx[-1] * dx[-1]) + 3.0 * (y[-1] - y[-2])])
+        m = _gtsv(dx[1:] + [dx[-1]], d, [dx[0]] + dx[:-1], b)
+        self._x = x
         # Coefficients of s^3, s^2, s and 1 on each interval, s = v - x[i].
-        self._a, self._b, self._c, self._d = spline.c.tolist()
-        self._last = len(self._x) - 2
+        self._a, self._b = [], []
+        for i in range(n - 1):
+            t = (m[i] + m[i + 1] - 2.0 * slope[i]) / dx[i]
+            self._a.append(t / dx[i])
+            self._b.append((slope[i] - m[i]) / dx[i] - t)
+        self._c = m[:-1]
+        self._d = y[:-1]
+        self._last = n - 2
 
     def __call__(self, v: float) -> tuple[float, float, float]:
         i = bisect_right(self._x, v) - 1
@@ -277,8 +334,9 @@ class GriddedField(SoundSpeedField):
     A C2 cubic spline interpolates c; index derivatives come from the
     spline.  Linear interpolation is deliberately not offered because the
     variation equation needs a continuous n_zz.  Pass ``ranges=None`` for
-    a range-independent profile (natural cubic spline in depth, evaluated
-    through its coefficient table).
+    a range-independent profile: a natural cubic spline in depth, fitted
+    and evaluated in plain Python bit for bit like scipy's.  A 2D grid is
+    fitted with scipy's ``RectBivariateSpline``, imported only then.
 
     When tracing against this field, the grid must extend slightly past
     the boundaries the ray can touch (about one step's depth gain beyond
@@ -289,8 +347,6 @@ class GriddedField(SoundSpeedField):
     kind = "gridded"
 
     def __init__(self, depths, c_values, ranges=None, c0: float = 1500.0):
-        from scipy.interpolate import CubicSpline, RectBivariateSpline
-
         super().__init__(c0)
         depths = np.asarray(depths, dtype=float)
         c_values = np.asarray(c_values, dtype=float)
@@ -307,8 +363,10 @@ class GriddedField(SoundSpeedField):
             if c_values.shape != depths.shape:
                 raise ValueError("c_values must match depths for a 1D profile")
             self.ranges = None
-            self._table = _CubicTable(CubicSpline(depths, c_values, bc_type="natural"))
+            self._table = _CubicTable(depths, c_values)
         else:
+            from scipy.interpolate import RectBivariateSpline
+
             ranges = np.asarray(ranges, dtype=float)
             if ranges.ndim != 1 or ranges.size < 4:
                 raise ValueError("need at least 4 strictly increasing range samples")
@@ -482,8 +540,6 @@ class PiecewiseBottom(Bathymetry):
     kind = "piecewise"
 
     def __init__(self, r_points, z_points):
-        from scipy.interpolate import CubicSpline
-
         r_points = np.asarray(r_points, dtype=float)
         z_points = np.asarray(z_points, dtype=float)
         if r_points.ndim != 1 or r_points.size < 4:
@@ -495,7 +551,7 @@ class PiecewiseBottom(Bathymetry):
         self.r_points = r_points
         self.z_points = z_points
         self._r_span = (float(r_points[0]), float(r_points[-1]))
-        self._table = _CubicTable(CubicSpline(r_points, z_points, bc_type="natural"))
+        self._table = _CubicTable(r_points, z_points)
 
     @classmethod
     def from_file(cls, path) -> "PiecewiseBottom":

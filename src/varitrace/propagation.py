@@ -137,6 +137,20 @@ class TraceResult:
         s = self.samples
         return s[:, 3] * s[:, 6] - s[:, 4] * s[:, 5]
 
+    @property
+    def det_q_residual(self) -> np.ndarray:
+        """``|det q - 1| / (|q11 q22| + |q12 q21|)`` at each sample.
+
+        The raw ``|det q - 1|`` cancels two products that grow with the
+        entries of ``q``, so its rounding grows with them; this residual is
+        relative to those products and stays at rounding level while the
+        flow is symplectic, however large ``q`` becomes.
+        """
+        s = self.samples
+        diag = s[:, 3] * s[:, 6]
+        off = s[:, 4] * s[:, 5]
+        return np.abs(diag - off - 1.0) / (np.abs(diag) + np.abs(off))
+
 
 @dataclass(frozen=True)
 class SpreadingFactor:

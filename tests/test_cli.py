@@ -127,6 +127,42 @@ class TestTraceCommand:
         assert "# status: backscattered" in out.read_text()
 
 
+class TestOutputKeptOnConfigError:
+    """A config error found while building or tracing leaves an existing
+    ``--output`` file byte for byte as it was."""
+
+    GRIDDED_CFG = BASE_CFG.replace("kind = constant\nc0 = 1500.0",
+                                   "kind = gridded\nfile = ssp.txt")
+
+    @staticmethod
+    def run_over_old_file(tmp_path, text):
+        (tmp_path / "ssp.txt").write_text("".join(
+            f"{z} {1500.0 + 0.1 * z}\n" for z in range(-20, 180, 10)))
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out.csv"
+        old = b"# an earlier run\n1,2,3\n"
+        out.write_bytes(old)
+        code = main(["trace", "--config", cfg, "--output", str(out)])
+        return code, out.read_bytes() == old
+
+    def test_missing_gridded_file(self, tmp_path, capsys):
+        text = self.GRIDDED_CFG.replace("file = ssp.txt", "file = missing.txt")
+        assert self.run_over_old_file(tmp_path, text) == (2, True)
+        assert "config error: referenced file does not exist" in capsys.readouterr().err
+
+    def test_source_outside_the_grid(self, tmp_path, capsys):
+        text = (self.GRIDDED_CFG.replace("depth = 1000.0", "depth = 140.0")
+                .replace("z0 = 0.0", "z0 = 500.0"))
+        assert self.run_over_old_file(tmp_path, text) == (2, True)
+        assert "config error: depth outside gridded field (z = 500)" in capsys.readouterr().err
+
+    def test_valid_run_replaces_the_file(self, tmp_path):
+        text = (self.GRIDDED_CFG.replace("depth = 1000.0", "depth = 140.0")
+                .replace("z0 = 0.0", "z0 = 50.0").replace("dr = 50.0", "dr = 5.0"))
+        assert self.run_over_old_file(tmp_path, text) == (0, False)
+        assert "# status: completed" in (tmp_path / "out.csv").read_text()
+
+
 class TestFanCommand:
     FAN_CFG = BASE_CFG.replace("z0 = 0.0", "z0 = 500.0") + \
         "\n[fan]\nangles_deg = -20, 0.5, 20\n"

@@ -253,8 +253,8 @@ class TestNormalFrames:
 
 
 class TestSplineTable:
-    """The coefficient table that sampled profiles evaluate through returns
-    scipy's own spline values, bit for bit."""
+    """Sampled profiles are fitted in plain Python to scipy's natural
+    ``CubicSpline`` coefficients, and evaluated to its values, bit for bit."""
 
     @staticmethod
     def _thermocline():
@@ -268,6 +268,22 @@ class TestSplineTable:
         z = 180.0 + 12.0 * np.sin(r / 1700.0) + 4.0 * np.cos(r / 430.0)
         return r, z
 
+    @staticmethod
+    def _uneven():
+        """Seeded random uneven grids, n = 4-80; most take a row swap."""
+        rng = np.random.default_rng(7)
+        grids = []
+        for _ in range(200):
+            n = int(rng.integers(4, 81))
+            x = np.cumsum(rng.exponential(1.0, n) ** 3 + 1e-3) * rng.uniform(0.1, 100.0)
+            grids.append((x, rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)))
+        return grids
+
+    @staticmethod
+    def _interchange():
+        # |d| < |dl| on row 1 (3.5 < 48), so dgtsv swaps rows there.
+        return np.array([0.0, 1.0, 2.0, 50.0, 51.0]), np.array([1.0, 3.0, 2.0, 5.0, 4.0])
+
     @pytest.mark.parametrize("knots", ["_thermocline", "_bathymetry"])
     def test_matches_scipy_bitwise(self, knots):
         from scipy.interpolate import CubicSpline
@@ -276,13 +292,54 @@ class TestSplineTable:
 
         x, y = getattr(self, knots)()
         cs = CubicSpline(x, y, bc_type="natural")
-        table = _CubicTable(cs)
+        table = _CubicTable(x, y)
         rng = np.random.default_rng(20)
         points = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), [x[0], x[-1]],
                                  rng.uniform(x[0], x[-1], 1000)])
         for v in points.tolist():
             expected = (float(cs(v)), float(cs(v, 1)), float(cs(v, 2)))
             assert table(v) == expected, v
+
+    @pytest.mark.parametrize("knots", ["_thermocline", "_bathymetry", "_interchange", "_uneven"])
+    def test_fit_matches_scipy_coefficients_bitwise(self, knots):
+        from scipy.interpolate import CubicSpline
+
+        from varitrace.environment import _CubicTable
+
+        grids = self._uneven() if knots == "_uneven" else [getattr(self, knots)()]
+        for x, y in grids:
+            table = _CubicTable(x, y)
+            expected = CubicSpline(x, y, bc_type="natural").c.tolist()
+            # repr tells signed zeros apart, which == does not
+            assert repr([table._a, table._b, table._c, table._d]) == repr(expected)
+            assert table._x == x.tolist()
+
+    def test_interchange_grid_takes_the_row_swap(self, monkeypatch):
+        from varitrace import environment
+
+        subdiagonals = []
+        solve = environment._gtsv
+
+        def keep_dl(dl, d, du, b):
+            subdiagonals.append(dl)
+            return solve(dl, d, du, b)
+
+        monkeypatch.setattr(environment, "_gtsv", keep_dl)
+        environment._CubicTable(*self._thermocline())
+        environment._CubicTable(*self._interchange())
+        # Elimination without a swap zeroes dl[i]; a row interchange fills
+        # it with the second superdiagonal entry instead.
+        even, swapped = subdiagonals
+        assert not any(even[:-1])
+        assert swapped[:3] == [0.0, 1.0, 0.0]
+
+    def test_non_finite_samples_rejected(self):
+        from varitrace.environment import _CubicTable
+
+        x, y = self._bathymetry()
+        y[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            _CubicTable(x, y)
 
     def test_profiles_evaluate_without_scipy_calls(self, monkeypatch):
         from scipy.interpolate import CubicSpline

@@ -1,6 +1,6 @@
 """Package-surface guard: no test hooks or mutable globals in the modules,
-every exported name exists, scipy loads only to fit a sampled profile, and
-the README's library example runs as written."""
+every exported name exists, scipy loads only to fit a range-dependent
+sound-speed grid, and the README's library example runs as written."""
 
 import ast
 import importlib
@@ -130,9 +130,18 @@ print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-@pytest.mark.parametrize("text,loads_scipy", [(ANALYTIC_CFG, False), (SAMPLED_CFG, True)],
-                         ids=["analytic", "sampled"])
-def test_scipy_loaded_only_to_fit_sampled_profiles(tmp_path, text, loads_scipy):
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("text", [ANALYTIC_CFG, SAMPLED_CFG], ids=["analytic", "sampled"])
+def test_scipy_loaded_only_to_fit_sampled_profiles(tmp_path, text):
+    """Neither analytic profiles nor a gridded profile over a piecewise
+    bottom load scipy: 1D splines are fitted in plain Python."""
     (tmp_path / "ssp.txt").write_text("".join(
         f"{z} {1500.0 + 0.05 * z}\n" for z in range(-20, 260, 20)))
     (tmp_path / "bottom.txt").write_text("".join(
@@ -140,16 +149,30 @@ def test_scipy_loaded_only_to_fit_sampled_profiles(tmp_path, text, loads_scipy):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     out = tmp_path / "out.csv"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, str(cfg), str(out)],
-                          env=env, capture_output=True, text=True, check=True)
-    code, modules = proc.stdout.split(" ", 1)
+    code, modules = run_fresh(_PROBE, cfg, out).split(" ", 1)
     assert code == "0"
     assert "# status: completed" in out.read_text()
-    assert ("scipy.interpolate" in modules) is loads_scipy
-    if not loads_scipy:
-        assert modules.strip() == "[]"
+    assert modules.strip() == "[]"
+
+
+def test_range_dependent_grid_loads_scipy():
+    probe = """\
+import sys
+import numpy as np
+from varitrace import GriddedField
+before = "scipy.interpolate" in sys.modules
+z = np.linspace(0.0, 200.0, 11)
+GriddedField(z, 1500.0 + np.add.outer(np.zeros(5), 0.05 * z), ranges=np.linspace(0.0, 4e3, 5))
+print(before, "scipy.interpolate" in sys.modules)
+"""
+    assert run_fresh(probe).split() == ["False", "True"]
+
+
+def test_scipy_imported_only_for_range_dependent_grids():
+    imports = [(path.name, ast.unparse(node))
+               for path in MODULES for node in ast.walk(parse(path))
+               if isinstance(node, (ast.Import, ast.ImportFrom)) and "scipy" in ast.unparse(node)]
+    assert imports == [("environment.py", "from scipy.interpolate import RectBivariateSpline")]
 
 
 def test_readme_library_example_runs():

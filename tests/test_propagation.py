@@ -92,6 +92,22 @@ class TestClosedFormFlow:
         assert len(res.bounces) >= 10
         assert np.abs(res.det_q - 1.0).max() < 1e-6
 
+    def test_scaled_det_residual_on_a_chaotic_rough_bottom(self):
+        """Over a 60 m / 2 m corrugation q grows to ~1e10, so the raw
+        |det q - 1| reads rounding of huge products; the scaled residual
+        stays at rounding level."""
+        cfg = TraceConfig(r_start=0.0, r_end=2500.0, z0=50.0,
+                          theta0=math.radians(6.0), dr=0.25)
+        res = trace_ray(LinearGradientField(gradient=5e-4),
+                        SinusoidalBottom(100.0, 2.0, 2.0 * math.pi / 60.0), cfg)
+        assert res.status is TraceStatus.COMPLETED
+        assert len(res.bounces) >= 10
+        assert np.abs(res.det_q - 1.0).max() > 1.0
+        assert res.det_q_residual.max() <= 1e-10
+        q = res.samples[:, 3:7]
+        expected = np.abs(res.det_q - 1.0) / (np.abs(q[:, 0] * q[:, 3]) + np.abs(q[:, 1] * q[:, 2]))
+        np.testing.assert_array_equal(res.det_q_residual, expected)
+
     def test_hamiltonian_conserved_in_range_independent_field(self):
         field = MunkField()
         cfg = TraceConfig(r_start=0.0, r_end=40_000.0, z0=1300.0,
