@@ -9,6 +9,7 @@ failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import nullcontext
@@ -217,9 +218,10 @@ def cmd_kappa_scan(run: RunConfig, out, seed: int | None) -> int:
 
 
 def _verify_scenario(scenario: VerificationScenario, tolerance: float, out) -> bool:
+    """Default-offset error (5 traces, one Richardson level) and order study (13)."""
     ok = True
     v = verify_kappa(scenario.field, scenario.bath, scenario.cfg,
-                     BeamPerturbation(), scenario.r_after_bounce)
+                     BeamPerturbation(richardson_levels=1), scenario.r_after_bounce)
     passed = v.max_rel_err < tolerance
     ok &= passed
     print(f"[{scenario.name}] default-h max rel err {v.max_rel_err:.3e} "
@@ -245,18 +247,19 @@ def _verify_identities(rng: np.random.Generator, out) -> bool:
     worst = 0.0
     checked = 0
     while checked < 10_000:
-        theta = rng.uniform(-math.pi, math.pi)
-        alpha = rng.uniform(-math.pi, math.pi)
-        t = np.array([math.cos(theta), math.sin(theta)])
-        n_vec = np.array([math.cos(alpha), math.sin(alpha)])
-        try:
-            reflect_direction(t, n_vec)  # rejects a non-incoming draw
-            pair = identity_checks(t, n_vec)
-        except GeometryError:
-            continue
-        for lhs, rhs in ((pair.lhs1, pair.rhs1), (pair.lhs2, pair.rhs2)):
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-        checked += 1
+        # no more rows than pairs still needed: no draw a per-pair loop would skip
+        draws = rng.uniform(-math.pi, math.pi, size=(10_000 - checked, 2))
+        for theta, alpha in draws.tolist():
+            t = np.array([math.cos(theta), math.sin(theta)])
+            n_vec = np.array([math.cos(alpha), math.sin(alpha)])
+            try:
+                reflect_direction(t, n_vec)  # rejects a non-incoming draw
+                pair = identity_checks(t, n_vec)
+            except GeometryError:
+                continue
+            for lhs, rhs in ((pair.lhs1, pair.rhs1), (pair.lhs2, pair.rhs2)):
+                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+            checked += 1
     passed = worst <= 1e-10
     print(f"identities: max |lhs - rhs| / max(1, |lhs|, |rhs|) {worst:.3e} over "
           f"{checked} pairs (tol 1e-10) {'PASS' if passed else 'FAIL'}", file=out)
@@ -269,20 +272,20 @@ def _verify_structure(rng: np.random.Generator, out) -> bool:
     worst_k21 = 0.0
     checked = 0
     while checked < 2_000:
-        theta = rng.uniform(-math.pi, math.pi)
-        alpha = rng.uniform(-math.pi, math.pi)
-        t = np.array([math.cos(theta), math.sin(theta)])
-        frame = NormalFrame(nr=math.cos(alpha), nz=math.sin(alpha),
-                            curvature=rng.uniform(-0.05, 0.05))
-        sample = IndexSample(n=rng.uniform(0.9, 1.1), n_r=rng.uniform(-0.01, 0.01),
-                             n_z=rng.uniform(-0.02, 0.02), n_zz=0.0)
-        try:
-            kappa = kappa_matrix(ReflectionContext(t=t, frame=frame, sample=sample))
-        except GeometryError:
-            continue
-        worst_det = max(worst_det, abs(kappa.det() - 1.0))
-        worst_k21 = max(worst_k21, abs(kappa.k21))
-        checked += 1
+        # blocks of the contexts still needed, as in _verify_identities
+        draws = rng.uniform((-math.pi, -math.pi, -0.05, 0.9, -0.01, -0.02),
+                            (math.pi, math.pi, 0.05, 1.1, 0.01, 0.02), size=(2_000 - checked, 6))
+        for theta, alpha, curvature, n, n_r, n_z in draws.tolist():
+            t = np.array([math.cos(theta), math.sin(theta)])
+            frame = NormalFrame(nr=math.cos(alpha), nz=math.sin(alpha), curvature=curvature)
+            sample = IndexSample(n=n, n_r=n_r, n_z=n_z, n_zz=0.0)
+            try:
+                kappa = kappa_matrix(ReflectionContext(t=t, frame=frame, sample=sample))
+            except GeometryError:
+                continue
+            worst_det = max(worst_det, abs(kappa.det() - 1.0))
+            worst_k21 = max(worst_k21, abs(kappa.k21))
+            checked += 1
     passed = worst_det < 1e-12 and worst_k21 == 0.0
     print(f"kappa structure: max |det - 1| {worst_det:.3e}, max |kappa21| "
           f"{worst_k21:.3e} over {checked} contexts (tol 1e-12) "
@@ -329,6 +332,7 @@ def cmd_verify(run: RunConfig, out, seed: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varitrace",

@@ -80,15 +80,19 @@ class _Section:
         value = self._fetch(key, required)
         return default if value is None else value
 
+    def _number(self, key: str, text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError(f"[{self.name}] {key} = {text!r} is not a finite number")
+        return value
+
     def get_float(self, key: str, default: float | None = None,
                   required: bool = False) -> float | None:
         value = self._fetch(key, required)
-        if value is None:
-            return default
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {value!r} is not a number")
+        return default if value is None else self._number(key, value)
 
     def get_int(self, key: str, default: int | None = None,
                 required: bool = False) -> int | None:
@@ -103,11 +107,7 @@ class _Section:
     def get_float_list(self, key: str) -> list[float] | None:
         if key not in self.raw:
             return None
-        text = self.raw[key].replace(",", " ")
-        try:
-            return [float(tok) for tok in text.split()]
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} must be a list of numbers")
+        return [self._number(key, tok) for tok in self.raw[key].replace(",", " ").split()]
 
 
 @dataclass

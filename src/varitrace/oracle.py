@@ -39,8 +39,9 @@ class BeamPerturbation:
 
     ``h_p`` perturbs the launch pulse (dimensionless), ``h_z`` the launch
     depth (m); both must be small against the problem scales.
-    ``richardson_levels`` >= 2 offset sizes, each half the one before,
-    are traced (four rays each); the error estimate compares the last two.
+    ``richardson_levels`` >= 1 offset sizes, each half the one before,
+    are traced (four rays each); ``fd_jacobian``'s error estimate compares
+    the last two, so it needs at least two.
     """
 
     h_p: float = 1e-6
@@ -50,8 +51,8 @@ class BeamPerturbation:
     def __post_init__(self):
         if self.h_p <= 0.0 or self.h_z <= 0.0:
             raise ValueError("perturbations must be positive")
-        if self.richardson_levels < 2:
-            raise ValueError("need at least 2 Richardson levels")
+        if self.richardson_levels < 1:
+            raise ValueError("need at least 1 Richardson level")
 
     def halved(self) -> "BeamPerturbation":
         return replace(self, h_p=0.5 * self.h_p, h_z=0.5 * self.h_z)
@@ -147,8 +148,11 @@ def fd_jacobian(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
     Runs four perturbed traces per Richardson level plus the central one;
     all must reach r_query with the central ray's bounce sequence.  On a
     sequence mismatch every level's perturbations are halved together, up
-    to five times, before failing with PerturbationTooLargeError.
+    to five times, before failing with PerturbationTooLargeError.  The
+    error bar compares the last two levels, so ``pert`` needs at least two.
     """
+    if pert.richardson_levels < 2:
+        raise ValueError("the FD error estimate needs at least 2 Richardson levels")
     cfg_q, p0, central = _central_trace(field_, bath, cfg, r_query)
     pert, levels = _fd_levels(field_, bath, cfg_q, p0, central, pert)
     error = np.abs(levels[-2] - levels[-1]) * (4.0 / 3.0)
@@ -160,10 +164,9 @@ class KappaVerification:
     """Analytic vs numeric variation matrix just past a single bounce.
 
     ``level_errs`` is the max relative error at each Richardson level;
-    ``rel_err`` and ``max_rel_err`` are those of the first level.
+    ``max_rel_err`` is that of the first level.
     """
 
-    rel_err: np.ndarray
     max_rel_err: float
     level_errs: tuple[float, ...]
 
@@ -181,7 +184,8 @@ def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
     The central trace must bounce exactly once before ``r_after_bounce``.
     Each Richardson level of ``pert`` is compared, entrywise, with
     max(|analytic|, |numeric|) as the scale, falling back to absolute
-    differences for near-zero entries.
+    differences for near-zero entries.  One call traces 1 + 4 *
+    ``pert.richardson_levels`` rays; one level gives ``max_rel_err``.
     """
     # Analytic side: an ordinary trace, which integrates dq/dr = Kq and
     # applies the jump matrix at the bounce.  The same trace is the
@@ -197,7 +201,6 @@ def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
     analytic = central.q[-1]
 
     _, levels = _fd_levels(field_, bath, cfg_q, p0, central, pert)
-    rels = [_relative_errors(analytic, numeric) for numeric in levels]
-    level_errs = tuple(float(rel.max()) for rel in rels)
-    return KappaVerification(rel_err=rels[0], max_rel_err=level_errs[0],
-                             level_errs=level_errs)
+    level_errs = tuple(float(_relative_errors(analytic, numeric).max())
+                       for numeric in levels)
+    return KappaVerification(max_rel_err=level_errs[0], level_errs=level_errs)

@@ -73,6 +73,9 @@ class TraceConfig:
     max_bounces: int = 10_000
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r_start, self.r_end, self.z0, self.theta0,
+                                       self.dr, self.bisect_tol, self.steep_cutoff))):
+            raise ValueError("trace parameters must be finite")
         if self.r_end < self.r_start:
             raise ValueError("r_end must not precede r_start")
         if self.dr <= 0.0:

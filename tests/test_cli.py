@@ -1,15 +1,34 @@
 """CLI tests: config validation, CSV output, exit codes, verify gate."""
 
+import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from varitrace.cli import DEFAULT_SCAN_THETAS, main, scan_kappa
 from varitrace.config import load_config
-from varitrace.errors import ConfigError
-from varitrace.reflection import kappa_matrix
+from varitrace.environment import IndexSample, NormalFrame
+from varitrace.errors import ConfigError, GeometryError
+from varitrace.reflection import (
+    ReflectionContext,
+    identity_checks,
+    kappa_matrix,
+    reflect_direction,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env() -> dict:
+    """Environment for running ``python -m varitrace.cli`` in a fresh process."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 BASE_CFG = """\
 [environment]
@@ -161,6 +180,39 @@ class TestOutputKeptOnConfigError:
                 .replace("z0 = 0.0", "z0 = 50.0").replace("dr = 50.0", "dr = 5.0"))
         assert self.run_over_old_file(tmp_path, text) == (0, False)
         assert "# status: completed" in (tmp_path / "out.csv").read_text()
+
+
+class TestNonFiniteNumbers:
+    """nan and inf are config errors, not numbers: a nan step or angle used
+    to write NaN rows with status backscattered, and an infinite range
+    never finished.  Each case runs in its own process with a timeout, so
+    a regression fails instead of hanging the suite."""
+
+    CASES = {
+        "dr-nan": ("trace", "[trace] dr = 'nan'",
+                   BASE_CFG.replace("dr = 50.0", "dr = nan")),
+        "theta0-nan": ("trace", "[trace] theta0_deg = 'nan'",
+                       BASE_CFG.replace("theta0_deg = 45.0", "theta0_deg = nan")),
+        "r_end-inf": ("trace", "[trace] r_end = 'inf'",
+                      BASE_CFG.replace("r_end = 6000.0", "r_end = inf")),
+        "fan-angle-nan": ("fan", "[fan] angles_deg = 'nan'",
+                          BASE_CFG + "\n[fan]\nangles_deg = 10, nan\n"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_config_error_keeps_output(self, tmp_path, case):
+        command, named, text = self.CASES[case]
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out.csv"
+        old = b"# an earlier run\n1,2,3\n"
+        out.write_bytes(old)
+        proc = subprocess.run(
+            [sys.executable, "-m", "varitrace.cli", command, "--config", cfg,
+             "--output", str(out)],
+            capture_output=True, text=True, timeout=60, env=cli_env())
+        assert proc.returncode == 2, proc.stderr
+        assert f"varitrace: config error: {named} is not a finite number" in proc.stderr
+        assert out.read_bytes() == old
 
 
 class TestFanCommand:
@@ -382,6 +434,102 @@ class TestVerifyCommand:
         cfg = write_cfg(tmp_path, text)
         assert main(["verify", "--config", cfg]) == 2
         assert "config error: expected exactly one bounce" in capsys.readouterr().err
+
+
+def scalar_identities(rng, out) -> bool:
+    """The identity sweep with one generator call per value: the reference
+    for cli's block-drawn sweep."""
+    worst = 0.0
+    checked = 0
+    while checked < 10_000:
+        theta = rng.uniform(-math.pi, math.pi)
+        alpha = rng.uniform(-math.pi, math.pi)
+        t = np.array([math.cos(theta), math.sin(theta)])
+        n_vec = np.array([math.cos(alpha), math.sin(alpha)])
+        try:
+            reflect_direction(t, n_vec)
+            pair = identity_checks(t, n_vec)
+        except GeometryError:
+            continue
+        for lhs, rhs in ((pair.lhs1, pair.rhs1), (pair.lhs2, pair.rhs2)):
+            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        checked += 1
+    passed = worst <= 1e-10
+    print(f"identities: max |lhs - rhs| / max(1, |lhs|, |rhs|) {worst:.3e} over "
+          f"{checked} pairs (tol 1e-10) {'PASS' if passed else 'FAIL'}", file=out)
+    return passed
+
+
+def scalar_structure(rng, out) -> bool:
+    """The kappa-structure sweep with one generator call per value."""
+    worst_det = 0.0
+    worst_k21 = 0.0
+    checked = 0
+    while checked < 2_000:
+        theta = rng.uniform(-math.pi, math.pi)
+        alpha = rng.uniform(-math.pi, math.pi)
+        t = np.array([math.cos(theta), math.sin(theta)])
+        frame = NormalFrame(nr=math.cos(alpha), nz=math.sin(alpha),
+                            curvature=rng.uniform(-0.05, 0.05))
+        sample = IndexSample(n=rng.uniform(0.9, 1.1), n_r=rng.uniform(-0.01, 0.01),
+                             n_z=rng.uniform(-0.02, 0.02), n_zz=0.0)
+        try:
+            kappa = kappa_matrix(ReflectionContext(t=t, frame=frame, sample=sample))
+        except GeometryError:
+            continue
+        worst_det = max(worst_det, abs(kappa.det() - 1.0))
+        worst_k21 = max(worst_k21, abs(kappa.k21))
+        checked += 1
+    passed = worst_det < 1e-12 and worst_k21 == 0.0
+    print(f"kappa structure: max |det - 1| {worst_det:.3e}, max |kappa21| "
+          f"{worst_k21:.3e} over {checked} contexts (tol 1e-12) "
+          f"{'PASS' if passed else 'FAIL'}", file=out)
+    return passed
+
+
+SWEEP_SEEDS = [0, 1, 11, 1715831031] + np.random.SeedSequence(8).generate_state(20).tolist()
+
+
+class TestBlockDrawnSweeps:
+    @pytest.mark.parametrize("seed", SWEEP_SEEDS)
+    def test_same_lines_and_generator_state_as_scalar_draws(self, seed):
+        """Drawing in blocks of the checks still needed takes exactly the
+        values, in the order, of one generator call per value: the printed
+        lines and the generator's final state are those of the scalar
+        reference loops."""
+        import varitrace.cli as cli
+
+        lines, states = [], []
+        for identities, structure in ((cli._verify_identities, cli._verify_structure),
+                                      (scalar_identities, scalar_structure)):
+            rng = np.random.default_rng(seed)
+            out = io.StringIO()
+            assert identities(rng, out) and structure(rng, out)
+            lines.append(out.getvalue())
+            states.append(rng.bit_generator.state)
+        assert lines[0] == lines[1]
+        assert states[0] == states[1]
+
+
+class TestParserBuiltOnce:
+    def test_parser_state_does_not_leak_between_calls(self, tmp_path):
+        """main builds its parser once per process; a seeded run and a usage
+        error before a seedless run leave no trace in the later output."""
+        import varitrace.cli as cli
+
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        seeded, reused, fresh = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
+        assert main(["trace", "--config", cfg, "--output", str(seeded), "--seed", "5"]) == 0
+        assert "# seed: 5" in seeded.read_text()
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--output", str(reused)])  # no --config
+        assert exc.value.code == 2
+        assert main(["trace", "--config", cfg, "--output", str(reused)]) == 0
+        assert cli._build_parser() is cli._build_parser()
+        subprocess.run([sys.executable, "-m", "varitrace.cli", "trace", "--config", cfg,
+                        "--output", str(fresh)], check=True, timeout=60, env=cli_env())
+        assert "# seed:" not in reused.read_text()
+        assert reused.read_bytes() == fresh.read_bytes()
 
 
 class TestCarriedIndex:

@@ -120,7 +120,12 @@ class TestFdJacobian:
         with pytest.raises(ValueError):
             BeamPerturbation(h_p=0.0)
         with pytest.raises(ValueError):
-            BeamPerturbation(richardson_levels=1)
+            BeamPerturbation(richardson_levels=0)
+        # one level is a valid beam, but fd_jacobian's error bar needs two
+        cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=50.0,
+                          theta0=math.radians(5.0), dr=1.0)
+        with pytest.raises(ValueError, match="2 Richardson levels"):
+            fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation(richardson_levels=1), 100.0)
 
 
 class TestVerifyKappa:
@@ -157,11 +162,16 @@ class TestVerifyKappa:
         v = verify_kappa(sc.field, sc.bath, sc.cfg, BeamPerturbation(),
                          sc.r_after_bounce)
         assert v.max_rel_err <= 1e-6
+        # one level, as verify traces it, gives the same first-level error
+        one = verify_kappa(sc.field, sc.bath, sc.cfg,
+                           BeamPerturbation(richardson_levels=1), sc.r_after_bounce)
+        assert one.level_errs == v.level_errs[:1]
+        assert one.max_rel_err == v.max_rel_err
 
     def test_central_ray_traced_once(self, monkeypatch):
         """One call traces the central ray once and four perturbed rays per
-        Richardson level: 1 + 4 * 2 traces at the defaults, 1 + 4 * 3 for
-        the study."""
+        Richardson level: 1 + 4 * 1 for one level, 1 + 4 * 2 at the
+        defaults, 1 + 4 * 3 for the study."""
         import varitrace.oracle as oracle
 
         calls = [0]
@@ -173,7 +183,8 @@ class TestVerifyKappa:
 
         monkeypatch.setattr(oracle, "trace_from_pulse", counted)
         sc = preset("flat-linear")
-        for pert, traces in ((BeamPerturbation(), 9), (STUDY_PERTURBATION, 13)):
+        for pert, traces in ((BeamPerturbation(richardson_levels=1), 5),
+                             (BeamPerturbation(), 9), (STUDY_PERTURBATION, 13)):
             calls[0] = 0
             verify_kappa(sc.field, sc.bath, sc.cfg, pert, sc.r_after_bounce)
             assert calls[0] == traces

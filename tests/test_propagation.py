@@ -257,6 +257,16 @@ class TestLaunchValidation:
         with pytest.raises(ValueError):
             TraceConfig(r_start=0.0, r_end=100.0, z0=10.0, theta0=0.1, dr=-1.0)
 
+    @pytest.mark.parametrize("field", ["r_start", "r_end", "z0", "theta0", "dr",
+                                       "bisect_tol", "steep_cutoff"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        """NaN passes every ordering check, and an infinite range never ends."""
+        cfg = dict(r_start=0.0, r_end=100.0, z0=10.0, theta0=0.1)
+        cfg[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            TraceConfig(**cfg)
+
     def test_source_outside_water_rejected(self):
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=600.0, theta0=0.1)
         with pytest.raises(ValueError):
