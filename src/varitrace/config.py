@@ -160,7 +160,8 @@ class RunConfig:
                 raise ConfigError(f"gridded profile {path} must have two columns (z, c)")
             return GriddedField(depths=data[:, 0], c_values=data[:, 1],
                                 c0=sec.get_float("c0", 1500.0))
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
+            # OSError: a referenced file that cannot be read, such as a directory
             raise ConfigError(f"[environment] {exc}")
 
     def build_bathymetry(self) -> Bathymetry:
@@ -192,7 +193,7 @@ class RunConfig:
                     bulge=sec.get_str("bulge", "down"))
             return PiecewiseBottom.from_file(
                 self._resolve(sec.get_str("file", required=True)))
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise ConfigError(f"[bathymetry] {exc}")
 
     def build_trace_config(self) -> TraceConfig:
@@ -231,6 +232,10 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as handle:
             parser.read_file(handle)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError as exc:
+        # a directory or an unreadable file
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except configparser.Error as exc:
         # configparser reports offending line numbers in its message
         raise ConfigError(f"cannot parse {path}: {exc}")
@@ -238,5 +243,4 @@ def load_config(path) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown))}")
     sections = {name: _Section(name, dict(parser[name])) for name in parser.sections()}
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
     return RunConfig(path=path, sha256=digest, sections=sections)

@@ -3,15 +3,20 @@
 The variation matrix is, by definition, the Jacobian of the flow map
 (p0, z0) -> (p(r), z(r)).  Everything in here estimates that Jacobian by
 rerunning whole traces with perturbed initial data and centered
-differences, deliberately avoiding the analytic K-matrix and jump-matrix
-code paths it is meant to check.  ``verify_kappa`` is the decisive test of
-the boundary jump: it compares the analytically propagated q (with the
+differences.  The perturbed rays march (z, p) alone: they never evaluate
+the variation right-hand side (the K-matrix code) and never apply a jump
+matrix to q, so the estimate does not go through the code it checks.
+Each of their bounces is still judged by the tracer's own reflection
+checks, which build the jump matrix, so a perturbed ray ends or bounces
+exactly where the full trace would.  ``verify_kappa`` is the decisive test
+of the boundary jump: it compares the analytically propagated q (with the
 jump applied) against the numerically differentiated bounce map.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,8 +99,10 @@ def _centered_jacobian(field_, bath, cfg, z0, p0, h_p, h_z, signature) -> np.nda
     cols = []
     for dp0, dz0 in ((h_p, 0.0), (0.0, h_z)):
         try:
-            plus = trace_from_pulse(field_, bath, cfg, z0 + dz0, p0 + dp0)
-            minus = trace_from_pulse(field_, bath, cfg, z0 - dz0, p0 - dp0)
+            plus = trace_from_pulse(field_, bath, cfg, z0 + dz0, p0 + dp0,
+                                    variations=False)
+            minus = trace_from_pulse(field_, bath, cfg, z0 - dz0, p0 - dp0,
+                                     variations=False)
         except ValueError as exc:
             # perturbed launch left the water column or went steep
             raise PerturbationTooLargeError(str(exc))
@@ -178,14 +185,16 @@ def _relative_errors(a: np.ndarray, b: np.ndarray, floor: float = 1e-12) -> np.n
 
 
 def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
-                 pert: BeamPerturbation, r_after_bounce: float) -> KappaVerification:
-    """Compare analytic q (jump applied) with the FD Jacobian after one bounce.
+                 perts: Sequence[BeamPerturbation],
+                 r_after_bounce: float) -> tuple[KappaVerification, ...]:
+    """Compare analytic q (jump applied) with FD Jacobians after one bounce.
 
     The central trace must bounce exactly once before ``r_after_bounce``.
-    Each Richardson level of ``pert`` is compared, entrywise, with
-    max(|analytic|, |numeric|) as the scale, falling back to absolute
-    differences for near-zero entries.  One call traces 1 + 4 *
-    ``pert.richardson_levels`` rays; one level gives ``max_rel_err``.
+    It is traced once and shared by every perturbation in ``perts``, which
+    give one result each, in order.  Each Richardson level of a
+    perturbation is compared, entrywise, with max(|analytic|, |numeric|) as
+    the scale, falling back to absolute differences for near-zero entries.
+    One call traces 1 + 4 * (total Richardson levels of ``perts``) rays.
     """
     # Analytic side: an ordinary trace, which integrates dq/dr = Kq and
     # applies the jump matrix at the bounce.  The same trace is the
@@ -200,7 +209,10 @@ def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
             f"got {len(central.bounces)}")
     analytic = central.q[-1]
 
-    _, levels = _fd_levels(field_, bath, cfg_q, p0, central, pert)
-    level_errs = tuple(float(_relative_errors(analytic, numeric).max())
-                       for numeric in levels)
-    return KappaVerification(max_rel_err=level_errs[0], level_errs=level_errs)
+    results = []
+    for pert in perts:
+        _, levels = _fd_levels(field_, bath, cfg_q, p0, central, pert)
+        level_errs = tuple(float(_relative_errors(analytic, numeric).max())
+                           for numeric in levels)
+        results.append(KappaVerification(max_rel_err=level_errs[0], level_errs=level_errs))
+    return tuple(results)

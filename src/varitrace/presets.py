@@ -25,8 +25,8 @@ from .propagation import TraceConfig
 
 __all__ = ["VerificationScenario", "PRESET_NAMES", "preset"]
 
-# Convergence study: one verify_kappa call at offsets h, h/2 and h/4 (its
-# three Richardson levels).  The defaults of BeamPerturbation sit at the
+# Convergence study: one perturbation at offsets h, h/2 and h/4 (its three
+# Richardson levels).  The defaults of BeamPerturbation sit at the
 # event-location noise floor; the study needs a truncation-dominated
 # starting point to exhibit the h^2 decay.
 STUDY_PERTURBATION = BeamPerturbation(h_p=1e-3, h_z=1.0, richardson_levels=3)

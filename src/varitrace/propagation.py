@@ -1,19 +1,27 @@
 """Range marching of rays and their variation matrices.
 
-Integrates (z, p, q) jointly with a classical fixed-step RK4 scheme,
-written out over the six state components: each stage makes one call of
-the closed form ``ray_variation_rhs``, and stages 2-4 one ``index_at``
-call; stage 1 reuses the sample the trace loop holds for the step start.
+Integrates (z, p, q) with a classical fixed-step RK4 scheme, in two parts
+over one set of stages.  ``_ray_step`` advances (z, p): each stage makes
+one ``ray_rhs`` call and stages 2-4 one ``index_at`` call (stage 1 reuses
+the sample the trace loop holds for the step start), and it returns the
+four stage points.  The ray never reads q, so ``_variation_step`` then
+advances q from those stage points with ``variation_rhs``, giving the
+bits one joint six-component step gives.  It runs only where q is read:
+once per accepted step and once per landed bounce, never in the landing
+search's trial steps, and not at all in a ray-only trace
+(``variations=False``, the oracle's perturbed rays).
+
 Each step's own stage derivatives give a cubic dense output of depth (the
 continuous extension of RK4, Hairer, Norsett & Wanner, Solving ODEs I,
 II.6) at no extra right-hand-side evaluation.  A boundary crossing is
 bracketed by the sign of the boundary gap at the step end or, when both
 ends are inside, at the interpolated step midpoint (a shallow double
-crossing).  An Illinois search on the interpolated gap seeds a safeguarded
-secant search on the exact RK4 map from the step start, so the landing
-state is an RK4 state whose boundary residual is below ``bisect_tol``.
-The reflection jump is applied there and marching resumes.  All abnormal
-endings are reported as statuses, never exceptions.
+crossing); these gaps are computed directly, and a search is set up only
+for a bracketed boundary.  There an Illinois search on the interpolated
+gap seeds a safeguarded secant search on the exact RK4 map from the step
+start, so the landing state is an RK4 state whose boundary residual is
+below ``bisect_tol``.  The reflection jump is applied there and marching
+resumes.  All abnormal endings are reported as statuses, never exceptions.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 
 from .environment import Bathymetry, IndexSample, SoundSpeedField, surface_frame
 from .errors import DomainError, GeometryError, SteepRayError
-from .ray_core import ray_variation_rhs
+from .ray_core import ray_rhs, variation_rhs
 from .reflection import KappaMatrix, ReflectionContext, kappa_matrix
 
 __all__ = [
@@ -106,6 +114,7 @@ class BounceRecord:
 class TraceResult:
     """Sampled trajectory (columns r, z, p, q11, q12, q21, q22) plus bounces.
 
+    The q columns are NaN in a ray-only trace (``variations=False``).
     ``n`` holds the refractive index at each sample, as the integrator
     evaluated it there.  ``unconverged_bounces`` counts bounces whose
     location search stopped at its iteration cap before the boundary
@@ -168,38 +177,54 @@ class SpreadingFactor:
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(field_: SoundSpeedField, r: float, y: tuple, sample: IndexSample,
-              h: float):
-    """One RK4 step: the new state and the stage derivatives k1..k4.
+def _ray_step(field_: SoundSpeedField, r: float, z: float, p: float,
+              sample: IndexSample, h: float):
+    """One RK4 step of the ray alone: the new (z, p) and the four stages.
 
-    Written out over the six components (z, p, q11, q12, q21, q22), with
-    one ``ray_variation_rhs`` call per stage; ``sample`` is the index at
-    the start (r, z), so only stages 2-4 call ``index_at``.
+    Each stage is (sample, p, w, dz): the index sample and pulse it was
+    evaluated at, with the ``ray_rhs`` values ``variation_rhs`` and the
+    dense output read.  ``sample`` is the index at the start (r, z), so
+    only stages 2-4 call ``index_at``.
     """
     index_at = field_.index_at
-    z, p, a, b, c, d = y
     hh = 0.5 * h
-    k1 = z1, p1, a1, b1, c1, d1 = ray_variation_rhs(sample, p, a, b, c, d)
+    z1, p1, w1 = ray_rhs(sample, p)
     rm = r + hh
-    k2 = z2, p2, a2, b2, c2, d2 = ray_variation_rhs(
-        index_at(rm, z + hh * z1), p + hh * p1,
-        a + hh * a1, b + hh * b1, c + hh * c1, d + hh * d1)
-    k3 = z3, p3, a3, b3, c3, d3 = ray_variation_rhs(
-        index_at(rm, z + hh * z2), p + hh * p2,
-        a + hh * a2, b + hh * b2, c + hh * c2, d + hh * d2)
-    k4 = z4, p4, a4, b4, c4, d4 = ray_variation_rhs(
-        index_at(r + h, z + h * z3), p + h * p3,
-        a + h * a3, b + h * b3, c + h * c3, d + h * d3)
+    s2, pp2 = index_at(rm, z + hh * z1), p + hh * p1
+    z2, p2, w2 = ray_rhs(s2, pp2)
+    s3, pp3 = index_at(rm, z + hh * z2), p + hh * p2
+    z3, p3, w3 = ray_rhs(s3, pp3)
+    s4, pp4 = index_at(r + h, z + h * z3), p + h * p3
+    z4, p4, w4 = ray_rhs(s4, pp4)
     h6 = h / 6.0
-    y_new = (
+    return (
         z + h6 * (z1 + 2.0 * z2 + 2.0 * z3 + z4),
         p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+        ((sample, p, w1, z1), (s2, pp2, w2, z2), (s3, pp3, w3, z3), (s4, pp4, w4, z4)),
+    )
+
+
+def _variation_step(stages, q: tuple, h: float) -> tuple:
+    """The RK4 step of q = (q11, q12, q21, q22) over the ray step that
+    produced ``stages`` (of length ``h``): the stage points of the ray do
+    not depend on q, so q is advanced from them afterwards."""
+    a, b, c, d = q
+    hh = 0.5 * h
+    (s1, p1, w1, _), (s2, p2, w2, _), (s3, p3, w3, _), (s4, p4, w4, _) = stages
+    a1, b1, c1, d1 = variation_rhs(s1, p1, w1, a, b, c, d)
+    a2, b2, c2, d2 = variation_rhs(s2, p2, w2, a + hh * a1, b + hh * b1,
+                                   c + hh * c1, d + hh * d1)
+    a3, b3, c3, d3 = variation_rhs(s3, p3, w3, a + hh * a2, b + hh * b2,
+                                   c + hh * c2, d + hh * d2)
+    a4, b4, c4, d4 = variation_rhs(s4, p4, w4, a + h * a3, b + h * b3,
+                                   c + h * c3, d + h * d3)
+    h6 = h / 6.0
+    return (
         a + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
         b + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
         c + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
         d + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4),
     )
-    return y_new, (k1, k2, k3, k4)
 
 
 # ---------------------------------------------------------------------------
@@ -254,23 +279,24 @@ def _seed(gap, hi: float, g_lo: float, g_hi: float, tol: float):
     return s, slope
 
 
-def _land(field_, bath, boundary, r0, y0, sample0, hi, s, slope, tol):
-    """Exact RK4 state on the boundary, by a secant search on the true map.
+def _land(field_, bath, boundary, r0, z0, p0, sample0, hi, s, slope, tol):
+    """Exact RK4 ray state on the boundary, by a secant search on the true map.
 
-    G(s) = gap(r0 + s, RK4(r0, y0, s).z) is searched from the interpolant's
-    root ``s`` and slope; proposals outside the bracket (0, hi), tightened
-    by every evaluation, fall back to bisection.  Returns (s, state,
-    converged); at the iteration cap, or once the bracket has collapsed
-    to adjacent floats so that no new point lies strictly inside it, the
-    last evaluated state.
+    G(s) = gap(r0 + s, RK4(r0, (z0, p0), s).z) is searched from the
+    interpolant's root ``s`` and slope; proposals outside the bracket
+    (0, hi), tightened by every evaluation, fall back to bisection.  Trial
+    steps march (z, p) alone.  Returns (s, p, stages, converged) of the
+    landed step; at the iteration cap, or once the bracket has collapsed to
+    adjacent floats so that no new point lies strictly inside it, of the
+    last evaluated step.
     """
     lo = 0.0
     g_prev = None
     for _ in range(_LAND_MAX_ITER):
-        y = _rk4_step(field_, r0, y0, sample0, s)[0]
-        g = _gap(bath, boundary, r0 + s, y[0])
+        z, p, stages = _ray_step(field_, r0, z0, p0, sample0, s)
+        g = _gap(bath, boundary, r0 + s, z)
         if abs(g) < tol:
-            return s, y, True
+            return s, p, stages, True
         if g > 0.0:
             hi = s
         else:
@@ -283,41 +309,44 @@ def _land(field_, bath, boundary, r0, y0, sample0, hi, s, slope, tol):
             s = 0.5 * (lo + hi)
             if not lo < s < hi:
                 break
-    return s_prev, y, False
+    return s_prev, p, stages, False
 
 
-def _find_crossing(field_, bath, r0, y0, sample0, h, y_end, stages, tol):
+def _find_crossing(field_, bath, r0, z0, p0, sample0, h, z_end, stages, tol):
     """First boundary crossing within a step, or None.
 
     A crossing is bracketed by the gap at the step end or, when that is
     inside, at the midpoint of the step's dense output (a shallow double
-    crossing).  Returns (step_length, boundary, state_at_hit, converged).
+    crossing).  Only a bracketed boundary is searched.  Returns
+    (step_length, boundary, p, stages, converged) of the landed step.
     """
     # Depth on the RK4 continuous extension, expanded in powers of s = t h:
     # b1 = t - 3t^2/2 + 2t^3/3, b2 = b3 = t^2 - 2t^3/3, b4 = -t^2/2 + 2t^3/3.
-    z0 = y0[0]
-    d1, d2, d3, d4 = (k[0] for k in stages)
+    d1, d2, d3, d4 = stages[0][3], stages[1][3], stages[2][3], stages[3][3]
     c2 = (-1.5 * d1 + d2 + d3 - 0.5 * d4) / h
     c3 = (2.0 / 3.0) * (d1 - d2 - d3 + d4) / (h * h)
+    hh = 0.5 * h
+    z_mid = z0 + hh * (d1 + hh * (c2 + hh * c3))
 
     hits = []
     for boundary in (SURFACE, BOTTOM):
-        def gap(s, boundary=boundary):
-            return _gap(bath, boundary, r0 + s, z0 + s * (d1 + s * (c2 + s * c3)))
-
         # The step starts inside or, after a bounce, exactly on a boundary,
         # so only the far end and the midpoint need checking.
         hi = h
-        g_hi = _gap(bath, boundary, r0 + h, y_end[0])
+        g_hi = _gap(bath, boundary, r0 + h, z_end)
         if g_hi <= 0.0:
-            hi = 0.5 * h
-            g_hi = gap(hi)
+            hi = hh
+            g_hi = _gap(bath, boundary, r0 + hh, z_mid)
             if g_hi <= 0.0:
                 continue
+
+        def gap(s, boundary=boundary):
+            return _gap(bath, boundary, r0 + s, z0 + s * (d1 + s * (c2 + s * c3)))
+
         s, slope = _seed(gap, hi, _gap(bath, boundary, r0, z0), g_hi, tol)
-        s, y_hit, converged = _land(field_, bath, boundary, r0, y0, sample0,
-                                    hi, s, slope, tol)
-        hits.append((s, boundary, y_hit, converged))
+        s, p_hit, stages_hit, converged = _land(field_, bath, boundary, r0, z0, p0,
+                                                sample0, hi, s, slope, tol)
+        hits.append((s, boundary, p_hit, stages_hit, converged))
     if not hits:
         return None
     return min(hits, key=lambda item: item[0])
@@ -339,8 +368,14 @@ def trace_ray(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig) -> Tr
 
 
 def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
-                     z0: float, p0: float) -> TraceResult:
-    """Trace from explicit initial (z0, p0); used by the FD oracle."""
+                     z0: float, p0: float, *, variations: bool = True) -> TraceResult:
+    """Trace from explicit initial (z0, p0); used by the FD oracle.
+
+    With ``variations=False`` only (z, p) is integrated: the q columns of
+    the result are NaN and no jump is applied to them, while statuses and
+    bounces (each still checked and given its jump matrix) are those of the
+    full trace, and r, z and p equal its values bit for bit.
+    """
     s = field_.index_at(cfg.r_start, z0)
     cutoff_sin = math.sin(cfg.steep_cutoff)
     if abs(p0) >= s.n * cutoff_sin:
@@ -357,10 +392,10 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
         if float(t0 @ bath.bottom_at(cfg.r_start).frame.as_array()) <= 0.0:
             raise ValueError("source on the bottom must launch into the water")
 
-    # s is always the index sample at (r, y[0]), the next step's k1 sample.
-    r = cfg.r_start
-    y = (z0, p0, 1.0, 0.0, 0.0, 1.0)
-    rows = [(r, *y)]
+    # s is always the index sample at (r, z), the next step's k1 sample.
+    r, z, p = cfg.r_start, z0, p0
+    q = (1.0, 0.0, 0.0, 1.0) if variations else (math.nan,) * 4
+    rows = [(r, z, p, *q)]
     ns = [s.n]
     bounces: list[BounceRecord] = []
     status = TraceStatus.COMPLETED
@@ -369,8 +404,8 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
     while r < cfg.r_end - 1e-12:
         h = min(cfg.dr, cfg.r_end - r)
         try:
-            y_end, stages = _rk4_step(field_, r, y, s, h)
-            hit = _find_crossing(field_, bath, r, y, s, h, y_end, stages,
+            z_end, p_end, stages = _ray_step(field_, r, z, p, s, h)
+            hit = _find_crossing(field_, bath, r, z, p, s, h, z_end, stages,
                                  cfg.bisect_tol)
         except SteepRayError:
             status = TraceStatus.STEEP_RAY
@@ -380,17 +415,21 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             break
 
         if hit is None:
+            if variations:
+                q = _variation_step(stages, q, h)
             r += h
-            y = y_end
-            s = field_.index_at(r, y[0])
-            rows.append((r, *y))
+            z, p = z_end, p_end
+            s = field_.index_at(r, z)
+            rows.append((r, z, p, *q))
             ns.append(s.n)
-            if abs(y[1]) >= s.n * cutoff_sin:
+            if abs(p) >= s.n * cutoff_sin:
                 status = TraceStatus.STEEP_RAY
                 break
             continue
 
-        h_hit, boundary, y_hit, converged = hit
+        h_hit, boundary, p_hit, stages, converged = hit
+        if variations:
+            q = _variation_step(stages, q, h_hit)
         unconverged += not converged
         r_hit = r + h_hit
         try:
@@ -406,7 +445,6 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             status = TraceStatus.DOMAIN_EXIT
             break
 
-        p_hit = y_hit[1]
         tz = p_hit / s.n
         if abs(tz) >= 1.0:
             status = TraceStatus.STEEP_RAY
@@ -426,7 +464,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                 # range-marching picture ends here.
                 status = TraceStatus.BACKSCATTERED
         if status is not TraceStatus.COMPLETED:
-            rows.append((r_hit, z_hit, *y_hit[1:]))
+            rows.append((r_hit, z_hit, p_hit, *q))
             ns.append(s.n)
             break
 
@@ -435,17 +473,16 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
         bounces.append(BounceRecord(r=r_hit, z=z_hit, boundary=boundary,
                                     theta_incident=theta_inc, kappa=kappa))
 
-        q11, q12, q21, q22 = y_hit[2:]
-        y = (
-            z_hit,
-            p1,
-            kappa.k11 * q11 + kappa.k12 * q21,
-            kappa.k11 * q12 + kappa.k12 * q22,
-            kappa.k22 * q21,
-            kappa.k22 * q22,
-        )
-        r = r_hit
-        rows.append((r, *y))
+        if variations:
+            q11, q12, q21, q22 = q
+            q = (
+                kappa.k11 * q11 + kappa.k12 * q21,
+                kappa.k11 * q12 + kappa.k12 * q22,
+                kappa.k22 * q21,
+                kappa.k22 * q22,
+            )
+        r, z, p = r_hit, z_hit, p1
+        rows.append((r, z, p, *q))
         ns.append(s.n)
         if abs(p1) >= s.n * cutoff_sin:
             status = TraceStatus.STEEP_RAY

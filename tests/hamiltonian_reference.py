@@ -1,17 +1,16 @@
 """Reference forms of the ray Hamiltonian and its derivatives, for tests.
 
 ``hamiltonian`` is written independently of the package.  ``ray_rhs`` and
-``k_matrix`` read the integrator's one closed form, ``ray_variation_rhs``,
-at q = I, so finite differences of ``hamiltonian`` and ``ray_rhs``
-validate the formula the integrator runs.
+``k_matrix`` read the integrator's two closed forms, ``ray_core.ray_rhs``
+and ``ray_core.variation_rhs`` (at q = I), so finite differences of
+``hamiltonian`` and ``ray_rhs`` validate the formulas the integrator runs.
 """
 
 import math
 
 import numpy as np
 
-from varitrace import SteepRayError
-from varitrace.ray_core import ray_variation_rhs
+from varitrace import SteepRayError, ray_core
 
 
 def hamiltonian(n, p):
@@ -24,7 +23,7 @@ def hamiltonian(n, p):
 
 def ray_rhs(sample, p):
     """Right-hand side (dz/dr, dp/dr) of the ray equations."""
-    return ray_variation_rhs(sample, p, 1.0, 0.0, 0.0, 1.0)[:2]
+    return ray_core.ray_rhs(sample, p)[:2]
 
 
 def k_matrix(sample, p):
@@ -32,4 +31,5 @@ def k_matrix(sample, p):
 
     Arrangement: k11 = -H_zp, k12 = -H_zz, k21 = H_pp, k22 = H_zp.
     """
-    return np.array(ray_variation_rhs(sample, p, 1.0, 0.0, 0.0, 1.0)[2:]).reshape(2, 2)
+    w = ray_core.ray_rhs(sample, p)[2]
+    return np.array(ray_core.variation_rhs(sample, p, w, 1.0, 0.0, 0.0, 1.0)).reshape(2, 2)

@@ -155,11 +155,10 @@ def test_criterion_3_oracle_equivalence():
     lines = []
     for name in PRESET_NAMES:
         sc = preset(name)
-        v = verify_kappa(sc.field, sc.bath, sc.cfg, BeamPerturbation(),
-                         sc.r_after_bounce)
+        v, study = verify_kappa(sc.field, sc.bath, sc.cfg,
+                                (BeamPerturbation(), STUDY_PERTURBATION), sc.r_after_bounce)
         assert v.max_rel_err < 1e-3, f"{name}: default-h error {v.max_rel_err:.3e}"
-        errs = verify_kappa(sc.field, sc.bath, sc.cfg, STUDY_PERTURBATION,
-                            sc.r_after_bounce).level_errs
+        errs = study.level_errs
         order = 0.5 * (math.log2(errs[0] / errs[1]) + math.log2(errs[1] / errs[2]))
         assert abs(order - 2.0) <= 0.3, f"{name}: order {order:.2f}"
         lines.append(f"{name} err={v.max_rel_err:.1e} order={order:.2f}")
@@ -367,7 +366,7 @@ def test_criterion_7_sweep_reproduction():
         assert k22 == pytest.approx(bounce.kappa.k22, rel=1e-6)
 
         # and the whole analytic q agrees with the FD oracle
-        v = verify_kappa(field, bath, cfg, BeamPerturbation(), cfg.r_end)
+        (v,) = verify_kappa(field, bath, cfg, [BeamPerturbation()], cfg.r_end)
         assert v.max_rel_err < 1e-3, (
             f"pair ({theta_deg}, {alpha_deg}): {v.max_rel_err:.3e}")
     report("ACCEPTANCE 7 (sweep reproduction): PASS  alpha=90 column exact, "

@@ -30,6 +30,6 @@ def test_smoke_run_is_correct_and_counts_work(workload):
     assert metrics["propagation.samples"]["value"] > 0
     assert metrics["environment.index_at.calls"]["value"] > 0
     if workload == "verify-all":
-        # one preset: 5 traces at the default offsets (one Richardson
-        # level), 13 for the study
-        assert metrics["oracle.traces"]["value"] == 18
+        # one preset: the central ray, 4 perturbed traces at the default
+        # offsets (one Richardson level) and 12 for the study
+        assert metrics["oracle.traces"]["value"] == 17

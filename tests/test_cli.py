@@ -182,6 +182,44 @@ class TestOutputKeptOnConfigError:
         assert "# status: completed" in (tmp_path / "out.csv").read_text()
 
 
+class TestPathErrors:
+    """A path that cannot be read or written is a config error (exit 2),
+    not a traceback with the exit code of a failed verification, and an
+    existing ``--output`` file keeps its bytes."""
+
+    OLD = b"# an earlier run\n1,2,3\n"
+
+    def run(self, config, output):
+        if output.parent.is_dir():
+            output.write_bytes(self.OLD)
+        return main(["trace", "--config", str(config), "--output", str(output)])
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert self.run(tmp_path, out) == 2
+        assert "config error: cannot read config file" in capsys.readouterr().err
+        assert out.read_bytes() == self.OLD
+
+    @pytest.mark.parametrize("section,text", [
+        ("environment", BASE_CFG.replace("kind = constant\nc0 = 1500.0",
+                                         "kind = gridded\nfile = data")),
+        ("bathymetry", BASE_CFG.replace("kind = flat\ndepth = 1000.0",
+                                        "kind = piecewise\nfile = data")),
+    ], ids=["gridded", "piecewise"])
+    def test_referenced_file_is_a_directory(self, tmp_path, capsys, section, text):
+        (tmp_path / "data").mkdir()
+        out = tmp_path / "out.csv"
+        assert self.run(write_cfg(tmp_path, text), out) == 2
+        assert f"config error: [{section}] " in capsys.readouterr().err
+        assert out.read_bytes() == self.OLD
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        assert self.run(write_cfg(tmp_path, BASE_CFG), out) == 2
+        assert "config error: cannot write output file" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+
 class TestNonFiniteNumbers:
     """nan and inf are config errors, not numbers: a nan step or angle used
     to write NaN rows with status backscattered, and an infinite range

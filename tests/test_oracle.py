@@ -131,11 +131,11 @@ class TestFdJacobian:
 class TestVerifyKappa:
     def test_flat_linear_accuracy_and_convergence(self):
         scenario = preset("flat-linear")
-        v = verify_kappa(scenario.field, scenario.bath, scenario.cfg,
-                         BeamPerturbation(), scenario.r_after_bounce)
+        v, study = verify_kappa(scenario.field, scenario.bath, scenario.cfg,
+                                (BeamPerturbation(), STUDY_PERTURBATION),
+                                scenario.r_after_bounce)
         assert v.max_rel_err < 1e-3
-        errs = verify_kappa(scenario.field, scenario.bath, scenario.cfg,
-                            STUDY_PERTURBATION, scenario.r_after_bounce).level_errs
+        errs = study.level_errs
         assert math.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.3)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -143,14 +143,14 @@ class TestVerifyKappa:
         """The one-call study's level errors are, bit for bit, the errors
         of separate calls at h, h/2 and h/4, each with two levels."""
         sc = preset(name)
-        study = verify_kappa(sc.field, sc.bath, sc.cfg, STUDY_PERTURBATION,
-                             sc.r_after_bounce)
+        (study,) = verify_kappa(sc.field, sc.bath, sc.cfg, [STUDY_PERTURBATION],
+                                sc.r_after_bounce)
         reference = []
         for i in range(3):
             pert = BeamPerturbation(h_p=STUDY_PERTURBATION.h_p / 2**i,
                                     h_z=STUDY_PERTURBATION.h_z / 2**i)
-            reference.append(verify_kappa(sc.field, sc.bath, sc.cfg, pert,
-                                          sc.r_after_bounce).max_rel_err)
+            reference.append(verify_kappa(sc.field, sc.bath, sc.cfg, [pert],
+                                          sc.r_after_bounce)[0].max_rel_err)
         assert study.level_errs == tuple(reference)
         assert study.max_rel_err == study.level_errs[0]
 
@@ -159,49 +159,51 @@ class TestVerifyKappa:
         """At the default offsets the FD error is set by how exactly each
         perturbed trace lands on the boundary, not by truncation."""
         sc = preset(name)
-        v = verify_kappa(sc.field, sc.bath, sc.cfg, BeamPerturbation(),
-                         sc.r_after_bounce)
+        v, one = verify_kappa(sc.field, sc.bath, sc.cfg,
+                              (BeamPerturbation(), BeamPerturbation(richardson_levels=1)),
+                              sc.r_after_bounce)
         assert v.max_rel_err <= 1e-6
         # one level, as verify traces it, gives the same first-level error
-        one = verify_kappa(sc.field, sc.bath, sc.cfg,
-                           BeamPerturbation(richardson_levels=1), sc.r_after_bounce)
         assert one.level_errs == v.level_errs[:1]
         assert one.max_rel_err == v.max_rel_err
 
     def test_central_ray_traced_once(self, monkeypatch):
-        """One call traces the central ray once and four perturbed rays per
-        Richardson level: 1 + 4 * 1 for one level, 1 + 4 * 2 at the
-        defaults, 1 + 4 * 3 for the study."""
+        """One call traces the central ray once, whatever the number of
+        perturbations, and four perturbed rays per Richardson level: 1 + 4 * 1
+        for one level, 1 + 4 * 2 at the defaults, 1 + 4 * 3 for the study and
+        1 + 4 * (1 + 3) for verify's pair.  Only the central ray integrates q."""
         import varitrace.oracle as oracle
 
-        calls = [0]
+        calls = []
         original = oracle.trace_from_pulse
 
-        def counted(*args):
-            calls[0] += 1
-            return original(*args)
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("variations", True))
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "trace_from_pulse", counted)
         sc = preset("flat-linear")
-        for pert, traces in ((BeamPerturbation(richardson_levels=1), 5),
-                             (BeamPerturbation(), 9), (STUDY_PERTURBATION, 13)):
-            calls[0] = 0
-            verify_kappa(sc.field, sc.bath, sc.cfg, pert, sc.r_after_bounce)
-            assert calls[0] == traces
+        one = BeamPerturbation(richardson_levels=1)
+        for perts, traces in (([one], 5), ([BeamPerturbation()], 9),
+                              ([STUDY_PERTURBATION], 13), ([one, STUDY_PERTURBATION], 17)):
+            calls.clear()
+            results = verify_kappa(sc.field, sc.bath, sc.cfg, perts, sc.r_after_bounce)
+            assert len(results) == len(perts)
+            assert calls == [True] + [False] * (traces - 1)
 
     def test_arc_homogeneous_curvature_term(self):
         """Numeric jump off a circular basin matches the analytic curvature
         formula -2 curv n t1r tr / <t,N> through the composed q."""
         scenario = preset("arc-homogeneous")
-        v = verify_kappa(scenario.field, scenario.bath, scenario.cfg,
-                         BeamPerturbation(), scenario.r_after_bounce)
+        (v,) = verify_kappa(scenario.field, scenario.bath, scenario.cfg,
+                            [BeamPerturbation()], scenario.r_after_bounce)
         assert v.max_rel_err < 1e-3
 
     def test_requires_exactly_one_bounce(self):
         cfg = TraceConfig(r_start=0.0, r_end=1000.0, z0=500.0,
                           theta0=math.radians(3.0), dr=5.0)
         with pytest.raises(GeometryError):
-            verify_kappa(HOMOGENEOUS, DEEP, cfg, BeamPerturbation(), 1000.0)
+            verify_kappa(HOMOGENEOUS, DEEP, cfg, [BeamPerturbation()], 1000.0)
 
     def test_horizontal_gradient_term_regression(self):
         """Pins the n_r coefficient of the jump: a tilted index field over a
@@ -227,7 +229,7 @@ class TestVerifyKappa:
         bath = LinearSlopeBottom(depth0=150.0, slope=0.35)
         cfg = TraceConfig(r_start=0.0, r_end=400.0, z0=20.0,
                           theta0=math.radians(40.0), dr=0.5)
-        v = verify_kappa(field, bath, cfg, BeamPerturbation(), 400.0)
+        (v,) = verify_kappa(field, bath, cfg, [BeamPerturbation()], 400.0)
         assert v.max_rel_err < 1e-4
 
 
@@ -246,7 +248,7 @@ class TestGriddedFieldJump:
         bath = LinearSlopeBottom(depth0=150.0, slope=0.35)
         cfg = TraceConfig(r_start=0.0, r_end=400.0, z0=20.0,
                           theta0=math.radians(40.0), dr=0.5)
-        v = verify_kappa(field, bath, cfg, BeamPerturbation(), 400.0)
+        (v,) = verify_kappa(field, bath, cfg, [BeamPerturbation()], 400.0)
         assert v.max_rel_err < 1e-3
 
 

@@ -456,8 +456,8 @@ README_CFG = TraceConfig(r_start=0.0, r_end=30_000.0, z0=900.0,
 
 @pytest.fixture
 def rhs_calls(monkeypatch):
-    """Count right-hand-side evaluations of the integrator ([0]) and
-    ``index_at`` calls on every field class ([1])."""
+    """Count right-hand-side evaluations of the integrator's ray stages
+    (``ray_rhs``, [0]) and ``index_at`` calls on every field class ([1])."""
     import varitrace.propagation as propagation
     from varitrace import SoundSpeedField
 
@@ -469,8 +469,7 @@ def rhs_calls(monkeypatch):
             return original(*args)
         return counted
 
-    monkeypatch.setattr(propagation, "ray_variation_rhs",
-                        counting(propagation.ray_variation_rhs, 0))
+    monkeypatch.setattr(propagation, "ray_rhs", counting(propagation.ray_rhs, 0))
     for cls in SoundSpeedField.__subclasses__():
         monkeypatch.setattr(cls, "index_at", counting(cls.index_at, 1))
     yield calls
@@ -546,3 +545,109 @@ class TestLocatorConvergence:
             res = trace_ray(field, bath, cfg)
             assert res.bounces
             assert res.unconverged_bounces == 0
+
+
+def _ray_only_cases():
+    """(field, bathymetry, config, launch angles in degrees) per case."""
+    from varitrace import PiecewiseBottom
+    from varitrace.presets import PRESET_NAMES, preset
+
+    cases = {}
+    for name in PRESET_NAMES:
+        sc = preset(name)
+        cases[name] = (sc.field, sc.bath, sc.cfg, [math.degrees(sc.cfg.theta0)])
+    cases["readme"] = (README_FIELD, README_BATH, README_CFG, [14.0])
+    depths = np.linspace(-20.0, 260.0, 29)
+    knots_r = np.linspace(-100.0, 6_100.0, 32)
+    cases["gridded-piecewise-fan"] = (
+        GriddedField(depths=depths, c_values=1510.0 - 0.08 * depths + 4e-4 * depths**2),
+        PiecewiseBottom(knots_r, 190.0 + 25.0 * np.sin(knots_r / 350.0)),
+        TraceConfig(r_start=0.0, r_end=6_000.0, z0=60.0, theta0=0.0, dr=10.0),
+        [-12.0, -6.0, 0.5, 6.0, 12.0])
+    cases["backscatter-wall"] = (
+        HOMOGENEOUS, LinearSlopeBottom(depth0=500.0, slope=-1.5),
+        TraceConfig(r_start=0.0, r_end=1000.0, z0=10.0, theta0=0.0, dr=2.0), [45.0])
+    cases["steep-ray"] = (
+        LinearGradientField(c_surface=1500.0, gradient=0.009), FlatBottom(105.0),
+        TraceConfig(r_start=0.0, r_end=500.0, z0=5.0, theta0=0.0, dr=0.5), [65.0])
+    cases["domain-exit"] = (
+        HOMOGENEOUS, ArcBottom(radius=50.0, r_center=100.0, z_center=30.0, bulge="down"),
+        TraceConfig(r_start=60.0, r_end=400.0, z0=20.0, theta0=0.0, dr=1.0), [2.0])
+    cases["max-bounces"] = (
+        HOMOGENEOUS, FlatBottom(500.0),
+        TraceConfig(r_start=0.0, r_end=20_000.0, z0=0.0, theta0=0.0, dr=10.0,
+                    max_bounces=3), [45.0])
+    return cases
+
+
+RAY_ONLY_CASES = _ray_only_cases()
+
+
+class TestRayOnlyTraces:
+    """``variations=False`` marches (z, p) alone: r, z, p, the index, the
+    status and the bounces are those of the full trace bit for bit, and the
+    q columns are NaN."""
+
+    @pytest.mark.parametrize("case", RAY_ONLY_CASES)
+    def test_same_ray_as_the_full_trace(self, case):
+        field, bath, cfg, angles = RAY_ONLY_CASES[case]
+        statuses = set()
+        for angle in angles:
+            run = replace(cfg, theta0=math.radians(angle))
+            full = trace_ray(field, bath, run)
+            ray = trace_from_pulse(field, bath, run, run.z0, float(full.p[0]),
+                                   variations=False)
+            assert ray.samples[:, :3].tobytes() == full.samples[:, :3].tobytes()
+            assert ray.n.tobytes() == full.n.tobytes()
+            assert np.isnan(ray.samples[:, 3:]).all()
+            assert not np.isnan(full.samples[:, 3:]).any()
+            assert ray.status is full.status
+            assert ray.unconverged_bounces == full.unconverged_bounces
+            assert ([(b.r, b.z, b.boundary, b.theta_incident) for b in ray.bounces]
+                    == [(b.r, b.z, b.boundary, b.theta_incident) for b in full.bounces])
+            statuses.add(full.status)
+        expected = {"backscatter-wall": TraceStatus.BACKSCATTERED,
+                    "steep-ray": TraceStatus.STEEP_RAY,
+                    "domain-exit": TraceStatus.DOMAIN_EXIT,
+                    "max-bounces": TraceStatus.MAX_BOUNCES}.get(case, TraceStatus.COMPLETED)
+        assert statuses == {expected}
+
+    def test_variation_updates_only_where_q_is_read(self, monkeypatch):
+        """One variation update (four ``variation_rhs`` calls) per accepted
+        step and per landed bounce, none in the landing search's trial
+        steps, and none at all for a ray-only trace or the oracle's
+        perturbed rays."""
+        import varitrace.propagation as propagation
+        from varitrace import BeamPerturbation, verify_kappa
+        from varitrace.presets import preset
+
+        calls = {"ray": 0, "variation": 0}
+
+        def counting(original, key):
+            def counted(*args):
+                calls[key] += 1
+                return original(*args)
+            return counted
+
+        monkeypatch.setattr(propagation, "ray_rhs", counting(propagation.ray_rhs, "ray"))
+        monkeypatch.setattr(propagation, "variation_rhs",
+                            counting(propagation.variation_rhs, "variation"))
+
+        full = trace_ray(README_FIELD, README_BATH, README_CFG)
+        assert full.status is TraceStatus.COMPLETED and full.bounces
+        rows = len(full.samples) - 1  # every row after the launch: a step or a bounce
+        assert calls["variation"] == 4 * rows
+        assert calls["ray"] > 4 * rows  # the landing search did take trial steps
+
+        calls.update(ray=0, variation=0)
+        ray = trace_from_pulse(README_FIELD, README_BATH, README_CFG, README_CFG.z0,
+                               float(full.p[0]), variations=False)
+        assert calls["variation"] == 0 and calls["ray"] > 4 * rows
+        assert len(ray.samples) == len(full.samples)
+
+        sc = preset("sinusoidal-munk")
+        central = trace_ray(sc.field, sc.bath, replace(sc.cfg, r_end=sc.r_after_bounce))
+        calls.update(ray=0, variation=0)
+        verify_kappa(sc.field, sc.bath, sc.cfg, [BeamPerturbation()], sc.r_after_bounce)
+        assert calls["variation"] == 4 * (len(central.samples) - 1)
+        assert calls["ray"] > 9 * 4 * (len(central.samples) - 1)

@@ -7,7 +7,7 @@ import pytest
 
 from hamiltonian_reference import hamiltonian, k_matrix, ray_rhs
 from varitrace import IndexSample, LinearGradientField, MunkField, SteepRayError
-from varitrace.ray_core import ray_variation_rhs
+from varitrace import ray_core
 
 
 class TestHamiltonian:
@@ -130,9 +130,19 @@ class TestKMatrix:
         assert e1 / e2 == pytest.approx(4.0, rel=0.3)
 
 
-class TestFusedKernel:
-    """ray_variation_rhs is the integrator's only formula; its written-out
-    K q product equals K (its value at q = I) times q bit for bit."""
+class TestSplitKernel:
+    """The integrator runs ray_core.ray_rhs and ray_core.variation_rhs; the
+    w that ray_rhs hands on is -H bit for bit, and variation_rhs's
+    written-out K q product equals K (its value at q = I) times q bit for
+    bit, so the FD checks of ray_rhs and k_matrix above cover both."""
+
+    def test_w_is_minus_hamiltonian(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            s = IndexSample(n=rng.uniform(0.9, 1.2), n_r=0.0,
+                            n_z=rng.uniform(-0.02, 0.02), n_zz=0.0)
+            p = rng.uniform(-0.95, 0.95) * s.n
+            assert ray_core.ray_rhs(s, p)[2] == -hamiltonian(s.n, p)
 
     def test_dq_equals_k_times_q(self):
         rng = np.random.default_rng(6)
@@ -142,7 +152,7 @@ class TestFusedKernel:
             p = rng.uniform(-0.8, 0.8)
             q11, q12, q21, q22 = rng.uniform(-5.0, 5.0, 4).tolist()
             (k11, k12), (k21, k22) = k_matrix(s, p).tolist()
-            out = ray_variation_rhs(s, p, q11, q12, q21, q22)
-            assert out[:2] == ray_rhs(s, p)
-            assert out[2:] == (k11 * q11 + k12 * q21, k11 * q12 + k12 * q22,
-                               k21 * q11 + k22 * q21, k21 * q12 + k22 * q22)
+            w = ray_core.ray_rhs(s, p)[2]
+            out = ray_core.variation_rhs(s, p, w, q11, q12, q21, q22)
+            assert out == (k11 * q11 + k12 * q21, k11 * q12 + k12 * q22,
+                           k21 * q11 + k22 * q21, k21 * q12 + k22 * q22)
