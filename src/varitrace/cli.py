@@ -23,7 +23,7 @@ from .errors import ConfigError, GeometryError, VaritraceError
 from .oracle import BeamPerturbation, verify_kappa
 from .presets import PRESET_NAMES, STUDY_PERTURBATION, VerificationScenario, preset
 from .propagation import TraceResult, TraceStatus, trace_fan, trace_ray
-from .reflection import ReflectionContext, identity_checks, kappa_matrix, reflect_direction
+from .reflection import SINGULAR_TOL, ReflectionContext, identity_checks, kappa_matrix
 
 DEFAULT_SCAN_THETAS = [-90.0 + 10.0 * k for k in range(1, 18)]  # -80 .. 80
 
@@ -247,23 +247,30 @@ def _verify_scenario(scenario: VerificationScenario, tolerance: float, out) -> b
 def _verify_identities(rng: np.random.Generator, out) -> bool:
     """Both tangent-ratio identities over random valid pairs, each held to
     1e-10 relative to max(1, |lhs|, |rhs|): near a vertical reflected ray
-    the sides reach about 1e6, where 1e-10 absolute is below one ulp."""
+    the sides reach about 1e6, where 1e-10 absolute is below one ulp.
+
+    Each block of draws drops the pairs reflect_direction or identity_checks
+    would reject (<t, N>, written out, above -SINGULAR_TOL, a margin no
+    rounding of it can cross, or |tr| or |t1r| below SINGULAR_TOL), then
+    makes one array call of identity_checks.
+    """
     worst = 0.0
     checked = 0
     while checked < 10_000:
         # no more rows than pairs still needed: no draw a per-pair loop would skip
-        draws = rng.uniform(-math.pi, math.pi, size=(10_000 - checked, 2))
-        for theta, alpha in draws.tolist():
-            t = np.array([math.cos(theta), math.sin(theta)])
-            n_vec = np.array([math.cos(alpha), math.sin(alpha)])
-            try:
-                reflect_direction(t, n_vec)  # rejects a non-incoming draw
-                pair = identity_checks(t, n_vec)
-            except GeometryError:
-                continue
-            for lhs, rhs in ((pair.lhs1, pair.rhs1), (pair.lhs2, pair.rhs2)):
-                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-            checked += 1
+        theta, alpha = rng.uniform(-math.pi, math.pi, size=(10_000 - checked, 2)).T.tolist()
+        # cos and sin from math, value by value: numpy's differ in the last bit
+        t = np.array([list(map(math.cos, theta)), list(map(math.sin, theta))])
+        n_vec = np.array([list(map(math.cos, alpha)), list(map(math.sin, alpha))])
+        (tr, tz), (nr, nz) = t, n_vec
+        n_t = tr * nr + tz * nz
+        valid = ((n_t <= -SINGULAR_TOL) & (np.abs(tr) >= SINGULAR_TOL)
+                 & (np.abs(tr - 2.0 * nr * n_t) >= SINGULAR_TOL))
+        pair = identity_checks(t[:, valid], n_vec[:, valid])
+        for lhs, rhs in ((pair.lhs1, pair.rhs1), (pair.lhs2, pair.rhs2)):
+            scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+            worst = float(np.max(np.abs(lhs - rhs) / scale, initial=worst))
+        checked += int(np.count_nonzero(valid))
     passed = worst <= 1e-10
     print(f"identities: max |lhs - rhs| / max(1, |lhs|, |rhs|) {worst:.3e} over "
           f"{checked} pairs (tol 1e-10) {'PASS' if passed else 'FAIL'}", file=out)
@@ -271,20 +278,26 @@ def _verify_identities(rng: np.random.Generator, out) -> bool:
 
 
 def _verify_structure(rng: np.random.Generator, out) -> bool:
-    """det kappa = 1 and kappa21 = 0 over random valid reflection contexts."""
+    """det kappa = 1 and kappa21 = 0 over random valid reflection contexts,
+    drawn in blocks as in _verify_identities.  A draw with tr nr + tz nz >
+    -SINGULAR_TOL, which ReflectionContext or kappa_matrix would reject, is
+    dropped before any object is built; those two judge every other draw."""
     worst_det = 0.0
     worst_k21 = 0.0
     checked = 0
     while checked < 2_000:
-        # blocks of the contexts still needed, as in _verify_identities
         draws = rng.uniform((-math.pi, -math.pi, -0.05, 0.9, -0.01, -0.02),
                             (math.pi, math.pi, 0.05, 1.1, 0.01, 0.02), size=(2_000 - checked, 6))
         for theta, alpha, curvature, n, n_r, n_z in draws.tolist():
-            t = np.array([math.cos(theta), math.sin(theta)])
-            frame = NormalFrame(nr=math.cos(alpha), nz=math.sin(alpha), curvature=curvature)
+            tr, tz = math.cos(theta), math.sin(theta)
+            nr, nz = math.cos(alpha), math.sin(alpha)
+            if tr * nr + tz * nz > -SINGULAR_TOL:
+                continue
+            frame = NormalFrame(nr=nr, nz=nz, curvature=curvature)
             sample = IndexSample(n=n, n_r=n_r, n_z=n_z, n_zz=0.0)
             try:
-                kappa = kappa_matrix(ReflectionContext(t=t, frame=frame, sample=sample))
+                kappa = kappa_matrix(ReflectionContext(t=np.array([tr, tz]), frame=frame,
+                                                       sample=sample))
             except GeometryError:
                 continue
             worst_det = max(worst_det, abs(kappa.det() - 1.0))

@@ -3,10 +3,10 @@
 The variation matrix is, by definition, the Jacobian of the flow map
 (p0, z0) -> (p(r), z(r)).  Everything in here estimates that Jacobian by
 rerunning whole traces with perturbed initial data and centered
-differences.  The perturbed rays march (z, p) alone: they never evaluate
-the variation right-hand side (the K-matrix code) and never apply a jump
-matrix to q, so the estimate does not go through the code it checks.
-Each of their bounces is still judged by the tracer's own reflection
+differences.  The perturbed rays, and ``fd_jacobian``'s central ray,
+march (z, p) alone: they never evaluate the variation right-hand side
+(the K-matrix code) and never apply a jump matrix to q, so the estimate
+does not go through the code it checks.  Each of their bounces is still judged by the tracer's own reflection
 checks, which build the jump matrix, so a perturbed ray ends or bounces
 exactly where the full trace would.  ``verify_kappa`` is the decisive test
 of the boundary jump: it compares the analytically propagated q (with the
@@ -117,14 +117,16 @@ def _centered_jacobian(field_, bath, cfg, z0, p0, h_p, h_z, signature) -> np.nda
     return np.array(cols).T  # rows (p, z), columns (p0, z0)
 
 
-def _central_trace(field_, bath, cfg, r_query):
-    """Query config, launch pulse and central trace up to r_query."""
+def _central_trace(field_, bath, cfg, r_query, *, variations: bool):
+    """Query config, launch pulse and central trace up to r_query; the
+    trace integrates q only with ``variations``."""
     if not cfg.r_start <= r_query <= cfg.r_end:
         raise ValueError(f"r_query = {r_query:g} outside the trace range")
     cfg_q = replace(cfg, r_end=r_query)
     n0 = field_.index_at(cfg.r_start, cfg.z0).n
     p0 = n0 * math.sin(cfg.theta0)
-    return cfg_q, p0, trace_from_pulse(field_, bath, cfg_q, cfg.z0, p0)
+    return cfg_q, p0, trace_from_pulse(field_, bath, cfg_q, cfg.z0, p0,
+                                       variations=variations)
 
 
 def _fd_levels(field_, bath, cfg_q, p0, central, pert):
@@ -153,14 +155,16 @@ def fd_jacobian(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
     """Numerical flow-map Jacobian at r_query via centered differences.
 
     Runs four perturbed traces per Richardson level plus the central one;
-    all must reach r_query with the central ray's bounce sequence.  On a
-    sequence mismatch every level's perturbations are halved together, up
-    to five times, before failing with PerturbationTooLargeError.  The
-    error bar compares the last two levels, so ``pert`` needs at least two.
+    all must reach r_query with the central ray's bounce sequence.  Only
+    endpoints and bounce sequences are read, so every trace, the central
+    one included, is ray-only.  On a sequence mismatch every level's
+    perturbations are halved together, up to five times, before failing
+    with PerturbationTooLargeError.  The error bar compares the last two
+    levels, so ``pert`` needs at least two.
     """
     if pert.richardson_levels < 2:
         raise ValueError("the FD error estimate needs at least 2 Richardson levels")
-    cfg_q, p0, central = _central_trace(field_, bath, cfg, r_query)
+    cfg_q, p0, central = _central_trace(field_, bath, cfg, r_query, variations=False)
     pert, levels = _fd_levels(field_, bath, cfg_q, p0, central, pert)
     error = np.abs(levels[-2] - levels[-1]) * (4.0 / 3.0)
     return JacobianEstimate(matrix=levels[0], error=error, h_p=pert.h_p, h_z=pert.h_z)
@@ -199,7 +203,7 @@ def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
     # Analytic side: an ordinary trace, which integrates dq/dr = Kq and
     # applies the jump matrix at the bounce.  The same trace is the
     # central ray of the numeric side.
-    cfg_q, p0, central = _central_trace(field_, bath, cfg, r_after_bounce)
+    cfg_q, p0, central = _central_trace(field_, bath, cfg, r_after_bounce, variations=True)
     if central.status is not TraceStatus.COMPLETED:
         raise GeometryError(
             f"central ray did not reach {r_after_bounce:g}: {central.status.value}")

@@ -500,10 +500,17 @@ def trace_fan(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
 
 
 def spreading_at(result: TraceResult, r: float) -> SpreadingFactor:
-    """Geometric spreading |q21| linearly interpolated at range r."""
+    """Geometric spreading |q21| linearly interpolated at range r.
+
+    Raises ValueError outside the sampled range and where q21 is NaN, as in
+    a ray-only trace (``variations=False``), which carries no q.
+    """
     rs = result.r
     if not rs[0] <= r <= rs[-1]:
         raise ValueError(f"query range {r:g} outside the sampled trace "
                          f"[{rs[0]:g}, {rs[-1]:g}]")
     value = float(np.interp(r, rs, np.abs(result.samples[:, 5])))
+    if math.isnan(value):
+        raise ValueError(f"q21 is NaN at r = {r:g}: a ray-only trace "
+                         "(variations=False) carries no variation matrix")
     return SpreadingFactor(r=r, value=value)

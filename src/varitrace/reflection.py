@@ -20,8 +20,9 @@ Whether a bounce is valid is decided here and nowhere else.
 ``ReflectionContext`` derives t1 and <t, N> and rejects a ray that is not
 incoming; its ``forward`` test says whether the reflected ray still
 advances in range (t1r > SINGULAR_TOL); ``kappa_matrix`` raises on the
-remaining singular geometries.  The tracer, the kappa scan and the
-verify sweeps ask these and keep no incidence test of their own.
+remaining singular geometries.  The tracer and the kappa scan ask these
+and keep no incidence test of their own; the verify sweeps drop, before
+asking, only draws these would reject.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ def kappa_matrix(ctx: ReflectionContext) -> KappaMatrix:
 
 @dataclass(frozen=True)
 class IdentityPair:
-    """Both sides of the two tangent-ratio identities used in the derivation."""
+    """Both sides of the two tangent-ratio identities used in the derivation:
+    floats for one pair, N-arrays for N stacked pairs."""
 
     lhs1: float
     rhs1: float
@@ -146,13 +148,17 @@ def identity_checks(t, n_vec) -> IdentityPair:
 
     The second identity is 1 + (tr Nz / <t,N>) (t1z/t1r - tz/tr) == -tr/t1r.
     Both hold for any unit t, N with tr, t1r and <t, N> nonzero.
+
+    ``t`` and ``n_vec`` may also be (2, N) arrays of N stacked pairs: each
+    side is then an N-array, bit for bit the scalar result per column, and
+    any singular column raises.
     """
-    tr, tz = float(t[0]), float(t[1])
-    nr, nz = float(n_vec[0]), float(n_vec[1])
+    (tr, tz), (nr, nz) = np.asarray(t, dtype=float), np.asarray(n_vec, dtype=float)
     n_t = tr * nr + tz * nz
     t1r = tr - 2.0 * nr * n_t
     t1z = tz - 2.0 * nz * n_t
-    if abs(tr) < SINGULAR_TOL or abs(t1r) < SINGULAR_TOL or abs(n_t) < SINGULAR_TOL:
+    if np.any((np.abs(tr) < SINGULAR_TOL) | (np.abs(t1r) < SINGULAR_TOL)
+              | (np.abs(n_t) < SINGULAR_TOL)):
         raise SingularReflectionError("identity expressions are singular for this geometry")
     lhs1 = 1.0 - 2.0 * nz * nz + 2.0 * nz * nr * tz / tr
     rhs1 = -t1r / tr

@@ -417,8 +417,10 @@ class TestVerifyCommand:
         import varitrace.cli as cli
 
         original = cli.identity_checks
+        shapes = []
 
         def flipped(t, n_vec):
+            shapes.append(np.shape(t))
             (tr, tz), (nr, nz) = t, n_vec
             pair = original(t, n_vec)
             return replace(pair, lhs1=1.0 - 2.0 * nz * nz - 2.0 * nz * nr * tz / tr)
@@ -426,6 +428,8 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "identity_checks", flipped)
         cfg = write_cfg(tmp_path, "[verify]\npreset = arc-homogeneous\n")
         assert main(["verify", "--config", cfg]) == 1
+        # the sweep passes whole blocks: the wrapper flips every column
+        assert shapes and all(len(shape) == 2 and shape[0] == 2 for shape in shapes)
         out = capsys.readouterr().out
         assert [line for line in out.splitlines()
                 if line.startswith("identities:") and line.endswith("FAIL")]
@@ -547,6 +551,80 @@ class TestBlockDrawnSweeps:
             states.append(rng.bit_generator.state)
         assert lines[0] == lines[1]
         assert states[0] == states[1]
+
+
+class TestSweepPrefilters:
+    """The sweeps drop draws before the reflection code sees them.  Every
+    dropped draw is one that code rejects, and the identity sweep passes on
+    exactly the pairs it accepts."""
+
+    @staticmethod
+    def replay(seed, low, high, reached):
+        """Walk the seeded draw stream up to the last draw the sweep passed
+        on; yield (draw, whether the sweep passed it on)."""
+        draws = np.random.default_rng(seed).uniform(low, high, size=(30_000, len(low)))
+        j = 0
+        for draw in draws.tolist():
+            if j == len(reached):
+                return
+            theta, alpha = draw[:2]
+            key = (math.cos(theta), math.sin(theta), math.cos(alpha), math.sin(alpha))
+            passed = key == reached[j]
+            j += passed
+            yield draw, passed
+        raise AssertionError("the sweep passed on draws outside the replayed stream")
+
+    @pytest.mark.parametrize("seed", [0, 1, 653457016])
+    def test_identity_mask_drops_exactly_the_rejected_pairs(self, monkeypatch, seed):
+        import varitrace.cli as cli
+
+        reached = []
+
+        def recording(t, n_vec):
+            reached.extend(zip(*t.tolist(), *n_vec.tolist()))
+            return identity_checks(t, n_vec)
+
+        monkeypatch.setattr(cli, "identity_checks", recording)
+        assert cli._verify_identities(np.random.default_rng(seed), io.StringIO())
+        assert len(reached) == 10_000
+        stream = self.replay(seed, (-math.pi, -math.pi), (math.pi, math.pi), reached)
+        for (theta, alpha), passed in stream:
+            t = np.array([math.cos(theta), math.sin(theta)])
+            n_vec = np.array([math.cos(alpha), math.sin(alpha)])
+            try:
+                reflect_direction(t, n_vec)
+                identity_checks(t, n_vec)
+            except GeometryError:
+                assert not passed
+            else:
+                assert passed
+
+    @pytest.mark.parametrize("seed", [0, 1, 653457016])
+    def test_structure_prefilter_drops_only_rejected_contexts(self, monkeypatch, seed):
+        import varitrace.cli as cli
+
+        reached = []
+
+        def recording(t, frame, sample):
+            reached.append((*t.tolist(), frame.nr, frame.nz))
+            return ReflectionContext(t=t, frame=frame, sample=sample)
+
+        monkeypatch.setattr(cli, "ReflectionContext", recording)
+        assert cli._verify_structure(np.random.default_rng(seed), io.StringIO())
+        low = (-math.pi, -math.pi, -0.05, 0.9, -0.01, -0.02)
+        high = (math.pi, math.pi, 0.05, 1.1, 0.01, 0.02)
+        dropped = 0
+        for draw, passed in self.replay(seed, low, high, reached):
+            if passed:
+                continue
+            dropped += 1
+            theta, alpha, curvature, n, n_r, n_z = draw
+            frame = NormalFrame(nr=math.cos(alpha), nz=math.sin(alpha), curvature=curvature)
+            with pytest.raises(GeometryError):
+                kappa_matrix(ReflectionContext(
+                    t=np.array([math.cos(theta), math.sin(theta)]), frame=frame,
+                    sample=IndexSample(n=n, n_r=n_r, n_z=n_z, n_zz=0.0)))
+        assert dropped > 1000
 
 
 class TestParserBuiltOnce:

@@ -127,6 +127,39 @@ class TestFdJacobian:
         with pytest.raises(ValueError, match="2 Richardson levels"):
             fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation(richardson_levels=1), 100.0)
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_trace_is_ray_only(self, monkeypatch, name):
+        """fd_jacobian reads endpoints and bounce sequences only, so its
+        central ray is ray-only like the perturbed ones: 1 + 4 * 2 traces
+        at the defaults, none integrating q.  The estimate is, bit for bit,
+        the one made about a central ray that integrates q."""
+        import varitrace.oracle as oracle
+
+        sc = preset(name)
+        calls = []
+        original = oracle.trace_from_pulse
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["variations"])
+            return original(*args, **kwargs)
+
+        def full_central(*args, **kwargs):
+            first = not calls
+            calls.append(kwargs["variations"])
+            return original(*args, **{**kwargs, "variations": kwargs["variations"] or first})
+
+        estimates = []
+        for wrapper in (counted, full_central):
+            calls.clear()
+            monkeypatch.setattr(oracle, "trace_from_pulse", wrapper)
+            estimates.append(fd_jacobian(sc.field, sc.bath, sc.cfg, BeamPerturbation(),
+                                         sc.r_after_bounce))
+            assert calls == [False] * 9
+        ray_only, full = estimates
+        assert ray_only.matrix.tobytes() == full.matrix.tobytes()
+        assert ray_only.error.tobytes() == full.error.tobytes()
+        assert (ray_only.h_p, ray_only.h_z) == (full.h_p, full.h_z)
+
 
 class TestVerifyKappa:
     def test_flat_linear_accuracy_and_convergence(self):

@@ -207,6 +207,21 @@ class TestSpreading:
         with pytest.raises(ValueError):
             spreading_at(res, 1500.0)
 
+    def test_ray_only_trace_has_no_spreading(self):
+        """A ray-only trace carries NaN q columns; asking it for |q21|
+        raises instead of returning NaN."""
+        cfg = TraceConfig(r_start=0.0, r_end=2000.0, z0=1000.0,
+                          theta0=math.radians(5.0), dr=10.0)
+        field = MunkField()
+        p0 = field.index_at(0.0, 1000.0).n * math.sin(cfg.theta0)
+        res = trace_from_pulse(field, FlatBottom(5000.0), cfg, cfg.z0, p0,
+                               variations=False)
+        assert res.status is TraceStatus.COMPLETED
+        with pytest.raises(ValueError, match="ray-only"):
+            spreading_at(res, 1000.0)
+        full = trace_from_pulse(field, FlatBottom(5000.0), cfg, cfg.z0, p0)
+        assert spreading_at(full, 1000.0).value > 0.0
+
 
 class TestStatuses:
     def test_steep_ray_in_strong_gradient(self):

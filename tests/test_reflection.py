@@ -256,3 +256,45 @@ class TestIdentities:
     def test_singular_raises(self):
         with pytest.raises(SingularReflectionError):
             identity_checks([0.0, 1.0], [0.0, -1.0])
+
+    # (theta, alpha) of the draw of verify seed 1715831031 whose reflected
+    # ray is near vertical: t = (-0.99495, 0.10040), N = (0.67067, -0.74175),
+    # |t1r| = 1.4e-6 and the second identity's sides about -7.0e5
+    NEAR_VERTICAL = (3.041026216555264, -0.8356820892232277)
+
+    def test_stacked_columns_match_scalar_calls(self):
+        """On (2, N) arrays every side equals, bit for bit, that of the
+        scalar call on its column, incoming and outgoing pairs alike."""
+        rng = np.random.default_rng(59)
+        angles = rng.uniform(-math.pi, math.pi, size=(2000, 2)).tolist()
+        columns, singles = [], []
+        for theta, alpha in angles + [self.NEAR_VERTICAL]:
+            t = (math.cos(theta), math.sin(theta))
+            n_vec = (math.cos(alpha), math.sin(alpha))
+            try:
+                single = identity_checks(np.array(t), np.array(n_vec))
+            except SingularReflectionError:
+                continue
+            columns.append(t + n_vec)
+            singles.append((single.lhs1, single.rhs1, single.lhs2, single.rhs2))
+        tr, tz, nr, nz = np.array(columns).T
+        stacked = identity_checks(np.array([tr, tz]), np.array([nr, nz]))
+        assert len(singles) > 1900 and abs(singles[-1][2]) > 7e5
+        sides = np.array([stacked.lhs1, stacked.rhs1, stacked.lhs2, stacked.rhs2])
+        assert sides.T.tobytes() == np.array(singles).tobytes()
+
+    SINGULAR_COLUMNS = [
+        ((0.0, 1.0), (0.0, -1.0)),  # vertical incident ray
+        ((1.0, 0.0), (0.0, -1.0)),  # tangential hit
+        ((0.6, 0.8), (-1.0 / math.sqrt(10.0), -3.0 / math.sqrt(10.0))),  # t1 = (0, -1)
+    ]
+
+    @pytest.mark.parametrize("bad", SINGULAR_COLUMNS)
+    @pytest.mark.parametrize("where", [0, 3, 7])
+    def test_any_singular_column_raises(self, bad, where):
+        rng = np.random.default_rng(5)
+        columns = [np.concatenate(random_incoming_pair(rng)) for _ in range(8)]
+        identity_checks(*np.split(np.array(columns).T, 2))
+        columns[where] = np.concatenate(bad)
+        with pytest.raises(SingularReflectionError):
+            identity_checks(*np.split(np.array(columns).T, 2))
