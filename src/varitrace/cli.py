@@ -164,14 +164,14 @@ def scan_kappa(theta_deg: float, alpha_deg: float, curvature: float,
     """
     theta = math.radians(theta_deg)
     alpha = math.radians(alpha_deg)
-    t = np.array([math.cos(theta), math.sin(theta)])
+    tr, tz = math.cos(theta), math.sin(theta)
     nr, nz = math.cos(alpha), math.sin(alpha)
-    if t[0] * nr + t[1] * nz > 0.0:
+    if tr * nr + tz * nz > 0.0:
         nr, nz, curvature = -nr, -nz, -curvature
     frame = NormalFrame(nr=nr, nz=nz, curvature=curvature)
     sample = IndexSample(n=n, n_r=n_r, n_z=n_z, n_zz=0.0)
     try:
-        ctx = ReflectionContext(t=t, frame=frame, sample=sample)
+        ctx = ReflectionContext(t=(tr, tz), frame=frame, sample=sample)
         if not ctx.forward:
             return None
         kappa = kappa_matrix(ctx)
@@ -184,7 +184,11 @@ def cmd_kappa_scan(run: RunConfig, out, seed: int | None) -> int:
     sec = run.section("kappa_scan", required=False)
     sec.check_keys({"theta_deg", "alpha_min_deg", "alpha_max_deg", "alpha_step_deg",
                     "curvature", "n", "n_z", "n_r"})
-    thetas = sec.get_float_list("theta_deg") or DEFAULT_SCAN_THETAS
+    thetas = sec.get_float_list("theta_deg")
+    if thetas is None:
+        thetas = DEFAULT_SCAN_THETAS
+    elif not thetas:
+        raise ConfigError("[kappa_scan] theta_deg list is empty")
     alpha_min = sec.get_float("alpha_min_deg", 0.0)
     alpha_max = sec.get_float("alpha_max_deg", 180.0)
     alpha_step = sec.get_float("alpha_step_deg", 1.0)
@@ -250,9 +254,8 @@ def _verify_identities(rng: np.random.Generator, out) -> bool:
     the sides reach about 1e6, where 1e-10 absolute is below one ulp.
 
     Each block of draws drops the pairs reflect_direction or identity_checks
-    would reject (<t, N>, written out, above -SINGULAR_TOL, a margin no
-    rounding of it can cross, or |tr| or |t1r| below SINGULAR_TOL), then
-    makes one array call of identity_checks.
+    would reject (<t, N> above -SINGULAR_TOL, or |tr| or |t1r| below
+    SINGULAR_TOL), then makes one array call of identity_checks.
     """
     worst = 0.0
     checked = 0
@@ -296,8 +299,7 @@ def _verify_structure(rng: np.random.Generator, out) -> bool:
             frame = NormalFrame(nr=nr, nz=nz, curvature=curvature)
             sample = IndexSample(n=n, n_r=n_r, n_z=n_z, n_zz=0.0)
             try:
-                kappa = kappa_matrix(ReflectionContext(t=np.array([tr, tz]), frame=frame,
-                                                       sample=sample))
+                kappa = kappa_matrix(ReflectionContext(t=(tr, tz), frame=frame, sample=sample))
             except GeometryError:
                 continue
             worst_det = max(worst_det, abs(kappa.det() - 1.0))

@@ -91,9 +91,6 @@ class NormalFrame:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"normal must be unit length, got |N| = {norm!r}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.nr, self.nz])
-
 
 @dataclass(frozen=True)
 class BottomSample:

@@ -388,8 +388,8 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
         raise ValueError("source on the free surface must launch downward")
     if z0 == z_bottom:
         tz0 = p0 / s.n
-        t0 = np.array([math.sqrt(max(0.0, 1.0 - tz0 * tz0)), tz0])
-        if float(t0 @ bath.bottom_at(cfg.r_start).frame.as_array()) <= 0.0:
+        frame = bath.bottom_at(cfg.r_start).frame
+        if math.sqrt(max(0.0, 1.0 - tz0 * tz0)) * frame.nr + tz0 * frame.nz <= 0.0:
             raise ValueError("source on the bottom must launch into the water")
 
     # s is always the index sample at (r, z), the next step's k1 sample.
@@ -420,71 +420,59 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             r += h
             z, p = z_end, p_end
             s = field_.index_at(r, z)
-            rows.append((r, z, p, *q))
-            ns.append(s.n)
-            if abs(p) >= s.n * cutoff_sin:
-                status = TraceStatus.STEEP_RAY
-                break
-            continue
-
-        h_hit, boundary, p_hit, stages, converged = hit
-        if variations:
-            q = _variation_step(stages, q, h_hit)
-        unconverged += not converged
-        r_hit = r + h_hit
-        try:
-            if boundary == SURFACE:
-                frame = surface_frame()
-                z_hit = 0.0
-            else:
-                bottom = bath.bottom_at(r_hit)
-                frame = bottom.frame
-                z_hit = bottom.z_b
-            s = field_.index_at(r_hit, z_hit)
-        except DomainError:
-            status = TraceStatus.DOMAIN_EXIT
-            break
-
-        tz = p_hit / s.n
-        if abs(tz) >= 1.0:
-            status = TraceStatus.STEEP_RAY
         else:
-            t = np.array([math.sqrt(1.0 - tz * tz), tz])
+            h_hit, boundary, p, stages, converged = hit
+            if variations:
+                q = _variation_step(stages, q, h_hit)
+            unconverged += not converged
+            r += h_hit
             try:
-                ctx = ReflectionContext(t=t, frame=frame, sample=s)
-                if not ctx.forward:
-                    status = TraceStatus.BACKSCATTERED
-                elif len(bounces) >= cfg.max_bounces:
-                    status = TraceStatus.MAX_BOUNCES
+                if boundary == SURFACE:
+                    frame, z = surface_frame(), 0.0
                 else:
-                    kappa = kappa_matrix(ctx)
-            except GeometryError:
-                # A non-incoming ray, or a SingularReflectionError such as
-                # a tangential contact: the jump matrix diverges and the
-                # range-marching picture ends here.
-                status = TraceStatus.BACKSCATTERED
-        if status is not TraceStatus.COMPLETED:
-            rows.append((r_hit, z_hit, p_hit, *q))
-            ns.append(s.n)
-            break
+                    bottom = bath.bottom_at(r)
+                    frame, z = bottom.frame, bottom.z_b
+                s = field_.index_at(r, z)
+            except DomainError:
+                status = TraceStatus.DOMAIN_EXIT
+                break
+            tz = p / s.n
+            if abs(tz) >= 1.0:
+                status = TraceStatus.STEEP_RAY
+            else:
+                tr = math.sqrt(1.0 - tz * tz)
+                try:
+                    ctx = ReflectionContext(t=(tr, tz), frame=frame, sample=s)
+                    if not ctx.forward:
+                        status = TraceStatus.BACKSCATTERED
+                    elif len(bounces) >= cfg.max_bounces:
+                        status = TraceStatus.MAX_BOUNCES
+                    else:
+                        kappa = kappa_matrix(ctx)
+                except GeometryError:
+                    # A non-incoming ray, or a SingularReflectionError such
+                    # as a tangential contact: the jump matrix diverges and
+                    # the range-marching picture ends here.
+                    status = TraceStatus.BACKSCATTERED
+            # A bounce that ends the trace keeps its incident p and q in the last row.
+            if status is TraceStatus.COMPLETED:
+                bounces.append(BounceRecord(r=r, z=z, boundary=boundary,
+                                            theta_incident=math.atan2(tz, tr), kappa=kappa))
+                p = s.n * ctx.t1[1]
+                if variations:
+                    q11, q12, q21, q22 = q
+                    q = (
+                        kappa.k11 * q11 + kappa.k12 * q21,
+                        kappa.k11 * q12 + kappa.k12 * q22,
+                        kappa.k22 * q21,
+                        kappa.k22 * q22,
+                    )
 
-        p1 = s.n * float(ctx.t1[1])
-        theta_inc = math.atan2(tz, float(t[0]))
-        bounces.append(BounceRecord(r=r_hit, z=z_hit, boundary=boundary,
-                                    theta_incident=theta_inc, kappa=kappa))
-
-        if variations:
-            q11, q12, q21, q22 = q
-            q = (
-                kappa.k11 * q11 + kappa.k12 * q21,
-                kappa.k11 * q12 + kappa.k12 * q22,
-                kappa.k22 * q21,
-                kappa.k22 * q22,
-            )
-        r, z, p = r_hit, z_hit, p1
         rows.append((r, z, p, *q))
         ns.append(s.n)
-        if abs(p1) >= s.n * cutoff_sin:
+        if status is not TraceStatus.COMPLETED:
+            break
+        if abs(p) >= s.n * cutoff_sin:
             status = TraceStatus.STEEP_RAY
             break
 

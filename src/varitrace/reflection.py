@@ -23,6 +23,11 @@ advances in range (t1r > SINGULAR_TOL); ``kappa_matrix`` raises on the
 remaining singular geometries.  The tracer and the kappa scan ask these
 and keep no incidence test of their own; the verify sweeps drop, before
 asking, only draws these would reject.
+
+The mirror law is written out in plain floats, with one <t, N> = tr nr +
+tz nz, never handed to a BLAS dot product, whose last bit depends on the
+kernel picked for the CPU, so bounce results do not depend on the BLAS
+build.
 """
 
 from __future__ import annotations
@@ -48,18 +53,23 @@ __all__ = [
 SINGULAR_TOL = 1e-6
 
 
-def reflect_direction(t, n_vec) -> np.ndarray:
-    """Specular mirror law t1 = t - 2 N <t, N> for unit vectors t, N."""
-    t = np.asarray(t, dtype=float)
-    n_vec = np.asarray(n_vec, dtype=float)
-    if abs(t[0] ** 2 + t[1] ** 2 - 1.0) > 1e-9:
-        raise GeometryError(f"incident direction is not unit length: {t}")
-    if abs(n_vec[0] ** 2 + n_vec[1] ** 2 - 1.0) > 1e-9:
-        raise GeometryError(f"normal is not unit length: {n_vec}")
-    n_t = float(t @ n_vec)
+def _mirror(tr: float, tz: float, nr: float, nz: float) -> tuple[float, tuple]:
+    """The checked mirror law: (<t, N>, (t1r, t1z)) for a unit incident t."""
+    if abs(tr * tr + tz * tz - 1.0) > 1e-9:
+        raise GeometryError(f"incident direction is not unit length: ({tr!r}, {tz!r})")
+    n_t = tr * nr + tz * nz
     if n_t >= 0.0:
         raise GeometryError(f"ray is not incoming: <t, N> = {n_t:g} >= 0")
-    return t - 2.0 * n_t * n_vec
+    return n_t, (tr - 2.0 * n_t * nr, tz - 2.0 * n_t * nz)
+
+
+def reflect_direction(t, n_vec) -> tuple[float, float]:
+    """Specular mirror law t1 = t - 2 N <t, N> for unit vectors t, N, as
+    the float pair (t1r, t1z)."""
+    nr, nz = map(float, n_vec)
+    if abs(nr * nr + nz * nz - 1.0) > 1e-9:
+        raise GeometryError(f"normal is not unit length: ({nr!r}, {nz!r})")
+    return _mirror(*map(float, t), nr, nz)[1]
 
 
 @dataclass(frozen=True)
@@ -68,26 +78,27 @@ class ReflectionContext:
 
     ``t`` is the incident unit tangent (cos theta, sin theta), ``frame``
     the boundary normal frame and ``sample`` the local index sample.  The
-    reflected tangent and <t, N> are derived on construction; a
-    non-incoming ray (<t, N> >= 0) is rejected.  ``forward`` is the one
-    test of whether the reflected ray still advances in range.
+    reflected tangent ``t1`` and ``n_t`` = <t, N> are derived on
+    construction, as floats; a non-incoming ray (<t, N> >= 0) is rejected.
+    ``forward`` is the one test of whether the reflected ray still
+    advances in range.
     """
 
-    t: np.ndarray
+    t: tuple[float, float]
     frame: NormalFrame
     sample: IndexSample
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        object.__setattr__(self, "t", t)
-        # reflect_direction re-validates unit length and incidence
-        object.__setattr__(self, "t1", reflect_direction(t, self.frame.as_array()))
-        object.__setattr__(self, "n_t", float(t[0] * self.frame.nr + t[1] * self.frame.nz))
+        tr, tz = map(float, self.t)
+        n_t, t1 = _mirror(tr, tz, self.frame.nr, self.frame.nz)
+        object.__setattr__(self, "t", (tr, tz))
+        object.__setattr__(self, "t1", t1)
+        object.__setattr__(self, "n_t", n_t)
 
     @property
     def forward(self) -> bool:
         """Whether the reflected ray keeps advancing in range."""
-        return float(self.t1[0]) > SINGULAR_TOL
+        return self.t1[0] > SINGULAR_TOL
 
 
 @dataclass(frozen=True)
@@ -98,9 +109,6 @@ class KappaMatrix:
     k12: float
     k22: float
     k21: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.k11, self.k12], [self.k21, self.k22]])
 
     def det(self) -> float:
         return self.k11 * self.k22 - self.k12 * self.k21
@@ -114,9 +122,7 @@ def kappa_matrix(ctx: ReflectionContext) -> KappaMatrix:
     described in the module docstring.  Vertical incident or reflected
     rays and tangential hits are genuine singularities and raise.
     """
-    tr = float(ctx.t[0])
-    t1r = float(ctx.t1[0])
-    n_t = ctx.n_t
+    tr, t1r, n_t = ctx.t[0], ctx.t1[0], ctx.n_t
     if abs(tr) < SINGULAR_TOL:
         raise SingularReflectionError(f"incident ray is vertical (tr = {tr:g})")
     if abs(t1r) < SINGULAR_TOL:

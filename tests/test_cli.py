@@ -340,6 +340,13 @@ n_r = 0.0
                 tz = math.sin(math.radians(float(r[0])))
                 assert float(r[3]) == pytest.approx(2.0 * 0.01 / tz, abs=1e-12)
 
+    def test_empty_theta_list_is_usage_error(self, tmp_path, capsys):
+        """An empty list is an error, not the default angles."""
+        cfg = write_cfg(tmp_path, self.SCAN_CFG.replace("[kappa_scan]\n",
+                                                        "[kappa_scan]\ntheta_deg =\n"))
+        assert main(["kappa-scan", "--config", cfg]) == 2
+        assert "theta_deg list is empty" in capsys.readouterr().err
+
     def test_backward_reflection_flagged_invalid(self):
         # theta = 0 against a steep wall reflects backward: t1r <= 0
         assert scan_kappa(0.0, 150.0, 0.0, 1.0, 0.01, 0.0) is None
@@ -606,7 +613,7 @@ class TestSweepPrefilters:
         reached = []
 
         def recording(t, frame, sample):
-            reached.append((*t.tolist(), frame.nr, frame.nz))
+            reached.append((*t, frame.nr, frame.nz))
             return ReflectionContext(t=t, frame=frame, sample=sample)
 
         monkeypatch.setattr(cli, "ReflectionContext", recording)

@@ -339,6 +339,6 @@ class TestIdentitiesAtBouncePoints:
                          else surface_frame())
                 t_vec = np.array([math.cos(b.theta_incident),
                                   math.sin(b.theta_incident)])
-                pair = identity_checks(t_vec, frame.as_array())
+                pair = identity_checks(t_vec, (frame.nr, frame.nz))
                 assert abs(pair.lhs1 - pair.rhs1) < 1e-12
                 assert abs(pair.lhs2 - pair.rhs2) < 1e-12

@@ -1,11 +1,19 @@
 """Output bytes pinned by SHA-256 digest.
 
-The digests were recorded before the integrator's ray and variation parts
-were split (verify seeds 0 and 653457016: before the verify sweeps were
-evaluated as array blocks), so a later change that should leave output
-unchanged is checked against fixed bytes, not against a rerun of itself.  They hold on
-x86-64 Linux (glibc libm); a platform whose libm rounds differently in the
-last place may need its own record.
+Each digest was recorded once and is checked against fixed bytes, not
+against a rerun of the code under test, so a change that should leave
+output unchanged shows when it does not.  The verify digests were
+recorded before the integrator's ray and variation parts were split
+(seeds 0 and 653457016: before the verify sweeps were evaluated as array
+blocks).  The README trace and fan digests were re-pinned when the
+mirror law's <t, N> became the written-out tr nr + tz nz on every bounce
+path instead of a BLAS dot product, whose last bit depended on the
+kernel the BLAS build picks for the CPU; p and theta moved by at most
+1.5e-11 relative and the entries of q by 2e-12.  Since then no output
+byte depends on the BLAS kernel.  The README kappa-scan digest was
+recorded at that change.  The digests hold on x86-64 Linux (glibc libm);
+a platform whose libm rounds differently in the last place may need its
+own record.
 """
 
 import contextlib
@@ -58,9 +66,23 @@ angles_deg = -14, -7, 0, 7, 14
 # or: theta_min_deg / theta_max_deg / count
 """
 
+# The README "Boundary-jump sweep" example, comments included.
+README_SCAN_CFG = """\
+[kappa_scan]
+theta_deg = -80, -60, -30, 30, 60, 80   # default: -80..80 step 10
+alpha_min_deg = 0
+alpha_max_deg = 180
+alpha_step_deg = 1.0
+curvature = 0.02      # 1/m
+n = 1.0
+n_z = 0.01            # 1/m
+n_r = 0.0             # 1/m
+"""
+
 FILE_DIGESTS = {
-    "trace": "cefdc5f244f56af1156eb2da5598a692d51e7eeab466cb23051585d55d996afc",
-    "fan": "0cbdce7c57eda657aa1b2dfdd505999b16c770e5d712bc771b0a98f073c272d6",
+    "trace": "40cae301bfad341b6f213c4b7a11e3d79b75cdcf9814b9a7222e28788eda2664",
+    "fan": "f991ef100b3cc28a76450b3a3d4e4deac388d1b903c082744e085c7cb25090ee",
+    "kappa-scan": "1f8a1d53b46e964ffc11af27a7f77b83b6a9b62f00499a84ea894608436ea769",
 }
 
 VERIFY_DIGESTS = {
@@ -77,9 +99,10 @@ def sha256(data: bytes) -> str:
 
 @pytest.mark.parametrize("command", FILE_DIGESTS)
 def test_readme_csv_bytes(tmp_path, command):
-    """README trace (1,503 samples, 3 bounces) and its 5-angle fan."""
+    """README trace (1,503 samples, 3 bounces), its 5-angle fan and the
+    README kappa scan (6 angles x 181 normals)."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(README_CFG)
+    cfg.write_text(README_SCAN_CFG if command == "kappa-scan" else README_CFG)
     out = tmp_path / "out.csv"
     assert main([command, "--config", str(cfg), "--output", str(out)]) == 0
     assert sha256(out.read_bytes()) == FILE_DIGESTS[command]

@@ -1,6 +1,7 @@
 """Package-surface guard: no test hooks or mutable globals in the modules,
 every exported name exists, scipy loads only to fit a range-dependent
-sound-speed grid, and the README's library example runs as written."""
+sound-speed grid, no module uses the matrix-product operator, and the
+README's library example runs as written."""
 
 import ast
 import importlib
@@ -88,6 +89,15 @@ def test_scipy_imported_only_inside_functions(path):
         if any(name.split(".")[0] == "scipy" for name in names):
             assert id(node) in in_functions, (
                 f"{path.name}:{node.lineno}: scipy imported at module level")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_matrix_product_operator(path):
+    """No ``@``: a BLAS product rounds as the kernel picked for the CPU
+    does, so output bytes would depend on the BLAS build."""
+    for node in ast.walk(parse(path)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            assert not isinstance(node.op, ast.MatMult), f"{path.name}:{node.lineno}: @"
 
 
 ANALYTIC_CFG = """\
