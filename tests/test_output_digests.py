@@ -11,18 +11,26 @@ path instead of a BLAS dot product, whose last bit depended on the
 kernel the BLAS build picks for the CPU; p and theta moved by at most
 1.5e-11 relative and the entries of q by 2e-12.  Since then no output
 byte depends on the BLAS kernel.  The README kappa-scan digest was
-recorded at that change.  The digests hold on x86-64 Linux (glibc libm);
-a platform whose libm rounds differently in the last place may need its
-own record.
+recorded at that change.  The shallow-fan, gradient-slope and 2D gridded
+digests were recorded before the scalar RK4 path was flattened (plain
+index tuples, the ray right-hand side written into the step).  The
+digests hold on x86-64 Linux (glibc libm); a platform whose libm rounds
+differently in the last place may need its own record.
 """
 
 import contextlib
 import hashlib
 import io
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from varitrace import FlatBottom, GriddedField, TraceConfig, trace_fan
 from varitrace.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 # The README "Example configuration", comments included: its bytes are
 # hashed into the "# config:" metadata line.
@@ -85,6 +93,43 @@ FILE_DIGESTS = {
     "kappa-scan": "1f8a1d53b46e964ffc11af27a7f77b83b6a9b62f00499a84ea894608436ea769",
 }
 
+# A linear-gradient field over a sloping bottom, a fan of 5 rays with
+# surface and bottom bounces.
+GRADIENT_SLOPE_CFG = """\
+[environment]
+kind = linear-gradient
+c_surface = 1500.0
+gradient = 2e-4
+
+[bathymetry]
+kind = linear-slope
+depth0 = 300.0
+slope = -0.02
+
+[trace]
+r_start = 0.0
+r_end = 6000.0
+z0 = 120.0
+theta0_deg = 10.0
+dr = 5.0
+
+[fan]
+angles_deg = -20, -10, 0.5, 10, 20
+"""
+
+# CSV outputs of configs other than the README's: the shallow fan reads a
+# 1D gridded profile and a piecewise bottom from data/shallow_fan (an
+# 11-ray version of the benchmark's seed-1 shallow-fan input).
+CONFIG_DIGESTS = {
+    "shallow-fan": "2dd62634e357d4d397886cadf55693527fbeebfbc0d5fc84050cc9722f78e116",
+    "gradient-slope": "145664ef64b694308f690a6f97816fdcc5521f6dec2136fb0f0359c19dc2e488",
+}
+
+# r, z, p, q and n of a fan through a range-dependent gridded field (the
+# library API: the config file offers only 1D profiles), hashed as float64
+# bytes.
+GRIDDED_2D_DIGEST = "986cf8892c6af4fea997362594a51e5f97e5550b4c5208614579eff75444d13f"
+
 VERIFY_DIGESTS = {
     0: "a019bba346b0803db8ea9adf27d6dfa6e511143cde795db1aefb34dae71a3628",
     7: "598c5b35eb009c788b735cdc5611aec1edc1e38cbcfeab6438d06987d354b0ce",
@@ -116,3 +161,30 @@ def test_verify_all_stdout_bytes(tmp_path, seed):
     with contextlib.redirect_stdout(stdout):
         assert main(["verify", "--config", str(cfg), "--seed", str(seed)]) == 0
     assert sha256(stdout.getvalue().encode()) == VERIFY_DIGESTS[seed]
+
+
+def test_config_csv_bytes(tmp_path):
+    cfgs = {"shallow-fan": DATA / "shallow_fan" / "fan.cfg",
+            "gradient-slope": tmp_path / "gradient.cfg"}
+    cfgs["gradient-slope"].write_text(GRADIENT_SLOPE_CFG)
+    for name, cfg in cfgs.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(["fan", "--config", str(cfg), "--output", str(out)]) == 0
+        assert sha256(out.read_bytes()) == CONFIG_DIGESTS[name], name
+
+
+def test_range_dependent_gridded_fan_bytes():
+    ranges = np.linspace(-100.0, 4_100.0, 8)
+    depths = np.linspace(-20.0, 260.0, 15)
+    c = (1510.0 - 0.06 * depths[None, :] + 3e-4 * depths[None, :] ** 2
+         + 4.0 * np.sin(ranges[:, None] / 900.0) * np.exp(-depths[None, :] / 120.0))
+    field = GriddedField(depths, c, ranges=ranges)
+    cfg = TraceConfig(r_start=0.0, r_end=4_000.0, z0=60.0, theta0=0.0, dr=8.0)
+    results = trace_fan(field, FlatBottom(220.0), cfg,
+                        [math.radians(a) for a in (-12.0, -5.0, 7.0, 11.0)])
+    assert all(res.bounces for res in results)
+    digest = hashlib.sha256()
+    for res in results:
+        digest.update(res.samples.tobytes())
+        digest.update(res.n.tobytes())
+    assert digest.hexdigest() == GRIDDED_2D_DIGEST
