@@ -67,8 +67,8 @@ class IndexSample(NamedTuple):
     """Refractive index and its partial derivatives at one point.
 
     ``n`` is dimensionless, ``n_r`` and ``n_z`` are 1/m, ``n_zz`` is 1/m^2.
-    A named tuple: immutable, cheap to build on every right-hand-side
-    evaluation, and unpackable as ``n, n_r, n_z, n_zz``.
+    The named form of the plain tuple :meth:`SoundSpeedField.index_at`
+    returns; every reader unpacks or indexes a sample, so either may pass.
     """
 
     n: float
@@ -226,8 +226,10 @@ class SoundSpeedField(ABC):
         """Sound speed c(r, z) in m/s."""
 
     @abstractmethod
-    def index_at(self, r: float, z: float) -> IndexSample:
-        """Index n and partials (n_r, n_z, n_zz) at (r, z)."""
+    def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
+        """Index n and partials as the plain tuple (n, n_r, n_z, n_zz) at
+        (r, z): built at every RK4 stage, where an :class:`IndexSample`
+        costs about ten times as much.  Readers unpack or index it."""
 
 
 class ConstantField(SoundSpeedField):
@@ -245,8 +247,8 @@ class ConstantField(SoundSpeedField):
     def sound_speed(self, r: float, z: float) -> float:
         return self.c
 
-    def index_at(self, r: float, z: float) -> IndexSample:
-        return IndexSample(self._n, 0.0, 0.0, 0.0)
+    def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
+        return self._n, 0.0, 0.0, 0.0
 
 
 class LinearGradientField(SoundSpeedField):
@@ -272,7 +274,7 @@ class LinearGradientField(SoundSpeedField):
             raise DomainError("sound speed not positive at this depth", "z", z)
         return self.c_surface * f
 
-    def index_at(self, r: float, z: float) -> IndexSample:
+    def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
         g = self.gradient
         f = 1.0 - g * z
         if f <= 0.0:
@@ -281,7 +283,7 @@ class LinearGradientField(SoundSpeedField):
         n = n0 / f
         n_z = n0 * g / f**2
         n_zz = 2.0 * n0 * g * g / f**3
-        return IndexSample(n, 0.0, n_z, n_zz)
+        return n, 0.0, n_z, n_zz
 
 
 class MunkField(SoundSpeedField):
@@ -305,15 +307,12 @@ class MunkField(SoundSpeedField):
         self.scale_depth = float(scale_depth)
         self.epsilon = float(epsilon)
 
-    def _eta(self, z: float) -> float:
-        return 2.0 * (z - self.z_axis) / self.scale_depth
-
     def sound_speed(self, r: float, z: float) -> float:
-        eta = self._eta(z)
+        eta = 2.0 * (z - self.z_axis) / self.scale_depth
         return self.c_axis * (1.0 + self.epsilon * (eta - 1.0 + math.exp(-eta)))
 
-    def index_at(self, r: float, z: float) -> IndexSample:
-        eta = self._eta(z)
+    def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
+        eta = 2.0 * (z - self.z_axis) / self.scale_depth
         a = 2.0 / self.scale_depth
         e = math.exp(-eta)
         c = self.c_axis * (1.0 + self.epsilon * (eta - 1.0 + e))
@@ -322,7 +321,7 @@ class MunkField(SoundSpeedField):
         n = self.c0 / c
         n_z = -self.c0 * c_z / c**2
         n_zz = self.c0 * (2.0 * c_z * c_z / c**3 - c_zz / c**2)
-        return IndexSample(n, 0.0, n_z, n_zz)
+        return n, 0.0, n_z, n_zz
 
 
 class GriddedField(SoundSpeedField):
@@ -390,7 +389,7 @@ class GriddedField(SoundSpeedField):
             return self._table(z)[0]
         return float(self._spline.ev(r, z))
 
-    def index_at(self, r: float, z: float) -> IndexSample:
+    def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
         self._check_domain(r, z)
         if self.ranges is None:
             c, c_z, c_zz = self._table(z)
@@ -406,7 +405,7 @@ class GriddedField(SoundSpeedField):
         n_r = -self.c0 * c_r / c**2
         n_z = -self.c0 * c_z / c**2
         n_zz = self.c0 * (2.0 * c_z * c_z / c**3 - c_zz / c**2)
-        return IndexSample(n, n_r, n_z, n_zz)
+        return n, n_r, n_z, n_zz
 
 
 # ---------------------------------------------------------------------------

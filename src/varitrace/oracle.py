@@ -123,7 +123,7 @@ def _central_trace(field_, bath, cfg, r_query, *, variations: bool):
     if not cfg.r_start <= r_query <= cfg.r_end:
         raise ValueError(f"r_query = {r_query:g} outside the trace range")
     cfg_q = replace(cfg, r_end=r_query)
-    n0 = field_.index_at(cfg.r_start, cfg.z0).n
+    n0 = field_.index_at(cfg.r_start, cfg.z0)[0]
     p0 = n0 * math.sin(cfg.theta0)
     return cfg_q, p0, trace_from_pulse(field_, bath, cfg_q, cfg.z0, p0,
                                        variations=variations)

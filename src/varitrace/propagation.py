@@ -1,26 +1,28 @@
 """Range marching of rays and their variation matrices.
 
 Integrates (z, p, q) with a classical fixed-step RK4 scheme, in two parts
-over one set of stages.  ``_ray_step`` advances (z, p): each stage makes
-one ``ray_rhs`` call and stages 2-4 one ``index_at`` call (stage 1 reuses
-the sample the trace loop holds for the step start), and it returns the
-four stage points.  The ray never reads q, so ``_variation_step`` then
-advances q from those stage points with ``variation_rhs``, giving the
-bits one joint six-component step gives.  It runs only where q is read:
-once per accepted step and once per landed bounce, never in the landing
-search's trial steps, and not at all in a ray-only trace
-(``variations=False``, the oracle's perturbed rays).
+over one set of stages.  ``_ray_step`` advances (z, p): stages 2-4 each
+make one ``index_at`` call (stage 1 reuses the sample the trace loop holds
+for the step start), each stage writes out the ray right-hand side
+w = sqrt(n^2 - p^2), dz = p / w, dp = n n_z / w on the plain index tuple,
+and it returns the four stage points.  The ray never reads q, so
+``_variation_step`` then advances q from those stage points with
+``variation_rhs``, giving the bits one joint six-component step gives.  It
+runs only where q is read: once per accepted step and once per landed
+bounce, never in the landing search's trial steps, and not at all in a
+ray-only trace (``variations=False``, the oracle's perturbed rays).
 
 Each step's own stage derivatives give a cubic dense output of depth (the
 continuous extension of RK4, Hairer, Norsett & Wanner, Solving ODEs I,
 II.6) at no extra right-hand-side evaluation.  A boundary crossing is
-bracketed by the sign of the boundary gap at the step end or, when both
-ends are inside, at the interpolated step midpoint (a shallow double
-crossing); these gaps are computed directly, and a search is set up only
-for a bracketed boundary.  There an Illinois search on the interpolated
-gap seeds a safeguarded secant search on the exact RK4 map from the step
-start, so the landing state is an RK4 state whose boundary residual is
-below ``bisect_tol``.  The reflection jump is applied there and marching
+bracketed by the sign of the boundary gap (-z at the surface,
+z - depth_at(r) at the bottom) at the step end or, when both ends are
+inside, at the interpolated step midpoint (a shallow double crossing).  A
+step with no bracket ends there; a search is set up only for a bracketed
+boundary.  There an Illinois search on the interpolated gap seeds a
+safeguarded secant search on the exact RK4 map from the step start, so
+the landing state is an RK4 state whose boundary residual is below
+``bisect_tol``.  The reflection jump is applied there and marching
 resumes.  All abnormal endings are reported as statuses, never exceptions.
 """
 
@@ -32,9 +34,9 @@ from enum import Enum
 
 import numpy as np
 
-from .environment import Bathymetry, IndexSample, SoundSpeedField, surface_frame
+from .environment import Bathymetry, SoundSpeedField, surface_frame
 from .errors import DomainError, GeometryError, SteepRayError
-from .ray_core import ray_rhs, variation_rhs
+from .ray_core import variation_rhs
 from .reflection import KappaMatrix, ReflectionContext, kappa_matrix
 
 __all__ = [
@@ -177,25 +179,43 @@ class SpreadingFactor:
 # ---------------------------------------------------------------------------
 
 
-def _ray_step(field_: SoundSpeedField, r: float, z: float, p: float,
-              sample: IndexSample, h: float):
+def _vertical(n: float, p: float):
+    """Raise for a stage whose w^2 = n^2 - p^2 is not positive."""
+    raise SteepRayError(f"|p| = {abs(p):g} >= n = {n:g}; ray turned vertical")
+
+
+def _ray_step(field_: SoundSpeedField, r: float, z: float, p: float, sample: tuple,
+              h: float):
     """One RK4 step of the ray alone: the new (z, p) and the four stages.
 
-    Each stage is (sample, p, w, dz): the index sample and pulse it was
-    evaluated at, with the ``ray_rhs`` values ``variation_rhs`` and the
-    dense output read.  ``sample`` is the index at the start (r, z), so
-    only stages 2-4 call ``index_at``.
+    Each stage is (sample, p, w, dz): the index tuple and pulse it was
+    evaluated at, with w = sqrt(n^2 - p^2) and dz = p / w, which
+    ``variation_rhs`` and the dense output read; dp = n n_z / w.  A stage
+    with w^2 <= 0 (a vertical ray) raises SteepRayError.  ``sample`` is
+    the index at the start (r, z), so only stages 2-4 call ``index_at``.
     """
     index_at = field_.index_at
     hh = 0.5 * h
-    z1, p1, w1 = ray_rhs(sample, p)
+    n, _, n_z, _ = sample
+    ww = n * n - p * p
+    w1 = _vertical(n, p) if ww <= 0.0 else math.sqrt(ww)
+    z1, p1 = p / w1, n * n_z / w1
     rm = r + hh
     s2, pp2 = index_at(rm, z + hh * z1), p + hh * p1
-    z2, p2, w2 = ray_rhs(s2, pp2)
+    n, _, n_z, _ = s2
+    ww = n * n - pp2 * pp2
+    w2 = _vertical(n, pp2) if ww <= 0.0 else math.sqrt(ww)
+    z2, p2 = pp2 / w2, n * n_z / w2
     s3, pp3 = index_at(rm, z + hh * z2), p + hh * p2
-    z3, p3, w3 = ray_rhs(s3, pp3)
+    n, _, n_z, _ = s3
+    ww = n * n - pp3 * pp3
+    w3 = _vertical(n, pp3) if ww <= 0.0 else math.sqrt(ww)
+    z3, p3 = pp3 / w3, n * n_z / w3
     s4, pp4 = index_at(r + h, z + h * z3), p + h * p3
-    z4, p4, w4 = ray_rhs(s4, pp4)
+    n, _, n_z, _ = s4
+    ww = n * n - pp4 * pp4
+    w4 = _vertical(n, pp4) if ww <= 0.0 else math.sqrt(ww)
+    z4, p4 = pp4 / w4, n * n_z / w4
     h6 = h / 6.0
     return (
         z + h6 * (z1 + 2.0 * z2 + 2.0 * z3 + z4),
@@ -317,8 +337,10 @@ def _find_crossing(field_, bath, r0, z0, p0, sample0, h, z_end, stages, tol):
 
     A crossing is bracketed by the gap at the step end or, when that is
     inside, at the midpoint of the step's dense output (a shallow double
-    crossing).  Only a bracketed boundary is searched.  Returns
-    (step_length, boundary, p, stages, converged) of the landed step.
+    crossing).  A step with neither bracketed returns None before any
+    search is set up; only a bracketed boundary is searched, from the gap
+    already computed at its bracket end.  Returns (step_length, boundary,
+    p, stages, converged) of the landed step.
     """
     # Depth on the RK4 continuous extension, expanded in powers of s = t h:
     # b1 = t - 3t^2/2 + 2t^3/3, b2 = b3 = t^2 - 2t^3/3, b4 = -t^2/2 + 2t^3/3.
@@ -328,17 +350,21 @@ def _find_crossing(field_, bath, r0, z0, p0, sample0, h, z_end, stages, tol):
     hh = 0.5 * h
     z_mid = z0 + hh * (d1 + hh * (c2 + hh * c3))
 
+    # The step starts inside or, after a bounce, exactly on a boundary, so
+    # only the far end and the midpoint need checking: (bracket end, gap).
+    hi_top, g_top = h, -z_end
+    if g_top <= 0.0:
+        hi_top, g_top = hh, -z_mid
+    hi_bot, g_bot = h, z_end - bath.depth_at(r0 + h)
+    if g_bot <= 0.0:
+        hi_bot, g_bot = hh, z_mid - bath.depth_at(r0 + hh)
+    if g_top <= 0.0 and g_bot <= 0.0:
+        return None
+
     hits = []
-    for boundary in (SURFACE, BOTTOM):
-        # The step starts inside or, after a bounce, exactly on a boundary,
-        # so only the far end and the midpoint need checking.
-        hi = h
-        g_hi = _gap(bath, boundary, r0 + h, z_end)
+    for boundary, hi, g_hi in ((SURFACE, hi_top, g_top), (BOTTOM, hi_bot, g_bot)):
         if g_hi <= 0.0:
-            hi = hh
-            g_hi = _gap(bath, boundary, r0 + hh, z_mid)
-            if g_hi <= 0.0:
-                continue
+            continue
 
         def gap(s, boundary=boundary):
             return _gap(bath, boundary, r0 + s, z0 + s * (d1 + s * (c2 + s * c3)))
@@ -347,8 +373,6 @@ def _find_crossing(field_, bath, r0, z0, p0, sample0, h, z_end, stages, tol):
         s, p_hit, stages_hit, converged = _land(field_, bath, boundary, r0, z0, p0,
                                                 sample0, hi, s, slope, tol)
         hits.append((s, boundary, p_hit, stages_hit, converged))
-    if not hits:
-        return None
     return min(hits, key=lambda item: item[0])
 
 
@@ -363,7 +387,7 @@ def trace_ray(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig) -> Tr
     The initial pulse is n(r_start, z0) * sin(theta0) and the variation
     matrix starts as the identity.
     """
-    n0 = field_.index_at(cfg.r_start, cfg.z0).n
+    n0 = field_.index_at(cfg.r_start, cfg.z0)[0]
     return trace_from_pulse(field_, bath, cfg, cfg.z0, n0 * math.sin(cfg.theta0))
 
 
@@ -378,7 +402,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
     """
     s = field_.index_at(cfg.r_start, z0)
     cutoff_sin = math.sin(cfg.steep_cutoff)
-    if abs(p0) >= s.n * cutoff_sin:
+    if abs(p0) >= s[0] * cutoff_sin:
         raise ValueError(f"initial pulse {p0:g} exceeds the steep-ray cutoff")
     z_bottom = bath.depth_at(cfg.r_start)
     if not 0.0 <= z0 <= z_bottom:
@@ -387,16 +411,16 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
     if z0 == 0.0 and p0 <= 0.0:
         raise ValueError("source on the free surface must launch downward")
     if z0 == z_bottom:
-        tz0 = p0 / s.n
+        tz0 = p0 / s[0]
         frame = bath.bottom_at(cfg.r_start).frame
         if math.sqrt(max(0.0, 1.0 - tz0 * tz0)) * frame.nr + tz0 * frame.nz <= 0.0:
             raise ValueError("source on the bottom must launch into the water")
 
-    # s is always the index sample at (r, z), the next step's k1 sample.
+    # s is always the index tuple at (r, z), the next step's k1 sample.
     r, z, p = cfg.r_start, z0, p0
     q = (1.0, 0.0, 0.0, 1.0) if variations else (math.nan,) * 4
     rows = [(r, z, p, *q)]
-    ns = [s.n]
+    ns = [s[0]]
     bounces: list[BounceRecord] = []
     status = TraceStatus.COMPLETED
     unconverged = 0
@@ -436,7 +460,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             except DomainError:
                 status = TraceStatus.DOMAIN_EXIT
                 break
-            tz = p / s.n
+            tz = p / s[0]
             if abs(tz) >= 1.0:
                 status = TraceStatus.STEEP_RAY
             else:
@@ -458,7 +482,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             if status is TraceStatus.COMPLETED:
                 bounces.append(BounceRecord(r=r, z=z, boundary=boundary,
                                             theta_incident=math.atan2(tz, tr), kappa=kappa))
-                p = s.n * ctx.t1[1]
+                p = s[0] * ctx.t1[1]
                 if variations:
                     q11, q12, q21, q22 = q
                     q = (
@@ -469,10 +493,10 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                     )
 
         rows.append((r, z, p, *q))
-        ns.append(s.n)
+        ns.append(s[0])
         if status is not TraceStatus.COMPLETED:
             break
-        if abs(p) >= s.n * cutoff_sin:
+        if abs(p) >= s[0] * cutoff_sin:
             status = TraceStatus.STEEP_RAY
             break
 

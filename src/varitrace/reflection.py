@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import IndexSample, NormalFrame
+from .environment import NormalFrame
 from .errors import GeometryError, SingularReflectionError
 
 __all__ = [
@@ -77,7 +77,8 @@ class ReflectionContext:
     """Everything kappa needs at one bounce point.
 
     ``t`` is the incident unit tangent (cos theta, sin theta), ``frame``
-    the boundary normal frame and ``sample`` the local index sample.  The
+    the boundary normal frame and ``sample`` the local index tuple
+    (n, n_r, n_z, n_zz), plain or an ``IndexSample``.  The
     reflected tangent ``t1`` and ``n_t`` = <t, N> are derived on
     construction, as floats; a non-incoming ray (<t, N> >= 0) is rejected.
     ``forward`` is the one test of whether the reflected ray still
@@ -86,7 +87,7 @@ class ReflectionContext:
 
     t: tuple[float, float]
     frame: NormalFrame
-    sample: IndexSample
+    sample: tuple
 
     def __post_init__(self):
         tr, tz = map(float, self.t)
@@ -131,10 +132,10 @@ def kappa_matrix(ctx: ReflectionContext) -> KappaMatrix:
         raise SingularReflectionError(f"tangential boundary hit (<t, N> = {n_t:g})")
     nr, nz = ctx.frame.nr, ctx.frame.nz
     curv = ctx.frame.curvature
-    s = ctx.sample
-    k12 = (-curv * s.n * t1r * tr
-           + nz * ((tr * tr + t1r * t1r) / (2.0 * tr * t1r) - nr * nr) * s.n_z
-           + nr * nz * nz * s.n_r) * 2.0 / n_t
+    n, n_r, n_z, _ = ctx.sample
+    k12 = (-curv * n * t1r * tr
+           + nz * ((tr * tr + t1r * t1r) / (2.0 * tr * t1r) - nr * nr) * n_z
+           + nr * nz * nz * n_r) * 2.0 / n_t
     return KappaMatrix(k11=-t1r / tr, k12=k12, k22=-tr / t1r)
 
 

@@ -1,9 +1,11 @@
 """Reference forms of the ray Hamiltonian and its derivatives, for tests.
 
-``hamiltonian`` is written independently of the package.  ``ray_rhs`` and
-``k_matrix`` read the integrator's two closed forms, ``ray_core.ray_rhs``
-and ``ray_core.variation_rhs`` (at q = I), so finite differences of
-``hamiltonian`` and ``ray_rhs`` validate the formulas the integrator runs.
+``hamiltonian`` is written independently of the package.  ``ray_rhs`` is
+the closed form of the ray right-hand side that the integrator's
+``_ray_step`` writes out at each RK4 stage (tests check the stages against
+it bit for bit), and ``k_matrix`` reads ``ray_core.variation_rhs`` at
+q = I, so finite differences of ``hamiltonian`` and ``ray_rhs`` validate
+the formulas the integrator runs.
 """
 
 import math
@@ -22,8 +24,17 @@ def hamiltonian(n, p):
 
 
 def ray_rhs(sample, p):
-    """Right-hand side (dz/dr, dp/dr) of the ray equations."""
-    return ray_core.ray_rhs(sample, p)[:2]
+    """Ray right-hand side (dz/dr, dp/dr) and w = sqrt(n^2 - p^2) = n cos(theta).
+
+    dz/dr = p / w and dp/dr = n n_z / w; w vanishes for a vertical ray,
+    which raises SteepRayError.
+    """
+    n, _, n_z, _ = sample
+    w2 = n * n - p * p
+    if w2 <= 0.0:
+        raise SteepRayError(f"|p| = {abs(p):g} >= n = {n:g}; ray turned vertical")
+    w = math.sqrt(w2)
+    return p / w, n * n_z / w, w
 
 
 def k_matrix(sample, p):
@@ -31,5 +42,5 @@ def k_matrix(sample, p):
 
     Arrangement: k11 = -H_zp, k12 = -H_zz, k21 = H_pp, k22 = H_zp.
     """
-    w = ray_core.ray_rhs(sample, p)[2]
+    w = ray_rhs(sample, p)[2]
     return np.array(ray_core.variation_rhs(sample, p, w, 1.0, 0.0, 0.0, 1.0)).reshape(2, 2)

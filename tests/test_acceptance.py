@@ -234,10 +234,10 @@ def test_criterion_5_closed_form_flow():
 
 
 def _k_fd(field, z, p, h_p, h_z):
-    dz_pp, dp_pp = ray_rhs(field.index_at(0.0, z), p + h_p)
-    dz_pm, dp_pm = ray_rhs(field.index_at(0.0, z), p - h_p)
-    dz_zp, dp_zp = ray_rhs(field.index_at(0.0, z + h_z), p)
-    dz_zm, dp_zm = ray_rhs(field.index_at(0.0, z - h_z), p)
+    dz_pp, dp_pp, _ = ray_rhs(field.index_at(0.0, z), p + h_p)
+    dz_pm, dp_pm, _ = ray_rhs(field.index_at(0.0, z), p - h_p)
+    dz_zp, dp_zp, _ = ray_rhs(field.index_at(0.0, z + h_z), p)
+    dz_zm, dp_zm, _ = ray_rhs(field.index_at(0.0, z - h_z), p)
     return np.array([
         [(dp_pp - dp_pm) / (2 * h_p), (dp_zp - dp_zm) / (2 * h_z)],
         [(dz_pp - dz_pm) / (2 * h_p), (dz_zp - dz_zm) / (2 * h_z)],
@@ -252,7 +252,7 @@ def test_criterion_6_k_matrix_validation():
     orders = []
     for _ in range(100):
         z = rng.uniform(5.0, 110.0)
-        s = field.index_at(0.0, z)
+        s = IndexSample(*field.index_at(0.0, z))
         p = rng.uniform(-0.75, 0.75) * s.n
         analytic = k_matrix(s, p)
         fine = _k_fd(field, z, p, 1e-6, 1e-3)
@@ -299,7 +299,7 @@ def _sweep_scenario(theta_deg: float, alpha_deg: float):
                           dr=0.1)
         res = trace_ray(field, shoot_bath, cfg)
         r, z, p = res.samples[-1, :3]
-        n = field.index_at(r, z).n
+        n = field.index_at(r, z)[0]
         return np.array([z - z_star, math.asin(p / n) - theta_star])
 
     # Newton on (z0, theta0) with forward-difference Jacobian

@@ -680,7 +680,7 @@ class TestCarriedIndex:
             bounce_at = {b.r: b.boundary for b in result.bounces}
             for row in result.samples:
                 r, z, p, q11, q12, q21, q22 = row
-                n = field.index_at(r, z).n
+                n = field.index_at(r, z)[0]
                 theta = math.degrees(math.asin(max(-1.0, min(1.0, p / n))))
                 det = q11 * q22 - q12 * q21
                 yield ",".join([cli._fmt(v) for v in (r, z, p, theta, q11, q12,

@@ -11,6 +11,7 @@ from varitrace import (
     DomainError,
     FlatBottom,
     GriddedField,
+    IndexSample,
     LinearGradientField,
     LinearSlopeBottom,
     MunkField,
@@ -37,10 +38,10 @@ def n_of(field, r, z):
 
 def fd_errors(field, r, z, h):
     """Absolute errors of the analytic partials vs centered differences of n."""
-    s = field.index_at(r, z)
+    s = IndexSample(*field.index_at(r, z))
     n_r_fd = (n_of(field, r + h, z) - n_of(field, r - h, z)) / (2 * h)
     n_z_fd = (n_of(field, r, z + h) - n_of(field, r, z - h)) / (2 * h)
-    n_zz_fd = (field.index_at(r, z + h).n_z - field.index_at(r, z - h).n_z) / (2 * h)
+    n_zz_fd = (field.index_at(r, z + h)[2] - field.index_at(r, z - h)[2]) / (2 * h)
     return (abs(s.n_r - n_r_fd), abs(s.n_z - n_z_fd), abs(s.n_zz - n_zz_fd))
 
 
@@ -49,18 +50,16 @@ class TestSoundSpeedFields:
         field = ConstantField(c0=1500.0)
         for r, z in [(0.0, 0.0), (1e4, 500.0), (-3.0, 2000.0)]:
             s = field.index_at(r, z)
-            assert s == field.index_at(0.0, 0.0)
-            assert s.n == 1.0
-            assert s.n_r == s.n_z == s.n_zz == 0.0
+            assert s == field.index_at(0.0, 0.0) == (1.0, 0.0, 0.0, 0.0)
 
     def test_constant_field_with_distinct_reference(self):
         field = ConstantField(c0=1500.0, c=1450.0)
-        assert field.index_at(0, 0).n == pytest.approx(1500.0 / 1450.0, rel=1e-15)
+        assert field.index_at(0, 0)[0] == pytest.approx(1500.0 / 1450.0, rel=1e-15)
 
     def test_linear_gradient_nz_at_surface(self):
         g = 2.5e-4
         field = LinearGradientField(c_surface=1500.0, gradient=g)
-        assert field.index_at(0.0, 0.0).n_z == pytest.approx(g, rel=1e-12)
+        assert field.index_at(0.0, 0.0)[2] == pytest.approx(g, rel=1e-12)
 
     def test_linear_gradient_positive_speed_enforced(self):
         field = LinearGradientField(c_surface=1500.0, gradient=1e-3)
@@ -92,8 +91,8 @@ class TestSoundSpeedFields:
         c = np.array([munk.sound_speed(0.0, z) for z in depths])
         gridded = GriddedField(depths=depths, c_values=c, c0=munk.c0)
         for z in [300.0, 700.0, 1000.0, 1150.0, 1600.0, 2500.0, 3500.0]:
-            exact = munk.index_at(0.0, z)
-            approx = gridded.index_at(0.0, z)
+            exact = IndexSample(*munk.index_at(0.0, z))
+            approx = IndexSample(*gridded.index_at(0.0, z))
             assert approx.n == pytest.approx(exact.n, rel=1e-9)
             assert approx.n_z == pytest.approx(exact.n_z, rel=1e-6)
 
@@ -351,6 +350,6 @@ class TestSplineTable:
             raise AssertionError("spline evaluated through scipy")
 
         monkeypatch.setattr(CubicSpline, "__call__", no_call)
-        assert field.index_at(0.0, 61.3).n_zz != 0.0
+        assert field.index_at(0.0, 61.3)[3] != 0.0
         assert field.sound_speed(0.0, 61.3) > 0.0
         assert bath.depth_at(1234.5) == bath.bottom_at(1234.5).z_b

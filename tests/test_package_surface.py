@@ -1,7 +1,8 @@
 """Package-surface guard: no test hooks or mutable globals in the modules,
 every exported name exists, scipy loads only to fit a range-dependent
-sound-speed grid, no module uses the matrix-product operator, and the
-README's library example runs as written."""
+sound-speed grid, no module uses the matrix-product operator, the RK4
+path builds no named index samples, and the README's library example runs
+as written."""
 
 import ast
 import importlib
@@ -98,6 +99,22 @@ def test_no_matrix_product_operator(path):
     for node in ast.walk(parse(path)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)):
             assert not isinstance(node.op, ast.MatMult), f"{path.name}:{node.lineno}: @"
+
+
+HOT_PATH = ("environment.py", "propagation.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_hot_path_builds_no_named_samples(path):
+    """The RK4 path hands plain (n, n_r, n_z, n_zz) tuples around: neither
+    the fields nor the integrator construct an ``IndexSample``, and the ray
+    right-hand side is written into the step, not called as ``ray_rhs``
+    (its closed form lives in tests/hamiltonian_reference.py)."""
+    for node in ast.walk(parse(path)):
+        if path.name in HOT_PATH and isinstance(node, ast.Call):
+            assert "IndexSample" not in defined_names(node.func), (
+                f"{path.name}:{node.lineno}: IndexSample(...) on the hot path")
+        assert "ray_rhs" not in defined_names(node), f"{path.name}:{node.lineno}: ray_rhs"
 
 
 ANALYTIC_CFG = """\

@@ -12,6 +12,7 @@ from varitrace import (
     ConstantField,
     FlatBottom,
     GriddedField,
+    IndexSample,
     LinearGradientField,
     LinearSlopeBottom,
     MunkField,
@@ -116,7 +117,7 @@ class TestClosedFormFlow:
         assert res.status is TraceStatus.COMPLETED
         assert not res.bounces
         h_values = np.array([
-            hamiltonian(field.index_at(r, z).n, p)
+            hamiltonian(field.index_at(r, z)[0], p)
             for r, z, p in res.samples[:, :3]
         ])
         assert np.abs(h_values - h_values[0]).max() < 1e-10
@@ -213,7 +214,7 @@ class TestSpreading:
         cfg = TraceConfig(r_start=0.0, r_end=2000.0, z0=1000.0,
                           theta0=math.radians(5.0), dr=10.0)
         field = MunkField()
-        p0 = field.index_at(0.0, 1000.0).n * math.sin(cfg.theta0)
+        p0 = field.index_at(0.0, 1000.0)[0] * math.sin(cfg.theta0)
         res = trace_from_pulse(field, FlatBottom(5000.0), cfg, cfg.z0, p0,
                                variations=False)
         assert res.status is TraceStatus.COMPLETED
@@ -316,7 +317,7 @@ class TestIndependentIntegrator:
 
         def rhs(r, y):
             z, p, q11, q12, q21, q22 = y
-            s = field.index_at(r, z)
+            s = IndexSample(*field.index_at(r, z))
             w = math.sqrt(s.n**2 - p * p)
             k11 = p * s.n * s.n_z / w**3
             k12 = (s.n_z**2 + s.n * s.n_zz) / w - (s.n * s.n_z) ** 2 / w**3
@@ -327,7 +328,7 @@ class TestIndependentIntegrator:
 
         theta = math.radians(9.0)
         z0 = 700.0
-        p0 = field.index_at(0.0, z0).n * math.sin(theta)
+        p0 = field.index_at(0.0, z0)[0] * math.sin(theta)
         sol = solve_ivp(rhs, (0.0, 30_000.0), [z0, p0, 1.0, 0.0, 0.0, 1.0],
                         rtol=1e-11, atol=1e-11, dense_output=True)
         cfg = TraceConfig(r_start=0.0, r_end=30_000.0, z0=z0, theta0=theta,
@@ -356,7 +357,7 @@ class TestFileBackedGeometry:
         assert res.status is TraceStatus.COMPLETED
         assert len(res.bounces) >= 4
         assert np.abs(res.det_q - 1.0).max() < 1e-6
-        h_values = [hamiltonian(field.index_at(r, z).n, p)
+        h_values = [hamiltonian(field.index_at(r, z)[0], p)
                     for r, z, p in res.samples[::40, :3]]
         assert max(h_values) - min(h_values) > 1e-5  # range dependence is real
 
@@ -471,20 +472,21 @@ README_CFG = TraceConfig(r_start=0.0, r_end=30_000.0, z0=900.0,
 
 @pytest.fixture
 def rhs_calls(monkeypatch):
-    """Count right-hand-side evaluations of the integrator's ray stages
-    (``ray_rhs``, [0]) and ``index_at`` calls on every field class ([1])."""
+    """Count ray right-hand-side evaluations ([0]) and ``index_at`` calls on
+    every field class ([1]).  The ray right-hand side is written out at
+    each of ``_ray_step``'s four stages, so each step call counts 4."""
     import varitrace.propagation as propagation
     from varitrace import SoundSpeedField
 
     calls = [0, 0]
 
-    def counting(original, slot):
+    def counting(original, slot, weight=1):
         def counted(*args):
-            calls[slot] += 1
+            calls[slot] += weight
             return original(*args)
         return counted
 
-    monkeypatch.setattr(propagation, "ray_rhs", counting(propagation.ray_rhs, 0))
+    monkeypatch.setattr(propagation, "_ray_step", counting(propagation._ray_step, 0, 4))
     for cls in SoundSpeedField.__subclasses__():
         monkeypatch.setattr(cls, "index_at", counting(cls.index_at, 1))
     yield calls
@@ -631,20 +633,22 @@ class TestRayOnlyTraces:
         """One variation update (four ``variation_rhs`` calls) per accepted
         step and per landed bounce, none in the landing search's trial
         steps, and none at all for a ray-only trace or the oracle's
-        perturbed rays."""
+        perturbed rays.  Ray right-hand-side evaluations are counted as
+        four per ``_ray_step`` call, one per stage."""
         import varitrace.propagation as propagation
         from varitrace import BeamPerturbation, verify_kappa
         from varitrace.presets import preset
 
         calls = {"ray": 0, "variation": 0}
 
-        def counting(original, key):
+        def counting(original, key, weight=1):
             def counted(*args):
-                calls[key] += 1
+                calls[key] += weight
                 return original(*args)
             return counted
 
-        monkeypatch.setattr(propagation, "ray_rhs", counting(propagation.ray_rhs, "ray"))
+        monkeypatch.setattr(propagation, "_ray_step",
+                            counting(propagation._ray_step, "ray", 4))
         monkeypatch.setattr(propagation, "variation_rhs",
                             counting(propagation.variation_rhs, "variation"))
 

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 from hamiltonian_reference import hamiltonian, k_matrix, ray_rhs
-from varitrace import IndexSample, LinearGradientField, MunkField, SteepRayError
-from varitrace import ray_core
+from varitrace import (
+    ConstantField,
+    GriddedField,
+    IndexSample,
+    LinearGradientField,
+    MunkField,
+    SoundSpeedField,
+    SteepRayError,
+    propagation,
+    ray_core,
+)
 
 
 class TestHamiltonian:
@@ -28,13 +37,13 @@ class TestHamiltonian:
 class TestRayRhs:
     def test_straight_ray(self):
         s = IndexSample(1.0, 0.0, 0.0, 0.0)
-        dz, dp = ray_rhs(s, 0.6)
+        dz, dp, _ = ray_rhs(s, 0.6)
         assert dz == pytest.approx(0.75, rel=1e-15)
         assert dp == 0.0
 
     def test_horizontal_ray_bends_toward_higher_index(self):
         s = IndexSample(1.0, 0.0, 0.01, 0.0)
-        dz, dp = ray_rhs(s, 0.0)
+        dz, dp, _ = ray_rhs(s, 0.0)
         assert dz == 0.0
         assert dp == pytest.approx(0.01, rel=1e-15)
 
@@ -44,16 +53,16 @@ class TestRayRhs:
         rng = np.random.default_rng(7)
         for _ in range(25):
             z = rng.uniform(10.0, 250.0)
-            s = field.index_at(0.0, z)
+            s = IndexSample(*field.index_at(0.0, z))
             p = rng.uniform(-0.8, 0.8) * s.n
-            dz, dp = ray_rhs(s, p)
+            dz, dp, _ = ray_rhs(s, p)
 
             def dH_dp(h):
                 return (hamiltonian(s.n, p + h) - hamiltonian(s.n, p - h)) / (2 * h)
 
             def dH_dz(h):
-                n_plus = field.index_at(0.0, z + h).n
-                n_minus = field.index_at(0.0, z - h).n
+                n_plus = field.index_at(0.0, z + h)[0]
+                n_minus = field.index_at(0.0, z - h)[0]
                 return (hamiltonian(n_plus, p) - hamiltonian(n_minus, p)) / (2 * h)
 
             e1 = abs(dz - dH_dp(1e-4))
@@ -71,10 +80,10 @@ class TestRayRhs:
 
 def k_fd(field, r, z, p, h_p, h_z):
     """FD Jacobian of (dp/dr, dz/dr) in (p, z): the independent K oracle."""
-    dz_pp, dp_pp = ray_rhs(field.index_at(r, z), p + h_p)
-    dz_pm, dp_pm = ray_rhs(field.index_at(r, z), p - h_p)
-    dz_zp, dp_zp = ray_rhs(field.index_at(r, z + h_z), p)
-    dz_zm, dp_zm = ray_rhs(field.index_at(r, z - h_z), p)
+    dz_pp, dp_pp, _ = ray_rhs(field.index_at(r, z), p + h_p)
+    dz_pm, dp_pm, _ = ray_rhs(field.index_at(r, z), p - h_p)
+    dz_zp, dp_zp, _ = ray_rhs(field.index_at(r, z + h_z), p)
+    dz_zm, dp_zm, _ = ray_rhs(field.index_at(r, z - h_z), p)
     return np.array([
         [(dp_pp - dp_pm) / (2 * h_p), (dp_zp - dp_zm) / (2 * h_z)],
         [(dz_pp - dz_pm) / (2 * h_p), (dz_zp - dz_zm) / (2 * h_z)],
@@ -113,7 +122,7 @@ class TestKMatrix:
         for _ in range(20):
             z = rng.uniform(5.0, 110.0) if field.kind == "linear-gradient" \
                 else rng.uniform(100.0, 3000.0)
-            s = field.index_at(0.0, z)
+            s = IndexSample(*field.index_at(0.0, z))
             p = rng.uniform(-0.7, 0.7) * s.n
             analytic = k_matrix(s, p)
             fd = k_fd(field, 0.0, z, p, 1e-6, 1e-3)
@@ -131,10 +140,11 @@ class TestKMatrix:
 
 
 class TestSplitKernel:
-    """The integrator runs ray_core.ray_rhs and ray_core.variation_rhs; the
-    w that ray_rhs hands on is -H bit for bit, and variation_rhs's
-    written-out K q product equals K (its value at q = I) times q bit for
-    bit, so the FD checks of ray_rhs and k_matrix above cover both."""
+    """The integrator's RK4 stages equal the reference ray_rhs bit for bit
+    (TestRayStep), the w they hand on is -H bit for bit, and
+    variation_rhs's written-out K q product equals K (its value at q = I)
+    times q bit for bit, so the FD checks of ray_rhs and k_matrix above
+    cover what the integrator runs."""
 
     def test_w_is_minus_hamiltonian(self):
         rng = np.random.default_rng(5)
@@ -142,7 +152,7 @@ class TestSplitKernel:
             s = IndexSample(n=rng.uniform(0.9, 1.2), n_r=0.0,
                             n_z=rng.uniform(-0.02, 0.02), n_zz=0.0)
             p = rng.uniform(-0.95, 0.95) * s.n
-            assert ray_core.ray_rhs(s, p)[2] == -hamiltonian(s.n, p)
+            assert ray_rhs(s, p)[2] == -hamiltonian(s.n, p)
 
     def test_dq_equals_k_times_q(self):
         rng = np.random.default_rng(6)
@@ -152,7 +162,95 @@ class TestSplitKernel:
             p = rng.uniform(-0.8, 0.8)
             q11, q12, q21, q22 = rng.uniform(-5.0, 5.0, 4).tolist()
             (k11, k12), (k21, k22) = k_matrix(s, p).tolist()
-            w = ray_core.ray_rhs(s, p)[2]
+            w = ray_rhs(s, p)[2]
             out = ray_core.variation_rhs(s, p, w, q11, q12, q21, q22)
             assert out == (k11 * q11 + k12 * q21, k11 * q12 + k12 * q22,
                            k21 * q11 + k22 * q21, k21 * q12 + k22 * q22)
+
+
+def _builtin_fields():
+    """(field, depth range) for every built-in field kind; the gridded
+    grids reach past the depths and ranges a test step can touch."""
+    depths = np.linspace(-40.0, 340.0, 39)
+    ranges = np.linspace(-200.0, 3_200.0, 18)
+    c_2d = (1505.0 - 0.05 * depths[None, :] + 2e-4 * depths[None, :] ** 2
+            + 3.0 * np.cos(ranges[:, None] / 700.0))
+    return {
+        "constant": (ConstantField(c0=1500.0, c=1480.0), (0.0, 300.0)),
+        "linear-gradient": (LinearGradientField(c_surface=1490.0, gradient=3e-4,
+                                                c0=1500.0), (0.0, 300.0)),
+        "munk": (MunkField(), (200.0, 3_500.0)),
+        "gridded-1d": (GriddedField(depths, 1505.0 - 0.05 * depths + 2e-4 * depths**2),
+                       (0.0, 300.0)),
+        "gridded-2d": (GriddedField(depths, c_2d, ranges=ranges), (0.0, 300.0)),
+    }
+
+
+BUILTIN_FIELDS = _builtin_fields()
+
+
+class _ScriptedField(SoundSpeedField):
+    """A field without gradients whose n at successive ``index_at`` calls
+    is read from a list."""
+
+    def __init__(self, ns):
+        super().__init__(1500.0)
+        self._ns = list(ns)
+
+    def sound_speed(self, r, z):
+        raise NotImplementedError
+
+    def index_at(self, r, z):
+        return self._ns.pop(0), 0.0, 0.0, 0.0
+
+
+class TestRayStep:
+    """``propagation._ray_step`` writes the ray right-hand side out at each
+    stage; every stage, and the step it gives, equals an RK4 step built on
+    the reference ``ray_rhs`` bit for bit."""
+
+    @pytest.mark.parametrize("kind", BUILTIN_FIELDS)
+    def test_stages_equal_reference_ray_rhs(self, kind):
+        field, (z_lo, z_hi) = BUILTIN_FIELDS[kind]
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            r = float(rng.uniform(0.0, 2_500.0))
+            z = float(rng.uniform(z_lo + 20.0, z_hi - 20.0))
+            h = float(rng.uniform(0.1, 10.0))
+            sample = field.index_at(r, z)
+            assert type(sample) is tuple and len(sample) == 4
+            p = float(rng.uniform(-0.5, 0.5)) * sample[0]
+            z_end, p_end, stages = propagation._ray_step(field, r, z, p, sample, h)
+
+            hh = 0.5 * h
+            ref = []
+            for k, (s_k, p_k, w_k, dz_k) in enumerate(stages):
+                if k == 0:
+                    assert s_k is sample and p_k == p
+                else:
+                    step = hh if k < 3 else h
+                    r_k = r + hh if k < 3 else r + h
+                    dz_prev, dp_prev, _ = ref[-1]
+                    assert s_k == field.index_at(r_k, z + step * dz_prev)
+                    assert p_k == p + step * dp_prev
+                dz_ref, dp_ref, w_ref = ray_rhs(s_k, p_k)
+                assert (w_k, dz_k) == (w_ref, dz_ref)
+                ref.append((dz_ref, dp_ref, w_ref))
+            (z1, p1, _), (z2, p2, _), (z3, p3, _), (z4, p4, _) = ref
+            h6 = h / 6.0
+            assert z_end == z + h6 * (z1 + 2.0 * z2 + 2.0 * z3 + z4)
+            assert p_end == p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+
+    @pytest.mark.parametrize("stage", range(4))
+    def test_vertical_stage_raises(self, stage):
+        """w^2 <= 0 at any one stage raises SteepRayError, as ray_rhs does;
+        w^2 == 0 exactly (n == |p|) included."""
+        p = 0.5
+        for n_bad in (p, 0.25):
+            ns = [1.0] * 4
+            ns[stage] = n_bad
+            field = _ScriptedField(ns[1:])
+            with pytest.raises(SteepRayError):
+                ray_rhs((n_bad, 0.0, 0.0, 0.0), p)
+            with pytest.raises(SteepRayError):
+                propagation._ray_step(field, 0.0, 10.0, p, (ns[0], 0.0, 0.0, 0.0), 1.0)
