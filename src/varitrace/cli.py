@@ -94,6 +94,12 @@ def _write_rows(out, rows, prefix: str = "") -> None:
     out.write("".join([f"{prefix}{row}\n" for row in rows]))
 
 
+def _warn_unconverged(result: TraceResult, who: str) -> None:
+    if result.unconverged_bounces:
+        print(f"varitrace {who}: {result.unconverged_bounces} of {len(result.bounces)} "
+              "bounce landings stopped above bisect_tol", file=sys.stderr)
+
+
 def cmd_trace(run: RunConfig, out, seed: int | None) -> int:
     field = run.build_field()
     bath = run.build_bathymetry()
@@ -107,6 +113,7 @@ def cmd_trace(run: RunConfig, out, seed: int | None) -> int:
     if result.status is not TraceStatus.COMPLETED:
         print(f"varitrace trace: ray ended with status {result.status.value}",
               file=sys.stderr)
+    _warn_unconverged(result, "trace")
     return 0
 
 
@@ -144,6 +151,7 @@ def cmd_fan(run: RunConfig, out, seed: int | None) -> int:
         if result.status is not TraceStatus.COMPLETED:
             print(f"varitrace fan: ray {ray_id} ended with status {result.status.value}",
                   file=sys.stderr)
+        _warn_unconverged(result, f"fan: ray {ray_id}")
     return 0
 
 

@@ -146,6 +146,60 @@ class TestTraceCommand:
         assert "# status: backscattered" in out.read_text()
 
 
+class TestUnconvergedLandings:
+    """Landings whose residual could not get below bisect_tol are reported on
+    stderr, one line per affected ray with its count; the CSV is unchanged."""
+
+    CFG = """\
+[environment]
+kind = linear-gradient
+c_surface = 1500.0
+gradient = 2e-4
+
+[bathymetry]
+kind = flat
+depth = 400.0
+
+[trace]
+r_start = 0.0
+r_end = 3000.0
+z0 = 100.0
+theta0_deg = 30.0
+dr = 10.0
+bisect_tol = 1e-300
+
+[fan]
+angles_deg = 30, 0, -30
+"""
+
+    def test_trace_and_fan_report_each_ray(self, tmp_path, capsys):
+        from varitrace import FlatBottom, LinearGradientField, TraceConfig, trace_ray
+
+        cfg = write_cfg(tmp_path, self.CFG)
+        field = LinearGradientField(c_surface=1500.0, gradient=2e-4)
+        counts = []
+        for angle in (30.0, 0.0, -30.0):
+            res = trace_ray(field, FlatBottom(400.0), TraceConfig(
+                r_start=0.0, r_end=3000.0, z0=100.0, theta0=math.radians(angle),
+                dr=10.0, bisect_tol=1e-300))
+            counts.append((res.unconverged_bounces, len(res.bounces)))
+        assert counts[0][0] >= 1
+
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--config", cfg, "--output", str(out)]) == 0
+        unconverged, bounces = counts[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"varitrace trace: {unconverged} of {bounces} bounce landings "
+            "stopped above bisect_tol"]
+        assert "bisect_tol" not in out.read_text()
+
+        assert main(["fan", "--config", cfg, "--output", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"varitrace fan: ray {i}: {k} of {n} bounce landings stopped above bisect_tol"
+            for i, (k, n) in enumerate(counts) if k]
+        assert "bisect_tol" not in out.read_text()
+
+
 class TestOutputKeptOnConfigError:
     """A config error found while building or tracing leaves an existing
     ``--output`` file byte for byte as it was."""
