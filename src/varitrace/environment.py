@@ -252,38 +252,43 @@ class ConstantField(SoundSpeedField):
 
 
 class LinearGradientField(SoundSpeedField):
-    """Depth-linear sound speed c(z) = c_surface * (1 - gradient * z).
+    """Linear sound speed c(r, z) = c_surface * (1 - gradient * z -
+    range_gradient * r).
 
-    The index n = c0 / c then grows with depth for gradient > 0.  Queries
-    where c(z) would be non-positive raise a domain error.
+    The index n = c0 / c then grows with depth for gradient > 0.  The
+    range gradient (1/m, default 0, set only through the constructor)
+    gives the field an n_r, which the jump's horizontal-gradient term
+    reads.  Queries where c would be non-positive raise a domain error.
     """
 
     kind = "linear-gradient"
 
     def __init__(self, c_surface: float = 1500.0, gradient: float = 0.0,
-                 c0: float | None = None):
+                 c0: float | None = None, range_gradient: float = 0.0):
         super().__init__(c0 if c0 is not None else c_surface)
         if c_surface <= 0.0:
             raise ValueError(f"surface sound speed must be positive, got {c_surface}")
         self.c_surface = float(c_surface)
         self.gradient = float(gradient)
+        self.range_gradient = float(range_gradient)
 
     def sound_speed(self, r: float, z: float) -> float:
-        f = 1.0 - self.gradient * z
+        f = 1.0 - self.gradient * z - self.range_gradient * r
         if f <= 0.0:
             raise DomainError("sound speed not positive at this depth", "z", z)
         return self.c_surface * f
 
     def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
         g = self.gradient
-        f = 1.0 - g * z
+        f = 1.0 - g * z - self.range_gradient * r
         if f <= 0.0:
             raise DomainError("sound speed not positive at this depth", "z", z)
         n0 = self.c0 / self.c_surface
         n = n0 / f
+        n_r = n0 * self.range_gradient / f**2
         n_z = n0 * g / f**2
         n_zz = 2.0 * n0 * g * g / f**3
-        return n, 0.0, n_z, n_zz
+        return n, n_r, n_z, n_zz
 
 
 class MunkField(SoundSpeedField):

@@ -69,10 +69,11 @@ def _arc_homogeneous() -> VerificationScenario:
 
 
 def _arc_linear() -> VerificationScenario:
-    # Curvature and index gradient together.
+    # Curvature and index gradient together; the range gradient gives the
+    # jump's horizontal-gradient (n_r) term a value the gate can see.
     return VerificationScenario(
         name="arc-linear",
-        field=LinearGradientField(c_surface=1500.0, gradient=5e-4),
+        field=LinearGradientField(c_surface=1500.0, gradient=5e-4, range_gradient=1e-3),
         bath=ArcBottom(radius=50.0, r_center=100.0, z_center=30.0, bulge="down"),
         cfg=TraceConfig(r_start=70.0, r_end=140.0, z0=60.0,
                         theta0=math.radians(20.0), dr=0.25),

@@ -463,6 +463,30 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "OVERALL FAIL" in out
 
+    @pytest.mark.parametrize("variant", ["dropped", "nr-nz", "scaled-1.01"])
+    def test_horizontal_gradient_term_mutants_fail(self, tmp_path, capsys, monkeypatch,
+                                                   variant):
+        """Mutation check: arc-linear's range gradient makes the gate see
+        kappa12's Nr Nz^2 n_r term; dropping it, using Nr Nz, or scaling it
+        by 1.01 fails verify with preset = all."""
+        import varitrace.propagation as propagation
+
+        def mutant(ctx):
+            k = kappa_matrix(ctx)
+            nr, nz, n_r = ctx.frame.nr, ctx.frame.nz, ctx.sample[1]
+            term = nr * nz * nz * n_r * 2.0 / ctx.n_t
+            wrong = {"dropped": 0.0, "nr-nz": nr * nz * n_r * 2.0 / ctx.n_t,
+                     "scaled-1.01": 1.01 * term}[variant]
+            return replace(k, k12=k.k12 - term + wrong)
+
+        monkeypatch.setattr(propagation, "kappa_matrix", mutant)
+        cfg = write_cfg(tmp_path, "[verify]\npreset = all\n")
+        assert main(["verify", "--config", cfg, "--seed", "1"]) == 1
+        out = capsys.readouterr().out
+        failed = [line for line in out.splitlines() if " FAIL" in line]
+        assert len(failed) >= 2 and failed[-1] == "OVERALL FAIL"
+        assert all(line.startswith("[arc-linear]") for line in failed[:-1])
+
     def test_identity_gate_scales_with_the_sides(self, tmp_path, capsys):
         """This seed draws a reflected ray near vertical, where the sides of
         the second identity reach about 7e5 and differ by 2 ulps; the gate

@@ -68,6 +68,7 @@ class TestSoundSpeedFields:
 
     @pytest.mark.parametrize("field,point", [
         (LinearGradientField(1500.0, 8e-4), (100.0, 400.0)),
+        (LinearGradientField(1500.0, 8e-4, range_gradient=2e-4), (300.0, 400.0)),
         (MunkField(), (0.0, 700.0)),
         (MunkField(), (0.0, 2400.0)),
     ])

@@ -3,9 +3,10 @@
 Each digest was recorded once and is checked against fixed bytes, not
 against a rerun of the code under test, so a change that should leave
 output unchanged shows when it does not.  The verify digests were
-recorded before the integrator's ray and variation parts were split
-(seeds 0 and 653457016: before the verify sweeps were evaluated as array
-blocks).  The README trace and fan digests were re-pinned when the
+re-pinned when the arc-linear preset's field got a range gradient of
+1e-3, so that the gate sees kappa12's horizontal-gradient term; only that
+preset's two lines changed (default-h error 2.182e-09 -> 1.043e-09,
+order 2.00 both times).  The README trace and fan digests were re-pinned when the
 mirror law's <t, N> became the written-out tr nr + tz nz on every bounce
 path instead of a BLAS dot product, whose last bit depended on the
 kernel the BLAS build picks for the CPU; p and theta moved by at most
@@ -131,10 +132,10 @@ CONFIG_DIGESTS = {
 GRIDDED_2D_DIGEST = "986cf8892c6af4fea997362594a51e5f97e5550b4c5208614579eff75444d13f"
 
 VERIFY_DIGESTS = {
-    0: "a019bba346b0803db8ea9adf27d6dfa6e511143cde795db1aefb34dae71a3628",
-    7: "598c5b35eb009c788b735cdc5611aec1edc1e38cbcfeab6438d06987d354b0ce",
-    1715831031: "7e6688a4079eb1b2c390cb0f76e1160767d5f87c71e8607fdbd5ead914287294",
-    653457016: "4b1ab16853060ebeb43d4e8249f1b7e86c8dd9d67728e68a69cc1449a4d03b6f",
+    0: "410f0031bb576fbd6beb898faeb28f2b994a0c32808058b6f84cf70527eb1af0",
+    7: "8957ca4faa8240e2f438426d7a1437a32fdacfca130f48927c0e64390a94ec16",
+    1715831031: "7cafa79261c6d95cf48fc87aa7920124407fd60cb4c745024d67f28a6ded659a",
+    653457016: "80b6fbd9f4b4e6f67cd765ffdff783f733a2e15ea79d6714842e0f4b2d19e791",
 }
 
 
