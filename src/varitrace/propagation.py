@@ -179,7 +179,7 @@ class SpreadingFactor:
 # ---------------------------------------------------------------------------
 
 
-def _vertical(n: float, p: float):
+def _raise_vertical(n: float, p: float):
     """Raise for a stage whose w^2 = n^2 - p^2 is not positive."""
     raise SteepRayError(f"|p| = {abs(p):g} >= n = {n:g}; ray turned vertical")
 
@@ -198,23 +198,23 @@ def _ray_step(field_: SoundSpeedField, r: float, z: float, p: float, sample: tup
     hh = 0.5 * h
     n, _, n_z, _ = sample
     ww = n * n - p * p
-    w1 = _vertical(n, p) if ww <= 0.0 else math.sqrt(ww)
+    w1 = _raise_vertical(n, p) if ww <= 0.0 else math.sqrt(ww)
     z1, p1 = p / w1, n * n_z / w1
     rm = r + hh
     s2, pp2 = index_at(rm, z + hh * z1), p + hh * p1
     n, _, n_z, _ = s2
     ww = n * n - pp2 * pp2
-    w2 = _vertical(n, pp2) if ww <= 0.0 else math.sqrt(ww)
+    w2 = _raise_vertical(n, pp2) if ww <= 0.0 else math.sqrt(ww)
     z2, p2 = pp2 / w2, n * n_z / w2
     s3, pp3 = index_at(rm, z + hh * z2), p + hh * p2
     n, _, n_z, _ = s3
     ww = n * n - pp3 * pp3
-    w3 = _vertical(n, pp3) if ww <= 0.0 else math.sqrt(ww)
+    w3 = _raise_vertical(n, pp3) if ww <= 0.0 else math.sqrt(ww)
     z3, p3 = pp3 / w3, n * n_z / w3
     s4, pp4 = index_at(r + h, z + h * z3), p + h * p3
     n, _, n_z, _ = s4
     ww = n * n - pp4 * pp4
-    w4 = _vertical(n, pp4) if ww <= 0.0 else math.sqrt(ww)
+    w4 = _raise_vertical(n, pp4) if ww <= 0.0 else math.sqrt(ww)
     z4, p4 = pp4 / w4, n * n_z / w4
     h6 = h / 6.0
     return (
