@@ -68,9 +68,9 @@ class TestSoundSpeedFields:
 
     @pytest.mark.parametrize("field,point", [
         (LinearGradientField(1500.0, 8e-4), (100.0, 400.0)),
-        (LinearGradientField(1500.0, 8e-4, range_gradient=2e-4), (300.0, 400.0)),
         (MunkField(), (0.0, 700.0)),
         (MunkField(), (0.0, 2400.0)),
+        (LinearGradientField(1500.0, 8e-4, range_gradient=2e-4), (300.0, 400.0)),
     ])
     def test_derivatives_match_fd_with_second_order(self, field, point):
         """Halving h must shrink the FD mismatch about 4x (O(h^2))."""
