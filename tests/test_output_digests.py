@@ -15,6 +15,8 @@ byte depends on the BLAS kernel.  The README kappa-scan digest was
 recorded at that change.  The shallow-fan, gradient-slope and 2D gridded
 digests were recorded before the scalar RK4 path was flattened (plain
 index tuples, the ray right-hand side written into the step).  The
+library fans of ``FAN_DIGESTS`` were recorded before the crossing search
+learnt to skip the bottom query above a bathymetry's depth floor.  The
 digests hold on x86-64 Linux (glibc libm); a platform whose libm rounds
 differently in the last place may need its own record.
 """
@@ -28,7 +30,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varitrace import FlatBottom, GriddedField, TraceConfig, trace_fan
+from varitrace import (
+    ArcBottom,
+    ConstantField,
+    FlatBottom,
+    GriddedField,
+    LinearGradientField,
+    LinearSlopeBottom,
+    MunkField,
+    PiecewiseBottom,
+    TraceConfig,
+    TraceStatus,
+    trace_fan,
+)
 from varitrace.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -189,3 +203,69 @@ def test_range_dependent_gridded_fan_bytes():
         digest.update(res.samples.tobytes())
         digest.update(res.n.tobytes())
     assert digest.hexdigest() == GRIDDED_2D_DIGEST
+
+
+def fan_digest(results) -> str:
+    digest = hashlib.sha256()
+    for res in results:
+        digest.update(res.samples.tobytes())
+        digest.update(res.n.tobytes())
+    return digest.hexdigest()
+
+
+# The two launch angles (rad) that bracket the first bottom hit of the
+# range-gradient field below to the last float: the lower one touches
+# z = depth tangentially and ends backscattered, the upper one lands a
+# grazing bounce.
+GRAZE_LO, GRAZE_HI = 0.19835936388164485, 0.19835936388164488
+
+# Library fans, r, z, p, q and n hashed as float64 bytes, with the
+# statuses each must end in: (field, bathymetry, config, angles in rad,
+# statuses).
+FAN_CASES = {
+    "constant-arc-up": (
+        ConstantField(), ArcBottom(radius=1500.0, r_center=1000.0, z_center=1620.0),
+        TraceConfig(r_start=0.0, r_end=2000.0, z0=60.0, theta0=0.0, dr=5.0),
+        [math.radians(a) for a in (-10.0, -3.0, 2.0, 6.0, 12.0)],
+        {TraceStatus.COMPLETED}),
+    "constant-arc-down": (
+        ConstantField(),
+        ArcBottom(radius=1500.0, r_center=1000.0, z_center=-998.0, bulge="down"),
+        TraceConfig(r_start=0.0, r_end=2000.0, z0=60.0, theta0=0.0, dr=5.0),
+        [math.radians(a) for a in (-10.0, -3.0, 2.0, 6.0, 12.0)],
+        {TraceStatus.COMPLETED, TraceStatus.BACKSCATTERED}),
+    "range-gradient-flat": (
+        LinearGradientField(1500.0, -1e-4, range_gradient=5e-6), FlatBottom(300.0),
+        TraceConfig(r_start=0.0, r_end=5000.0, z0=100.0, theta0=0.0, dr=10.0),
+        [GRAZE_LO, GRAZE_HI] + [math.radians(a) for a in (-8.0, 3.0, 15.0)],
+        {TraceStatus.COMPLETED, TraceStatus.BACKSCATTERED}),
+    "munk-slope": (
+        MunkField(), LinearSlopeBottom(depth0=3500.0, slope=-0.05),
+        TraceConfig(r_start=0.0, r_end=40_000.0, z0=1000.0, theta0=0.0, dr=50.0),
+        [math.radians(a) for a in (-15.0, -8.0, 5.0, 12.0, 16.0)],
+        {TraceStatus.COMPLETED}),
+    "piecewise-exit": (
+        LinearGradientField(1500.0, -1e-4),
+        PiecewiseBottom(np.linspace(0.0, 3000.0, 16),
+                        200.0 + 20.0 * np.sin(np.linspace(0.0, 3000.0, 16) / 300.0)),
+        TraceConfig(r_start=0.0, r_end=4000.0, z0=50.0, theta0=0.0, dr=7.0),
+        [math.radians(a) for a in (-6.0, 0.0, 1.0, 4.0, 9.0)],
+        {TraceStatus.DOMAIN_EXIT}),
+}
+
+FAN_DIGESTS = {
+    "constant-arc-up": "e45f97742d519c97dd27c3cff6f943e11b4713f921ce5c594991f0e2e5c67229",
+    "constant-arc-down": "278622bfcb6e47a3a5a46c645bd6a47b3b12c457bcad4bb0b8b7dd6a6acc7b27",
+    "range-gradient-flat": "a68795b791e317e8929900a1e12a2f5afb7f079289e03793ce0651f97e5ea290",
+    "munk-slope": "7d70990a63de48238cfbf82f1c8d916d8e7d55f76b69e2932f5d0d463ddcb039",
+    "piecewise-exit": "e0027ba226402c2b308587102d012b6721b54a534eeebedd52706f98e5791da4",
+}
+
+
+@pytest.mark.parametrize("case", FAN_CASES)
+def test_library_fan_bytes(case):
+    field, bath, cfg, angles, statuses = FAN_CASES[case]
+    results = trace_fan(field, bath, cfg, angles)
+    assert {res.status for res in results} == statuses
+    assert any(res.bounces for res in results)
+    assert fan_digest(results) == FAN_DIGESTS[case]
