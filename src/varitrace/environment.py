@@ -22,14 +22,17 @@ Sampled 1D profiles (a range-independent ``GriddedField`` and a
 ``PiecewiseBottom``) are fitted once with a natural cubic spline in plain
 Python, repeating scipy ``CubicSpline``'s arithmetic so the coefficients
 equal scipy's bit for bit.  Queries read that coefficient table, which
-returns value, slope and second derivative in one call and sums in scipy
-``PPoly``'s own order.  scipy is imported only to fit a range-dependent
-2D ``GriddedField`` (and by the tests, which compare the fit with it);
-every other field and bottom never loads it.
+returns value, slope and second derivative in one call (or the value
+alone) and sums in scipy ``PPoly``'s own order.  scipy is imported only to
+fit a range-dependent 2D ``GriddedField`` (and by the tests, which compare
+the fit with it); every other field and bottom never loads it.
 
 All field and bathymetry objects are immutable after construction and all
 queries are pure functions, so they can be shared freely between
-concurrent ray traces.
+concurrent ray traces.  Each bathymetry's ``floor = (min_depth, r_lo,
+r_hi)`` promises that ``depth_at(r)`` returns at least ``min_depth``, and
+raises nothing, for ``r_lo <= r <= r_hi``; the tracer skips bottom queries
+on that promise.
 """
 
 from __future__ import annotations
@@ -200,6 +203,27 @@ class _CubicTable:
                 c + b * s * 2.0 + a * s2 * 3.0,
                 b * 2.0 + a * s * 6.0)
 
+    def value(self, v: float) -> float:
+        """The value alone: the first entry of a call, bit for bit."""
+        i = min(bisect_right(self._x, v) - 1, self._last)
+        s = v - self._x[i]
+        return self._d[i] + self._c[i] * s + self._b[i] * (s * s) + self._a[i] * (s * s * s)
+
+    def lowest(self) -> tuple[float, float, float]:
+        """(minimum, where, bound) over [x[0], x[-1]]; ``bound`` is below every value a
+        call returns there, by 1e-12 of the summed term sizes (far above rounding)."""
+        lowest, bound = (math.inf, math.nan), math.inf
+        for x0, x1, a, b, c, d in zip(self._x, self._x[1:], self._a, self._b, self._c, self._d):
+            dx, disc = x1 - x0, b * b - 3.0 * a * c
+            # Ends, and roots q / 3a, c / q of the slope 3a s^2 + 2b s + c (a = 0: -c / 2b).
+            q = -(b + math.copysign(math.sqrt(max(disc, 0.0)), b))
+            roots = [q / (3.0 * a) if a else 0.0, c / q if q else 0.0] if disc >= 0.0 else []
+            margin = 1e-12 * (abs(d) + dx * (abs(c) + dx * (abs(b) + dx * abs(a))))
+            for s in [0.0, dx] + [s for s in roots if 0.0 < s < dx]:
+                value = d + c * s + b * s * s + a * s * s * s
+                lowest, bound = min(lowest, (value, x0 + s)), min(bound, value - margin)
+        return (*lowest, bound)
+
 
 # ---------------------------------------------------------------------------
 # Sound speed fields
@@ -271,6 +295,7 @@ class LinearGradientField(SoundSpeedField):
         self.c_surface = float(c_surface)
         self.gradient = float(gradient)
         self.range_gradient = float(range_gradient)
+        self._n0 = self.c0 / self.c_surface
 
     def sound_speed(self, r: float, z: float) -> float:
         f = 1.0 - self.gradient * z - self.range_gradient * r
@@ -283,10 +308,10 @@ class LinearGradientField(SoundSpeedField):
         f = 1.0 - g * z - self.range_gradient * r
         if f <= 0.0:
             raise DomainError("sound speed not positive at this depth", "z", z)
-        n0 = self.c0 / self.c_surface
+        n0, f2 = self._n0, f**2
         n = n0 / f
-        n_r = n0 * self.range_gradient / f**2
-        n_z = n0 * g / f**2
+        n_r = n0 * self.range_gradient / f2
+        n_z = n0 * g / f2
         n_zz = 2.0 * n0 * g * g / f**3
         return n, n_r, n_z, n_zz
 
@@ -311,6 +336,7 @@ class MunkField(SoundSpeedField):
         self.z_axis = float(z_axis)
         self.scale_depth = float(scale_depth)
         self.epsilon = float(epsilon)
+        self._a, self._c_eps = 2.0 / self.scale_depth, self.c_axis * self.epsilon
 
     def sound_speed(self, r: float, z: float) -> float:
         eta = 2.0 * (z - self.z_axis) / self.scale_depth
@@ -318,14 +344,15 @@ class MunkField(SoundSpeedField):
 
     def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
         eta = 2.0 * (z - self.z_axis) / self.scale_depth
-        a = 2.0 / self.scale_depth
+        a, c_eps, c0 = self._a, self._c_eps, self.c0
         e = math.exp(-eta)
         c = self.c_axis * (1.0 + self.epsilon * (eta - 1.0 + e))
-        c_z = self.c_axis * self.epsilon * (1.0 - e) * a
-        c_zz = self.c_axis * self.epsilon * e * a * a
-        n = self.c0 / c
-        n_z = -self.c0 * c_z / c**2
-        n_zz = self.c0 * (2.0 * c_z * c_z / c**3 - c_zz / c**2)
+        c_z = c_eps * (1.0 - e) * a
+        c_zz = c_eps * e * a * a
+        c2 = c**2
+        n = c0 / c
+        n_z = -c0 * c_z / c2
+        n_zz = c0 * (2.0 * c_z * c_z / c**3 - c_zz / c2)
         return n, 0.0, n_z, n_zz
 
 
@@ -395,21 +422,24 @@ class GriddedField(SoundSpeedField):
         return float(self._spline.ev(r, z))
 
     def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
-        self._check_domain(r, z)
         if self.ranges is None:
-            c, c_z, c_zz = self._table(z)
-            c_r = 0.0
+            z_lo, z_hi = self._z_span
+            if not (z_lo <= z <= z_hi):
+                raise DomainError("depth outside gridded field", "z", z)
+            (c, c_z, c_zz), c_r = self._table(z), 0.0
         else:
+            self._check_domain(r, z)
             c = float(self._spline.ev(r, z))
             c_r = float(self._spline.ev(r, z, dx=1))
             c_z = float(self._spline.ev(r, z, dy=1))
             c_zz = float(self._spline.ev(r, z, dy=2))
         if c <= 0.0:
             raise DomainError("interpolated sound speed not positive", "z", z)
-        n = self.c0 / c
-        n_r = -self.c0 * c_r / c**2
-        n_z = -self.c0 * c_z / c**2
-        n_zz = self.c0 * (2.0 * c_z * c_z / c**3 - c_zz / c**2)
+        c0, c2 = self.c0, c**2
+        n = c0 / c
+        n_r = -c0 * c_r / c2
+        n_z = -c0 * c_z / c2
+        n_zz = c0 * (2.0 * c_z * c_z / c**3 - c_zz / c2)
         return n, n_r, n_z, n_zz
 
 
@@ -419,9 +449,13 @@ class GriddedField(SoundSpeedField):
 
 
 class Bathymetry(ABC):
-    """Bottom profile z_b(r) > 0 with its normal frame and curvature."""
+    """Bottom profile z_b(r) > 0 with its normal frame and curvature.
+
+    ``floor`` (read-only) is the depth floor of the module docstring, rounding
+    included; a subclass that narrows the default, which never skips, keeps it."""
 
     kind: str = "abstract"
+    floor: tuple[float, float, float] = (-math.inf, -math.inf, math.inf)
 
     @abstractmethod
     def _profile(self, r: float) -> tuple[float, float, float]:
@@ -447,6 +481,10 @@ class FlatBottom(Bathymetry):
         if depth <= 0.0:
             raise ValueError(f"bottom depth must be positive, got {depth}")
         self.depth = float(depth)
+        self.floor = (self.depth, -math.inf, math.inf)
+
+    def depth_at(self, r: float) -> float:
+        return self.depth
 
     def _profile(self, r: float) -> tuple[float, float, float]:
         return self.depth, 0.0, 0.0
@@ -463,11 +501,14 @@ class LinearSlopeBottom(Bathymetry):
         self.depth0 = float(depth0)
         self.slope = float(slope)
 
-    def _profile(self, r: float) -> tuple[float, float, float]:
+    def depth_at(self, r: float) -> float:
         z_b = self.depth0 + self.slope * r
         if z_b <= 0.0:
             raise DomainError("sloped bottom reaches the surface", "r", r)
-        return z_b, self.slope, 0.0
+        return z_b
+
+    def _profile(self, r: float) -> tuple[float, float, float]:
+        return self.depth_at(r), self.slope, 0.0
 
 
 class SinusoidalBottom(Bathymetry):
@@ -483,14 +524,17 @@ class SinusoidalBottom(Bathymetry):
         self.amplitude = float(amplitude)
         self.wavenumber = float(wavenumber)
         self.phase = float(phase)
+        # Rounding is monotonic and |sin| <= 1, so no depth lies below this.
+        self.floor = (self.mean_depth - abs(self.amplitude), -math.inf, math.inf)
+
+    def depth_at(self, r: float) -> float:
+        return self.mean_depth + self.amplitude * math.sin(self.wavenumber * r + self.phase)
 
     def _profile(self, r: float) -> tuple[float, float, float]:
-        k = self.wavenumber
+        k, a = self.wavenumber, self.amplitude
         arg = k * r + self.phase
-        z_b = self.mean_depth + self.amplitude * math.sin(arg)
-        slope = self.amplitude * k * math.cos(arg)
-        d2 = -self.amplitude * k * k * math.sin(arg)
-        return z_b, slope, d2
+        return (self.mean_depth + a * math.sin(arg), a * k * math.cos(arg),
+                -a * k * k * math.sin(arg))
 
 
 class ArcBottom(Bathymetry):
@@ -513,29 +557,31 @@ class ArcBottom(Bathymetry):
         self.r_center = float(r_center)
         self.z_center = float(z_center)
         self.bulge = bulge
+        self._sign = 1.0 if bulge == "up" else -1.0
+
+    def depth_at(self, r: float) -> float:
+        u = r - self.r_center
+        rad2 = self.radius**2 - u * u
+        if rad2 <= 0.0:
+            raise DomainError("range outside the circular-arc bottom", "r", r)
+        return self.z_center - self._sign * math.sqrt(rad2)
 
     def _profile(self, r: float) -> tuple[float, float, float]:
         u = r - self.r_center
         rad2 = self.radius**2 - u * u
         if rad2 <= 0.0:
             raise DomainError("range outside the circular-arc bottom", "r", r)
-        root = math.sqrt(rad2)
-        if self.bulge == "up":
-            z_b = self.z_center - root
-            slope = u / root
-            d2 = self.radius**2 / root**3
-        else:
-            z_b = self.z_center + root
-            slope = -u / root
-            d2 = -self.radius**2 / root**3
-        return z_b, slope, d2
+        # The sign flips each term exactly, so a basin's depth is z_center + root.
+        root, sign = math.sqrt(rad2), self._sign
+        return self.z_center - sign * root, sign * u / root, sign * self.radius**2 / root**3
 
 
 class PiecewiseBottom(Bathymetry):
     """Bottom interpolated through sampled (r, z_b) points with a C2 spline.
 
     The natural cubic spline reproduces its knots exactly, so curvature is
-    available everywhere in the sampled range.
+    available everywhere in the sampled range.  A spline that overshoots to
+    the surface or above between knots is rejected.
     """
 
     kind = "piecewise"
@@ -553,6 +599,10 @@ class PiecewiseBottom(Bathymetry):
         self.z_points = z_points
         self._r_span = (float(r_points[0]), float(r_points[-1]))
         self._table = _CubicTable(r_points, z_points)
+        lowest, where, bound = self._table.lowest()
+        if lowest <= 0.0:
+            raise ValueError(f"bottom spline reaches the surface: {lowest:.4g} m at r = {where:g}")
+        self.floor = (bound, *self._r_span)
 
     @classmethod
     def from_file(cls, path) -> "PiecewiseBottom":
@@ -570,6 +620,10 @@ class PiecewiseBottom(Bathymetry):
         r_lo, r_hi = self._r_span
         if not (r_lo <= r <= r_hi):
             raise DomainError("range outside piecewise bathymetry", "r", r)
+
+    def depth_at(self, r: float) -> float:
+        self._check_domain(r)
+        return self._table.value(r)
 
     def _profile(self, r: float) -> tuple[float, float, float]:
         self._check_domain(r)

@@ -17,12 +17,14 @@ continuous extension of RK4, Hairer, Norsett & Wanner, Solving ODEs I,
 II.6) at no extra right-hand-side evaluation.  A boundary crossing is
 bracketed by the sign of the boundary gap (-z at the surface,
 z - depth_at(r) at the bottom) at the step end or, when both ends are
-inside, at the interpolated step midpoint (a shallow double crossing).  A
-step with no bracket ends there; a search is set up only for a bracketed
-boundary.  There an Illinois search on the interpolated gap seeds a
-safeguarded secant search on the exact RK4 map from the step start, so
-the landing state is an RK4 state whose boundary residual is below
-``bisect_tol``.  The reflection jump is applied there and marching
+inside, at the interpolated step midpoint (a shallow double crossing).
+Both depth queries are skipped when both points lie above the bottom's
+``floor`` over a span holding the step: the same decision, which certifies
+nothing between the points.  A step with no bracket ends there; a search is
+set up only for a bracketed boundary.  There an Illinois search on the
+interpolated gap seeds a safeguarded secant search on the exact RK4 map from
+the step start, so the landing state is an RK4 state whose boundary residual
+is below ``bisect_tol``.  The reflection jump is applied there and marching
 resumes.  All abnormal endings are reported as statuses, never exceptions.
 """
 
@@ -355,9 +357,13 @@ def _find_crossing(field_, bath, r0, z0, p0, sample0, h, z_end, stages, tol):
     hi_top, g_top = h, -z_end
     if g_top <= 0.0:
         hi_top, g_top = hh, -z_mid
-    hi_bot, g_bot = h, z_end - bath.depth_at(r0 + h)
-    if g_bot <= 0.0:
-        hi_bot, g_bot = hh, z_mid - bath.depth_at(r0 + hh)
+    # Above the bottom's floor over a span holding the step: no gap is positive.
+    z_floor, r_lo, r_hi = bath.floor
+    hi_bot, g_bot = h, 0.0
+    if not (z_end < z_floor and z_mid < z_floor and r_lo <= r0 and r0 + h <= r_hi):
+        g_bot = z_end - bath.depth_at(r0 + h)
+        if g_bot <= 0.0:
+            hi_bot, g_bot = hh, z_mid - bath.depth_at(r0 + hh)
     if g_top <= 0.0 and g_bot <= 0.0:
         return None
 
