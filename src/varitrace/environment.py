@@ -30,9 +30,10 @@ the fit with it); every other field and bottom never loads it.
 All field and bathymetry objects are immutable after construction and all
 queries are pure functions, so they can be shared freely between
 concurrent ray traces.  Each bathymetry's ``floor = (min_depth, r_lo,
-r_hi)`` promises that ``depth_at(r)`` returns at least ``min_depth``, and
-raises nothing, for ``r_lo <= r <= r_hi``; the tracer skips bottom queries
-on that promise.
+r_hi)`` promises that, for ``r_lo <= r <= r_hi``, ``depth_at(r)`` raises
+nothing and returns at least ``min_depth``.  The tracer skips the bottom
+query where a ray lies above ``min_depth``, so the default ``(-inf, -inf,
+inf)`` promises nothing.
 """
 
 from __future__ import annotations
@@ -451,8 +452,8 @@ class GriddedField(SoundSpeedField):
 class Bathymetry(ABC):
     """Bottom profile z_b(r) > 0 with its normal frame and curvature.
 
-    ``floor`` (read-only) is the depth floor of the module docstring, rounding
-    included; a subclass that narrows the default, which never skips, keeps it."""
+    ``floor`` (read-only) makes the module docstring's promise, rounding
+    included; a subclass that sets its own must keep it."""
 
     kind: str = "abstract"
     floor: tuple[float, float, float] = (-math.inf, -math.inf, math.inf)
@@ -580,8 +581,7 @@ class PiecewiseBottom(Bathymetry):
     """Bottom interpolated through sampled (r, z_b) points with a C2 spline.
 
     The natural cubic spline reproduces its knots exactly, so curvature is
-    available everywhere in the sampled range.  A spline that overshoots to
-    the surface or above between knots is rejected.
+    available everywhere in the sampled range; it must not reach the surface.
     """
 
     kind = "piecewise"

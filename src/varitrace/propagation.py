@@ -17,15 +17,15 @@ continuous extension of RK4, Hairer, Norsett & Wanner, Solving ODEs I,
 II.6) at no extra right-hand-side evaluation.  A boundary crossing is
 bracketed by the sign of the boundary gap (-z at the surface,
 z - depth_at(r) at the bottom) at the step end or, when both ends are
-inside, at the interpolated step midpoint (a shallow double crossing).
-Both depth queries are skipped when both points lie above the bottom's
-``floor`` over a span holding the step: the same decision, which certifies
-nothing between the points.  A step with no bracket ends there; a search is
-set up only for a bracketed boundary.  There an Illinois search on the
-interpolated gap seeds a safeguarded secant search on the exact RK4 map from
-the step start, so the landing state is an RK4 state whose boundary residual
-is below ``bisect_tol``.  The reflection jump is applied there and marching
-resumes.  All abnormal endings are reported as statuses, never exceptions.
+inside, at the interpolated step midpoint (a shallow double crossing).  Both
+depth queries are skipped when both points lie above the bottom's ``floor``
+over a span holding the step: the same decision, which certifies nothing
+between the points.  A step with no bracket ends there; a search is set up
+only for a bracketed boundary.  There an Illinois search on the interpolated
+gap seeds a safeguarded secant search on the exact RK4 map from the step
+start, so the landing state is an RK4 state whose boundary residual is below
+``bisect_tol``.  The reflection jump is applied there and marching resumes.
+All abnormal endings are reported as statuses, never exceptions.
 """
 
 from __future__ import annotations

@@ -29,6 +29,10 @@ def test_smoke_run_is_correct_and_counts_work(workload):
     metrics = summary["metrics"]
     assert metrics["propagation.samples"]["value"] > 0
     assert metrics["environment.index_at.calls"]["value"] > 0
+    if workload in ("deep-trace", "verify-all"):
+        # steps above the bottom's depth floor make no bottom query
+        assert (metrics["environment.depth_at.calls"]["value"]
+                < metrics["propagation.samples"]["value"])
     if workload == "verify-all":
         # one preset: the central ray, 4 perturbed traces at the default
         # offsets (one Richardson level) and 12 for the study

@@ -110,6 +110,21 @@ class TestConfigParsing:
         assert main(["trace", "--config", cfg]) == 2
         assert "missing.txt" in capsys.readouterr().err
 
+    def test_piecewise_spline_reaching_the_surface(self, tmp_path, capsys):
+        """Every knot lies below the surface, but the spline through them dips
+        to -7.47 m at r = 250: a config error, not a trace that bounces off
+        a bottom above the water (it used to end backscattered, exit 0)."""
+        (tmp_path / "bottom.txt").write_text(
+            "".join(f"{r} {z}\n" for r, z in zip(range(0, 501, 100), (50, 50, 2, 2, 50, 50))))
+        text = (BASE_CFG.replace("kind = flat\ndepth = 1000.0", "kind = piecewise\nfile = bottom.txt")
+                .replace("r_end = 6000.0", "r_end = 500.0").replace("z0 = 0.0", "z0 = 1.0")
+                .replace("theta0_deg = 45.0", "theta0_deg = 0.5").replace("dr = 50.0", "dr = 5.0"))
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--config", write_cfg(tmp_path, text), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "reaches the surface: -7.474 m at r = 250" in err
+        assert not out.exists()
+
 
 class TestTraceCommand:
     def test_zigzag_csv(self, tmp_path):

@@ -333,6 +333,18 @@ class TestSplineTable:
         assert not any(even[:-1])
         assert swapped[:3] == [0.0, 1.0, 0.0]
 
+    @pytest.mark.parametrize("knots", ["_thermocline", "_bathymetry", "_interchange", "_uneven"])
+    def test_value_is_the_first_entry_of_a_call(self, knots):
+        from varitrace.environment import _CubicTable
+
+        grids = self._uneven() if knots == "_uneven" else [getattr(self, knots)()]
+        rng = np.random.default_rng(21)
+        for x, y in grids:
+            table = _CubicTable(x, y)
+            points = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), rng.uniform(x[0], x[-1], 50)])
+            for v in points.tolist():
+                assert repr(table.value(v)) == repr(table(v)[0]), v
+
     def test_non_finite_samples_rejected(self):
         from varitrace.environment import _CubicTable
 
@@ -354,3 +366,144 @@ class TestSplineTable:
         assert field.index_at(0.0, 61.3)[3] != 0.0
         assert field.sound_speed(0.0, 61.3) > 0.0
         assert bath.depth_at(1234.5) == bath.bottom_at(1234.5).z_b
+
+
+def _outcome(query, *args):
+    """What a query returns, its floats as repr (the sign of zero counts),
+    or the DomainError it raises, with its message and coordinate."""
+    try:
+        value = query(*args)
+    except DomainError as exc:
+        return ("DomainError", str(exc), exc.coordinate, repr(exc.value))
+    return repr(value) if isinstance(value, float) else tuple(map(repr, value))
+
+
+def _fields():
+    depths = np.linspace(-20.0, 260.0, 29)
+    ranges = np.linspace(-100.0, 4_100.0, 8)
+    c_2d = (1510.0 - 0.06 * depths[None, :] + 3e-4 * depths[None, :] ** 2
+            + 4.0 * np.sin(ranges[:, None] / 900.0) * np.exp(-depths[None, :] / 120.0))
+    return {
+        "constant": ConstantField(c0=1500.0, c=1480.0),
+        "linear-gradient": LinearGradientField(1500.0, 2e-3),
+        "range-gradient": LinearGradientField(1500.0, -1e-4, c0=1490.0, range_gradient=5e-6),
+        "zero-gradient": LinearGradientField(1500.0, 0.0),
+        "munk": MunkField(),
+        "munk-shallow": MunkField(z_axis=50.0, scale_depth=100.0, c0=1510.0),
+        "gridded-1d": GriddedField(depths, 1510.0 - 0.08 * depths + 4e-4 * depths**2),
+        "gridded-2d": GriddedField(depths, c_2d, ranges=ranges),
+    }
+
+
+FIELDS = _fields()
+
+
+class TestIndexReference:
+    """Every built-in field returns the tuple of the reference expressions in
+    ``index_reference`` bit for bit, and raises the same DomainError."""
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_index_tuples_bitwise(self, name):
+        from index_reference import reference_index
+
+        field = FIELDS[name]
+        rng = np.random.default_rng(31)
+        points = list(zip(rng.uniform(-300.0, 4_500.0, 2_000).tolist(),
+                          rng.uniform(-40.0, 700.0, 2_000).tolist()))
+        points += [(0.0, 0.0), (-0.0, -0.0), (0.0, 260.0), (4_100.0, -20.0), (1e4, 1300.0)]
+        outcomes = set()
+        for r, z in points:
+            got = _outcome(field.index_at, r, z)
+            assert got == _outcome(reference_index, field, r, z), (r, z)
+            outcomes.add(got[0] == "DomainError")
+        if name.startswith("gridded") or name == "linear-gradient":
+            assert outcomes == {True, False}  # both sides of the domain were seen
+
+
+def _bathymetries():
+    knots = np.linspace(0.0, 3000.0, 16)
+    return {
+        "flat": FlatBottom(250.0),
+        "linear-slope": LinearSlopeBottom(depth0=300.0, slope=-0.05),
+        "sinusoidal": SinusoidalBottom(100.0, 4.0, 2.0 * math.pi / 80.0, phase=0.3),
+        "sinusoidal-negative": SinusoidalBottom(2000.0, -60.0, 0.003),
+        "arc-up": ArcBottom(radius=1500.0, r_center=1000.0, z_center=1620.0),
+        "arc-down": ArcBottom(radius=1500.0, r_center=1000.0, z_center=-998.0, bulge="down"),
+        "piecewise": PiecewiseBottom(knots, 200.0 + 20.0 * np.sin(knots / 300.0)),
+        # The spline dips to 14.08 m at r = 250, below its lowest knot.
+        "piecewise-dip": PiecewiseBottom(np.arange(0.0, 501.0, 100.0),
+                                         [50.0, 50.0, 20.0, 20.0, 50.0, 50.0]),
+    }
+
+
+BATHYMETRIES = _bathymetries()
+
+
+def _span_points(bath, count=10_000):
+    """Knots, interval midpoints, span ends and seeded points within the
+    span of the bottom's floor (or within -2 km..8 km where it is unbounded)."""
+    _, r_lo, r_hi = bath.floor
+    lo, hi = max(r_lo, -2_000.0), min(r_hi, 8_000.0)
+    points = np.random.default_rng(41).uniform(lo, hi, count).tolist()
+    points += [lo, hi]
+    if isinstance(bath, PiecewiseBottom):
+        knots = bath.r_points
+        points += knots.tolist() + (0.5 * (knots[:-1] + knots[1:])).tolist()
+    if isinstance(bath, SinusoidalBottom):  # the troughs, where sin = -sign(amplitude)
+        k, phase = bath.wavenumber, bath.phase
+        trough = -0.5 * math.pi if bath.amplitude > 0.0 else 0.5 * math.pi
+        points += [(trough + 2.0 * math.pi * j - phase) / k for j in range(-3, 4)]
+    return points
+
+
+class TestDepthQueries:
+    @pytest.mark.parametrize("name", BATHYMETRIES)
+    def test_depth_is_the_profile_depth_bitwise(self, name):
+        """``depth_at`` computes the depth alone, to the bits of
+        ``_profile(r)[0]``, and raises the same DomainError outside the
+        bottom's domain."""
+        bath = BATHYMETRIES[name]
+        points = np.random.default_rng(51).uniform(-3_000.0, 9_000.0, 10_000).tolist()
+        points += [0.0, -0.0, 1000.0, 3000.0, 2500.0, -500.0, 6000.0]
+        for r in points:
+            assert _outcome(bath.depth_at, r) == _outcome(
+                lambda v: bath._profile(v)[0], r), r
+
+    @pytest.mark.parametrize("name", BATHYMETRIES)
+    def test_floor_bounds_every_depth_in_its_span(self, name):
+        bath = BATHYMETRIES[name]
+        min_depth, r_lo, r_hi = bath.floor
+        assert r_lo <= r_hi
+        if min_depth == -math.inf:
+            assert bath.floor == (-math.inf, -math.inf, math.inf)  # never skips
+            return
+        for r in _span_points(bath):
+            assert bath.depth_at(r) >= min_depth, r
+
+    def test_floor_values(self):
+        assert BATHYMETRIES["flat"].floor == (250.0, -math.inf, math.inf)
+        assert BATHYMETRIES["sinusoidal"].floor == (96.0, -math.inf, math.inf)
+        assert BATHYMETRIES["sinusoidal-negative"].floor == (1940.0, -math.inf, math.inf)
+        for name in ("linear-slope", "arc-up", "arc-down"):
+            assert BATHYMETRIES[name].floor == (-math.inf, -math.inf, math.inf)
+        assert BATHYMETRIES["piecewise"].floor[1:] == (0.0, 3000.0)
+
+    def test_piecewise_floor_finds_the_dip_between_knots(self):
+        """The spline's minimum lies between knots, 5.9 m below the lowest
+        knot; the floor sits just below that minimum, not at a knot."""
+        from varitrace.environment import _CubicTable
+
+        bath = BATHYMETRIES["piecewise-dip"]
+        lowest, where, bound = _CubicTable(bath.r_points, bath.z_points).lowest()
+        dense = [bath.depth_at(r) for r in np.linspace(0.0, 500.0, 20_001).tolist()]
+        assert lowest <= min(dense) <= lowest + 1e-9
+        assert where == pytest.approx(250.0, abs=1e-6)
+        assert bath.floor[0] == bound
+        assert lowest - 1e-6 < bound <= lowest < 14.1
+        assert bath.depth_at(where) >= bound
+
+    def test_piecewise_spline_reaching_the_surface_rejected(self):
+        """Every knot lies below the surface, but the spline through them
+        dips to -7.47 m at r = 250."""
+        with pytest.raises(ValueError, match="reaches the surface: -7.47"):
+            PiecewiseBottom(np.arange(0.0, 501.0, 100.0), [50.0, 50.0, 2.0, 2.0, 50.0, 50.0])

@@ -157,6 +157,15 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def fan_digest(results) -> str:
+    """SHA-256 of each trace's samples and index, as float64 bytes."""
+    digest = hashlib.sha256()
+    for res in results:
+        digest.update(res.samples.tobytes())
+        digest.update(res.n.tobytes())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("command", FILE_DIGESTS)
 def test_readme_csv_bytes(tmp_path, command):
     """README trace (1,503 samples, 3 bounces), its 5-angle fan and the
@@ -198,19 +207,7 @@ def test_range_dependent_gridded_fan_bytes():
     results = trace_fan(field, FlatBottom(220.0), cfg,
                         [math.radians(a) for a in (-12.0, -5.0, 7.0, 11.0)])
     assert all(res.bounces for res in results)
-    digest = hashlib.sha256()
-    for res in results:
-        digest.update(res.samples.tobytes())
-        digest.update(res.n.tobytes())
-    assert digest.hexdigest() == GRIDDED_2D_DIGEST
-
-
-def fan_digest(results) -> str:
-    digest = hashlib.sha256()
-    for res in results:
-        digest.update(res.samples.tobytes())
-        digest.update(res.n.tobytes())
-    return digest.hexdigest()
+    assert fan_digest(results) == GRIDDED_2D_DIGEST
 
 
 # The two launch angles (rad) that bracket the first bottom hit of the

@@ -16,6 +16,7 @@ from varitrace import (
     LinearGradientField,
     LinearSlopeBottom,
     MunkField,
+    PiecewiseBottom,
     SinusoidalBottom,
     TraceConfig,
     TraceStatus,
@@ -256,6 +257,18 @@ class TestStatuses:
         assert res.status is TraceStatus.DOMAIN_EXIT
         assert res.samples[-1, 0] < 160.0
 
+    def test_domain_exit_past_piecewise_end_above_the_floor(self):
+        """A ray held near the surface stays above the bottom's floor, where
+        the bottom is not queried; the step past the last knot still is, so
+        the trace ends there instead of running on off the bathymetry."""
+        knots = np.linspace(0.0, 3000.0, 16)
+        bath = PiecewiseBottom(knots, 200.0 + 20.0 * np.sin(knots / 300.0))
+        cfg = TraceConfig(r_start=0.0, r_end=4000.0, z0=50.0, theta0=0.0, dr=7.0)
+        res = trace_ray(LinearGradientField(1500.0, -1e-4), bath, cfg)
+        assert res.status is TraceStatus.DOMAIN_EXIT
+        assert 3000.0 - 7.0 < res.samples[-1, 0] <= 3000.0
+        assert res.samples[:, 1].max() < bath.floor[0]
+
     def test_completed_has_final_sample_at_r_end(self):
         cfg = TraceConfig(r_start=0.0, r_end=1234.0, z0=100.0,
                           theta0=math.radians(3.0), dr=10.0)
@@ -494,6 +507,26 @@ def rhs_calls(monkeypatch):
     assert calls[0] > 0 and calls[1] > 0
 
 
+@pytest.fixture
+def depth_calls(monkeypatch):
+    """Count ``depth_at`` calls on every bathymetry class ([0])."""
+    from varitrace import Bathymetry
+
+    calls = [0]
+
+    def counting(original):
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+        return counted
+
+    for cls in (Bathymetry, *Bathymetry.__subclasses__()):
+        if "depth_at" in vars(cls):
+            monkeypatch.setattr(cls, "depth_at", counting(vars(cls)["depth_at"]))
+    yield calls
+    assert calls[0] > 0
+
+
 class TestEventLocationWork:
     """Work pinned by counting evaluations, never by wall time."""
 
@@ -501,6 +534,13 @@ class TestEventLocationWork:
         res = trace_ray(README_FIELD, README_BATH, README_CFG)
         assert res.status is TraceStatus.COMPLETED and res.bounces
         assert rhs_calls[0] / len(res.samples) <= 4.1
+
+    def test_bottom_queries_per_sample_on_readme_config(self, depth_calls):
+        """Steps whose end and midpoint lie above the sinusoid's trough
+        skip both bottom queries; only steps near the bottom make them."""
+        res = trace_ray(README_FIELD, README_BATH, README_CFG)
+        assert res.status is TraceStatus.COMPLETED and res.bounces
+        assert depth_calls[0] / len(res.samples) <= 0.2
 
     def test_one_index_evaluation_per_rk4_state(self, rhs_calls):
         """Each step's k1 stage reuses the index sample taken at its start
