@@ -14,8 +14,6 @@ import math
 import sys
 from contextlib import nullcontext
 
-import numpy as np
-
 from . import __version__
 from .config import RunConfig, load_config
 from .environment import IndexSample, NormalFrame
@@ -84,7 +82,8 @@ _ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
 def _trace_rows(result: TraceResult):
     # Bounce samples carry exactly the float range stored in the record.
     bounce_at = {b.r: b.boundary for b in result.bounces}
-    for (r, z, p, q11, q12, q21, q22), n in zip(result.samples.tolist(), result.n.tolist()):
+    values = iter(result.packed_samples)  # seven at a time, one sample per row
+    for n, r, z, p, q11, q12, q21, q22 in zip(result.packed_n, *[values] * 7):
         theta = math.degrees(math.asin(max(-1.0, min(1.0, p / n))))
         yield _ROW % (r, z, p, theta, q11, q12, q21, q22, q11 * q22 - q12 * q21,
                       bounce_at.pop(r, ""))
@@ -117,6 +116,16 @@ def cmd_trace(run: RunConfig, out, seed: int | None) -> int:
     return 0
 
 
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """The values of ``np.linspace(lo, hi, count)``, bit for bit."""
+    if count == 1:
+        return [0.0 * (hi - lo) + lo]
+    div, delta = count - 1, hi - lo
+    step = delta / div
+    # numpy scales by i / div * delta where the step underflows to zero
+    return [(i / div * delta if step == 0.0 else i * step) + lo for i in range(div)] + [hi]
+
+
 def _fan_angles(run: RunConfig) -> list[float]:
     sec = run.section("fan")
     sec.check_keys({"angles_deg", "theta_min_deg", "theta_max_deg", "count"})
@@ -129,7 +138,7 @@ def _fan_angles(run: RunConfig) -> list[float]:
             raise ConfigError("[fan] needs angles_deg or theta_min_deg/theta_max_deg/count")
         if count < 1:
             raise ConfigError("[fan] count must be at least 1")
-        angles = list(np.linspace(lo, hi, count))
+        angles = _linspace(lo, hi, count)
     if not angles:
         raise ConfigError("[fan] angle list is empty")
     return angles
@@ -207,7 +216,8 @@ def cmd_kappa_scan(run: RunConfig, out, seed: int | None) -> int:
     n_z = sec.get_float("n_z", 0.01)
     n_r = sec.get_float("n_r", 0.0)
 
-    count = int(round((alpha_max - alpha_min) / alpha_step)) + 1
+    # Up to the last alpha_min + i * step within 1e-9 of a step past alpha_max.
+    count = math.floor((alpha_max - alpha_min) / alpha_step + 1e-9) + 1
     alphas = [alpha_min + i * alpha_step for i in range(count)]
 
     for line in _metadata(run, "kappa-scan", seed):
@@ -256,7 +266,7 @@ def _verify_scenario(scenario: VerificationScenario, tolerance: float, out) -> b
     return ok
 
 
-def _verify_identities(rng: np.random.Generator, out) -> bool:
+def _verify_identities(rng, out) -> bool:
     """Both tangent-ratio identities over random valid pairs, each held to
     1e-10 relative to max(1, |lhs|, |rhs|): near a vertical reflected ray
     the sides reach about 1e6, where 1e-10 absolute is below one ulp.
@@ -265,6 +275,8 @@ def _verify_identities(rng: np.random.Generator, out) -> bool:
     would reject (<t, N> above -SINGULAR_TOL, or |tr| or |t1r| below
     SINGULAR_TOL), then makes one array call of identity_checks.
     """
+    import numpy as np
+
     worst = 0.0
     checked = 0
     while checked < 10_000:
@@ -288,7 +300,7 @@ def _verify_identities(rng: np.random.Generator, out) -> bool:
     return passed
 
 
-def _verify_structure(rng: np.random.Generator, out) -> bool:
+def _verify_structure(rng, out) -> bool:
     """det kappa = 1 and kappa21 = 0 over random valid reflection contexts,
     drawn in blocks as in _verify_identities.  A draw with tr nr + tz nz >
     -SINGULAR_TOL, which ReflectionContext or kappa_matrix would reject, is
@@ -343,6 +355,8 @@ def cmd_verify(run: RunConfig, out, seed: int | None) -> int:
         raise ConfigError(
             f"[verify] preset = {which!r}; expected 'all', 'custom' or one of "
             f"{', '.join(PRESET_NAMES)}")
+
+    import numpy as np
 
     rng = np.random.default_rng(0 if seed is None else seed)
     ok = True

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .environment import (
     ArcBottom,
     Bathymetry,
@@ -154,12 +152,8 @@ class RunConfig:
                     epsilon=sec.get_float("epsilon", 0.00737),
                     c0=sec.get_float("c0", c_axis))
             # gridded: two-column (z, c) profile file, range independent
-            path = self._resolve(sec.get_str("file", required=True))
-            data = np.loadtxt(path, comments="#", ndmin=2)
-            if data.shape[1] != 2:
-                raise ConfigError(f"gridded profile {path} must have two columns (z, c)")
-            return GriddedField(depths=data[:, 0], c_values=data[:, 1],
-                                c0=sec.get_float("c0", 1500.0))
+            return GriddedField.from_file(self._resolve(sec.get_str("file", required=True)),
+                                          c0=sec.get_float("c0", 1500.0))
         except (ValueError, OSError) as exc:
             # OSError: a referenced file that cannot be read, such as a directory
             raise ConfigError(f"[environment] {exc}")

@@ -25,7 +25,8 @@ equal scipy's bit for bit.  Queries read that coefficient table, which
 returns value, slope and second derivative in one call (or the value
 alone) and sums in scipy ``PPoly``'s own order.  scipy is imported only to
 fit a range-dependent 2D ``GriddedField`` (and by the tests, which compare
-the fit with it); every other field and bottom never loads it.
+the fit with it), and numpy only with it; every other field and bottom,
+and the two-column tables they are read from, never load either.
 
 All field and bathymetry objects are immutable after construction and all
 queries are pure functions, so they can be shared freely between
@@ -43,8 +44,6 @@ from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -117,6 +116,33 @@ def _bottom_frame(slope: float, d2: float) -> NormalFrame:
     return NormalFrame(nr=slope / norm, nz=-1.0 / norm, curvature=-d2 / norm**3)
 
 
+def _read_table(path) -> tuple[list[float], list[float]]:
+    """The two columns of a whitespace-separated text table.  ``#`` starts a
+    comment and blank lines are skipped; a line that does not hold exactly
+    two numbers raises ValueError naming the file and the line."""
+    first, second = [], []
+    with open(path) as handle:
+        for number, line in enumerate(handle, 1):
+            fields = line.split("#", 1)[0].split()
+            if fields:
+                try:
+                    x, y = map(float, fields)
+                except ValueError:
+                    raise ValueError(f"{path}, line {number}: expected two numbers, "
+                                     f"got {line.strip()!r}") from None
+                first.append(x)
+                second.append(y)
+    return first, second
+
+
+def _increasing(values, what: str) -> tuple[float, ...]:
+    """``values`` as a tuple of at least 4 strictly increasing floats."""
+    values = tuple(map(float, values))
+    if len(values) < 4 or any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"need at least 4 strictly increasing {what}")
+    return values
+
+
 def _gtsv(dl: list, d: list, du: list, b: list) -> list:
     """Solve a tridiagonal system in place, as LAPACK ``dgtsv`` does for
     one right-hand side: elimination with partial pivoting (row
@@ -167,6 +193,8 @@ class _CubicTable:
     def __init__(self, x, y):
         x = [float(v) for v in x]
         y = [float(v) for v in y]
+        if len(y) != len(x):
+            raise ValueError(f"need one value per sample point, got {len(y)} for {len(x)}")
         if not all(math.isfinite(v) for v in x + y):
             raise ValueError("spline samples must all be finite")
         n = len(x)
@@ -377,39 +405,36 @@ class GriddedField(SoundSpeedField):
 
     def __init__(self, depths, c_values, ranges=None, c0: float = 1500.0):
         super().__init__(c0)
-        depths = np.asarray(depths, dtype=float)
-        c_values = np.asarray(c_values, dtype=float)
-        if depths.ndim != 1 or depths.size < 4:
-            raise ValueError("need at least 4 strictly increasing depth samples")
-        if np.any(np.diff(depths) <= 0.0):
-            raise ValueError("depth samples must be strictly increasing")
-        if np.any(c_values <= 0.0):
-            raise ValueError("gridded sound speeds must all be positive")
-        self.depths = depths
-        self._z_span = (float(depths[0]), float(depths[-1]))
+        self.depths = _increasing(depths, "depth samples")
+        self._z_span = (self.depths[0], self.depths[-1])
         self._r_span = None
         if ranges is None:
-            if c_values.shape != depths.shape:
-                raise ValueError("c_values must match depths for a 1D profile")
+            if any(c <= 0.0 for c in c_values):
+                raise ValueError("gridded sound speeds must all be positive")
             self.ranges = None
-            self._table = _CubicTable(depths, c_values)
+            self._table = _CubicTable(self.depths, c_values)
         else:
+            import numpy as np
             from scipy.interpolate import RectBivariateSpline
 
-            ranges = np.asarray(ranges, dtype=float)
-            if ranges.ndim != 1 or ranges.size < 4:
-                raise ValueError("need at least 4 strictly increasing range samples")
-            if np.any(np.diff(ranges) <= 0.0):
-                raise ValueError("range samples must be strictly increasing")
-            if c_values.shape != (ranges.size, depths.size):
+            self.ranges = _increasing(ranges, "range samples")
+            c_values = np.asarray(c_values, dtype=float)
+            if c_values.shape != (len(self.ranges), len(self.depths)):
                 raise ValueError("c_values must have shape (len(ranges), len(depths))")
-            self.ranges = ranges
-            self._r_span = (float(ranges[0]), float(ranges[-1]))
-            self._spline = RectBivariateSpline(ranges, depths, c_values, kx=3, ky=3, s=0)
+            if np.any(c_values <= 0.0):
+                raise ValueError("gridded sound speeds must all be positive")
+            self._r_span = (self.ranges[0], self.ranges[-1])
+            self._spline = RectBivariateSpline(self.ranges, self.depths, c_values,
+                                               kx=3, ky=3, s=0)
+
+    @classmethod
+    def from_file(cls, path, c0: float = 1500.0) -> "GriddedField":
+        """Load a range-independent profile from a two-column (z, c) text
+        table, read as :meth:`PiecewiseBottom.from_file` reads its own."""
+        return cls(*_read_table(path), c0=c0)
 
     def _check_domain(self, r: float, z: float) -> None:
-        # The grid ends are held as Python floats: comparing against numpy
-        # array elements costs about three times as much per query.
+        # The grid ends are held as pairs of floats: one unpack per query.
         z_lo, z_hi = self._z_span
         if not (z_lo <= z <= z_hi):
             raise DomainError("depth outside gridded field", "z", z)
@@ -587,18 +612,12 @@ class PiecewiseBottom(Bathymetry):
     kind = "piecewise"
 
     def __init__(self, r_points, z_points):
-        r_points = np.asarray(r_points, dtype=float)
-        z_points = np.asarray(z_points, dtype=float)
-        if r_points.ndim != 1 or r_points.size < 4:
-            raise ValueError("need at least 4 bathymetry samples")
-        if np.any(np.diff(r_points) <= 0.0):
-            raise ValueError("bathymetry ranges must be strictly increasing")
-        if np.any(z_points <= 0.0):
+        self.r_points = _increasing(r_points, "bathymetry ranges")
+        self.z_points = tuple(map(float, z_points))
+        if any(z <= 0.0 for z in self.z_points):
             raise ValueError("bathymetry depths must all be positive")
-        self.r_points = r_points
-        self.z_points = z_points
-        self._r_span = (float(r_points[0]), float(r_points[-1]))
-        self._table = _CubicTable(r_points, z_points)
+        self._r_span = (self.r_points[0], self.r_points[-1])
+        self._table = _CubicTable(self.r_points, self.z_points)
         lowest, where, bound = self._table.lowest()
         if lowest <= 0.0:
             raise ValueError(f"bottom spline reaches the surface: {lowest:.4g} m at r = {where:g}")
@@ -608,13 +627,10 @@ class PiecewiseBottom(Bathymetry):
     def from_file(cls, path) -> "PiecewiseBottom":
         """Load a two-column (r, z_b) whitespace-separated text file.
 
-        Lines starting with '#' are comments; ranges must be strictly
-        increasing, both columns in meters.
+        '#' starts a comment and blank lines are skipped; ranges must be
+        strictly increasing, both columns in meters.
         """
-        data = np.loadtxt(path, comments="#", ndmin=2)
-        if data.shape[1] != 2:
-            raise ValueError(f"expected two columns (r, z_b) in {path}")
-        return cls(data[:, 0], data[:, 1])
+        return cls(*_read_table(path))
 
     def _check_domain(self, r: float) -> None:
         r_lo, r_hi = self._r_span

@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import Any
 
 from .environment import Bathymetry, SoundSpeedField
 from .errors import GeometryError, PerturbationTooLargeError
@@ -69,16 +68,16 @@ class JacobianEstimate:
 
     ``matrix`` is the estimate at the requested perturbation h; ``error``
     is the per-entry estimate |J(h') - J(h'/2)| * 4/3 from the last two
-    Richardson levels h' and h'/2.
+    Richardson levels h' and h'/2; both are 2x2 numpy arrays.
     """
 
-    matrix: np.ndarray
-    error: np.ndarray
+    matrix: Any
+    error: Any
     h_p: float
     h_z: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.error)):
+        if not all(map(math.isfinite, self.error.flat)):
             raise ValueError("Richardson error estimate is not finite")
 
 
@@ -95,7 +94,9 @@ def _endpoint(result: TraceResult, r_query: float) -> tuple[float, float]:
     return float(result.samples[-1, 2]), float(result.samples[-1, 1])
 
 
-def _centered_jacobian(field_, bath, cfg, z0, p0, h_p, h_z, signature) -> np.ndarray:
+def _centered_jacobian(field_, bath, cfg, z0, p0, h_p, h_z, signature):
+    import numpy as np
+
     cols = []
     for dp0, dz0 in ((h_p, 0.0), (0.0, h_z)):
         try:
@@ -166,7 +167,7 @@ def fd_jacobian(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
         raise ValueError("the FD error estimate needs at least 2 Richardson levels")
     cfg_q, p0, central = _central_trace(field_, bath, cfg, r_query, variations=False)
     pert, levels = _fd_levels(field_, bath, cfg_q, p0, central, pert)
-    error = np.abs(levels[-2] - levels[-1]) * (4.0 / 3.0)
+    error = abs(levels[-2] - levels[-1]) * (4.0 / 3.0)
     return JacobianEstimate(matrix=levels[0], error=error, h_p=pert.h_p, h_z=pert.h_z)
 
 
@@ -182,7 +183,9 @@ class KappaVerification:
     level_errs: tuple[float, ...]
 
 
-def _relative_errors(a: np.ndarray, b: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+def _relative_errors(a, b, floor: float = 1e-12):
+    import numpy as np
+
     scale = np.maximum(np.abs(a), np.abs(b))
     return np.where(scale > floor, np.abs(a - b) / np.maximum(scale, floor),
                     np.abs(a - b))

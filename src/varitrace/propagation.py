@@ -26,15 +26,21 @@ gap seeds a safeguarded secant search on the exact RK4 map from the step
 start, so the landing state is an RK4 state whose boundary residual is below
 ``bisect_tol``.  The reflection jump is applied there and marching resumes.
 All abnormal endings are reported as statuses, never exceptions.
+
+The samples are packed once, when the trace ends, into two stdlib
+``array('d')``: the seven columns row after row, and the index.  The CLI
+writes its rows from those, so no trace, fan or kappa scan loads numpy;
+a result's array attributes import it at their first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass, field, replace
 from enum import Enum
-
-import numpy as np
+from functools import cached_property
+from itertools import chain
 
 from .environment import Bathymetry, SoundSpeedField, surface_frame
 from .errors import DomainError, GeometryError, SteepRayError
@@ -118,43 +124,57 @@ class BounceRecord:
 class TraceResult:
     """Sampled trajectory (columns r, z, p, q11, q12, q21, q22) plus bounces.
 
-    The q columns are NaN in a ray-only trace (``variations=False``).
-    ``n`` holds the refractive index at each sample, as the integrator
-    evaluated it there.  ``unconverged_bounces`` counts bounces whose
-    location search stopped at its iteration cap before the boundary
-    residual fell below ``bisect_tol``.
+    ``packed_samples`` holds each sample's seven columns in turn and
+    ``packed_n`` the refractive index the integrator evaluated there, both
+    as float64 ``array('d')``; ``samples`` (shape (n_samples, 7)), ``n``
+    and the views below are numpy arrays on them, made at first read.  The
+    q columns are NaN in a ray-only trace (``variations=False``).
+    ``unconverged_bounces`` counts bounces whose location search stopped at
+    its iteration cap before the boundary residual fell below ``bisect_tol``.
     """
 
-    samples: np.ndarray
-    n: np.ndarray
+    packed_samples: array = field(repr=False)
+    packed_n: array = field(repr=False)
     bounces: list[BounceRecord]
     status: TraceStatus
     unconverged_bounces: int = 0
 
+    @cached_property
+    def samples(self):
+        import numpy as np
+
+        return np.frombuffer(self.packed_samples).reshape(-1, 7)
+
+    @cached_property
+    def n(self):
+        import numpy as np
+
+        return np.frombuffer(self.packed_n)
+
     @property
-    def r(self) -> np.ndarray:
+    def r(self):
         return self.samples[:, 0]
 
     @property
-    def z(self) -> np.ndarray:
+    def z(self):
         return self.samples[:, 1]
 
     @property
-    def p(self) -> np.ndarray:
+    def p(self):
         return self.samples[:, 2]
 
     @property
-    def q(self) -> np.ndarray:
+    def q(self):
         """Variation matrices, shape (n_samples, 2, 2)."""
         return self.samples[:, 3:7].reshape(-1, 2, 2)
 
     @property
-    def det_q(self) -> np.ndarray:
+    def det_q(self):
         s = self.samples
         return s[:, 3] * s[:, 6] - s[:, 4] * s[:, 5]
 
     @property
-    def det_q_residual(self) -> np.ndarray:
+    def det_q_residual(self):
         """``|det q - 1| / (|q11 q22| + |q12 q21|)`` at each sample.
 
         The raw ``|det q - 1|`` cancels two products that grow with the
@@ -165,7 +185,7 @@ class TraceResult:
         s = self.samples
         diag = s[:, 3] * s[:, 6]
         off = s[:, 4] * s[:, 5]
-        return np.abs(diag - off - 1.0) / (np.abs(diag) + np.abs(off))
+        return abs(diag - off - 1.0) / (abs(diag) + abs(off))
 
 
 @dataclass(frozen=True)
@@ -506,8 +526,8 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             status = TraceStatus.STEEP_RAY
             break
 
-    return TraceResult(samples=np.array(rows, dtype=float), n=np.array(ns),
-                       bounces=bounces, status=status,
+    return TraceResult(packed_samples=array("d", chain.from_iterable(rows)),
+                       packed_n=array("d", ns), bounces=bounces, status=status,
                        unconverged_bounces=unconverged)
 
 
@@ -523,6 +543,8 @@ def spreading_at(result: TraceResult, r: float) -> SpreadingFactor:
     Raises ValueError outside the sampled range and where q21 is NaN, as in
     a ray-only trace (``variations=False``), which carries no q.
     """
+    import numpy as np
+
     rs = result.r
     if not rs[0] <= r <= rs[-1]:
         raise ValueError(f"query range {r:g} outside the sampled trace "

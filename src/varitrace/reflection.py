@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .environment import NormalFrame
 from .errors import GeometryError, SingularReflectionError
 
@@ -160,6 +158,8 @@ def identity_checks(t, n_vec) -> IdentityPair:
     side is then an N-array, bit for bit the scalar result per column, and
     any singular column raises.
     """
+    import numpy as np
+
     (tr, tz), (nr, nz) = np.asarray(t, dtype=float), np.asarray(n_vec, dtype=float)
     n_t = tr * nr + tz * nz
     t1r = tr - 2.0 * nr * n_t

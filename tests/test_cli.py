@@ -289,6 +289,31 @@ class TestPathErrors:
         assert not out.parent.exists()
 
 
+class TestTableLineErrors:
+    """A table line that does not hold exactly two numbers is a config error
+    (exit 2) that names the file and the line."""
+
+    TABLES = {
+        "gridded": ("environment", "kind = constant\nc0 = 1500.0", "ssp.txt",
+                    [(z, 1500.0 + 0.01 * z) for z in range(-20, 1100, 20)]),
+        "piecewise": ("bathymetry", "kind = flat\ndepth = 1000.0", "bottom.txt",
+                      [(r, 1000.0) for r in range(0, 7000, 500)]),
+    }
+
+    @pytest.mark.parametrize("bad", ["40.0 1500.4 7.0", "40.0 fast"],
+                             ids=["three-fields", "non-number"])
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_bad_line_names_file_and_line(self, tmp_path, capsys, kind, bad):
+        section, replaced, name, rows = self.TABLES[kind]
+        lines = ["# two columns", ""] + [f"{a} {b}" for a, b in rows]
+        lines[5] = bad + "  # line 6"
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        cfg = write_cfg(tmp_path, BASE_CFG.replace(replaced, f"kind = {kind}\nfile = {name}"))
+        assert main(["trace", "--config", cfg]) == 2
+        assert (f"varitrace: config error: [{section}] {tmp_path / name}, line 6: "
+                f"expected two numbers, got {bad + '  # line 6'!r}") in capsys.readouterr().err
+
+
 class TestNonFiniteNumbers:
     """nan and inf are config errors, not numbers: a nan step or angle used
     to write NaN rows with status backscattered, and an infinite range
@@ -376,6 +401,40 @@ class TestFanCommand:
         np.testing.assert_allclose(p0, -p1, atol=1e-9)
 
 
+def bits(values):
+    """Exact bit patterns of floats, signed zeros told apart."""
+    return [float.hex(float(v)) for v in values]
+
+
+class TestLinspace:
+    """Fan angle ranges are spaced in plain Python to ``np.linspace``'s bits."""
+
+    @staticmethod
+    def check(lo, hi, count):
+        from varitrace.cli import _linspace
+
+        assert bits(_linspace(lo, hi, count)) == bits(np.linspace(lo, hi, count).tolist()), (
+            lo, hi, count)
+
+    def test_seeded_triples(self):
+        rng = np.random.default_rng(61)
+        for _ in range(3_000):
+            scale = 10.0 ** rng.integers(-3, 4)
+            lo, hi = (rng.uniform(-90.0, 90.0, 2) * scale).tolist()
+            self.check(lo, hi, int(rng.integers(1, 120)))
+
+    @pytest.mark.parametrize("lo,hi,count", [
+        (-25.0, 25.0, 1), (7.5, -3.0, 1), (-0.0, 4.0, 1), (-0.0, -0.0, 1),
+        (3.5, 3.5, 6), (0.0, 0.0, 2), (-0.0, 0.0, 3), (0.0, -0.0, 3), (-0.0, -0.0, 4),
+        (25.0, -25.0, 11), (0.3, -0.1, 7), (-0.0, 12.0, 5), (-0.0, -12.0, 5),
+        (0.0, 5e-324, 3), (0.0, 5e-324, 4), (-1e-320, 1e-320, 9),
+    ])
+    def test_edge_cases(self, lo, hi, count):
+        """count = 1, lo == hi, lo > hi, a signed-zero start and steps that
+        underflow to zero."""
+        self.check(lo, hi, count)
+
+
 class TestKappaScan:
     SCAN_CFG = """\
 [kappa_scan]
@@ -432,6 +491,27 @@ n_r = 0.0
         nr, nz = math.cos(math.radians(alpha)), math.sin(math.radians(alpha))
         assert tr - 2.0 * nr * (tr * nr + tz * nz) == pytest.approx(t1r, rel=1e-6)
         assert (scan_kappa(theta, alpha, 0.02, 1.0, 0.01, 0.0) is not None) is valid
+
+    @staticmethod
+    def alphas(tmp_path, lo, hi, step):
+        cfg = write_cfg(tmp_path, f"[kappa_scan]\ntheta_deg = 30\nalpha_min_deg = {lo}\n"
+                                  f"alpha_max_deg = {hi}\nalpha_step_deg = {step}\n")
+        out = tmp_path / "scan.csv"
+        assert main(["kappa-scan", "--config", cfg, "--output", str(out)]) == 0
+        return [row[1] for row in read_rows(out)]
+
+    def test_grid_stops_at_alpha_max(self, tmp_path):
+        """A step that does not divide the span ends the grid below
+        alpha_max_deg, never past it."""
+        assert self.alphas(tmp_path, 100, 101, 0.35) == [
+            format(100.0 + i * 0.35, ".17g") for i in range(3)]
+
+    def test_grid_keeps_a_rounded_endpoint(self, tmp_path):
+        """0.3 / 0.1 rounds just below 3: the grid still ends at its
+        endpoint, as computed alpha_min + 3 * step."""
+        alphas = self.alphas(tmp_path, 0, 0.3, 0.1)
+        assert alphas == [format(i * 0.1, ".17g") for i in range(4)]
+        assert float(alphas[-1]) == pytest.approx(0.3, abs=1e-15)
 
     def test_invalid_rows_have_empty_values(self, tmp_path):
         cfg = write_cfg(tmp_path, self.SCAN_CFG)

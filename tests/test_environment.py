@@ -1,6 +1,7 @@
 """Tests for sound speed fields and bathymetry, with FD derivative oracles."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +133,8 @@ class TestSoundSpeedFields:
             GriddedField(depths=[0.0, 1.0, 1.0, 2.0], c_values=[1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             GriddedField(depths=[0.0, 1.0, 2.0, 3.0], c_values=[1500.0, -1.0, 1500.0, 1500.0])
+        with pytest.raises(ValueError, match="one value per sample point, got 5 for 4"):
+            GriddedField(depths=[0.0, 1.0, 2.0, 3.0], c_values=[1500.0] * 5)
 
 
 class TestBathymetry:
@@ -447,7 +450,7 @@ def _span_points(bath, count=10_000):
     points = np.random.default_rng(41).uniform(lo, hi, count).tolist()
     points += [lo, hi]
     if isinstance(bath, PiecewiseBottom):
-        knots = bath.r_points
+        knots = np.asarray(bath.r_points)
         points += knots.tolist() + (0.5 * (knots[:-1] + knots[1:])).tolist()
     if isinstance(bath, SinusoidalBottom):  # the troughs, where sin = -sign(amplitude)
         k, phase = bath.wavenumber, bath.phase
@@ -507,3 +510,57 @@ class TestDepthQueries:
         dips to -7.47 m at r = 250."""
         with pytest.raises(ValueError, match="reaches the surface: -7.47"):
             PiecewiseBottom(np.arange(0.0, 501.0, 100.0), [50.0, 50.0, 2.0, 2.0, 50.0, 50.0])
+
+
+DATA = Path(__file__).resolve().parent / "data" / "shallow_fan"
+
+
+class TestTableReader:
+    """The two-column reader behind both ``from_file`` methods returns the
+    columns of ``np.loadtxt(path, comments="#", ndmin=2)`` bit for bit."""
+
+    @staticmethod
+    def check(path):
+        from varitrace.environment import _read_table
+
+        data = np.loadtxt(path, comments="#", ndmin=2)
+        assert data.shape[1] == 2
+        for column, expected in zip(_read_table(path), data.T):
+            assert [v.hex() for v in column] == [v.hex() for v in expected.tolist()]
+
+    @pytest.mark.parametrize("name", ["ssp.txt", "bottom.txt"])
+    def test_shipped_tables(self, name):
+        self.check(DATA / name)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_tables(self, tmp_path, seed):
+        """repr floats over many magnitudes, signed zeros, tabs, inline and
+        full-line comments, blank and whitespace-only lines, CRLF endings."""
+        rng = np.random.default_rng(seed)
+        lines = ["# header comment"]
+        for _ in range(300):
+            x, y = (rng.standard_normal(2) * 10.0 ** rng.integers(-12, 13, 2)).tolist()
+            if rng.random() < 0.05:
+                x = -0.0
+            line = str(rng.choice([" ", "\t", "  \t "])).join([repr(x), repr(y)])
+            if rng.random() < 0.2:
+                line = str(rng.choice(["", " ", "\t"])) + line + "   # note"
+            lines.append(line)
+            if rng.random() < 0.1:
+                lines.append(str(rng.choice(["", "   ", "\t", "# full-line comment"])))
+        newline = "\r\n" if seed % 2 else "\n"
+        path = tmp_path / "table.txt"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        self.check(path)
+
+    def test_gridded_field_from_file(self):
+        """The gridded profile built from a file equals one built from the
+        columns, at every query."""
+        from varitrace.environment import _read_table
+
+        field = GriddedField.from_file(DATA / "ssp.txt", c0=1490.0)
+        depths, c_values = _read_table(DATA / "ssp.txt")
+        direct = GriddedField(np.array(depths), np.array(c_values), c0=1490.0)
+        assert field.depths == tuple(depths)
+        for z in np.linspace(depths[0], depths[-1], 97).tolist():
+            assert field.index_at(0.0, z) == direct.index_at(0.0, z)

@@ -1,8 +1,8 @@
 """Package-surface guard: no test hooks or mutable globals in the modules,
 every exported name exists, scipy loads only to fit a range-dependent
-sound-speed grid, no module uses the matrix-product operator, the RK4
-path builds no named index samples, and the README's library example runs
-as written."""
+sound-speed grid, no trace, fan or kappa scan loads numpy, no module uses
+the matrix-product operator, the RK4 path builds no named index samples,
+and the README's library example runs as written."""
 
 import ast
 import importlib
@@ -73,13 +73,14 @@ def test_package_imports_exist():
         assert hasattr(varitrace, name), f"varitrace does not provide {name}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_scipy_imported_only_inside_functions(path):
+def module_level_imports(path, package):
+    """Lines of ``path`` that import ``package`` outside every function."""
     tree = parse(path)
     in_functions = {id(node)
                     for func in ast.walk(tree)
                     if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
                     for node in ast.walk(func)}
+    lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -87,9 +88,14 @@ def test_scipy_imported_only_inside_functions(path):
             names = [node.module or ""]
         else:
             continue
-        if any(name.split(".")[0] == "scipy" for name in names):
-            assert id(node) in in_functions, (
-                f"{path.name}:{node.lineno}: scipy imported at module level")
+        if any(name.split(".")[0] == package for name in names) and id(node) not in in_functions:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_imported_only_inside_functions(path):
+    assert module_level_imports(path, "scipy") == [], f"{path.name}: scipy at module level"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -157,6 +163,14 @@ print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+def write_tables(directory):
+    """The sound-speed and bathymetry tables SAMPLED_CFG reads."""
+    (directory / "ssp.txt").write_text("".join(
+        f"{z} {1500.0 + 0.05 * z}\n" for z in range(-20, 260, 20)))
+    (directory / "bottom.txt").write_text("".join(
+        f"{r} {200.0 + 10.0 * (r % 1000 == 0)}\n" for r in range(0, 3500, 250)))
+
+
 def run_fresh(code, *args):
     """Run ``code`` in a fresh interpreter that imports this package."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -169,10 +183,7 @@ def run_fresh(code, *args):
 def test_scipy_loaded_only_to_fit_sampled_profiles(tmp_path, text):
     """Neither analytic profiles nor a gridded profile over a piecewise
     bottom load scipy: 1D splines are fitted in plain Python."""
-    (tmp_path / "ssp.txt").write_text("".join(
-        f"{z} {1500.0 + 0.05 * z}\n" for z in range(-20, 260, 20)))
-    (tmp_path / "bottom.txt").write_text("".join(
-        f"{r} {200.0 + 10.0 * (r % 1000 == 0)}\n" for r in range(0, 3500, 250)))
+    write_tables(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     out = tmp_path / "out.csv"
@@ -195,11 +206,43 @@ print(before, "scipy.interpolate" in sys.modules)
     assert run_fresh(probe).split() == ["False", "True"]
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numpy_imported_only_inside_functions(path):
+    """Importing a module loads no numpy: only the functions and properties
+    whose results are arrays import it."""
+    assert module_level_imports(path, "numpy") == [], f"{path.name}: numpy at module level"
+
+
 def test_scipy_imported_only_for_range_dependent_grids():
     imports = [(path.name, ast.unparse(node))
                for path in MODULES for node in ast.walk(parse(path))
                if isinstance(node, (ast.Import, ast.ImportFrom)) and "scipy" in ast.unparse(node)]
     assert imports == [("environment.py", "from scipy.interpolate import RectBivariateSpline")]
+
+
+_COMMANDS_PROBE = """\
+import sys
+import varitrace
+import varitrace.cli as cli
+codes = [cli.main([command, "--config", sys.argv[1], "--output", sys.argv[2]])
+         for command in sys.argv[3:]]
+print(codes, "numpy" in sys.modules, "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("text", [ANALYTIC_CFG, SAMPLED_CFG], ids=["analytic", "sampled"])
+def test_trace_fan_and_kappa_scan_load_neither_numpy_nor_scipy(tmp_path, text):
+    """The package, and trace, fan and kappa-scan runs over analytic and over
+    sampled environments, load neither numpy nor scipy; verify loads numpy."""
+    write_tables(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "[fan]\nangles_deg = -4, 3\n[kappa_scan]\nalpha_step_deg = 10\n")
+    out = tmp_path / "out.csv"
+    assert run_fresh(_COMMANDS_PROBE, cfg, out, "trace", "fan", "kappa-scan").split() == [
+        "[0,", "0,", "0]", "False", "False"]
+    (tmp_path / "verify.cfg").write_text("[verify]\npreset = flat-linear\n")
+    assert run_fresh(_COMMANDS_PROBE, tmp_path / "verify.cfg", out, "verify").split()[:2] == [
+        "[0]", "True"]
 
 
 def test_readme_library_example_runs():
