@@ -22,8 +22,8 @@ Sampled 1D profiles (a range-independent ``GriddedField`` and a
 ``PiecewiseBottom``) are fitted once with a natural cubic spline in plain
 Python, repeating scipy ``CubicSpline``'s arithmetic so the coefficients
 equal scipy's bit for bit.  Queries read that coefficient table, which
-returns value, slope and second derivative in one call (or the value
-alone) and sums in scipy ``PPoly``'s own order.  scipy is imported only to
+returns value, slope and second derivative in one call and sums in scipy
+``PPoly``'s own order.  scipy is imported only to
 fit a range-dependent 2D ``GriddedField`` (and by the tests, which compare
 the fit with it), and numpy only with it; every other field and bottom,
 and the two-column tables they are read from, never load either.
@@ -119,7 +119,7 @@ def _bottom_frame(slope: float, d2: float) -> NormalFrame:
 def _read_table(path) -> tuple[list[float], list[float]]:
     """The two columns of a whitespace-separated text table.  ``#`` starts a
     comment and blank lines are skipped; a line that does not hold exactly
-    two numbers raises ValueError naming the file and the line."""
+    two finite numbers raises ValueError naming the file and the line."""
     first, second = [], []
     with open(path) as handle:
         for number, line in enumerate(handle, 1):
@@ -128,18 +128,22 @@ def _read_table(path) -> tuple[list[float], list[float]]:
                 try:
                     x, y = map(float, fields)
                 except ValueError:
-                    raise ValueError(f"{path}, line {number}: expected two numbers, "
-                                     f"got {line.strip()!r}") from None
+                    x = y = math.nan
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(f"{path}, line {number}: expected two finite numbers, "
+                                     f"got {line.strip()!r}")
                 first.append(x)
                 second.append(y)
     return first, second
 
 
 def _increasing(values, what: str) -> tuple[float, ...]:
-    """``values`` as a tuple of at least 4 strictly increasing floats."""
+    """``values`` as a tuple of at least 4 strictly increasing finite floats
+    (NaN fails no ordering test, so finiteness is checked on its own)."""
     values = tuple(map(float, values))
-    if len(values) < 4 or any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"need at least 4 strictly increasing {what}")
+    if (len(values) < 4 or not all(map(math.isfinite, values))
+            or any(b <= a for a, b in zip(values, values[1:]))):
+        raise ValueError(f"need at least 4 strictly increasing finite {what}")
     return values
 
 
@@ -232,12 +236,6 @@ class _CubicTable:
                 c + b * s * 2.0 + a * s2 * 3.0,
                 b * 2.0 + a * s * 6.0)
 
-    def value(self, v: float) -> float:
-        """The value alone: the first entry of a call, bit for bit."""
-        i = min(bisect_right(self._x, v) - 1, self._last)
-        s = v - self._x[i]
-        return self._d[i] + self._c[i] * s + self._b[i] * (s * s) + self._a[i] * (s * s * s)
-
     def lowest(self) -> tuple[float, float, float]:
         """(minimum, where, bound) over [x[0], x[-1]]; ``bound`` is below every value a
         call returns there, by 1e-12 of the summed term sizes (far above rounding)."""
@@ -262,21 +260,14 @@ class _CubicTable:
 class SoundSpeedField(ABC):
     """Refractive index field n(r, z) = c0/c(r, z) with derivatives.
 
-    Subclasses implement :meth:`sound_speed` and :meth:`index_at`; the
-    latter returns every derivative the variation equation and the
-    boundary jump matrix need.
+    Subclasses implement :meth:`index_at`, which returns every derivative
+    the variation equation and the boundary jump matrix need.
     """
-
-    kind: str = "abstract"
 
     def __init__(self, c0: float):
         if c0 <= 0.0:
             raise ValueError(f"reference sound speed must be positive, got {c0}")
         self.c0 = float(c0)
-
-    @abstractmethod
-    def sound_speed(self, r: float, z: float) -> float:
-        """Sound speed c(r, z) in m/s."""
 
     @abstractmethod
     def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
@@ -288,17 +279,12 @@ class SoundSpeedField(ABC):
 class ConstantField(SoundSpeedField):
     """Homogeneous medium, c(r, z) = c."""
 
-    kind = "constant"
-
     def __init__(self, c0: float = 1500.0, c: float | None = None):
         super().__init__(c0)
         self.c = float(c) if c is not None else self.c0
         if self.c <= 0.0:
             raise ValueError(f"sound speed must be positive, got {self.c}")
         self._n = self.c0 / self.c
-
-    def sound_speed(self, r: float, z: float) -> float:
-        return self.c
 
     def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
         return self._n, 0.0, 0.0, 0.0
@@ -314,8 +300,6 @@ class LinearGradientField(SoundSpeedField):
     reads.  Queries where c would be non-positive raise a domain error.
     """
 
-    kind = "linear-gradient"
-
     def __init__(self, c_surface: float = 1500.0, gradient: float = 0.0,
                  c0: float | None = None, range_gradient: float = 0.0):
         super().__init__(c0 if c0 is not None else c_surface)
@@ -325,12 +309,6 @@ class LinearGradientField(SoundSpeedField):
         self.gradient = float(gradient)
         self.range_gradient = float(range_gradient)
         self._n0 = self.c0 / self.c_surface
-
-    def sound_speed(self, r: float, z: float) -> float:
-        f = 1.0 - self.gradient * z - self.range_gradient * r
-        if f <= 0.0:
-            raise DomainError("sound speed not positive at this depth", "z", z)
-        return self.c_surface * f
 
     def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
         g = self.gradient
@@ -353,8 +331,6 @@ class MunkField(SoundSpeedField):
     canonical parameter values; all of them are configurable.
     """
 
-    kind = "munk"
-
     def __init__(self, c_axis: float = 1500.0, z_axis: float = 1300.0,
                  scale_depth: float = 1300.0, epsilon: float = 0.00737,
                  c0: float | None = None):
@@ -366,10 +342,6 @@ class MunkField(SoundSpeedField):
         self.scale_depth = float(scale_depth)
         self.epsilon = float(epsilon)
         self._a, self._c_eps = 2.0 / self.scale_depth, self.c_axis * self.epsilon
-
-    def sound_speed(self, r: float, z: float) -> float:
-        eta = 2.0 * (z - self.z_axis) / self.scale_depth
-        return self.c_axis * (1.0 + self.epsilon * (eta - 1.0 + math.exp(-eta)))
 
     def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
         eta = 2.0 * (z - self.z_axis) / self.scale_depth
@@ -401,13 +373,10 @@ class GriddedField(SoundSpeedField):
     trial steps that overshoot it before the landing search returns.
     """
 
-    kind = "gridded"
-
     def __init__(self, depths, c_values, ranges=None, c0: float = 1500.0):
         super().__init__(c0)
         self.depths = _increasing(depths, "depth samples")
         self._z_span = (self.depths[0], self.depths[-1])
-        self._r_span = None
         if ranges is None:
             if any(c <= 0.0 for c in c_values):
                 raise ValueError("gridded sound speeds must all be positive")
@@ -421,6 +390,8 @@ class GriddedField(SoundSpeedField):
             c_values = np.asarray(c_values, dtype=float)
             if c_values.shape != (len(self.ranges), len(self.depths)):
                 raise ValueError("c_values must have shape (len(ranges), len(depths))")
+            if not np.all(np.isfinite(c_values)):
+                raise ValueError("gridded sound speeds must all be finite")
             if np.any(c_values <= 0.0):
                 raise ValueError("gridded sound speeds must all be positive")
             self._r_span = (self.ranges[0], self.ranges[-1])
@@ -433,28 +404,17 @@ class GriddedField(SoundSpeedField):
         table, read as :meth:`PiecewiseBottom.from_file` reads its own."""
         return cls(*_read_table(path), c0=c0)
 
-    def _check_domain(self, r: float, z: float) -> None:
+    def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
         # The grid ends are held as pairs of floats: one unpack per query.
         z_lo, z_hi = self._z_span
         if not (z_lo <= z <= z_hi):
             raise DomainError("depth outside gridded field", "z", z)
-        if self._r_span is not None and not (self._r_span[0] <= r <= self._r_span[1]):
-            raise DomainError("range outside gridded field", "r", r)
-
-    def sound_speed(self, r: float, z: float) -> float:
-        self._check_domain(r, z)
         if self.ranges is None:
-            return self._table(z)[0]
-        return float(self._spline.ev(r, z))
-
-    def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
-        if self.ranges is None:
-            z_lo, z_hi = self._z_span
-            if not (z_lo <= z <= z_hi):
-                raise DomainError("depth outside gridded field", "z", z)
             (c, c_z, c_zz), c_r = self._table(z), 0.0
         else:
-            self._check_domain(r, z)
+            r_lo, r_hi = self._r_span
+            if not (r_lo <= r <= r_hi):
+                raise DomainError("range outside gridded field", "r", r)
             c = float(self._spline.ev(r, z))
             c_r = float(self._spline.ev(r, z, dx=1))
             c_z = float(self._spline.ev(r, z, dy=1))
@@ -477,10 +437,11 @@ class GriddedField(SoundSpeedField):
 class Bathymetry(ABC):
     """Bottom profile z_b(r) > 0 with its normal frame and curvature.
 
-    ``floor`` (read-only) makes the module docstring's promise, rounding
-    included; a subclass that sets its own must keep it."""
+    A subclass writes one method, :meth:`_profile`; ``depth_at`` and
+    ``bottom_at`` read it.  ``floor`` (read-only) makes the module
+    docstring's promise, rounding included; a subclass that sets its own
+    must keep it."""
 
-    kind: str = "abstract"
     floor: tuple[float, float, float] = (-math.inf, -math.inf, math.inf)
 
     @abstractmethod
@@ -501,16 +462,11 @@ class Bathymetry(ABC):
 class FlatBottom(Bathymetry):
     """Horizontal bottom at constant depth."""
 
-    kind = "flat"
-
     def __init__(self, depth: float):
         if depth <= 0.0:
             raise ValueError(f"bottom depth must be positive, got {depth}")
         self.depth = float(depth)
         self.floor = (self.depth, -math.inf, math.inf)
-
-    def depth_at(self, r: float) -> float:
-        return self.depth
 
     def _profile(self, r: float) -> tuple[float, float, float]:
         return self.depth, 0.0, 0.0
@@ -519,28 +475,21 @@ class FlatBottom(Bathymetry):
 class LinearSlopeBottom(Bathymetry):
     """Uniformly sloping bottom z_b(r) = depth0 + slope * r."""
 
-    kind = "linear-slope"
-
     def __init__(self, depth0: float, slope: float):
         if depth0 <= 0.0:
             raise ValueError(f"bottom depth at r=0 must be positive, got {depth0}")
         self.depth0 = float(depth0)
         self.slope = float(slope)
 
-    def depth_at(self, r: float) -> float:
+    def _profile(self, r: float) -> tuple[float, float, float]:
         z_b = self.depth0 + self.slope * r
         if z_b <= 0.0:
             raise DomainError("sloped bottom reaches the surface", "r", r)
-        return z_b
-
-    def _profile(self, r: float) -> tuple[float, float, float]:
-        return self.depth_at(r), self.slope, 0.0
+        return z_b, self.slope, 0.0
 
 
 class SinusoidalBottom(Bathymetry):
     """Corrugated bottom z_b(r) = mean_depth + amplitude * sin(k r + phase)."""
-
-    kind = "sinusoidal"
 
     def __init__(self, mean_depth: float, amplitude: float, wavenumber: float,
                  phase: float = 0.0):
@@ -553,6 +502,7 @@ class SinusoidalBottom(Bathymetry):
         # Rounding is monotonic and |sin| <= 1, so no depth lies below this.
         self.floor = (self.mean_depth - abs(self.amplitude), -math.inf, math.inf)
 
+    # Kept beside _profile: one sine, not _profile's two and a cosine; ~250 ns cheaper.
     def depth_at(self, r: float) -> float:
         return self.mean_depth + self.amplitude * math.sin(self.wavenumber * r + self.phase)
 
@@ -571,8 +521,6 @@ class ArcBottom(Bathymetry):
     (signed curvature -1/radius).  Defined for |r - r_center| < radius.
     """
 
-    kind = "arc"
-
     def __init__(self, radius: float, r_center: float, z_center: float,
                  bulge: str = "up"):
         if radius <= 0.0:
@@ -585,6 +533,7 @@ class ArcBottom(Bathymetry):
         self.bulge = bulge
         self._sign = 1.0 if bulge == "up" else -1.0
 
+    # Kept beside _profile: ~230 ns cheaper, and verify-all asks ~19,000 arc depths per run.
     def depth_at(self, r: float) -> float:
         u = r - self.r_center
         rad2 = self.radius**2 - u * u
@@ -609,8 +558,6 @@ class PiecewiseBottom(Bathymetry):
     available everywhere in the sampled range; it must not reach the surface.
     """
 
-    kind = "piecewise"
-
     def __init__(self, r_points, z_points):
         self.r_points = _increasing(r_points, "bathymetry ranges")
         self.z_points = tuple(map(float, z_points))
@@ -632,15 +579,8 @@ class PiecewiseBottom(Bathymetry):
         """
         return cls(*_read_table(path))
 
-    def _check_domain(self, r: float) -> None:
+    def _profile(self, r: float) -> tuple[float, float, float]:
         r_lo, r_hi = self._r_span
         if not (r_lo <= r <= r_hi):
             raise DomainError("range outside piecewise bathymetry", "r", r)
-
-    def depth_at(self, r: float) -> float:
-        self._check_domain(r)
-        return self._table.value(r)
-
-    def _profile(self, r: float) -> tuple[float, float, float]:
-        self._check_domain(r)
         return self._table(r)

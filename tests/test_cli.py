@@ -290,8 +290,9 @@ class TestPathErrors:
 
 
 class TestTableLineErrors:
-    """A table line that does not hold exactly two numbers is a config error
-    (exit 2) that names the file and the line."""
+    """A table line that does not hold exactly two finite numbers is a
+    config error (exit 2) that names the file and the line; a nan or inf
+    used to fail later, as a spline error naming neither."""
 
     TABLES = {
         "gridded": ("environment", "kind = constant\nc0 = 1500.0", "ssp.txt",
@@ -300,8 +301,8 @@ class TestTableLineErrors:
                       [(r, 1000.0) for r in range(0, 7000, 500)]),
     }
 
-    @pytest.mark.parametrize("bad", ["40.0 1500.4 7.0", "40.0 fast"],
-                             ids=["three-fields", "non-number"])
+    @pytest.mark.parametrize("bad", ["40.0 1500.4 7.0", "40.0 fast", "40.0 nan", "-inf 1500.4"],
+                             ids=["three-fields", "non-number", "nan", "inf"])
     @pytest.mark.parametrize("kind", TABLES)
     def test_bad_line_names_file_and_line(self, tmp_path, capsys, kind, bad):
         section, replaced, name, rows = self.TABLES[kind]
@@ -311,7 +312,7 @@ class TestTableLineErrors:
         cfg = write_cfg(tmp_path, BASE_CFG.replace(replaced, f"kind = {kind}\nfile = {name}"))
         assert main(["trace", "--config", cfg]) == 2
         assert (f"varitrace: config error: [{section}] {tmp_path / name}, line 6: "
-                f"expected two numbers, got {bad + '  # line 6'!r}") in capsys.readouterr().err
+                f"expected two finite numbers, got {bad + '  # line 6'!r}") in capsys.readouterr().err
 
 
 class TestNonFiniteNumbers:

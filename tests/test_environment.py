@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from index_reference import reference_index
 from varitrace import (
     ArcBottom,
     ConstantField,
@@ -34,7 +35,7 @@ def radius_of(frame):
 
 
 def n_of(field, r, z):
-    return field.c0 / field.sound_speed(r, z)
+    return reference_index(field, r, z)[0]
 
 
 def fd_errors(field, r, z, h):
@@ -90,7 +91,7 @@ class TestSoundSpeedFields:
         """Spline n_z vs analytic Munk n_z, 1e-6 relative at interior points."""
         munk = MunkField()
         depths = np.arange(0.0, 4000.1, 5.0)
-        c = np.array([munk.sound_speed(0.0, z) for z in depths])
+        c = np.array([munk.c0 / munk.index_at(0.0, z)[0] for z in depths])
         gridded = GriddedField(depths=depths, c_values=c, c0=munk.c0)
         for z in [300.0, 700.0, 1000.0, 1150.0, 1600.0, 2500.0, 3500.0]:
             exact = IndexSample(*munk.index_at(0.0, z))
@@ -115,7 +116,7 @@ class TestSoundSpeedFields:
         clean O(h^2) behavior for the spline-backed field too."""
         munk = MunkField()
         depths = np.arange(0.0, 4000.1, 25.0)
-        c = np.array([munk.sound_speed(0.0, z) for z in depths])
+        c = np.array([munk.c0 / munk.index_at(0.0, z)[0] for z in depths])
         field = GriddedField(depths=depths, c_values=c, c0=munk.c0)
         z = 987.5  # mid-interval: +/- 4 m stays inside the piece
         errs = [fd_errors(field, 0.0, z, h)[1] for h in (4.0, 2.0, 1.0)]
@@ -135,6 +136,29 @@ class TestSoundSpeedFields:
             GriddedField(depths=[0.0, 1.0, 2.0, 3.0], c_values=[1500.0, -1.0, 1500.0, 1500.0])
         with pytest.raises(ValueError, match="one value per sample point, got 5 for 4"):
             GriddedField(depths=[0.0, 1.0, 2.0, 3.0], c_values=[1500.0] * 5)
+
+    @pytest.mark.parametrize("points", [[0.0, 10.0, math.nan, 30.0], [0.0, 10.0, 20.0, math.inf]],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("axis", ["depths", "ranges", "1d-depths"])
+    def test_gridded_rejects_non_finite_grid_points(self, axis, points):
+        """NaN fails no ordering test, so (0, 10, nan, 30) used to pass as
+        strictly increasing."""
+        grid = {"depths": [0.0, 10.0, 20.0, 30.0], "c_values": np.full((4, 4), 1500.0),
+                "ranges": [0.0, 1e3, 2e3, 3e3]}
+        if axis == "1d-depths":
+            grid.update(c_values=[1500.0] * 4, ranges=None)
+        grid[axis.removeprefix("1d-")] = points
+        with pytest.raises(ValueError, match="strictly increasing finite"):
+            GriddedField(**grid)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_gridded_2d_rejects_non_finite_speeds(self, bad):
+        """A NaN speed used to pass, and index_at then returned NaNs."""
+        c_values = np.full((4, 5), 1500.0)
+        c_values[2, 1] = bad
+        with pytest.raises(ValueError, match="gridded sound speeds must all be finite"):
+            GriddedField(depths=[0.0, 10.0, 20.0, 30.0, 40.0], c_values=c_values,
+                         ranges=[0.0, 1e3, 2e3, 3e3])
 
 
 class TestBathymetry:
@@ -228,6 +252,8 @@ class TestBathymetry:
     def test_piecewise_rejects_non_increasing_ranges(self):
         with pytest.raises(ValueError):
             PiecewiseBottom([0.0, 2.0, 1.0, 3.0], [10.0, 10.0, 10.0, 10.0])
+        with pytest.raises(ValueError, match="strictly increasing finite"):
+            PiecewiseBottom([0.0, 1.0, math.nan, 3.0], [10.0, 10.0, 10.0, 10.0])
 
     def test_bottom_must_stay_below_surface(self):
         bath = LinearSlopeBottom(depth0=100.0, slope=-0.5)
@@ -336,18 +362,6 @@ class TestSplineTable:
         assert not any(even[:-1])
         assert swapped[:3] == [0.0, 1.0, 0.0]
 
-    @pytest.mark.parametrize("knots", ["_thermocline", "_bathymetry", "_interchange", "_uneven"])
-    def test_value_is_the_first_entry_of_a_call(self, knots):
-        from varitrace.environment import _CubicTable
-
-        grids = self._uneven() if knots == "_uneven" else [getattr(self, knots)()]
-        rng = np.random.default_rng(21)
-        for x, y in grids:
-            table = _CubicTable(x, y)
-            points = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), rng.uniform(x[0], x[-1], 50)])
-            for v in points.tolist():
-                assert repr(table.value(v)) == repr(table(v)[0]), v
-
     def test_non_finite_samples_rejected(self):
         from varitrace.environment import _CubicTable
 
@@ -367,7 +381,6 @@ class TestSplineTable:
 
         monkeypatch.setattr(CubicSpline, "__call__", no_call)
         assert field.index_at(0.0, 61.3)[3] != 0.0
-        assert field.sound_speed(0.0, 61.3) > 0.0
         assert bath.depth_at(1234.5) == bath.bottom_at(1234.5).z_b
 
 
@@ -407,8 +420,6 @@ class TestIndexReference:
 
     @pytest.mark.parametrize("name", FIELDS)
     def test_index_tuples_bitwise(self, name):
-        from index_reference import reference_index
-
         field = FIELDS[name]
         rng = np.random.default_rng(31)
         points = list(zip(rng.uniform(-300.0, 4_500.0, 2_000).tolist(),

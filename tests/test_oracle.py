@@ -245,13 +245,8 @@ class TestVerifyKappa:
         of kappa12 here)."""
 
         class TiltedField(SoundSpeedField):
-            kind = "tilted"
-
             def __init__(self):
                 super().__init__(1500.0)
-
-            def sound_speed(self, r, z):
-                return 1500.0 * (1.0 - 5e-4 * z - 2e-4 * r)
 
             def index_at(self, r, z):
                 f = 1.0 - 5e-4 * z - 2e-4 * r

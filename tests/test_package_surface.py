@@ -2,7 +2,8 @@
 every exported name exists, scipy loads only to fit a range-dependent
 sound-speed grid, no trace, fan or kappa scan loads numpy, no module uses
 the matrix-product operator, the RK4 path builds no named index samples,
-and the README's library example runs as written."""
+each field and bottom quantity has one definition, and the README's
+library example runs as written."""
 
 import ast
 import importlib
@@ -105,6 +106,22 @@ def test_no_matrix_product_operator(path):
     for node in ast.walk(parse(path)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)):
             assert not isinstance(node.op, ast.MatMult), f"{path.name}:{node.lineno}: @"
+
+
+def test_one_definition_per_environment_quantity():
+    """A field writes ``index_at`` and a bottom ``_profile``, and nothing
+    else restates them: no ``sound_speed`` or ``kind`` beside them, and a
+    depth-only ``depth_at`` only where it pays for itself."""
+    from varitrace import environment
+
+    assert environment.SoundSpeedField.__abstractmethods__ == {"index_at"}
+    assert environment.Bathymetry.__abstractmethods__ == {"_profile"}
+    classes = [c for c in vars(environment).values()
+               if isinstance(c, type) and c.__module__ == environment.__name__]
+    for cls in classes:
+        assert not {"sound_speed", "kind"} & set(vars(cls)), cls.__name__
+    assert {c.__name__ for c in classes if "depth_at" in vars(c)} == {
+        "Bathymetry", "ArcBottom", "SinusoidalBottom"}
 
 
 HOT_PATH = ("environment.py", "propagation.py")
