@@ -23,10 +23,10 @@ Sampled 1D profiles (a range-independent ``GriddedField`` and a
 Python, repeating scipy ``CubicSpline``'s arithmetic so the coefficients
 equal scipy's bit for bit.  Queries read that coefficient table, which
 returns value, slope and second derivative in one call and sums in scipy
-``PPoly``'s own order.  scipy is imported only to
-fit a range-dependent 2D ``GriddedField`` (and by the tests, which compare
-the fit with it), and numpy only with it; every other field and bottom,
-and the two-column tables they are read from, never load either.
+``PPoly``'s own order.  scipy is imported only to fit a range-dependent
+2D ``GriddedField`` (and by the tests, which compare the fit with it), and
+numpy only with it; every other field and bottom, and the two-column
+tables they are read from, never load either.
 
 All field and bathymetry objects are immutable after construction and all
 queries are pure functions, so they can be shared freely between

@@ -311,8 +311,8 @@ class TestTableLineErrors:
         (tmp_path / name).write_text("\n".join(lines) + "\n")
         cfg = write_cfg(tmp_path, BASE_CFG.replace(replaced, f"kind = {kind}\nfile = {name}"))
         assert main(["trace", "--config", cfg]) == 2
-        assert (f"varitrace: config error: [{section}] {tmp_path / name}, line 6: "
-                f"expected two finite numbers, got {bad + '  # line 6'!r}") in capsys.readouterr().err
+        assert (f"varitrace: config error: [{section}] {tmp_path / name}, line 6: expected "
+                f"two finite numbers, got {bad + '  # line 6'!r}") in capsys.readouterr().err
 
 
 class TestNonFiniteNumbers:
