@@ -19,7 +19,6 @@ from .environment import (
     ConstantField,
     FlatBottom,
     GriddedField,
-    IndexSample,
     LinearGradientField,
     LinearSlopeBottom,
     MunkField,
@@ -41,13 +40,11 @@ from .errors import (
 from .oracle import (
     BeamPerturbation,
     JacobianEstimate,
-    KappaVerification,
     fd_jacobian,
     verify_kappa,
 )
 from .propagation import (
     BounceRecord,
-    SpreadingFactor,
     TraceConfig,
     TraceResult,
     TraceStatus,
@@ -57,10 +54,8 @@ from .propagation import (
     trace_ray,
 )
 from .reflection import (
-    IdentityPair,
     KappaMatrix,
     ReflectionContext,
     identity_checks,
     kappa_matrix,
-    reflect_direction,
 )

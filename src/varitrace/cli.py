@@ -16,7 +16,7 @@ from contextlib import nullcontext
 
 from . import __version__
 from .config import RunConfig, load_config
-from .environment import IndexSample, NormalFrame
+from .environment import NormalFrame
 from .errors import ConfigError, GeometryError, VaritraceError
 from .oracle import BeamPerturbation, verify_kappa
 from .presets import PRESET_NAMES, STUDY_PERTURBATION, VerificationScenario, preset
@@ -186,9 +186,8 @@ def scan_kappa(theta_deg: float, alpha_deg: float, curvature: float,
     if tr * nr + tz * nz > 0.0:
         nr, nz, curvature = -nr, -nz, -curvature
     frame = NormalFrame(nr=nr, nz=nz, curvature=curvature)
-    sample = IndexSample(n=n, n_r=n_r, n_z=n_z, n_zz=0.0)
     try:
-        ctx = ReflectionContext(t=(tr, tz), frame=frame, sample=sample)
+        ctx = ReflectionContext(t=(tr, tz), frame=frame, sample=(n, n_r, n_z, 0.0))
         if not ctx.forward:
             return None
         kappa = kappa_matrix(ctx)
@@ -246,15 +245,14 @@ def _verify_scenario(scenario: VerificationScenario, tolerance: float, out) -> b
     """Default-offset error (one Richardson level, 4 perturbed traces) and
     order study (12), both about one central trace: 17 traces."""
     ok = True
-    v, study = verify_kappa(scenario.field, scenario.bath, scenario.cfg,
-                            (BeamPerturbation(richardson_levels=1), STUDY_PERTURBATION),
-                            scenario.r_after_bounce)
-    passed = v.max_rel_err < tolerance
+    (err,), errs = verify_kappa(scenario.field, scenario.bath, scenario.cfg,
+                                (BeamPerturbation(richardson_levels=1), STUDY_PERTURBATION),
+                                scenario.r_after_bounce)
+    passed = err < tolerance
     ok &= passed
-    print(f"[{scenario.name}] default-h max rel err {v.max_rel_err:.3e} "
+    print(f"[{scenario.name}] default-h max rel err {err:.3e} "
           f"(tol {tolerance:.1e}) {'PASS' if passed else 'FAIL'}", file=out)
 
-    errs = study.level_errs
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     order = sum(orders) / len(orders)
     passed = abs(order - 2.0) <= 0.3
@@ -271,7 +269,7 @@ def _verify_identities(rng, out) -> bool:
     1e-10 relative to max(1, |lhs|, |rhs|): near a vertical reflected ray
     the sides reach about 1e6, where 1e-10 absolute is below one ulp.
 
-    Each block of draws drops the pairs reflect_direction or identity_checks
+    Each block of draws drops the pairs ReflectionContext or identity_checks
     would reject (<t, N> above -SINGULAR_TOL, or |tr| or |t1r| below
     SINGULAR_TOL), then makes one array call of identity_checks.
     """
@@ -289,8 +287,7 @@ def _verify_identities(rng, out) -> bool:
         n_t = tr * nr + tz * nz
         valid = ((n_t <= -SINGULAR_TOL) & (np.abs(tr) >= SINGULAR_TOL)
                  & (np.abs(tr - 2.0 * nr * n_t) >= SINGULAR_TOL))
-        pair = identity_checks(t[:, valid], n_vec[:, valid])
-        for lhs, rhs in ((pair.lhs1, pair.rhs1), (pair.lhs2, pair.rhs2)):
+        for lhs, rhs in identity_checks(t[:, valid], n_vec[:, valid]):
             scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
             worst = float(np.max(np.abs(lhs - rhs) / scale, initial=worst))
         checked += int(np.count_nonzero(valid))
@@ -317,7 +314,7 @@ def _verify_structure(rng, out) -> bool:
             if tr * nr + tz * nz > -SINGULAR_TOL:
                 continue
             frame = NormalFrame(nr=nr, nz=nz, curvature=curvature)
-            sample = IndexSample(n=n, n_r=n_r, n_z=n_z, n_zz=0.0)
+            sample = (n, n_r, n_z, 0.0)
             try:
                 kappa = kappa_matrix(ReflectionContext(t=(tr, tz), frame=frame, sample=sample))
             except GeometryError:

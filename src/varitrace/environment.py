@@ -43,12 +43,10 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import DomainError
 
 __all__ = [
-    "IndexSample",
     "NormalFrame",
     "BottomSample",
     "SoundSpeedField",
@@ -66,18 +64,15 @@ __all__ = [
 ]
 
 
-class IndexSample(NamedTuple):
-    """Refractive index and its partial derivatives at one point.
-
-    ``n`` is dimensionless, ``n_r`` and ``n_z`` are 1/m, ``n_zz`` is 1/m^2.
-    The named form of the plain tuple :meth:`SoundSpeedField.index_at`
-    returns; every reader unpacks or indexes a sample, so either may pass.
-    """
-
-    n: float
-    n_r: float
-    n_z: float
-    n_zz: float
+def _finite(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float; a ValueError naming ``name`` unless it is finite
+    and, with ``positive``, above 0.  NaN fails every comparison, so a
+    ``<= 0.0`` test alone lets it through."""
+    value = float(value)
+    if not math.isfinite(value) or (positive and value <= 0.0):
+        kind = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -91,8 +86,9 @@ class NormalFrame:
 
     def __post_init__(self):
         norm = math.hypot(self.nr, self.nz)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"normal must be unit length, got |N| = {norm!r}")
+        if not abs(norm - 1.0) <= 1e-12:
+            raise ValueError(f"normal (nr, nz) must be unit length, got |N| = {norm!r}")
+        _finite("curvature", self.curvature)
 
 
 @dataclass(frozen=True)
@@ -265,15 +261,13 @@ class SoundSpeedField(ABC):
     """
 
     def __init__(self, c0: float):
-        if c0 <= 0.0:
-            raise ValueError(f"reference sound speed must be positive, got {c0}")
-        self.c0 = float(c0)
+        self.c0 = _finite("c0", c0, positive=True)
 
     @abstractmethod
     def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
         """Index n and partials as the plain tuple (n, n_r, n_z, n_zz) at
-        (r, z): built at every RK4 stage, where an :class:`IndexSample`
-        costs about ten times as much.  Readers unpack or index it."""
+        (r, z): n is dimensionless, n_r and n_z are in 1/m and n_zz is in
+        1/m^2.  Readers unpack or index it."""
 
 
 class ConstantField(SoundSpeedField):
@@ -281,9 +275,7 @@ class ConstantField(SoundSpeedField):
 
     def __init__(self, c0: float = 1500.0, c: float | None = None):
         super().__init__(c0)
-        self.c = float(c) if c is not None else self.c0
-        if self.c <= 0.0:
-            raise ValueError(f"sound speed must be positive, got {self.c}")
+        self.c = _finite("c", self.c0 if c is None else c, positive=True)
         self._n = self.c0 / self.c
 
     def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
@@ -302,12 +294,10 @@ class LinearGradientField(SoundSpeedField):
 
     def __init__(self, c_surface: float = 1500.0, gradient: float = 0.0,
                  c0: float | None = None, range_gradient: float = 0.0):
+        self.c_surface = _finite("c_surface", c_surface, positive=True)
         super().__init__(c0 if c0 is not None else c_surface)
-        if c_surface <= 0.0:
-            raise ValueError(f"surface sound speed must be positive, got {c_surface}")
-        self.c_surface = float(c_surface)
-        self.gradient = float(gradient)
-        self.range_gradient = float(range_gradient)
+        self.gradient = _finite("gradient", gradient)
+        self.range_gradient = _finite("range_gradient", range_gradient)
         self._n0 = self.c0 / self.c_surface
 
     def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
@@ -334,13 +324,11 @@ class MunkField(SoundSpeedField):
     def __init__(self, c_axis: float = 1500.0, z_axis: float = 1300.0,
                  scale_depth: float = 1300.0, epsilon: float = 0.00737,
                  c0: float | None = None):
+        self.c_axis = _finite("c_axis", c_axis, positive=True)
         super().__init__(c0 if c0 is not None else c_axis)
-        if scale_depth <= 0.0:
-            raise ValueError(f"scale depth must be positive, got {scale_depth}")
-        self.c_axis = float(c_axis)
-        self.z_axis = float(z_axis)
-        self.scale_depth = float(scale_depth)
-        self.epsilon = float(epsilon)
+        self.z_axis = _finite("z_axis", z_axis)
+        self.scale_depth = _finite("scale_depth", scale_depth, positive=True)
+        self.epsilon = _finite("epsilon", epsilon)
         self._a, self._c_eps = 2.0 / self.scale_depth, self.c_axis * self.epsilon
 
     def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
@@ -463,9 +451,7 @@ class FlatBottom(Bathymetry):
     """Horizontal bottom at constant depth."""
 
     def __init__(self, depth: float):
-        if depth <= 0.0:
-            raise ValueError(f"bottom depth must be positive, got {depth}")
-        self.depth = float(depth)
+        self.depth = _finite("depth", depth, positive=True)
         self.floor = (self.depth, -math.inf, math.inf)
 
     def _profile(self, r: float) -> tuple[float, float, float]:
@@ -476,10 +462,8 @@ class LinearSlopeBottom(Bathymetry):
     """Uniformly sloping bottom z_b(r) = depth0 + slope * r."""
 
     def __init__(self, depth0: float, slope: float):
-        if depth0 <= 0.0:
-            raise ValueError(f"bottom depth at r=0 must be positive, got {depth0}")
-        self.depth0 = float(depth0)
-        self.slope = float(slope)
+        self.depth0 = _finite("depth0", depth0, positive=True)
+        self.slope = _finite("slope", slope)
 
     def _profile(self, r: float) -> tuple[float, float, float]:
         z_b = self.depth0 + self.slope * r
@@ -493,12 +477,12 @@ class SinusoidalBottom(Bathymetry):
 
     def __init__(self, mean_depth: float, amplitude: float, wavenumber: float,
                  phase: float = 0.0):
-        if mean_depth <= abs(amplitude):
+        self.mean_depth = _finite("mean_depth", mean_depth)
+        self.amplitude = _finite("amplitude", amplitude)
+        if self.mean_depth <= abs(self.amplitude):
             raise ValueError("corrugation amplitude must be smaller than the mean depth")
-        self.mean_depth = float(mean_depth)
-        self.amplitude = float(amplitude)
-        self.wavenumber = float(wavenumber)
-        self.phase = float(phase)
+        self.wavenumber = _finite("wavenumber", wavenumber)
+        self.phase = _finite("phase", phase)
         # Rounding is monotonic and |sin| <= 1, so no depth lies below this.
         self.floor = (self.mean_depth - abs(self.amplitude), -math.inf, math.inf)
 
@@ -523,13 +507,11 @@ class ArcBottom(Bathymetry):
 
     def __init__(self, radius: float, r_center: float, z_center: float,
                  bulge: str = "up"):
-        if radius <= 0.0:
-            raise ValueError(f"arc radius must be positive, got {radius}")
+        self.radius = _finite("radius", radius, positive=True)
         if bulge not in ("up", "down"):
             raise ValueError(f"bulge must be 'up' or 'down', got {bulge!r}")
-        self.radius = float(radius)
-        self.r_center = float(r_center)
-        self.z_center = float(z_center)
+        self.r_center = _finite("r_center", r_center)
+        self.z_center = _finite("z_center", z_center)
         self.bulge = bulge
         self._sign = 1.0 if bulge == "up" else -1.0
 

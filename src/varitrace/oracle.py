@@ -20,14 +20,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Any
 
-from .environment import Bathymetry, SoundSpeedField
+from .environment import Bathymetry, SoundSpeedField, _finite
 from .errors import GeometryError, PerturbationTooLargeError
 from .propagation import TraceConfig, TraceResult, TraceStatus, trace_from_pulse
 
 __all__ = [
     "BeamPerturbation",
     "JacobianEstimate",
-    "KappaVerification",
     "fd_jacobian",
     "verify_kappa",
 ]
@@ -53,8 +52,8 @@ class BeamPerturbation:
     richardson_levels: int = 2
 
     def __post_init__(self):
-        if self.h_p <= 0.0 or self.h_z <= 0.0:
-            raise ValueError("perturbations must be positive")
+        _finite("h_p", self.h_p, positive=True)
+        _finite("h_z", self.h_z, positive=True)
         if self.richardson_levels < 1:
             raise ValueError("need at least 1 Richardson level")
 
@@ -171,18 +170,6 @@ def fd_jacobian(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
     return JacobianEstimate(matrix=levels[0], error=error, h_p=pert.h_p, h_z=pert.h_z)
 
 
-@dataclass(frozen=True)
-class KappaVerification:
-    """Analytic vs numeric variation matrix just past a single bounce.
-
-    ``level_errs`` is the max relative error at each Richardson level;
-    ``max_rel_err`` is that of the first level.
-    """
-
-    max_rel_err: float
-    level_errs: tuple[float, ...]
-
-
 def _relative_errors(a, b, floor: float = 1e-12):
     import numpy as np
 
@@ -193,14 +180,15 @@ def _relative_errors(a, b, floor: float = 1e-12):
 
 def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
                  perts: Sequence[BeamPerturbation],
-                 r_after_bounce: float) -> tuple[KappaVerification, ...]:
+                 r_after_bounce: float) -> tuple[tuple[float, ...], ...]:
     """Compare analytic q (jump applied) with FD Jacobians after one bounce.
 
     The central trace must bounce exactly once before ``r_after_bounce``.
     It is traced once and shared by every perturbation in ``perts``, which
-    give one result each, in order.  Each Richardson level of a
-    perturbation is compared, entrywise, with max(|analytic|, |numeric|) as
-    the scale, falling back to absolute differences for near-zero entries.
+    give one tuple each, in order: the max relative error at each of that
+    perturbation's Richardson levels.  Each level is compared, entrywise,
+    with max(|analytic|, |numeric|) as the scale, falling back to absolute
+    differences for near-zero entries.
     One call traces 1 + 4 * (total Richardson levels of ``perts``) rays.
     """
     # Analytic side: an ordinary trace, which integrates dq/dr = Kq and
@@ -219,7 +207,6 @@ def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
     results = []
     for pert in perts:
         _, levels = _fd_levels(field_, bath, cfg_q, p0, central, pert)
-        level_errs = tuple(float(_relative_errors(analytic, numeric).max())
-                           for numeric in levels)
-        results.append(KappaVerification(max_rel_err=level_errs[0], level_errs=level_errs))
+        results.append(tuple(float(_relative_errors(analytic, numeric).max())
+                             for numeric in levels))
     return tuple(results)

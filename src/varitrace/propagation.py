@@ -52,7 +52,6 @@ __all__ = [
     "TraceStatus",
     "BounceRecord",
     "TraceResult",
-    "SpreadingFactor",
     "trace_ray",
     "trace_from_pulse",
     "trace_fan",
@@ -186,14 +185,6 @@ class TraceResult:
         diag = s[:, 3] * s[:, 6]
         off = s[:, 4] * s[:, 5]
         return abs(diag - off - 1.0) / (abs(diag) + abs(off))
-
-
-@dataclass(frozen=True)
-class SpreadingFactor:
-    """Geometric spreading |dz/dp0| (m) at a query range; 0 only at caustics."""
-
-    r: float
-    value: float
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +528,9 @@ def trace_fan(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
     return [trace_ray(field_, bath, replace(cfg, theta0=float(a))) for a in angles]
 
 
-def spreading_at(result: TraceResult, r: float) -> SpreadingFactor:
-    """Geometric spreading |q21| linearly interpolated at range r.
+def spreading_at(result: TraceResult, r: float) -> float:
+    """Geometric spreading |dz/dp0| = |q21|, in meters, linearly
+    interpolated at range r; 0 only at caustics.
 
     Raises ValueError outside the sampled range and where q21 is NaN, as in
     a ray-only trace (``variations=False``), which carries no q.
@@ -553,4 +545,4 @@ def spreading_at(result: TraceResult, r: float) -> SpreadingFactor:
     if math.isnan(value):
         raise ValueError(f"q21 is NaN at r = {r:g}: a ray-only trace "
                          "(variations=False) carries no variation matrix")
-    return SpreadingFactor(r=r, value=value)
+    return value

@@ -40,8 +40,6 @@ from .errors import GeometryError, SingularReflectionError
 __all__ = [
     "ReflectionContext",
     "KappaMatrix",
-    "IdentityPair",
-    "reflect_direction",
     "kappa_matrix",
     "identity_checks",
 ]
@@ -61,22 +59,13 @@ def _mirror(tr: float, tz: float, nr: float, nz: float) -> tuple[float, tuple]:
     return n_t, (tr - 2.0 * n_t * nr, tz - 2.0 * n_t * nz)
 
 
-def reflect_direction(t, n_vec) -> tuple[float, float]:
-    """Specular mirror law t1 = t - 2 N <t, N> for unit vectors t, N, as
-    the float pair (t1r, t1z)."""
-    nr, nz = map(float, n_vec)
-    if abs(nr * nr + nz * nz - 1.0) > 1e-9:
-        raise GeometryError(f"normal is not unit length: ({nr!r}, {nz!r})")
-    return _mirror(*map(float, t), nr, nz)[1]
-
-
 @dataclass(frozen=True)
 class ReflectionContext:
     """Everything kappa needs at one bounce point.
 
     ``t`` is the incident unit tangent (cos theta, sin theta), ``frame``
     the boundary normal frame and ``sample`` the local index tuple
-    (n, n_r, n_z, n_zz), plain or an ``IndexSample``.  The
+    (n, n_r, n_z, n_zz).  The
     reflected tangent ``t1`` and ``n_t`` = <t, N> are derived on
     construction, as floats; a non-incoming ray (<t, N> >= 0) is rejected.
     ``forward`` is the one test of whether the reflected ray still
@@ -137,22 +126,12 @@ def kappa_matrix(ctx: ReflectionContext) -> KappaMatrix:
     return KappaMatrix(k11=-t1r / tr, k12=k12, k22=-tr / t1r)
 
 
-@dataclass(frozen=True)
-class IdentityPair:
-    """Both sides of the two tangent-ratio identities used in the derivation:
-    floats for one pair, N-arrays for N stacked pairs."""
-
-    lhs1: float
-    rhs1: float
-    lhs2: float
-    rhs2: float
-
-
-def identity_checks(t, n_vec) -> IdentityPair:
+def identity_checks(t, n_vec) -> tuple[tuple, tuple]:
     """Evaluate 1 - 2Nz^2 + 2NzNr tz/tr == -t1r/tr and its companion.
 
     The second identity is 1 + (tr Nz / <t,N>) (t1z/t1r - tz/tr) == -tr/t1r.
-    Both hold for any unit t, N with tr, t1r and <t, N> nonzero.
+    Both hold for any unit t, N with tr, t1r and <t, N> nonzero.  Returns
+    both sides of each, ((lhs1, rhs1), (lhs2, rhs2)), as numpy floats.
 
     ``t`` and ``n_vec`` may also be (2, N) arrays of N stacked pairs: each
     side is then an N-array, bit for bit the scalar result per column, and
@@ -171,4 +150,4 @@ def identity_checks(t, n_vec) -> IdentityPair:
     rhs1 = -t1r / tr
     lhs2 = 1.0 + (tr * nz / n_t) * (t1z / t1r - tz / tr)
     rhs2 = -tr / t1r
-    return IdentityPair(lhs1=lhs1, rhs1=rhs1, lhs2=lhs2, rhs2=rhs2)
+    return (lhs1, rhs1), (lhs2, rhs2)

@@ -9,11 +9,11 @@ import pytest
 from index_reference import reference_index
 from varitrace import (
     ArcBottom,
+    BeamPerturbation,
     ConstantField,
     DomainError,
     FlatBottom,
     GriddedField,
-    IndexSample,
     LinearGradientField,
     LinearSlopeBottom,
     MunkField,
@@ -40,11 +40,11 @@ def n_of(field, r, z):
 
 def fd_errors(field, r, z, h):
     """Absolute errors of the analytic partials vs centered differences of n."""
-    s = IndexSample(*field.index_at(r, z))
+    _, n_r, n_z, n_zz = field.index_at(r, z)
     n_r_fd = (n_of(field, r + h, z) - n_of(field, r - h, z)) / (2 * h)
     n_z_fd = (n_of(field, r, z + h) - n_of(field, r, z - h)) / (2 * h)
     n_zz_fd = (field.index_at(r, z + h)[2] - field.index_at(r, z - h)[2]) / (2 * h)
-    return (abs(s.n_r - n_r_fd), abs(s.n_z - n_z_fd), abs(s.n_zz - n_zz_fd))
+    return (abs(n_r - n_r_fd), abs(n_z - n_z_fd), abs(n_zz - n_zz_fd))
 
 
 class TestSoundSpeedFields:
@@ -94,10 +94,10 @@ class TestSoundSpeedFields:
         c = np.array([munk.c0 / munk.index_at(0.0, z)[0] for z in depths])
         gridded = GriddedField(depths=depths, c_values=c, c0=munk.c0)
         for z in [300.0, 700.0, 1000.0, 1150.0, 1600.0, 2500.0, 3500.0]:
-            exact = IndexSample(*munk.index_at(0.0, z))
-            approx = IndexSample(*gridded.index_at(0.0, z))
-            assert approx.n == pytest.approx(exact.n, rel=1e-9)
-            assert approx.n_z == pytest.approx(exact.n_z, rel=1e-6)
+            exact = munk.index_at(0.0, z)
+            approx = gridded.index_at(0.0, z)
+            assert approx[0] == pytest.approx(exact[0], rel=1e-9)
+            assert approx[2] == pytest.approx(exact[2], rel=1e-6)
 
     def test_gridded_2d_derivatives_match_fd(self):
         ranges = np.linspace(0.0, 10_000.0, 41)
@@ -279,6 +279,40 @@ class TestNormalFrames:
     def test_non_unit_normal_rejected(self):
         with pytest.raises(ValueError):
             NormalFrame(nr=1.0, nz=1.0, curvature=0.0)
+
+
+NAN, INF = math.nan, math.inf
+NON_FINITE = {
+    "ConstantField(c=nan)": ("c", lambda: ConstantField(c=NAN)),
+    "ConstantField(c0=nan)": ("c0", lambda: ConstantField(c0=NAN)),
+    "MunkField(epsilon=nan)": ("epsilon", lambda: MunkField(epsilon=NAN)),
+    "MunkField(scale_depth=inf)": ("scale_depth", lambda: MunkField(scale_depth=INF)),
+    "LinearGradientField(gradient=nan)": ("gradient", lambda: LinearGradientField(gradient=NAN)),
+    "LinearGradientField(range_gradient=inf)": (
+        "range_gradient", lambda: LinearGradientField(range_gradient=INF)),
+    "GriddedField(c0=nan)": (
+        "c0", lambda: GriddedField([0.0, 1.0, 2.0, 3.0], [1500.0] * 4, c0=NAN)),
+    "FlatBottom(nan)": ("depth", lambda: FlatBottom(NAN)),
+    "FlatBottom(inf)": ("depth", lambda: FlatBottom(INF)),
+    "LinearSlopeBottom(100, nan)": ("slope", lambda: LinearSlopeBottom(100.0, NAN)),
+    "SinusoidalBottom(100, nan, 0.1)": ("amplitude", lambda: SinusoidalBottom(100.0, NAN, 0.1)),
+    "SinusoidalBottom(100, 1, inf)": ("wavenumber", lambda: SinusoidalBottom(100.0, 1.0, INF)),
+    "ArcBottom(nan, 0, 0)": ("radius", lambda: ArcBottom(NAN, 0.0, 0.0)),
+    "ArcBottom(50, 100, nan)": ("z_center", lambda: ArcBottom(50.0, 100.0, NAN)),
+    "NormalFrame(nan, 1, 0)": ("nr", lambda: NormalFrame(NAN, 1.0, 0.0)),
+    "NormalFrame(0, 1, nan)": ("curvature", lambda: NormalFrame(0.0, 1.0, NAN)),
+    "BeamPerturbation(h_p=nan)": ("h_p", lambda: BeamPerturbation(h_p=NAN)),
+    "BeamPerturbation(h_z=inf)": ("h_z", lambda: BeamPerturbation(h_z=INF)),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_parameter_rejected(case):
+    """NaN fails every comparison, so a ``<= 0`` test alone would accept it;
+    each constructor rejects a NaN or infinite parameter by name."""
+    name, build = NON_FINITE[case]
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        build()
 
 
 class TestSplineTable:

@@ -9,7 +9,6 @@ from hamiltonian_reference import hamiltonian, k_matrix, ray_rhs
 from varitrace import (
     ConstantField,
     GriddedField,
-    IndexSample,
     LinearGradientField,
     MunkField,
     SoundSpeedField,
@@ -36,13 +35,13 @@ class TestHamiltonian:
 
 class TestRayRhs:
     def test_straight_ray(self):
-        s = IndexSample(1.0, 0.0, 0.0, 0.0)
+        s = (1.0, 0.0, 0.0, 0.0)
         dz, dp, _ = ray_rhs(s, 0.6)
         assert dz == pytest.approx(0.75, rel=1e-15)
         assert dp == 0.0
 
     def test_horizontal_ray_bends_toward_higher_index(self):
-        s = IndexSample(1.0, 0.0, 0.01, 0.0)
+        s = (1.0, 0.0, 0.01, 0.0)
         dz, dp, _ = ray_rhs(s, 0.0)
         assert dz == 0.0
         assert dp == pytest.approx(0.01, rel=1e-15)
@@ -53,12 +52,12 @@ class TestRayRhs:
         rng = np.random.default_rng(7)
         for _ in range(25):
             z = rng.uniform(10.0, 250.0)
-            s = IndexSample(*field.index_at(0.0, z))
-            p = rng.uniform(-0.8, 0.8) * s.n
+            s = field.index_at(0.0, z)
+            p = rng.uniform(-0.8, 0.8) * s[0]
             dz, dp, _ = ray_rhs(s, p)
 
             def dH_dp(h):
-                return (hamiltonian(s.n, p + h) - hamiltonian(s.n, p - h)) / (2 * h)
+                return (hamiltonian(s[0], p + h) - hamiltonian(s[0], p - h)) / (2 * h)
 
             def dH_dz(h):
                 n_plus = field.index_at(0.0, z + h)[0]
@@ -92,7 +91,7 @@ def k_fd(field, r, z, p, h_p, h_z):
 
 class TestKMatrix:
     def test_homogeneous_values(self):
-        s = IndexSample(1.0, 0.0, 0.0, 0.0)
+        s = (1.0, 0.0, 0.0, 0.0)
         (k11, k12), (k21, k22) = k_matrix(s, 0.6).tolist()
         assert k11 == 0.0
         assert k12 == 0.0
@@ -102,16 +101,16 @@ class TestKMatrix:
     def test_trace_is_exactly_zero(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            s = IndexSample(n=rng.uniform(0.9, 1.2), n_r=rng.uniform(-0.01, 0.01),
-                            n_z=rng.uniform(-0.05, 0.05), n_zz=rng.uniform(-1e-3, 1e-3))
-            p = rng.uniform(-0.95, 0.95) * s.n
+            s = (rng.uniform(0.9, 1.2), rng.uniform(-0.01, 0.01),
+                 rng.uniform(-0.05, 0.05), rng.uniform(-1e-3, 1e-3))
+            p = rng.uniform(-0.95, 0.95) * s[0]
             (k11, _), (k21, k22) = k_matrix(s, p).tolist()
             assert k11 + k22 == 0.0  # same expression negated
             assert k21 > 0.0
 
     def test_steep_ray_error(self):
         with pytest.raises(SteepRayError):
-            k_matrix(IndexSample(1.0, 0.0, 0.0, 0.0), 1.0)
+            k_matrix((1.0, 0.0, 0.0, 0.0), 1.0)
 
     @pytest.mark.parametrize("field", [
         LinearGradientField(c_surface=1500.0, gradient=8e-3),
@@ -122,8 +121,8 @@ class TestKMatrix:
         for _ in range(20):
             z = rng.uniform(5.0, 110.0) if isinstance(field, LinearGradientField) \
                 else rng.uniform(100.0, 3000.0)
-            s = IndexSample(*field.index_at(0.0, z))
-            p = rng.uniform(-0.7, 0.7) * s.n
+            s = field.index_at(0.0, z)
+            p = rng.uniform(-0.7, 0.7) * s[0]
             analytic = k_matrix(s, p)
             fd = k_fd(field, 0.0, z, p, 1e-6, 1e-3)
             np.testing.assert_allclose(fd, analytic, rtol=2e-5, atol=1e-10)
@@ -149,16 +148,15 @@ class TestSplitKernel:
     def test_w_is_minus_hamiltonian(self):
         rng = np.random.default_rng(5)
         for _ in range(500):
-            s = IndexSample(n=rng.uniform(0.9, 1.2), n_r=0.0,
-                            n_z=rng.uniform(-0.02, 0.02), n_zz=0.0)
-            p = rng.uniform(-0.95, 0.95) * s.n
-            assert ray_rhs(s, p)[2] == -hamiltonian(s.n, p)
+            s = (rng.uniform(0.9, 1.2), 0.0, rng.uniform(-0.02, 0.02), 0.0)
+            p = rng.uniform(-0.95, 0.95) * s[0]
+            assert ray_rhs(s, p)[2] == -hamiltonian(s[0], p)
 
     def test_dq_equals_k_times_q(self):
         rng = np.random.default_rng(6)
         for _ in range(500):
-            s = IndexSample(n=rng.uniform(0.9, 1.2), n_r=rng.uniform(-0.01, 0.01),
-                            n_z=rng.uniform(-0.02, 0.02), n_zz=rng.uniform(-1e-4, 1e-4))
+            s = (rng.uniform(0.9, 1.2), rng.uniform(-0.01, 0.01),
+                 rng.uniform(-0.02, 0.02), rng.uniform(-1e-4, 1e-4))
             p = rng.uniform(-0.8, 0.8)
             q11, q12, q21, q22 = rng.uniform(-5.0, 5.0, 4).tolist()
             (k11, k12), (k21, k22) = k_matrix(s, p).tolist()
