@@ -18,15 +18,12 @@ Coordinate conventions used throughout the package:
   analytic reflection jump agree with the finite-difference calibration
   tests in the oracle module.
 
-Sampled 1D profiles (a range-independent ``GriddedField`` and a
-``PiecewiseBottom``) are fitted once with a natural cubic spline in plain
-Python, repeating scipy ``CubicSpline``'s arithmetic so the coefficients
-equal scipy's bit for bit.  Queries read that coefficient table, which
-returns value, slope and second derivative in one call and sums in scipy
-``PPoly``'s own order.  scipy is imported only to fit a range-dependent
-2D ``GriddedField`` (and by the tests, which compare the fit with it), and
-numpy only with it; every other field and bottom, and the two-column
-tables they are read from, never load either.
+Sampled profiles (a ``GriddedField`` and a ``PiecewiseBottom``) are
+fitted once with a natural cubic spline in plain Python, repeating scipy
+``CubicSpline``'s arithmetic so the coefficients equal scipy's bit for
+bit; a 2D grid takes two passes of it.  Queries read that coefficient
+table, which returns value, slope and second derivative in one call and
+sums in scipy ``PPoly``'s own order.
 
 All field and bathymetry objects are immutable after construction and all
 queries are pure functions, so they can be shared freely between
@@ -350,10 +347,10 @@ class GriddedField(SoundSpeedField):
 
     A C2 cubic spline interpolates c; index derivatives come from the
     spline.  Linear interpolation is deliberately not offered because the
-    variation equation needs a continuous n_zz.  Pass ``ranges=None`` for
-    a range-independent profile: a natural cubic spline in depth, fitted
-    and evaluated in plain Python bit for bit like scipy's.  A 2D grid is
-    fitted with scipy's ``RectBivariateSpline``, imported only then.
+    variation equation needs a continuous n_zz.  The spline is natural and
+    fitted in plain Python like scipy's, in depth along each range row and,
+    for a 2D grid, then in range for each depth coefficient; a grid constant
+    in range equals its 1D profile (``ranges=None``) bit for bit.
 
     When tracing against this field, the grid must extend slightly past
     the boundaries the ray can touch (about one step's depth gain beyond
@@ -365,26 +362,27 @@ class GriddedField(SoundSpeedField):
         super().__init__(c0)
         self.depths = _increasing(depths, "depth samples")
         self._z_span = (self.depths[0], self.depths[-1])
+        self.ranges = None if ranges is None else _increasing(ranges, "range samples")
+        try:  # TypeError: a flat list passed with ranges, or a nested one without
+            rows = [tuple(map(float, row)) for row in ([c_values] if ranges is None else c_values)]
+        except TypeError:
+            rows = []
+        if len(rows) != (1 if ranges is None else len(self.ranges)):
+            raise ValueError("c_values must have shape (len(ranges), len(depths))")
+        if not all(math.isfinite(c) for row in rows for c in row):
+            raise ValueError("gridded sound speeds must all be finite")
+        if any(c <= 0.0 for row in rows for c in row):
+            raise ValueError("gridded sound speeds must all be positive")
+        self.c_values = rows[0] if ranges is None else tuple(rows)
         if ranges is None:
-            if any(c <= 0.0 for c in c_values):
-                raise ValueError("gridded sound speeds must all be positive")
-            self.ranges = None
-            self._table = _CubicTable(self.depths, c_values)
+            self._table = _CubicTable(self.depths, rows[0])
         else:
-            import numpy as np
-            from scipy.interpolate import RectBivariateSpline
-
-            self.ranges = _increasing(ranges, "range samples")
-            c_values = np.asarray(c_values, dtype=float)
-            if c_values.shape != (len(self.ranges), len(self.depths)):
-                raise ValueError("c_values must have shape (len(ranges), len(depths))")
-            if not np.all(np.isfinite(c_values)):
-                raise ValueError("gridded sound speeds must all be finite")
-            if np.any(c_values <= 0.0):
-                raise ValueError("gridded sound speeds must all be positive")
-            self._r_span = (self.ranges[0], self.ranges[-1])
-            self._spline = RectBivariateSpline(self.ranges, self.depths, c_values,
-                                               kx=3, ky=3, s=0)
+            # Per depth interval: its top, and range splines of its 1, s, s^2, s^3 coefficients.
+            tables = [_CubicTable(self.depths, row) for row in rows]
+            coefs = [(t._d, t._c, t._b, t._a) for t in tables]
+            self._columns = [(top, *(_CubicTable(self.ranges, [k[j][i] for k in coefs])
+                                     for j in range(4))) for i, top in enumerate(self.depths[:-1])]
+            self._columns.append(self._columns[-1])  # for the bottom knot, as _CubicTable does
 
     @classmethod
     def from_file(cls, path, c0: float = 1500.0) -> "GriddedField":
@@ -400,13 +398,15 @@ class GriddedField(SoundSpeedField):
         if self.ranges is None:
             (c, c_z, c_zz), c_r = self._table(z), 0.0
         else:
-            r_lo, r_hi = self._r_span
-            if not (r_lo <= r <= r_hi):
+            if not (self.ranges[0] <= r <= self.ranges[-1]):
                 raise DomainError("range outside gridded field", "r", r)
-            c = float(self._spline.ev(r, z))
-            c_r = float(self._spline.ev(r, z, dx=1))
-            c_z = float(self._spline.ev(r, z, dy=1))
-            c_zz = float(self._spline.ev(r, z, dy=2))
+            top, d, c, b, a = self._columns[bisect_right(self.depths, z) - 1]
+            (d, d_r, _), (c, c_r, _), (b, b_r, _), (a, a_r, _) = d(r), c(r), b(r), a(r)
+            s = z - top  # the sums of _CubicTable.__call__, in its order
+            s2 = s * s
+            c, c_r, c_z, c_zz = (d + c * s + b * s2 + a * (s2 * s),
+                                 d_r + c_r * s + b_r * s2 + a_r * (s2 * s),
+                                 c + b * s * 2.0 + a * s2 * 3.0, b * 2.0 + a * s * 6.0)
         if c <= 0.0:
             raise DomainError("interpolated sound speed not positive", "z", z)
         c0, c2 = self.c0, c**2

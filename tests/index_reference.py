@@ -2,11 +2,14 @@
 
 These are the expressions the fields evaluated before they stored their
 constants at construction and squared c (or f) once per call.  Each
-reference reads only the field's public parameters and its spline, so the
-tests can check that the fields still return these tuples bit for bit.
+reference reads only the field's public parameters, and a 1D profile's
+spline table; a 2D grid is refitted with scipy.  So the tests can check
+that the fields still return these tuples bit for bit.
 """
 
+import functools
 import math
+from bisect import bisect_right
 
 from varitrace import ConstantField, GriddedField, LinearGradientField, MunkField
 from varitrace.errors import DomainError
@@ -42,6 +45,18 @@ def munk_index(field: MunkField, r: float, z: float):
     return n, 0.0, n_z, n_zz
 
 
+@functools.cache
+def _range_splines(field: GriddedField):
+    """The 2D grid refitted with scipy in the field's two passes: a natural
+    ``CubicSpline`` through each range row in depth, then, per depth
+    interval, one across the ranges through each of its four coefficients."""
+    from scipy.interpolate import CubicSpline
+
+    rows = [CubicSpline(field.depths, row, bc_type="natural").c for row in field.c_values]
+    return [[CubicSpline(field.ranges, [c[k, i] for c in rows], bc_type="natural")
+             for k in range(4)] for i in range(len(field.depths) - 1)]
+
+
 def gridded_index(field: GriddedField, r: float, z: float):
     if not (field.depths[0] <= z <= field.depths[-1]):
         raise DomainError("depth outside gridded field", "z", z)
@@ -49,12 +64,19 @@ def gridded_index(field: GriddedField, r: float, z: float):
         c, c_z, c_zz = field._table(z)
         c_r = 0.0
     else:
+        from scipy.interpolate import PPoly
+
         if not (field.ranges[0] <= r <= field.ranges[-1]):
             raise DomainError("range outside gridded field", "r", r)
-        c = float(field._spline.ev(r, z))
-        c_r = float(field._spline.ev(r, z, dx=1))
-        c_z = float(field._spline.ev(r, z, dy=1))
-        c_zz = float(field._spline.ev(r, z, dy=2))
+        # The depth interval holding z; the last one also holds the bottom knot.
+        i = min(bisect_right(field.depths, z), len(field.depths) - 1) - 1
+        splines = _range_splines(field)[i]
+        ends = field.depths[i:i + 2]
+        # The depth polynomial at range r, and its range derivative, summed by scipy.
+        at_r = PPoly([[float(spline(r))] for spline in splines], ends)
+        d_r = PPoly([[float(spline(r, 1))] for spline in splines], ends)
+        c, c_z, c_zz = (float(at_r(z, nu)) for nu in (0, 1, 2))
+        c_r = float(d_r(z))
     if c <= 0.0:
         raise DomainError("interpolated sound speed not positive", "z", z)
     n = field.c0 / c

@@ -136,6 +136,9 @@ class TestSoundSpeedFields:
             GriddedField(depths=[0.0, 1.0, 2.0, 3.0], c_values=[1500.0, -1.0, 1500.0, 1500.0])
         with pytest.raises(ValueError, match="one value per sample point, got 5 for 4"):
             GriddedField(depths=[0.0, 1.0, 2.0, 3.0], c_values=[1500.0] * 5)
+        with pytest.raises(ValueError, match="c_values must have shape"):
+            GriddedField(depths=[0.0, 1.0, 2.0, 3.0], c_values=[1500.0] * 4,
+                         ranges=[0.0, 1e3, 2e3, 3e3])
 
     @pytest.mark.parametrize("points", [[0.0, 10.0, math.nan, 30.0], [0.0, 10.0, 20.0, math.inf]],
                              ids=["nan", "inf"])
@@ -152,13 +155,47 @@ class TestSoundSpeedFields:
             GriddedField(**grid)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_gridded_2d_rejects_non_finite_speeds(self, bad):
-        """A NaN speed used to pass, and index_at then returned NaNs."""
-        c_values = np.full((4, 5), 1500.0)
+    @pytest.mark.parametrize("grid", ["1d", "2d"])
+    def test_gridded_rejects_non_finite_speeds(self, grid, bad):
+        """A NaN speed used to pass a 2D grid, and index_at then returned
+        NaNs; a 1D profile and a 2D grid reject one with the same message."""
+        c_values, ranges = np.full((4, 5), 1500.0), [0.0, 1e3, 2e3, 3e3]
         c_values[2, 1] = bad
+        if grid == "1d":
+            c_values, ranges = c_values[2], None
         with pytest.raises(ValueError, match="gridded sound speeds must all be finite"):
-            GriddedField(depths=[0.0, 10.0, 20.0, 30.0, 40.0], c_values=c_values,
-                         ranges=[0.0, 1e3, 2e3, 3e3])
+            GriddedField(depths=[0.0, 10.0, 20.0, 30.0, 40.0], c_values=c_values, ranges=ranges)
+
+    def test_range_constant_grid_equals_its_profile(self):
+        """One spline kind: a 2D grid constant in range is its 1D profile bit
+        for bit, with n_r exactly 0."""
+        munk = MunkField()
+        depths = np.linspace(0.0, 4000.0, 41)
+        ranges = np.linspace(0.0, 10_000.0, 11)
+        profile = [munk.c0 / munk.index_at(0.0, z)[0] for z in depths]
+        flat = GriddedField(depths, profile)
+        grid = GriddedField(depths, [profile] * len(ranges), ranges=ranges)
+        rng = np.random.default_rng(41)
+        points = list(zip(rng.uniform(0.0, 10_000.0, 2_000).tolist(),
+                          rng.uniform(0.0, 4000.0, 2_000).tolist()))
+        points += [(r, z) for r in (0.0, 10_000.0) for z in depths.tolist()]
+        for r, z in points:
+            n, n_r, n_z, n_zz = grid.index_at(r, z)
+            expected = flat.index_at(r, z)
+            assert (n, n_z, n_zz) == (expected[0], expected[2], expected[3]), (r, z)
+            assert n_r == 0.0
+
+    def test_2d_grid_returns_its_knots(self):
+        """The grid speed comes back exactly at each knot off the last range
+        and depth rows (those take the last interval's far end)."""
+        ranges = np.linspace(0.0, 10_000.0, 11)
+        depths = np.linspace(0.0, 2000.0, 21)
+        rr, zz = np.meshgrid(ranges, depths, indexing="ij")
+        c = 1500.0 + 0.01 * zz + 2e-4 * rr + 3.0 * np.sin(rr / 2e3) * np.cos(zz / 300.0)
+        field = GriddedField(depths=depths, c_values=c, ranges=ranges, c0=1500.0)
+        for j, r in enumerate(ranges[:-1].tolist()):
+            for k, z in enumerate(depths[:-1].tolist()):
+                assert field.index_at(r, z)[0] == 1500.0 / float(c[j, k]), (r, z)
 
 
 class TestBathymetry:

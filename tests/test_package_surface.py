@@ -1,7 +1,7 @@
 """Package-surface guard: no test hooks or mutable globals in the modules,
-every exported name exists, scipy loads only to fit a range-dependent
-sound-speed grid, no trace, fan or kappa scan loads numpy, no module uses
-the matrix-product operator, the RK4 path does not call a ray right-hand
+every exported name exists, no module imports scipy, no trace, fan, kappa
+scan or 2D sound-speed grid loads numpy, no module uses the
+matrix-product operator, the RK4 path does not call a ray right-hand
 side, each field and bottom quantity has one definition, the package
 re-exports exactly each module's ``__all__``, and the README's library
 example runs as written."""
@@ -150,7 +150,7 @@ def test_one_definition_per_environment_quantity():
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_hot_path_builds_no_named_samples(path):
+def test_no_module_defines_ray_rhs(path):
     """The ray right-hand side is written into the RK4 step on the plain
     (n, n_r, n_z, n_zz) tuple, not called as ``ray_rhs`` (its closed form
     lives in tests/hamiltonian_reference.py)."""
@@ -228,17 +228,17 @@ def test_scipy_loaded_only_to_fit_sampled_profiles(tmp_path, text):
     assert modules.strip() == "[]"
 
 
-def test_range_dependent_grid_loads_scipy():
+def test_range_dependent_grid_loads_neither_numpy_nor_scipy():
+    """A 2D grid is fitted and queried in plain Python, like a 1D profile."""
     probe = """\
 import sys
-import numpy as np
 from varitrace import GriddedField
-before = "scipy.interpolate" in sys.modules
-z = np.linspace(0.0, 200.0, 11)
-GriddedField(z, 1500.0 + np.add.outer(np.zeros(5), 0.05 * z), ranges=np.linspace(0.0, 4e3, 5))
-print(before, "scipy.interpolate" in sys.modules)
+z = [20.0 * k for k in range(11)]
+field = GriddedField(z, [[1500.0 + 0.05 * d + 1e-3 * r for d in z] for r in range(0, 5000, 1000)],
+                     ranges=list(range(0, 5000, 1000)))
+print(field.index_at(1234.5, 67.8)[1] != 0.0, "numpy" in sys.modules, "scipy" in sys.modules)
 """
-    assert run_fresh(probe).split() == ["False", "True"]
+    assert run_fresh(probe).split() == ["True", "False", "False"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -248,11 +248,13 @@ def test_numpy_imported_only_inside_functions(path):
     assert module_level_imports(path, "numpy") == [], f"{path.name}: numpy at module level"
 
 
-def test_scipy_imported_only_for_range_dependent_grids():
+def test_no_module_imports_scipy():
+    """scipy is a test and benchmark reference only: every spline is fitted
+    in plain Python."""
     imports = [(path.name, ast.unparse(node))
                for path in MODULES for node in ast.walk(parse(path))
                if isinstance(node, (ast.Import, ast.ImportFrom)) and "scipy" in ast.unparse(node)]
-    assert imports == [("environment.py", "from scipy.interpolate import RectBivariateSpline")]
+    assert imports == []
 
 
 _COMMANDS_PROBE = """\
