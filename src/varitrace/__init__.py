@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .environment import (
     ArcBottom,
     Bathymetry,
-    BottomSample,
     ConstantField,
     FlatBottom,
     GriddedField,

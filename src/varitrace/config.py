@@ -35,23 +35,27 @@ __all__ = ["RunConfig", "load_config"]
 
 _KNOWN_SECTIONS = {"environment", "bathymetry", "trace", "fan", "kappa_scan", "verify"}
 
-_FIELD_KEYS = {
-    "constant": {"c0", "c"},
-    "linear-gradient": {"c0", "c_surface", "gradient"},
-    "munk": {"c0", "c_axis", "z_axis", "scale_depth", "epsilon"},
-    "gridded": {"c0", "file"},
+# One table per section: a kind's constructor, its required keys and its
+# optional keys.  Only the keys a file gives are passed, as keyword
+# arguments, so an omitted optional key takes the constructor's default.
+_FIELDS = {
+    "constant": (ConstantField, (), ("c0", "c")),
+    "linear-gradient": (LinearGradientField, ("gradient",), ("c_surface", "c0")),
+    "munk": (MunkField, (), ("c_axis", "z_axis", "scale_depth", "epsilon", "c0")),
+    # two-column (z, c) profile file, range independent
+    "gridded": (GriddedField.from_file, ("file",), ("c0",)),
 }
 
-_BATH_KEYS = {
-    "flat": {"depth"},
-    "linear-slope": {"depth0", "slope"},
-    "sinusoidal": {"mean_depth", "amplitude", "wavenumber", "phase"},
-    "arc": {"radius", "r_center", "z_center", "bulge"},
-    "piecewise": {"file"},
+_BOTTOMS = {
+    "flat": (FlatBottom, ("depth",), ()),
+    "linear-slope": (LinearSlopeBottom, ("depth0", "slope"), ()),
+    "sinusoidal": (SinusoidalBottom, ("mean_depth", "amplitude", "wavenumber"), ("phase",)),
+    "arc": (ArcBottom, ("radius", "r_center", "z_center", "bulge"), ()),
+    "piecewise": (PiecewiseBottom.from_file, ("file",), ()),
 }
 
-_TRACE_KEYS = {"r_start", "r_end", "z0", "theta0_deg", "dr", "bisect_tol",
-               "steep_cutoff_deg", "max_bounces"}
+_TRACE = (TraceConfig, ("r_start", "r_end", "z0", "theta0_deg"),
+          ("dr", "bisect_tol", "steep_cutoff_deg", "max_bounces"))
 
 
 class _Section:
@@ -126,86 +130,45 @@ class RunConfig:
     # -- builders ----------------------------------------------------------
 
     def build_field(self) -> SoundSpeedField:
-        sec = self.section("environment")
-        kind = sec.get_str("kind", required=True)
-        if kind not in _FIELD_KEYS:
-            raise ConfigError(
-                f"[environment] kind = {kind!r}; expected one of "
-                f"{', '.join(sorted(_FIELD_KEYS))}")
-        sec.check_keys(_FIELD_KEYS[kind] | {"kind"})
-        try:
-            if kind == "constant":
-                c0 = sec.get_float("c0", 1500.0)
-                return ConstantField(c0=c0, c=sec.get_float("c", c0))
-            if kind == "linear-gradient":
-                c_surface = sec.get_float("c_surface", 1500.0)
-                return LinearGradientField(
-                    c_surface=c_surface,
-                    gradient=sec.get_float("gradient", required=True),
-                    c0=sec.get_float("c0", c_surface))
-            if kind == "munk":
-                c_axis = sec.get_float("c_axis", 1500.0)
-                return MunkField(
-                    c_axis=c_axis,
-                    z_axis=sec.get_float("z_axis", 1300.0),
-                    scale_depth=sec.get_float("scale_depth", 1300.0),
-                    epsilon=sec.get_float("epsilon", 0.00737),
-                    c0=sec.get_float("c0", c_axis))
-            # gridded: two-column (z, c) profile file, range independent
-            return GriddedField.from_file(self._resolve(sec.get_str("file", required=True)),
-                                          c0=sec.get_float("c0", 1500.0))
-        except (ValueError, OSError) as exc:
-            # OSError: a referenced file that cannot be read, such as a directory
-            raise ConfigError(f"[environment] {exc}")
+        return self._build("environment", _FIELDS)
 
     def build_bathymetry(self) -> Bathymetry:
-        sec = self.section("bathymetry")
-        kind = sec.get_str("kind", required=True)
-        if kind not in _BATH_KEYS:
-            raise ConfigError(
-                f"[bathymetry] kind = {kind!r}; expected one of "
-                f"{', '.join(sorted(_BATH_KEYS))}")
-        sec.check_keys(_BATH_KEYS[kind] | {"kind"})
-        try:
-            if kind == "flat":
-                return FlatBottom(depth=sec.get_float("depth", required=True))
-            if kind == "linear-slope":
-                return LinearSlopeBottom(
-                    depth0=sec.get_float("depth0", required=True),
-                    slope=sec.get_float("slope", required=True))
-            if kind == "sinusoidal":
-                return SinusoidalBottom(
-                    mean_depth=sec.get_float("mean_depth", required=True),
-                    amplitude=sec.get_float("amplitude", required=True),
-                    wavenumber=sec.get_float("wavenumber", required=True),
-                    phase=sec.get_float("phase", 0.0))
-            if kind == "arc":
-                return ArcBottom(
-                    radius=sec.get_float("radius", required=True),
-                    r_center=sec.get_float("r_center", required=True),
-                    z_center=sec.get_float("z_center", required=True),
-                    bulge=sec.get_str("bulge", "down"))
-            return PiecewiseBottom.from_file(
-                self._resolve(sec.get_str("file", required=True)))
-        except (ValueError, OSError) as exc:
-            raise ConfigError(f"[bathymetry] {exc}")
+        return self._build("bathymetry", _BOTTOMS)
 
     def build_trace_config(self) -> TraceConfig:
-        sec = self.section("trace")
-        sec.check_keys(_TRACE_KEYS)
+        return self._build("trace", {None: _TRACE})
+
+    def _build(self, name: str, kinds: dict):
+        """The object section ``name`` describes, from its ``kinds`` table
+        (one entry under the key None for a section without ``kind``)."""
+        sec = self.section(name)
+        kind = None if None in kinds else sec.get_str("kind", required=True)
+        if kind not in kinds:
+            raise ConfigError(
+                f"[{name}] kind = {kind!r}; expected one of {', '.join(sorted(kinds))}")
+        make, required, optional = kinds[kind]
+        sec.check_keys({*required, *optional} | ({"kind"} if kind else set()))
+        args = dict(self._argument(sec, key)
+                    for key in required + tuple(k for k in optional if k in sec.raw))
         try:
-            return TraceConfig(
-                r_start=sec.get_float("r_start", required=True),
-                r_end=sec.get_float("r_end", required=True),
-                z0=sec.get_float("z0", required=True),
-                theta0=math.radians(sec.get_float("theta0_deg", required=True)),
-                dr=sec.get_float("dr", 10.0),
-                bisect_tol=sec.get_float("bisect_tol", 1e-9),
-                steep_cutoff=math.radians(sec.get_float("steep_cutoff_deg", 89.5)),
-                max_bounces=sec.get_int("max_bounces", 10_000),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[trace] {exc}")
+            return make(**args)
+        except (ValueError, OSError) as exc:
+            # OSError: a referenced file that cannot be read, such as a directory
+            raise ConfigError(f"[{name}] {exc}")
+
+    def _argument(self, sec: _Section, key: str):
+        """(keyword, value) of one key the section must hold: ``file`` is the
+        resolved ``path``, a ``*_deg`` angle is passed in radians without the
+        suffix, ``max_bounces`` is an int, ``bulge`` a string, others floats."""
+        if key == "file":
+            return "path", self._resolve(sec.get_str(key, required=True))
+        if key == "bulge":
+            return key, sec.get_str(key, required=True)
+        if key == "max_bounces":
+            return key, sec.get_int(key, required=True)
+        if key.endswith("_deg"):
+            return key.removesuffix("_deg"), math.radians(sec.get_float(key, required=True))
+        return key, sec.get_float(key, required=True)
 
     def _resolve(self, name: str) -> Path:
         path = Path(name)

@@ -45,7 +45,6 @@ from .errors import DomainError
 
 __all__ = [
     "NormalFrame",
-    "BottomSample",
     "SoundSpeedField",
     "ConstantField",
     "LinearGradientField",
@@ -86,14 +85,6 @@ class NormalFrame:
         if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"normal (nr, nz) must be unit length, got |N| = {norm!r}")
         _finite("curvature", self.curvature)
-
-
-@dataclass(frozen=True)
-class BottomSample:
-    """Bottom depth and normal frame at one range."""
-
-    z_b: float
-    frame: NormalFrame
 
 
 def surface_frame() -> NormalFrame:
@@ -439,12 +430,13 @@ class Bathymetry(ABC):
     def depth_at(self, r: float) -> float:
         return self._profile(r)[0]
 
-    def bottom_at(self, r: float) -> BottomSample:
-        """Depth and into-water normal frame at range r."""
+    def bottom_at(self, r: float) -> tuple[float, NormalFrame]:
+        """Depth and into-water normal frame at range r, as the plain pair
+        ``(z_b, frame)``."""
         z_b, slope, d2 = self._profile(r)
         if z_b <= 0.0:
             raise DomainError("bottom reaches the free surface", "r", r)
-        return BottomSample(z_b=z_b, frame=_bottom_frame(slope, d2))
+        return z_b, _bottom_frame(slope, d2)
 
 
 class FlatBottom(Bathymetry):
@@ -502,11 +494,12 @@ class ArcBottom(Bathymetry):
 
     ``bulge='down'`` is a basin (lower half of the circle, signed
     curvature +1/radius); ``bulge='up'`` is a bump rising into the water
-    (signed curvature -1/radius).  Defined for |r - r_center| < radius.
+    (signed curvature -1/radius).  ``bulge`` has no default: either one
+    would silently flip the geometry of a caller who forgot it.  Defined
+    for |r - r_center| < radius.
     """
 
-    def __init__(self, radius: float, r_center: float, z_center: float,
-                 bulge: str = "up"):
+    def __init__(self, radius: float, r_center: float, z_center: float, bulge: str):
         self.radius = _finite("radius", radius, positive=True)
         if bulge not in ("up", "down"):
             raise ValueError(f"bulge must be 'up' or 'down', got {bulge!r}")

@@ -429,7 +429,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
         raise ValueError("source on the free surface must launch downward")
     if z0 == z_bottom:
         tz0 = p0 / s[0]
-        frame = bath.bottom_at(cfg.r_start).frame
+        _, frame = bath.bottom_at(cfg.r_start)
         if math.sqrt(max(0.0, 1.0 - tz0 * tz0)) * frame.nr + tz0 * frame.nz <= 0.0:
             raise ValueError("source on the bottom must launch into the water")
 
@@ -471,8 +471,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                 if boundary == SURFACE:
                     frame, z = surface_frame(), 0.0
                 else:
-                    bottom = bath.bottom_at(r)
-                    frame, z = bottom.frame, bottom.z_b
+                    z, frame = bath.bottom_at(r)
                 s = field_.index_at(r, z)
             except DomainError:
                 status = TraceStatus.DOMAIN_EXIT

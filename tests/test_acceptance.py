@@ -95,7 +95,7 @@ def test_criterion_1_symplecticity():
 def test_criterion_2_kappa_special_cases():
     """Flat boundary with and without gradient, and homogeneous curved
     boundary, reproduce their closed-form jump matrices to 1e-12."""
-    bottom_frame = FlatBottom(100.0).bottom_at(0.0).frame
+    bottom_frame = FlatBottom(100.0).bottom_at(0.0)[1]
     homogeneous = (1.0, 0.0, 0.0, 0.0)
 
     # flat, zero gradient: kappa = -I
@@ -353,7 +353,7 @@ def test_criterion_7_sweep_reproduction():
         # the bounce landed on the targeted pair
         assert math.degrees(bounce.theta_incident) == pytest.approx(theta_deg,
                                                                     abs=1e-5)
-        frame = bath.bottom_at(bounce.r).frame
+        frame = bath.bottom_at(bounce.r)[1]
         assert math.degrees(math.atan2(frame.nz, frame.nr)) == pytest.approx(alpha_deg, abs=1e-5)
 
         # sweep ordinate at the grid pair vs the traced bounce jump

@@ -13,8 +13,20 @@ import pytest
 
 from varitrace.cli import DEFAULT_SCAN_THETAS, main, scan_kappa
 from varitrace.config import load_config
-from varitrace.environment import NormalFrame
+from varitrace.environment import (
+    ArcBottom,
+    ConstantField,
+    FlatBottom,
+    GriddedField,
+    LinearGradientField,
+    LinearSlopeBottom,
+    MunkField,
+    NormalFrame,
+    PiecewiseBottom,
+    SinusoidalBottom,
+)
 from varitrace.errors import ConfigError, GeometryError
+from varitrace.propagation import TraceConfig
 from varitrace.reflection import ReflectionContext, _mirror, identity_checks, kappa_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -119,6 +131,98 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "config error" in err and "reaches the surface: -7.474 m at r = 250" in err
         assert not out.exists()
+
+
+class TestKindTables:
+    """Each config kind builds what its constructor builds: with only the
+    required keys, every other one taking the constructor's default, and
+    with every optional key set as well.  Per case: the section, its
+    required keys, its optional keys, and the constructor calls with the
+    required keywords and with all of them (given the table directory)."""
+
+    CASES = {
+        "constant": ("environment", "kind = constant\n", "c0 = 1490.0\nc = 1510.0\n",
+                     lambda d: ConstantField(), lambda d: ConstantField(c0=1490.0, c=1510.0)),
+        "linear-gradient": (
+            "environment", "kind = linear-gradient\ngradient = 2e-5\n",
+            "c_surface = 1520.0\nc0 = 1490.0\n",
+            lambda d: LinearGradientField(gradient=2e-5),
+            lambda d: LinearGradientField(gradient=2e-5, c_surface=1520.0, c0=1490.0)),
+        "munk": ("environment", "kind = munk\n",
+                 "c_axis = 1490.0\nz_axis = 1000.0\nscale_depth = 1200.0\nepsilon = 0.0057\n"
+                 "c0 = 1500.0\n",
+                 lambda d: MunkField(),
+                 lambda d: MunkField(c_axis=1490.0, z_axis=1000.0, scale_depth=1200.0,
+                                     epsilon=0.0057, c0=1500.0)),
+        "gridded": ("environment", "kind = gridded\nfile = ssp.txt\n", "c0 = 1490.0\n",
+                    lambda d: GriddedField.from_file(d / "ssp.txt"),
+                    lambda d: GriddedField.from_file(d / "ssp.txt", c0=1490.0)),
+        "flat": ("bathymetry", "kind = flat\ndepth = 800.0\n", "",
+                 lambda d: FlatBottom(depth=800.0), None),
+        "linear-slope": ("bathymetry", "kind = linear-slope\ndepth0 = 800.0\nslope = -0.1\n", "",
+                         lambda d: LinearSlopeBottom(depth0=800.0, slope=-0.1), None),
+        "sinusoidal": (
+            "bathymetry",
+            "kind = sinusoidal\nmean_depth = 800.0\namplitude = 30.0\nwavenumber = 0.01\n",
+            "phase = 0.7\n",
+            lambda d: SinusoidalBottom(mean_depth=800.0, amplitude=30.0, wavenumber=0.01),
+            lambda d: SinusoidalBottom(mean_depth=800.0, amplitude=30.0, wavenumber=0.01,
+                                       phase=0.7)),
+        "arc": ("bathymetry",
+                "kind = arc\nradius = 400.0\nr_center = 120.0\nz_center = 900.0\nbulge = up\n", "",
+                lambda d: ArcBottom(radius=400.0, r_center=120.0, z_center=900.0, bulge="up"),
+                None),
+        "piecewise": ("bathymetry", "kind = piecewise\nfile = bottom.txt\n", "",
+                      lambda d: PiecewiseBottom.from_file(d / "bottom.txt"), None),
+        "trace": ("trace", "r_start = 0.0\nr_end = 6000.0\nz0 = 10.0\ntheta0_deg = 12.0\n",
+                  "dr = 25.0\nbisect_tol = 1e-7\nsteep_cutoff_deg = 80.0\nmax_bounces = 7\n",
+                  lambda d: TraceConfig(r_start=0.0, r_end=6000.0, z0=10.0,
+                                        theta0=math.radians(12.0)),
+                  lambda d: TraceConfig(r_start=0.0, r_end=6000.0, z0=10.0,
+                                        theta0=math.radians(12.0), dr=25.0, bisect_tol=1e-7,
+                                        steep_cutoff=math.radians(80.0), max_bounces=7)),
+    }
+
+    @staticmethod
+    def build(tmp_path, section, keys):
+        run = load_config(write_cfg(tmp_path, f"[{section}]\n{keys}"))
+        return {"environment": run.build_field, "bathymetry": run.build_bathymetry,
+                "trace": run.build_trace_config}[section]()
+
+    @staticmethod
+    def assert_same(got, want):
+        assert type(got) is type(want)
+        if isinstance(want, TraceConfig):
+            assert got == want
+            return
+        public = {k: v for k, v in vars(want).items() if not k.startswith("_")}
+        assert {k: v for k, v in vars(got).items() if not k.startswith("_")} == public
+        for r, z in [(10.0, 5.0), (120.0, 200.0), (230.0, 900.0)]:
+            if hasattr(want, "index_at"):
+                assert got.index_at(r, z) == want.index_at(r, z)
+            else:
+                assert got._profile(r) == want._profile(r)
+
+    @pytest.mark.parametrize("kind", CASES)
+    def test_config_builds_the_constructors_object(self, tmp_path, kind):
+        (tmp_path / "ssp.txt").write_text("".join(
+            f"{z} {1500.0 + 0.02 * z}\n" for z in range(-20, 1021, 40)))
+        (tmp_path / "bottom.txt").write_text("".join(
+            f"{r} {800.0 + 5.0 * (r % 100 == 0)}\n" for r in range(0, 301, 50)))
+        section, required, optional, bare, full = self.CASES[kind]
+        self.assert_same(self.build(tmp_path, section, required), bare(tmp_path))
+        if full is not None:
+            self.assert_same(self.build(tmp_path, section, required + optional), full(tmp_path))
+
+    def test_arc_needs_bulge(self, tmp_path, capsys):
+        """No default: ``up`` (a bump) and ``down`` (a basin) are equally
+        plausible, and the config reader once defaulted to the opposite of
+        the constructor."""
+        cfg = write_cfg(tmp_path, BASE_CFG.replace(
+            "kind = flat\ndepth = 1000.0",
+            "kind = arc\nradius = 400.0\nr_center = 120.0\nz_center = 900.0"))
+        assert main(["trace", "--config", cfg]) == 2
+        assert "missing required key 'bulge' in [bathymetry]" in capsys.readouterr().err
 
 
 class TestTraceCommand:

@@ -200,24 +200,24 @@ class TestSoundSpeedFields:
 
 class TestBathymetry:
     def test_flat_bottom_trivial(self):
-        sample = FlatBottom(1000.0).bottom_at(123.0)
-        assert sample.z_b == 1000.0
-        assert slope_of(sample.frame) == 0.0
-        assert sample.frame.curvature == 0.0
-        assert sample.frame.nr == 0.0
-        assert sample.frame.nz == -1.0
-        assert math.isinf(radius_of(sample.frame))
+        z_b, frame = FlatBottom(1000.0).bottom_at(123.0)
+        assert z_b == 1000.0
+        assert slope_of(frame) == 0.0
+        assert frame.curvature == 0.0
+        assert frame.nr == 0.0
+        assert frame.nz == -1.0
+        assert math.isinf(radius_of(frame))
 
     def test_sinusoidal_crest(self):
         B, A, k = 1000.0, 50.0, 2e-3
         bath = SinusoidalBottom(B, A, k)
         crest = (math.pi / 2) / k
-        sample = bath.bottom_at(crest)
-        assert sample.z_b == pytest.approx(B + A, rel=1e-14)
-        assert slope_of(sample.frame) == pytest.approx(0.0, abs=1e-12)
-        assert abs(sample.frame.curvature) == pytest.approx(A * k * k, rel=1e-9)
+        z_b, frame = bath.bottom_at(crest)
+        assert z_b == pytest.approx(B + A, rel=1e-14)
+        assert slope_of(frame) == pytest.approx(0.0, abs=1e-12)
+        assert abs(frame.curvature) == pytest.approx(A * k * k, rel=1e-9)
         # deepest point of the corrugation is concave up: positive curvature
-        assert sample.frame.curvature > 0.0
+        assert frame.curvature > 0.0
 
     def test_sinusoidal_profile_matches_fd(self):
         bath = SinusoidalBottom(800.0, 30.0, 5e-3, phase=0.7)
@@ -226,7 +226,7 @@ class TestBathymetry:
         def slope_fd(h):
             return (bath.depth_at(r + h) - bath.depth_at(r - h)) / (2 * h)
 
-        slope = slope_of(bath.bottom_at(r).frame)
+        slope = slope_of(bath.bottom_at(r)[1])
         e1 = abs(slope - slope_fd(h))
         e2 = abs(slope - slope_fd(h / 2))
         assert e1 / e2 == pytest.approx(4.0, rel=0.3)
@@ -237,7 +237,7 @@ class TestBathymetry:
         bath = ArcBottom(radius=R, r_center=0.0, z_center=200.0 if bulge == "up" else 50.0,
                          bulge=bulge)
         for u in [-60.0, -20.0, 0.0, 35.0, 70.0]:
-            frame = bath.bottom_at(u).frame
+            frame = bath.bottom_at(u)[1]
             assert abs(frame.curvature) == pytest.approx(1.0 / R, rel=1e-8)
             assert frame.curvature * sign > 0.0
             assert radius_of(frame) == pytest.approx(R, rel=1e-8)
@@ -249,12 +249,12 @@ class TestBathymetry:
 
     def test_linear_slope(self):
         bath = LinearSlopeBottom(depth0=500.0, slope=0.1)
-        sample = bath.bottom_at(1000.0)
-        assert sample.z_b == pytest.approx(600.0)
-        assert slope_of(sample.frame) == 0.1
-        assert sample.frame.curvature == 0.0
+        z_b, frame = bath.bottom_at(1000.0)
+        assert z_b == pytest.approx(600.0)
+        assert slope_of(frame) == 0.1
+        assert frame.curvature == 0.0
         # bottom deepening to the right: into-water normal tilts forward
-        assert sample.frame.nr > 0.0
+        assert frame.nr > 0.0
 
     def test_piecewise_reproduces_knots(self):
         r = np.array([0.0, 100.0, 250.0, 400.0, 600.0])
@@ -269,7 +269,7 @@ class TestBathymetry:
         bath = PiecewiseBottom(r, z)
         points = np.concatenate([r, 0.5 * (r[:-1] + r[1:])])
         for ri in points:
-            assert bath.depth_at(ri) == bath.bottom_at(ri).z_b
+            assert bath.depth_at(ri) == bath.bottom_at(ri)[0]
         with pytest.raises(DomainError):
             bath.depth_at(600.5)
 
@@ -309,7 +309,7 @@ class TestNormalFrames:
     def test_frames_are_unit_length(self):
         bath = SinusoidalBottom(500.0, 80.0, 1e-2)
         for r in np.linspace(0.0, 2000.0, 37):
-            frame = bath.bottom_at(r).frame
+            frame = bath.bottom_at(r)[1]
             assert frame.nr**2 + frame.nz**2 == pytest.approx(1.0, abs=1e-12)
             assert frame.nz < 0.0  # bottom normal points up into the water
 
@@ -334,8 +334,8 @@ NON_FINITE = {
     "LinearSlopeBottom(100, nan)": ("slope", lambda: LinearSlopeBottom(100.0, NAN)),
     "SinusoidalBottom(100, nan, 0.1)": ("amplitude", lambda: SinusoidalBottom(100.0, NAN, 0.1)),
     "SinusoidalBottom(100, 1, inf)": ("wavenumber", lambda: SinusoidalBottom(100.0, 1.0, INF)),
-    "ArcBottom(nan, 0, 0)": ("radius", lambda: ArcBottom(NAN, 0.0, 0.0)),
-    "ArcBottom(50, 100, nan)": ("z_center", lambda: ArcBottom(50.0, 100.0, NAN)),
+    "ArcBottom(nan, 0, 0)": ("radius", lambda: ArcBottom(NAN, 0.0, 0.0, "up")),
+    "ArcBottom(50, 100, nan)": ("z_center", lambda: ArcBottom(50.0, 100.0, NAN, "up")),
     "NormalFrame(nan, 1, 0)": ("nr", lambda: NormalFrame(NAN, 1.0, 0.0)),
     "NormalFrame(0, 1, nan)": ("curvature", lambda: NormalFrame(0.0, 1.0, NAN)),
     "BeamPerturbation(h_p=nan)": ("h_p", lambda: BeamPerturbation(h_p=NAN)),
@@ -452,7 +452,7 @@ class TestSplineTable:
 
         monkeypatch.setattr(CubicSpline, "__call__", no_call)
         assert field.index_at(0.0, 61.3)[3] != 0.0
-        assert bath.depth_at(1234.5) == bath.bottom_at(1234.5).z_b
+        assert bath.depth_at(1234.5) == bath.bottom_at(1234.5)[0]
 
 
 def _outcome(query, *args):
@@ -512,7 +512,7 @@ def _bathymetries():
         "linear-slope": LinearSlopeBottom(depth0=300.0, slope=-0.05),
         "sinusoidal": SinusoidalBottom(100.0, 4.0, 2.0 * math.pi / 80.0, phase=0.3),
         "sinusoidal-negative": SinusoidalBottom(2000.0, -60.0, 0.003),
-        "arc-up": ArcBottom(radius=1500.0, r_center=1000.0, z_center=1620.0),
+        "arc-up": ArcBottom(radius=1500.0, r_center=1000.0, z_center=1620.0, bulge="up"),
         "arc-down": ArcBottom(radius=1500.0, r_center=1000.0, z_center=-998.0, bulge="down"),
         "piecewise": PiecewiseBottom(knots, 200.0 + 20.0 * np.sin(knots / 300.0)),
         # The spline dips to 14.08 m at r = 250, below its lowest knot.

@@ -326,7 +326,7 @@ class TestIdentitiesAtBouncePoints:
             res = trace_ray(sc.field, sc.bath, sc.cfg)
             assert res.bounces
             for b in res.bounces:
-                frame = (sc.bath.bottom_at(b.r).frame if b.boundary == "bottom"
+                frame = (sc.bath.bottom_at(b.r)[1] if b.boundary == "bottom"
                          else surface_frame())
                 t_vec = np.array([math.cos(b.theta_incident),
                                   math.sin(b.theta_incident)])

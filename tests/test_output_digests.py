@@ -223,7 +223,7 @@ GRAZE_LO, GRAZE_HI = 0.19835936388164485, 0.19835936388164488
 # statuses).
 FAN_CASES = {
     "constant-arc-up": (
-        ConstantField(), ArcBottom(radius=1500.0, r_center=1000.0, z_center=1620.0),
+        ConstantField(), ArcBottom(radius=1500.0, r_center=1000.0, z_center=1620.0, bulge="up"),
         TraceConfig(r_start=0.0, r_end=2000.0, z0=60.0, theta0=0.0, dr=5.0),
         [math.radians(a) for a in (-10.0, -3.0, 2.0, 6.0, 12.0)],
         {TraceStatus.COMPLETED}),

@@ -16,7 +16,7 @@ from varitrace import (
     surface_frame,
 )
 
-FLAT_FRAME = FlatBottom(100.0).bottom_at(0.0).frame
+FLAT_FRAME = FlatBottom(100.0).bottom_at(0.0)[1]
 HOMOGENEOUS = (1.0, 0.0, 0.0, 0.0)
 
 
