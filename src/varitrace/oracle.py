@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from .environment import Bathymetry, SoundSpeedField, _finite
-from .errors import GeometryError, PerturbationTooLargeError
+from .errors import DomainError, GeometryError, PerturbationTooLargeError
 from .propagation import TraceConfig, TraceResult, TraceStatus, trace_from_pulse
 
 __all__ = [
@@ -103,8 +103,8 @@ def _centered_jacobian(field_, bath, cfg, z0, p0, h_p, h_z, signature):
                                     variations=False)
             minus = trace_from_pulse(field_, bath, cfg, z0 - dz0, p0 - dp0,
                                      variations=False)
-        except ValueError as exc:
-            # perturbed launch left the water column or went steep
+        except (ValueError, DomainError) as exc:
+            # perturbed launch left the water column or the field, or went steep
             raise PerturbationTooLargeError(str(exc))
         for res in (plus, minus):
             if _bounce_signature(res) != signature:

@@ -1,13 +1,20 @@
 """Range marching of rays and their variation matrices.
 
+The ray Hamiltonian is H(z, p; r) = -sqrt(n(r, z)^2 - p^2) where the pulse
+p = n sin(theta) is conjugate to depth and theta is the grazing angle.
+Rays obey dz/dr = dH/dp = p / w and dp/dr = -dH/dz = n n_z / w, with
+w = sqrt(n^2 - p^2).  The 2x2 variation matrix q = d(p, z)/d(p0, z0)
+obeys dq/dr = K q with K built from the second derivatives of H.  The
+tests check both right-hand sides against finite differences of an
+independently written H, so they validate the formulas the integrator runs.
+
 Integrates (z, p, q) with a classical fixed-step RK4 scheme, in two parts
 over one set of stages.  ``_ray_step`` advances (z, p): stages 2-4 each
 make one ``index_at`` call (stage 1 reuses the sample the trace loop holds
-for the step start), each stage writes out the ray right-hand side
-w = sqrt(n^2 - p^2), dz = p / w, dp = n n_z / w on the plain index tuple,
-and it returns the four stage points.  The ray never reads q, so
-``_variation_step`` then advances q from those stage points with
-``variation_rhs``, giving the bits one joint six-component step gives.  It
+for the step start), each stage writes out the ray right-hand side above on
+the plain index tuple, and it returns the four stage points.  The ray never
+reads q, so ``_variation_step`` then advances q from those stage points with
+``_variation_rhs``, giving the bits one joint six-component step gives.  It
 runs only where q is read: once per accepted step and once per landed
 bounce, never in the landing search's trial steps, and not at all in a
 ray-only trace (``variations=False``, the oracle's perturbed rays).
@@ -25,7 +32,8 @@ only for a bracketed boundary.  There an Illinois search on the interpolated
 gap seeds a safeguarded secant search on the exact RK4 map from the step
 start, so the landing state is an RK4 state whose boundary residual is below
 ``bisect_tol``.  The reflection jump is applied there and marching resumes.
-All abnormal endings are reported as statuses, never exceptions.
+A plain step and a landed bounce share one advance, so once launched a
+trace reports every abnormal ending as a status, never an exception.
 
 The samples are packed once, when the trace ends, into two stdlib
 ``array('d')``: the seven columns row after row, and the index.  The CLI
@@ -44,7 +52,6 @@ from itertools import chain
 
 from .environment import Bathymetry, SoundSpeedField, surface_frame
 from .errors import DomainError, GeometryError, SteepRayError
-from .ray_core import variation_rhs
 from .reflection import KappaMatrix, ReflectionContext, kappa_matrix
 
 __all__ = [
@@ -203,7 +210,7 @@ def _ray_step(field_: SoundSpeedField, r: float, z: float, p: float, sample: tup
 
     Each stage is (sample, p, w, dz): the index tuple and pulse it was
     evaluated at, with w = sqrt(n^2 - p^2) and dz = p / w, which
-    ``variation_rhs`` and the dense output read; dp = n n_z / w.  A stage
+    ``_variation_rhs`` and the dense output read; dp = n n_z / w.  A stage
     with w^2 <= 0 (a vertical ray) raises SteepRayError.  ``sample`` is
     the index at the start (r, z), so only stages 2-4 call ``index_at``.
     """
@@ -237,6 +244,29 @@ def _ray_step(field_: SoundSpeedField, r: float, z: float, p: float, sample: tup
     )
 
 
+def _variation_rhs(sample, p: float, w: float, q11: float, q12: float,
+                   q21: float, q22: float) -> tuple[float, float, float, float]:
+    """Variation right-hand side (dq11, dq12, dq21, dq22) = K q.
+
+    ``sample`` is the index tuple (n, n_r, n_z, n_zz) and ``w`` =
+    sqrt(n^2 - p^2) at the same point.
+    k11 = p n n_z / w^3, k12 = (n_z^2 + n n_zz) / w - (n n_z)^2 / w^3,
+    k21 = n^2 / w^3 and k22 = -k11.
+    """
+    n, _, n_z, n_zz = sample
+    w3 = w * w * w
+    k11 = p * n * n_z / w3
+    k12 = (n_z * n_z + n * n_zz) / w - (n * n_z) ** 2 / w3
+    k21 = n * n / w3
+    k22 = -k11
+    return (
+        k11 * q11 + k12 * q21,
+        k11 * q12 + k12 * q22,
+        k21 * q11 + k22 * q21,
+        k21 * q12 + k22 * q22,
+    )
+
+
 def _variation_step(stages, q: tuple, h: float) -> tuple:
     """The RK4 step of q = (q11, q12, q21, q22) over the ray step that
     produced ``stages`` (of length ``h``): the stage points of the ray do
@@ -244,13 +274,13 @@ def _variation_step(stages, q: tuple, h: float) -> tuple:
     a, b, c, d = q
     hh = 0.5 * h
     (s1, p1, w1, _), (s2, p2, w2, _), (s3, p3, w3, _), (s4, p4, w4, _) = stages
-    a1, b1, c1, d1 = variation_rhs(s1, p1, w1, a, b, c, d)
-    a2, b2, c2, d2 = variation_rhs(s2, p2, w2, a + hh * a1, b + hh * b1,
-                                   c + hh * c1, d + hh * d1)
-    a3, b3, c3, d3 = variation_rhs(s3, p3, w3, a + hh * a2, b + hh * b2,
-                                   c + hh * c2, d + hh * d2)
-    a4, b4, c4, d4 = variation_rhs(s4, p4, w4, a + h * a3, b + h * b3,
-                                   c + h * c3, d + h * d3)
+    a1, b1, c1, d1 = _variation_rhs(s1, p1, w1, a, b, c, d)
+    a2, b2, c2, d2 = _variation_rhs(s2, p2, w2, a + hh * a1, b + hh * b1,
+                                    c + hh * c1, d + hh * d1)
+    a3, b3, c3, d3 = _variation_rhs(s3, p3, w3, a + hh * a2, b + hh * b2,
+                                    c + hh * c2, d + hh * d2)
+    a4, b4, c4, d4 = _variation_rhs(s4, p4, w4, a + h * a3, b + h * b3,
+                                    c + h * c3, d + h * d3)
     h6 = h / 6.0
     return (
         a + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
@@ -444,10 +474,27 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
 
     while r < cfg.r_end - 1e-12:
         h = min(cfg.dr, cfg.r_end - r)
+        # One advance, step or landed bounce; one that raises appends no row.
         try:
             z_end, p_end, stages = _ray_step(field_, r, z, p, s, h)
             hit = _find_crossing(field_, bath, r, z, p, s, h, z_end, stages,
                                  cfg.bisect_tol)
+            if hit is None:
+                boundary = None
+            else:
+                h, boundary, p_end, stages, converged = hit
+                unconverged += not converged
+            if variations:
+                q = _variation_step(stages, q, h)
+            r += h
+            p = p_end
+            if boundary is None:
+                z = z_end
+            elif boundary == SURFACE:
+                frame, z = surface_frame(), 0.0
+            else:
+                z, frame = bath.bottom_at(r)
+            s = field_.index_at(r, z)
         except SteepRayError:
             status = TraceStatus.STEEP_RAY
             break
@@ -455,27 +502,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             status = TraceStatus.DOMAIN_EXIT
             break
 
-        if hit is None:
-            if variations:
-                q = _variation_step(stages, q, h)
-            r += h
-            z, p = z_end, p_end
-            s = field_.index_at(r, z)
-        else:
-            h_hit, boundary, p, stages, converged = hit
-            if variations:
-                q = _variation_step(stages, q, h_hit)
-            unconverged += not converged
-            r += h_hit
-            try:
-                if boundary == SURFACE:
-                    frame, z = surface_frame(), 0.0
-                else:
-                    z, frame = bath.bottom_at(r)
-                s = field_.index_at(r, z)
-            except DomainError:
-                status = TraceStatus.DOMAIN_EXIT
-                break
+        if boundary is not None:
             tz = p / s[0]
             if abs(tz) >= 1.0:
                 status = TraceStatus.STEEP_RAY

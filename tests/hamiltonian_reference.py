@@ -3,7 +3,7 @@
 ``hamiltonian`` is written independently of the package.  ``ray_rhs`` is
 the closed form of the ray right-hand side that the integrator's
 ``_ray_step`` writes out at each RK4 stage (tests check the stages against
-it bit for bit), and ``k_matrix`` reads ``ray_core.variation_rhs`` at
+it bit for bit), and ``k_matrix`` reads ``propagation._variation_rhs`` at
 q = I, so finite differences of ``hamiltonian`` and ``ray_rhs`` validate
 the formulas the integrator runs.
 """
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from varitrace import SteepRayError, ray_core
+from varitrace import SteepRayError, propagation
 
 
 def hamiltonian(n, p):
@@ -43,4 +43,4 @@ def k_matrix(sample, p):
     Arrangement: k11 = -H_zp, k12 = -H_zz, k21 = H_pp, k22 = H_zp.
     """
     w = ray_rhs(sample, p)[2]
-    return np.array(ray_core.variation_rhs(sample, p, w, 1.0, 0.0, 0.0, 1.0)).reshape(2, 2)
+    return np.array(propagation._variation_rhs(sample, p, w, 1.0, 0.0, 0.0, 1.0)).reshape(2, 2)

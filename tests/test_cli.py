@@ -260,6 +260,31 @@ class TestTraceCommand:
         assert "# status: backscattered" in out.read_text()
 
 
+class TestDomainExitWhereTheSoundSpeedVanishes:
+    """A ray whose plain step ends past the depth where c = 0 ends as
+    ``domain_exit`` with exit 0, in a trace and among the rays of a fan."""
+
+    CFG = BASE_CFG.replace(
+        "kind = constant\nc0 = 1500.0", "kind = linear-gradient\ngradient = 1e-3").replace(
+        "depth = 1000.0", "depth = 2000.0").replace(
+        "r_end = 6000.0\nz0 = 0.0\ntheta0_deg = 45.0\ndr = 50.0",
+        "r_end = 200.0\nz0 = 995.9256754734123\ntheta0_deg = 11.721352594948826\n"
+        "dr = 3.895472066773521")
+
+    def test_trace(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--config", write_cfg(tmp_path, self.CFG), "--output", str(out)]) == 0
+        assert "# status: domain_exit" in out.read_text()
+
+    def test_fan_keeps_every_ray(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.CFG + "[fan]\nangles_deg = 5, 11.721352594948826, 20\n")
+        out = tmp_path / "f.csv"
+        assert main(["fan", "--config", cfg, "--output", str(out)]) == 0
+        rays = [line for line in out.read_text().splitlines() if line.startswith("# ray")]
+        assert len(rays) == 3
+        assert "status=domain_exit" in rays[1]
+
+
 class TestUnconvergedLandings:
     """Landings whose residual could not get below bisect_tol are reported on
     stderr, one line per affected ray with its count; the CSV is unchanged."""
@@ -736,6 +761,21 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "[custom]" in out and "OVERALL PASS" in out
+
+    def test_custom_scenario_halves_offsets_outside_a_grid(self, tmp_path, capsys):
+        """The order study's h_z = 1 m puts a perturbed launch from 0.5 m
+        above the grid's first depth; the offsets are halved, not the run
+        ended with a config error."""
+        (tmp_path / "ssp.txt").write_text("".join(
+            f"{z} {1500.0 + 0.05 * z}\n" for z in range(0, 320, 20)))
+        text = (
+            "[environment]\nkind = gridded\nfile = ssp.txt\n"
+            "[bathymetry]\nkind = flat\ndepth = 200.0\n"
+            "[trace]\nr_start = 0\nr_end = 400\nz0 = 0.5\ntheta0_deg = 30\ndr = 0.5\n"
+            "[verify]\npreset = custom\nr_after_bounce = 400\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["verify", "--config", cfg]) == 0
+        assert "OVERALL PASS" in capsys.readouterr().out
 
     def test_custom_scenario_needs_r_after_bounce(self, tmp_path, capsys):
         text = (

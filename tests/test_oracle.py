@@ -11,12 +11,14 @@ from varitrace import (
     ConstantField,
     FlatBottom,
     GeometryError,
+    GriddedField,
     LinearGradientField,
     LinearSlopeBottom,
     PerturbationTooLargeError,
     SoundSpeedField,
     TraceConfig,
     fd_jacobian,
+    trace_ray,
     verify_kappa,
 )
 from varitrace.presets import PRESET_NAMES, STUDY_PERTURBATION, preset
@@ -98,6 +100,21 @@ class TestFdJacobian:
             assert est.h_z < 60.0
             np.testing.assert_allclose(est.matrix, [[1.0, 0.0], [100.0 / w**3, 1.0]],
                                        rtol=1e-4, atol=1e-4)
+
+    def test_perturbation_auto_halves_when_launch_leaves_grid(self):
+        """A gridded field rejects a launch above its first depth with
+        DomainError, which halves the offsets as a launch out of the water
+        column does."""
+        depths = np.arange(0.0, 320.0, 20.0)
+        field = GriddedField(depths, 1500.0 + 0.05 * depths)
+        cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=0.5,
+                          theta0=math.radians(30.0), dr=0.5)
+        # z0 - h_z = -0.5 lies above the grid at first try
+        est = fd_jacobian(field, FlatBottom(200.0), cfg,
+                          BeamPerturbation(h_p=1e-3, h_z=1.0), 100.0)
+        assert est.h_z < 1.0
+        q = trace_ray(field, FlatBottom(200.0), cfg).q[-1]
+        np.testing.assert_allclose(est.matrix, q, rtol=1e-4, atol=1e-4)
 
     def test_bounce_sequence_mismatch_raises_after_halvings(self):
         theta = math.radians(35.0)

@@ -25,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,15 @@ def fan_digest(results) -> str:
         digest.update(res.samples.tobytes())
         digest.update(res.n.tobytes())
     return digest.hexdigest()
+
+
+def test_readme_configs_are_readmes():
+    """The two configs hashed above are README blocks, byte for byte, so
+    their digests pin what README shows."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```$", text, re.S | re.M)
+    assert README_CFG in blocks
+    assert README_SCAN_CFG in blocks
 
 
 @pytest.mark.parametrize("command", FILE_DIGESTS)

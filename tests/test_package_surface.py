@@ -2,7 +2,8 @@
 every exported name exists, no module imports scipy, no trace, fan, kappa
 scan or 2D sound-speed grid loads numpy, no module uses the
 matrix-product operator, the RK4 path does not call a ray right-hand
-side, each field and bottom quantity has one definition, the config
+side, the trace loop advances along one guarded path, each field and
+bottom quantity has one definition, the config
 reader restates no constructor default, the package re-exports exactly
 each module's ``__all__``, and the README's library example runs as
 written."""
@@ -152,6 +153,32 @@ def test_no_module_defines_ray_rhs(path):
     lives in tests/hamiltonian_reference.py)."""
     for node in ast.walk(parse(path)):
         assert "ray_rhs" not in defined_names(node), f"{path.name}:{node.lineno}: ray_rhs"
+
+
+def call_name(node):
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_trace_loop_has_one_guarded_advance():
+    """Inside ``trace_from_pulse``'s loop, a plain step and a landed bounce
+    share one advance: one call each of ``_variation_step``, ``index_at``
+    and ``bottom_at``, each inside a ``try`` that handles DomainError, so a
+    ray leaving a field or bottom ends as ``domain_exit``, never raises."""
+    tree = parse(SRC / "propagation.py")
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "trace_from_pulse")
+    (loop,) = [node for node in ast.walk(func) if isinstance(node, ast.While)]
+    guarded = set()
+    for node in ast.walk(loop):
+        if isinstance(node, ast.Try) and any(
+                "DomainError" in ast.unparse(handler.type) for handler in node.handlers):
+            guarded |= {id(inner) for stmt in node.body for inner in ast.walk(stmt)}
+    calls = [node for node in ast.walk(loop) if isinstance(node, ast.Call)]
+    for name in ("_variation_step", "index_at", "bottom_at"):
+        named = [node for node in calls if call_name(node) == name]
+        assert len(named) == 1, f"{name}: {len(named)} calls in the trace loop"
+        assert id(named[0]) in guarded, f"{name} called outside a DomainError handler's try"
 
 
 ANALYTIC_CFG = """\

@@ -224,6 +224,16 @@ class TestSpreading:
         assert spreading_at(full, 1000.0) > 0.0
 
 
+# c = 1500 (1 - 1e-3 z) is 0 at z = 1000 m.  Launches whose first plain
+# step lands past that depth without crossing the bottom.
+ZERO_SPEED_FIELD = LinearGradientField(1500.0, 1e-3)
+ZERO_SPEED_LAUNCHES = [
+    (995.9256754734123, 11.721352594948826, 3.895472066773521),
+    (996.8852471792535, 11.962745847217235, 3.0118173169348545),
+    (999.2296106544026, 24.670712014381053, 0.8799346501366535),
+]
+
+
 class TestStatuses:
     def test_steep_ray_in_strong_gradient(self):
         # n grows with depth; a diving ray steepens until |p| -> n
@@ -267,6 +277,17 @@ class TestStatuses:
         assert res.status is TraceStatus.DOMAIN_EXIT
         assert 3000.0 - 7.0 < res.samples[-1, 0] <= 3000.0
         assert res.samples[:, 1].max() < bath.floor[0]
+
+    @pytest.mark.parametrize("z0, theta0_deg, dr", ZERO_SPEED_LAUNCHES)
+    def test_domain_exit_where_the_sound_speed_vanishes(self, z0, theta0_deg, dr):
+        """A plain step that ends past the depth where c = 0 (1000 m here)
+        ends the trace as ``domain_exit``, with no row for that step, like a
+        landed bounce there; it used to raise DomainError from the trace."""
+        cfg = TraceConfig(r_start=0.0, r_end=200.0, z0=z0,
+                          theta0=math.radians(theta0_deg), dr=dr)
+        res = trace_ray(ZERO_SPEED_FIELD, FlatBottom(2000.0), cfg)
+        assert res.status is TraceStatus.DOMAIN_EXIT
+        assert res.samples[:, 1].max() < 1000.0
 
     def test_completed_has_final_sample_at_r_end(self):
         cfg = TraceConfig(r_start=0.0, r_end=1234.0, z0=100.0,
@@ -669,7 +690,7 @@ class TestRayOnlyTraces:
         assert statuses == {expected}
 
     def test_variation_updates_only_where_q_is_read(self, monkeypatch):
-        """One variation update (four ``variation_rhs`` calls) per accepted
+        """One variation update (four ``_variation_rhs`` calls) per accepted
         step and per landed bounce, none in the landing search's trial
         steps, and none at all for a ray-only trace or the oracle's
         perturbed rays.  Ray right-hand-side evaluations are counted as
@@ -688,8 +709,8 @@ class TestRayOnlyTraces:
 
         monkeypatch.setattr(propagation, "_ray_step",
                             counting(propagation._ray_step, "ray", 4))
-        monkeypatch.setattr(propagation, "variation_rhs",
-                            counting(propagation.variation_rhs, "variation"))
+        monkeypatch.setattr(propagation, "_variation_rhs",
+                            counting(propagation._variation_rhs, "variation"))
 
         full = trace_ray(README_FIELD, README_BATH, README_CFG)
         assert full.status is TraceStatus.COMPLETED and full.bounces

@@ -14,7 +14,6 @@ from varitrace import (
     SoundSpeedField,
     SteepRayError,
     propagation,
-    ray_core,
 )
 
 
@@ -141,7 +140,7 @@ class TestKMatrix:
 class TestSplitKernel:
     """The integrator's RK4 stages equal the reference ray_rhs bit for bit
     (TestRayStep), the w they hand on is -H bit for bit, and
-    variation_rhs's written-out K q product equals K (its value at q = I)
+    _variation_rhs's written-out K q product equals K (its value at q = I)
     times q bit for bit, so the FD checks of ray_rhs and k_matrix above
     cover what the integrator runs."""
 
@@ -161,7 +160,7 @@ class TestSplitKernel:
             q11, q12, q21, q22 = rng.uniform(-5.0, 5.0, 4).tolist()
             (k11, k12), (k21, k22) = k_matrix(s, p).tolist()
             w = ray_rhs(s, p)[2]
-            out = ray_core.variation_rhs(s, p, w, q11, q12, q21, q22)
+            out = propagation._variation_rhs(s, p, w, q11, q12, q21, q22)
             assert out == (k11 * q11 + k12 * q21, k11 * q12 + k12 * q22,
                            k21 * q11 + k22 * q21, k21 * q12 + k22 * q22)
 
