@@ -21,7 +21,7 @@ from .errors import ConfigError, GeometryError, VaritraceError
 from .oracle import BeamPerturbation, verify_kappa
 from .presets import PRESET_NAMES, STUDY_PERTURBATION, VerificationScenario, preset
 from .propagation import TraceResult, TraceStatus, trace_fan, trace_ray
-from .reflection import SINGULAR_TOL, ReflectionContext, identity_checks, kappa_matrix
+from .reflection import SINGULAR_TOL, identity_checks, kappa_matrix
 
 DEFAULT_SCAN_THETAS = [-90.0 + 10.0 * k for k in range(1, 18)]  # -80 .. 80
 
@@ -130,6 +130,9 @@ def _fan_angles(run: RunConfig) -> list[float]:
     sec = run.section("fan")
     sec.check_keys({"angles_deg", "theta_min_deg", "theta_max_deg", "count"})
     angles = sec.get_float_list("angles_deg")
+    mixed = sorted({"theta_min_deg", "theta_max_deg", "count"} & set(sec.raw))
+    if angles is not None and mixed:
+        raise ConfigError(f"[fan] angles_deg with {', '.join(mixed)}: give one or the other")
     if angles is None:
         lo = sec.get_float("theta_min_deg")
         hi = sec.get_float("theta_max_deg")
@@ -187,13 +190,10 @@ def scan_kappa(theta_deg: float, alpha_deg: float, curvature: float,
         nr, nz, curvature = -nr, -nz, -curvature
     frame = NormalFrame(nr=nr, nz=nz, curvature=curvature)
     try:
-        ctx = ReflectionContext(t=(tr, tz), frame=frame, sample=(n, n_r, n_z, 0.0))
-        if not ctx.forward:
-            return None
-        kappa = kappa_matrix(ctx)
+        t1, kappa = kappa_matrix((tr, tz), frame, (n, n_r, n_z, 0.0))
     except GeometryError:
         return None
-    return kappa.k11, kappa.k12, kappa.k22
+    return None if t1 is None else (kappa.k11, kappa.k12, kappa.k22)
 
 
 def cmd_kappa_scan(run: RunConfig, out, seed: int | None) -> int:
@@ -269,9 +269,10 @@ def _verify_identities(rng, out) -> bool:
     1e-10 relative to max(1, |lhs|, |rhs|): near a vertical reflected ray
     the sides reach about 1e6, where 1e-10 absolute is below one ulp.
 
-    Each block of draws drops the pairs ReflectionContext or identity_checks
-    would reject (<t, N> above -SINGULAR_TOL, or |tr| or |t1r| below
-    SINGULAR_TOL), then makes one array call of identity_checks.
+    Each block of draws drops the pairs kappa_matrix would reject (<t, N>
+    above -SINGULAR_TOL, or |tr| or |t1r| below SINGULAR_TOL), the same
+    singular pairs identity_checks rejects, then makes one array call of
+    identity_checks.
     """
     import numpy as np
 
@@ -298,10 +299,11 @@ def _verify_identities(rng, out) -> bool:
 
 
 def _verify_structure(rng, out) -> bool:
-    """det kappa = 1 and kappa21 = 0 over random valid reflection contexts,
-    drawn in blocks as in _verify_identities.  A draw with tr nr + tz nz >
-    -SINGULAR_TOL, which ReflectionContext or kappa_matrix would reject, is
-    dropped before any object is built; those two judge every other draw."""
+    """det kappa = 1 and kappa21 = 0 over random valid geometries, drawn in
+    blocks as in _verify_identities, from the tracer's own kappa_matrix.  A
+    draw with tr nr + tz nz > -SINGULAR_TOL, which kappa_matrix would
+    reject, is dropped before any frame is built; kappa_matrix judges every
+    other draw, backward reflections included."""
     worst_det = 0.0
     worst_k21 = 0.0
     checked = 0
@@ -314,9 +316,8 @@ def _verify_structure(rng, out) -> bool:
             if tr * nr + tz * nz > -SINGULAR_TOL:
                 continue
             frame = NormalFrame(nr=nr, nz=nz, curvature=curvature)
-            sample = (n, n_r, n_z, 0.0)
             try:
-                kappa = kappa_matrix(ReflectionContext(t=(tr, tz), frame=frame, sample=sample))
+                _, kappa = kappa_matrix((tr, tz), frame, (n, n_r, n_z, 0.0))
             except GeometryError:
                 continue
             worst_det = max(worst_det, abs(kappa.det() - 1.0))
@@ -334,6 +335,11 @@ def cmd_verify(run: RunConfig, out, seed: int | None) -> int:
     sec.check_keys({"preset", "tolerance", "r_after_bounce"})
     which = sec.get_str("preset", "all")
     tolerance = sec.get_float("tolerance", 1e-3)
+    if tolerance <= 0.0:
+        raise ConfigError(f"[verify] tolerance = {tolerance:g} must be positive")
+    if "r_after_bounce" in sec.raw and which != "custom":
+        raise ConfigError(f"[verify] r_after_bounce is read only with preset = custom, "
+                          f"not {which!r}")
     if which == "all":
         scenarios = [preset(name) for name in PRESET_NAMES]
     elif which in PRESET_NAMES:

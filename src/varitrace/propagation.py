@@ -52,7 +52,7 @@ from itertools import chain
 
 from .environment import Bathymetry, SoundSpeedField, surface_frame
 from .errors import DomainError, GeometryError, SteepRayError
-from .reflection import KappaMatrix, ReflectionContext, kappa_matrix
+from .reflection import KappaMatrix, kappa_matrix
 
 __all__ = [
     "TraceConfig",
@@ -509,23 +509,22 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             else:
                 tr = math.sqrt(1.0 - tz * tz)
                 try:
-                    ctx = ReflectionContext(t=(tr, tz), frame=frame, sample=s)
-                    if not ctx.forward:
-                        status = TraceStatus.BACKSCATTERED
-                    elif len(bounces) >= cfg.max_bounces:
-                        status = TraceStatus.MAX_BOUNCES
-                    else:
-                        kappa = kappa_matrix(ctx)
+                    t1, kappa = kappa_matrix((tr, tz), frame, s)
                 except GeometryError:
                     # A non-incoming ray, or a SingularReflectionError such
-                    # as a tangential contact: the jump matrix diverges and
-                    # the range-marching picture ends here.
+                    # as a tangential contact: the jump matrix diverges.
+                    t1 = None
+                if t1 is None:
+                    # no reflected ray advancing in range: the
+                    # range-marching picture ends here
                     status = TraceStatus.BACKSCATTERED
+                elif len(bounces) >= cfg.max_bounces:
+                    status = TraceStatus.MAX_BOUNCES
             # A bounce that ends the trace keeps its incident p and q in the last row.
             if status is TraceStatus.COMPLETED:
                 bounces.append(BounceRecord(r=r, z=z, boundary=boundary,
                                             theta_incident=math.atan2(tz, tr), kappa=kappa))
-                p = s[0] * ctx.t1[1]
+                p = s[0] * t1[1]
                 if variations:
                     q11, q12, q21, q22 = q
                     q = (

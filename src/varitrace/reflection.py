@@ -17,12 +17,11 @@ which is what the narrow-beam limit gives; the finite-difference oracle
 tests reproduce every term, including the curvature one, entry by entry.
 
 Whether a bounce is valid is decided here and nowhere else.
-``ReflectionContext`` derives t1 and <t, N> and rejects a ray that is not
-incoming; its ``forward`` test says whether the reflected ray still
-advances in range (t1r > SINGULAR_TOL); ``kappa_matrix`` raises on the
-remaining singular geometries.  The tracer and the kappa scan ask these
-and keep no incidence test of their own; the verify sweeps drop, before
-asking, only draws these would reject.
+``kappa_matrix`` rejects a ray that is not incoming, raises on the
+singular geometries and returns t1 = None when the reflected ray does not
+advance in range (t1r <= SINGULAR_TOL).  The tracer and the kappa scan
+ask it and keep no incidence test of their own; the verify sweeps drop,
+before asking, only draws it would reject.
 
 The mirror law is written out in plain floats, with one <t, N> = tr nr +
 tz nz, never handed to a BLAS dot product, whose last bit depends on the
@@ -37,56 +36,18 @@ from dataclasses import dataclass
 from .environment import NormalFrame
 from .errors import GeometryError, SingularReflectionError
 
-__all__ = [
-    "ReflectionContext",
-    "KappaMatrix",
-    "kappa_matrix",
-    "identity_checks",
-]
+__all__ = ["KappaMatrix", "kappa_matrix", "identity_checks"]
 
 # Entries of kappa blow up near vertical rays and tangential hits; below
 # this scale they are reported as singular instead of returned huge.
 SINGULAR_TOL = 1e-6
 
 
-def _mirror(tr: float, tz: float, nr: float, nz: float) -> tuple[float, tuple]:
-    """The checked mirror law: (<t, N>, (t1r, t1z)) for a unit incident t."""
-    if abs(tr * tr + tz * tz - 1.0) > 1e-9:
-        raise GeometryError(f"incident direction is not unit length: ({tr!r}, {tz!r})")
+def _mirror(tr, tz, nr, nz):
+    """The unchecked mirror law: (<t, N>, t1r, t1z), on floats or
+    elementwise on numpy arrays."""
     n_t = tr * nr + tz * nz
-    if n_t >= 0.0:
-        raise GeometryError(f"ray is not incoming: <t, N> = {n_t:g} >= 0")
-    return n_t, (tr - 2.0 * n_t * nr, tz - 2.0 * n_t * nz)
-
-
-@dataclass(frozen=True)
-class ReflectionContext:
-    """Everything kappa needs at one bounce point.
-
-    ``t`` is the incident unit tangent (cos theta, sin theta), ``frame``
-    the boundary normal frame and ``sample`` the local index tuple
-    (n, n_r, n_z, n_zz).  The
-    reflected tangent ``t1`` and ``n_t`` = <t, N> are derived on
-    construction, as floats; a non-incoming ray (<t, N> >= 0) is rejected.
-    ``forward`` is the one test of whether the reflected ray still
-    advances in range.
-    """
-
-    t: tuple[float, float]
-    frame: NormalFrame
-    sample: tuple
-
-    def __post_init__(self):
-        tr, tz = map(float, self.t)
-        n_t, t1 = _mirror(tr, tz, self.frame.nr, self.frame.nz)
-        object.__setattr__(self, "t", (tr, tz))
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "n_t", n_t)
-
-    @property
-    def forward(self) -> bool:
-        """Whether the reflected ray keeps advancing in range."""
-        return self.t1[0] > SINGULAR_TOL
+    return n_t, tr - 2.0 * nr * n_t, tz - 2.0 * nz * n_t
 
 
 @dataclass(frozen=True)
@@ -102,28 +63,39 @@ class KappaMatrix:
         return self.k11 * self.k22 - self.k12 * self.k21
 
 
-def kappa_matrix(ctx: ReflectionContext) -> KappaMatrix:
-    """Variation-matrix jump at a boundary hit.
+def kappa_matrix(t, frame: NormalFrame, sample: tuple) -> tuple[tuple | None, KappaMatrix]:
+    """Reflected direction and variation-matrix jump at a boundary hit.
 
-    Diagonal entries are the tangent-component ratios -t1r/tr and -tr/t1r;
-    the off-diagonal entry combines curvature and index-gradient terms as
-    described in the module docstring.  Vertical incident or reflected
-    rays and tangential hits are genuine singularities and raise.
+    ``t`` is the incident unit tangent (cos theta, sin theta), ``frame``
+    the boundary normal frame and ``sample`` the local index tuple
+    (n, n_r, n_z, n_zz).  Returns (t1, kappa): t1 = (t1r, t1z) by the
+    mirror law, or None when the reflected ray does not advance in range
+    (t1r <= SINGULAR_TOL).  Diagonal entries of kappa are the
+    tangent-component ratios -t1r/tr and -tr/t1r; the off-diagonal entry
+    combines curvature and index-gradient terms as described in the module
+    docstring.  A non-unit t or a ray that is not incoming raises
+    GeometryError; vertical incident or reflected rays and tangential hits
+    are genuine singularities and raise SingularReflectionError.
     """
-    tr, t1r, n_t = ctx.t[0], ctx.t1[0], ctx.n_t
+    tr, tz = t
+    if abs(tr * tr + tz * tz - 1.0) > 1e-9:
+        raise GeometryError(f"incident direction is not unit length: ({tr!r}, {tz!r})")
+    nr, nz = frame.nr, frame.nz
+    n_t, t1r, t1z = _mirror(tr, tz, nr, nz)
+    if n_t >= 0.0:
+        raise GeometryError(f"ray is not incoming: <t, N> = {n_t:g} >= 0")
     if abs(tr) < SINGULAR_TOL:
         raise SingularReflectionError(f"incident ray is vertical (tr = {tr:g})")
     if abs(t1r) < SINGULAR_TOL:
         raise SingularReflectionError(f"reflected ray is vertical (t1r = {t1r:g})")
     if abs(n_t) < SINGULAR_TOL:
         raise SingularReflectionError(f"tangential boundary hit (<t, N> = {n_t:g})")
-    nr, nz = ctx.frame.nr, ctx.frame.nz
-    curv = ctx.frame.curvature
-    n, n_r, n_z, _ = ctx.sample
-    k12 = (-curv * n * t1r * tr
+    n, n_r, n_z, _ = sample
+    k12 = (-frame.curvature * n * t1r * tr
            + nz * ((tr * tr + t1r * t1r) / (2.0 * tr * t1r) - nr * nr) * n_z
            + nr * nz * nz * n_r) * 2.0 / n_t
-    return KappaMatrix(k11=-t1r / tr, k12=k12, k22=-tr / t1r)
+    kappa = KappaMatrix(k11=-t1r / tr, k12=k12, k22=-tr / t1r)
+    return ((t1r, t1z) if t1r > SINGULAR_TOL else None), kappa
 
 
 def identity_checks(t, n_vec) -> tuple[tuple, tuple]:
@@ -140,9 +112,7 @@ def identity_checks(t, n_vec) -> tuple[tuple, tuple]:
     import numpy as np
 
     (tr, tz), (nr, nz) = np.asarray(t, dtype=float), np.asarray(n_vec, dtype=float)
-    n_t = tr * nr + tz * nz
-    t1r = tr - 2.0 * nr * n_t
-    t1z = tz - 2.0 * nz * n_t
+    n_t, t1r, t1z = _mirror(tr, tz, nr, nz)
     if np.any((np.abs(tr) < SINGULAR_TOL) | (np.abs(t1r) < SINGULAR_TOL)
               | (np.abs(n_t) < SINGULAR_TOL)):
         raise SingularReflectionError("identity expressions are singular for this geometry")

@@ -20,7 +20,6 @@ from varitrace import (
     LinearSlopeBottom,
     MunkField,
     NormalFrame,
-    ReflectionContext,
     SingularReflectionError,
     SinusoidalBottom,
     TraceConfig,
@@ -101,8 +100,7 @@ def test_criterion_2_kappa_special_cases():
     # flat, zero gradient: kappa = -I
     for tz in (0.2, 0.5, 0.75):
         t = np.array([math.sqrt(1.0 - tz * tz), tz])
-        k = kappa_matrix(ReflectionContext(t=t, frame=bottom_frame,
-                                           sample=homogeneous))
+        k = kappa_matrix(t, bottom_frame, homogeneous)[1]
         assert abs(k.k11 + 1.0) < 1e-12
         assert abs(k.k22 + 1.0) < 1e-12
         assert abs(k.k12) < 1e-12
@@ -111,8 +109,7 @@ def test_criterion_2_kappa_special_cases():
     # flat, vertical gradient: kappa12 = 2 n_z / t_z
     for tz, n_z in ((0.5, 0.01), (0.35, -0.004), (0.8, 0.02)):
         t = np.array([math.sqrt(1.0 - tz * tz), tz])
-        k = kappa_matrix(ReflectionContext(t=t, frame=bottom_frame,
-                                           sample=(1.0, 0.0, n_z, 0.0)))
+        k = kappa_matrix(t, bottom_frame, (1.0, 0.0, n_z, 0.0))[1]
         assert abs(k.k12 - 2.0 * n_z / tz) < 1e-12
 
     # homogeneous medium, curved boundary: kappa12 = -2 curv n t1r tr / <t,N>
@@ -129,8 +126,7 @@ def test_criterion_2_kappa_special_cases():
         n = rng.uniform(0.9, 1.1)
         frame = NormalFrame(nr=float(n_vec[0]), nz=float(n_vec[1]), curvature=curv)
         try:
-            k = kappa_matrix(ReflectionContext(t=t, frame=frame,
-                                               sample=(n, 0.0, 0.0, 0.0)))
+            k = kappa_matrix(t, frame, (n, 0.0, 0.0, 0.0))[1]
         except SingularReflectionError:
             continue
         n_t = float(t @ n_vec)

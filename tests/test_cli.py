@@ -27,7 +27,7 @@ from varitrace.environment import (
 )
 from varitrace.errors import ConfigError, GeometryError
 from varitrace.propagation import TraceConfig
-from varitrace.reflection import ReflectionContext, _mirror, identity_checks, kappa_matrix
+from varitrace.reflection import identity_checks, kappa_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -492,6 +492,17 @@ class TestFanCommand:
         assert main(["fan", "--config", cfg]) == 2
         assert "empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["theta_min_deg = -5", "theta_max_deg = 5", "count = 50"])
+    def test_angles_with_range_keys_is_usage_error(self, tmp_path, capsys, key):
+        """angles_deg and the range keys are one or the other: a range key
+        beside angles_deg is an error, not silently dropped."""
+        cfg = write_cfg(tmp_path, self.FAN_CFG + key + "\n")
+        out = tmp_path / "fan.csv"
+        assert main(["fan", "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[fan] angles_deg with " + key.split()[0] in err
+        assert "one or the other" in err and not out.exists()
+
     def test_missing_fan_section(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG)
         assert main(["fan", "--config", cfg]) == 2
@@ -673,9 +684,9 @@ class TestVerifyCommand:
         wrong sign."""
         import varitrace.propagation as propagation
 
-        def flipped(ctx):
-            k = kappa_matrix(ctx)
-            return replace(k, k12=-k.k12)
+        def flipped(t, frame, sample):
+            t1, k = kappa_matrix(t, frame, sample)
+            return t1, replace(k, k12=-k.k12)
 
         monkeypatch.setattr(propagation, "kappa_matrix", flipped)
         cfg = write_cfg(tmp_path, "[verify]\npreset = arc-homogeneous\n")
@@ -691,13 +702,14 @@ class TestVerifyCommand:
         by 1.01 fails verify with preset = all."""
         import varitrace.propagation as propagation
 
-        def mutant(ctx):
-            k = kappa_matrix(ctx)
-            nr, nz, n_r = ctx.frame.nr, ctx.frame.nz, ctx.sample[1]
-            term = nr * nz * nz * n_r * 2.0 / ctx.n_t
-            wrong = {"dropped": 0.0, "nr-nz": nr * nz * n_r * 2.0 / ctx.n_t,
+        def mutant(t, frame, sample):
+            t1, k = kappa_matrix(t, frame, sample)
+            nr, nz, n_r = frame.nr, frame.nz, sample[1]
+            n_t = t[0] * nr + t[1] * nz
+            term = nr * nz * nz * n_r * 2.0 / n_t
+            wrong = {"dropped": 0.0, "nr-nz": nr * nz * n_r * 2.0 / n_t,
                      "scaled-1.01": 1.01 * term}[variant]
-            return replace(k, k12=k.k12 - term + wrong)
+            return t1, replace(k, k12=k.k12 - term + wrong)
 
         monkeypatch.setattr(propagation, "kappa_matrix", mutant)
         cfg = write_cfg(tmp_path, "[verify]\npreset = all\n")
@@ -745,6 +757,29 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--config", cfg, "--corrupt-kappa12"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tolerance", ["0", "-1e-3"])
+    def test_non_positive_tolerance_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                   tolerance):
+        """A tolerance at or below 0 is a config error raised before any
+        trace, not a gate that runs and fails."""
+        import varitrace.cli as cli
+
+        def no_trace(*args):
+            raise AssertionError("verify traced a ray")
+
+        monkeypatch.setattr(cli, "verify_kappa", no_trace)
+        cfg = write_cfg(tmp_path, f"[verify]\npreset = flat-linear\ntolerance = {tolerance}\n")
+        assert main(["verify", "--config", cfg]) == 2
+        assert "[verify] tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset_line", ["preset = flat-linear\n", "preset = all\n", ""])
+    def test_r_after_bounce_needs_custom_preset(self, tmp_path, capsys, preset_line):
+        """Only preset = custom reads r_after_bounce; any other preset,
+        the default one included, rejects it instead of ignoring it."""
+        cfg = write_cfg(tmp_path, f"[verify]\n{preset_line}r_after_bounce = 5\n")
+        assert main(["verify", "--config", cfg]) == 2
+        assert "[verify] r_after_bounce" in capsys.readouterr().err
 
     def test_unknown_preset_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[verify]\npreset = bogus\n")
@@ -798,6 +833,9 @@ class TestVerifyCommand:
         assert "config error: expected exactly one bounce" in capsys.readouterr().err
 
 
+HOMOGENEOUS = (1.0, 0.0, 0.0, 0.0)
+
+
 def scalar_identities(rng, out) -> bool:
     """The identity sweep with one generator call per value: the reference
     for cli's block-drawn sweep."""
@@ -809,7 +847,7 @@ def scalar_identities(rng, out) -> bool:
         t = np.array([math.cos(theta), math.sin(theta)])
         n_vec = np.array([math.cos(alpha), math.sin(alpha)])
         try:
-            _mirror(*t, *n_vec)
+            kappa_matrix(t, NormalFrame(*n_vec, 0.0), HOMOGENEOUS)
             pairs = identity_checks(t, n_vec)
         except GeometryError:
             continue
@@ -836,7 +874,7 @@ def scalar_structure(rng, out) -> bool:
         sample = (rng.uniform(0.9, 1.1), rng.uniform(-0.01, 0.01),
                   rng.uniform(-0.02, 0.02), 0.0)
         try:
-            kappa = kappa_matrix(ReflectionContext(t=t, frame=frame, sample=sample))
+            _, kappa = kappa_matrix(t, frame, sample)
         except GeometryError:
             continue
         worst_det = max(worst_det, abs(kappa.det() - 1.0))
@@ -912,7 +950,7 @@ class TestSweepPrefilters:
             t = np.array([math.cos(theta), math.sin(theta)])
             n_vec = np.array([math.cos(alpha), math.sin(alpha)])
             try:
-                _mirror(*t, *n_vec)
+                kappa_matrix(t, NormalFrame(*n_vec, 0.0), HOMOGENEOUS)
                 identity_checks(t, n_vec)
             except GeometryError:
                 assert not passed
@@ -927,9 +965,9 @@ class TestSweepPrefilters:
 
         def recording(t, frame, sample):
             reached.append((*t, frame.nr, frame.nz))
-            return ReflectionContext(t=t, frame=frame, sample=sample)
+            return kappa_matrix(t, frame, sample)
 
-        monkeypatch.setattr(cli, "ReflectionContext", recording)
+        monkeypatch.setattr(cli, "kappa_matrix", recording)
         assert cli._verify_structure(np.random.default_rng(seed), io.StringIO())
         low = (-math.pi, -math.pi, -0.05, 0.9, -0.01, -0.02)
         high = (math.pi, math.pi, 0.05, 1.1, 0.01, 0.02)
@@ -941,9 +979,8 @@ class TestSweepPrefilters:
             theta, alpha, curvature, n, n_r, n_z = draw
             frame = NormalFrame(nr=math.cos(alpha), nz=math.sin(alpha), curvature=curvature)
             with pytest.raises(GeometryError):
-                kappa_matrix(ReflectionContext(
-                    t=np.array([math.cos(theta), math.sin(theta)]), frame=frame,
-                    sample=(n, n_r, n_z, 0.0)))
+                kappa_matrix(np.array([math.cos(theta), math.sin(theta)]), frame,
+                             (n, n_r, n_z, 0.0))
         assert dropped > 1000
 
 

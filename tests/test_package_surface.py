@@ -2,7 +2,8 @@
 every exported name exists, no module imports scipy, no trace, fan, kappa
 scan or 2D sound-speed grid loads numpy, no module uses the
 matrix-product operator, the RK4 path does not call a ray right-hand
-side, the trace loop advances along one guarded path, each field and
+side, the trace loop advances along one guarded path and judges each
+bounce with one guarded reflection call, each field and
 bottom quantity has one definition, the config
 reader restates no constructor default, the package re-exports exactly
 each module's ``__all__``, and the README's library example runs as
@@ -79,7 +80,8 @@ def test_package_imports_exist():
 
 REMOVED = {"IndexSample": "environment", "reflect_direction": "reflection",
            "IdentityPair": "reflection", "SpreadingFactor": "propagation",
-           "KappaVerification": "oracle", "BottomSample": "environment"}
+           "KappaVerification": "oracle", "BottomSample": "environment",
+           "ReflectionContext": "reflection"}
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
@@ -89,6 +91,14 @@ def test_removed_names_stay_gone(name):
     module = importlib.import_module(f"varitrace.{REMOVED[name]}")
     assert not hasattr(varitrace, name)
     assert not hasattr(module, name)
+
+
+def test_reflection_is_one_routine():
+    """A bounce is one ``kappa_matrix`` call on plain inputs; the identities
+    and the jump's record type are the module's only other names."""
+    from varitrace import reflection
+
+    assert reflection.__all__ == ["KappaMatrix", "kappa_matrix", "identity_checks"]
 
 
 @pytest.mark.parametrize("module", ["environment", "oracle", "propagation", "reflection"])
@@ -164,21 +174,25 @@ def test_trace_loop_has_one_guarded_advance():
     """Inside ``trace_from_pulse``'s loop, a plain step and a landed bounce
     share one advance: one call each of ``_variation_step``, ``index_at``
     and ``bottom_at``, each inside a ``try`` that handles DomainError, so a
-    ray leaving a field or bottom ends as ``domain_exit``, never raises."""
+    ray leaving a field or bottom ends as ``domain_exit``, never raises.
+    Each bounce makes one ``kappa_matrix`` call, inside a ``try`` that
+    handles GeometryError, so a rejected bounce ends the trace instead."""
     tree = parse(SRC / "propagation.py")
     func = next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == "trace_from_pulse")
     (loop,) = [node for node in ast.walk(func) if isinstance(node, ast.While)]
-    guarded = set()
-    for node in ast.walk(loop):
-        if isinstance(node, ast.Try) and any(
-                "DomainError" in ast.unparse(handler.type) for handler in node.handlers):
-            guarded |= {id(inner) for stmt in node.body for inner in ast.walk(stmt)}
+
+    def guarded_by(error):
+        return {id(inner) for node in ast.walk(loop) if isinstance(node, ast.Try)
+                and any(error in ast.unparse(handler.type) for handler in node.handlers)
+                for stmt in node.body for inner in ast.walk(stmt)}
+
     calls = [node for node in ast.walk(loop) if isinstance(node, ast.Call)]
-    for name in ("_variation_step", "index_at", "bottom_at"):
+    for name, error in (("_variation_step", "DomainError"), ("index_at", "DomainError"),
+                        ("bottom_at", "DomainError"), ("kappa_matrix", "GeometryError")):
         named = [node for node in calls if call_name(node) == name]
         assert len(named) == 1, f"{name}: {len(named)} calls in the trace loop"
-        assert id(named[0]) in guarded, f"{name} called outside a DomainError handler's try"
+        assert id(named[0]) in guarded_by(error), f"{name} called outside a {error} handler's try"
 
 
 ANALYTIC_CFG = """\

@@ -16,11 +16,13 @@ from varitrace import (
     LinearSlopeBottom,
     MunkField,
     PiecewiseBottom,
+    SingularReflectionError,
     SinusoidalBottom,
     TraceConfig,
     TraceStatus,
     spreading_at,
     trace_fan,
+    kappa_matrix,
     trace_from_pulse,
     trace_ray,
 )
@@ -658,6 +660,43 @@ def _ray_only_cases():
 
 
 RAY_ONLY_CASES = _ray_only_cases()
+
+
+
+class TestHitPastTheBounceBudget:
+    """A hit past ``max_bounces`` is judged by the reflection first: an
+    ordinary one ends ``max_bounces``, a backward or singular one
+    ``backscattered``."""
+
+    SURFACE_ZIGZAG = TraceConfig(r_start=0.0, r_end=20_000.0, z0=0.0,
+                                 theta0=math.radians(45.0), dr=10.0, max_bounces=1)
+
+    def test_ordinary_hit(self):
+        res = trace_ray(HOMOGENEOUS, FlatBottom(500.0), self.SURFACE_ZIGZAG)
+        assert res.status is TraceStatus.MAX_BOUNCES
+        assert len(res.bounces) == 1
+
+    def test_backward_reflection(self):
+        field, bath, cfg, (angle,) = RAY_ONLY_CASES["backscatter-wall"]
+        res = trace_ray(field, bath, replace(cfg, theta0=math.radians(angle), max_bounces=0))
+        assert res.status is TraceStatus.BACKSCATTERED
+        assert res.bounces == []
+
+    def test_singular_hit(self, monkeypatch):
+        import varitrace.propagation as propagation
+
+        hits = []
+
+        def singular_second_hit(t, frame, sample):
+            hits.append(t)
+            if len(hits) == 2:
+                raise SingularReflectionError("tangential boundary hit")
+            return kappa_matrix(t, frame, sample)
+
+        monkeypatch.setattr(propagation, "kappa_matrix", singular_second_hit)
+        res = trace_ray(HOMOGENEOUS, FlatBottom(500.0), self.SURFACE_ZIGZAG)
+        assert res.status is TraceStatus.BACKSCATTERED
+        assert len(res.bounces) == 1 and len(hits) == 2
 
 
 class TestRayOnlyTraces:

@@ -9,23 +9,20 @@ from varitrace import (
     FlatBottom,
     GeometryError,
     NormalFrame,
-    ReflectionContext,
     SingularReflectionError,
     identity_checks,
     kappa_matrix,
     surface_frame,
 )
+from varitrace.reflection import _mirror
 
 FLAT_FRAME = FlatBottom(100.0).bottom_at(0.0)[1]
 HOMOGENEOUS = (1.0, 0.0, 0.0, 0.0)
 
 
 def reflected_pulse(t, n_vec, n):
-    """The tracer's pulse jump p1 = n * t1_z, read off the bounce context."""
-    nr, nz = float(n_vec[0]), float(n_vec[1])
-    frame = NormalFrame(nr=nr, nz=nz, curvature=0.0)
-    ctx = ReflectionContext(t=t, frame=frame, sample=(n, 0.0, 0.0, 0.0))
-    return n * float(ctx.t1[1])
+    """The tracer's pulse jump p1 = n * t1_z, forward or backward alike."""
+    return n * float(_mirror(*t, *n_vec)[2])
 
 
 def reflect_pulse_quotient(p, t, n_vec):
@@ -49,33 +46,35 @@ def random_incoming_pair(rng, min_margin=1e-3):
 
 
 class TestReflectDirection:
-    """The mirror law t1 = t - 2 N <t, N>, as the bounce context derives it."""
+    """The mirror law t1 = t - 2 N <t, N>, as the bounce routine derives it."""
 
     def test_mirror_across_horizontal_bottom(self):
-        t1 = ReflectionContext(t=[0.8, 0.6], frame=FLAT_FRAME, sample=HOMOGENEOUS).t1
+        t1, _ = kappa_matrix([0.8, 0.6], FLAT_FRAME, HOMOGENEOUS)
         np.testing.assert_allclose(t1, [0.8, -0.6], atol=1e-15)
 
     def test_retro_reflection(self):
         n_vec = np.array([math.cos(2.0), math.sin(2.0)])
-        ctx = ReflectionContext(t=-n_vec, frame=NormalFrame(*n_vec, 0.0), sample=HOMOGENEOUS)
-        np.testing.assert_allclose(ctx.t1, n_vec, atol=1e-15)
+        _, *t1 = _mirror(*-n_vec, *n_vec)
+        np.testing.assert_allclose(t1, n_vec, atol=1e-15)
+        # t1r < 0: the reflected ray runs backward in range
+        assert kappa_matrix(-n_vec, NormalFrame(*n_vec, 0.0), HOMOGENEOUS)[0] is None
 
     def test_specular_property_random(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):
             t, n_vec = random_incoming_pair(rng)
-            t1 = np.array(ReflectionContext(t=t, frame=NormalFrame(*n_vec, 0.0),
-                                            sample=HOMOGENEOUS).t1)
+            _, *t1 = _mirror(*t, *n_vec)
+            t1 = np.array(t1)
             assert np.hypot(*t1) == pytest.approx(1.0, abs=1e-12)
             assert float(t1 @ n_vec) == pytest.approx(-float(t @ n_vec), abs=1e-12)
 
     def test_outgoing_ray_rejected(self):
         with pytest.raises(GeometryError):
-            ReflectionContext(t=[0.8, 0.6], frame=surface_frame(), sample=HOMOGENEOUS)
+            kappa_matrix([0.8, 0.6], surface_frame(), HOMOGENEOUS)
 
     def test_non_unit_inputs_rejected(self):
         with pytest.raises(GeometryError):
-            ReflectionContext(t=[1.0, 1.0], frame=FLAT_FRAME, sample=HOMOGENEOUS)
+            kappa_matrix([1.0, 1.0], FLAT_FRAME, HOMOGENEOUS)
         with pytest.raises(ValueError):
             NormalFrame(0.0, -2.0, 0.0)
 
@@ -83,21 +82,30 @@ class TestReflectDirection:
 class TestMirrorLawBits:
     def test_written_out_bit_for_bit(self):
         """<t, N> and t1 are the written-out scalar expressions, bit for bit,
-        in the bounce context: no dot-product kernel, whose rounding varies
-        with the BLAS build, is involved."""
+        and kappa_matrix returns that t1 whenever it advances in range: no
+        dot-product kernel, whose rounding varies with the BLAS build, is
+        involved."""
         rng = np.random.default_rng(61)
         got, expected = [], []
+        forward = 0
         for theta, alpha in rng.uniform(-math.pi, math.pi, size=(20_000, 2)).tolist():
             tr, tz = math.cos(theta), math.sin(theta)
             nr, nz = math.cos(alpha), math.sin(alpha)
             if tr * nr + tz * nz > 0.0:
                 nr, nz = -nr, -nz  # the same boundary seen from the incoming side
             n_t = tr * nr + tz * nz
-            ctx = ReflectionContext(t=(tr, tz), frame=NormalFrame(nr, nz, 0.0),
-                                    sample=HOMOGENEOUS)
-            got.append((ctx.n_t, *ctx.t1))
+            mirrored = _mirror(tr, tz, nr, nz)
+            got.append(mirrored)
             expected.append((n_t, tr - 2.0 * n_t * nr, tz - 2.0 * n_t * nz))
+            try:
+                t1, _ = kappa_matrix((tr, tz), NormalFrame(nr, nz, 0.0), HOMOGENEOUS)
+            except GeometryError:
+                continue
+            if t1 is not None:
+                assert t1 == mirrored[1:]
+                forward += 1
         assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert forward > 9000
 
 
 class TestReflectPulse:
@@ -133,7 +141,7 @@ class TestKappaMatrix:
         for tz in (0.3, 0.6, -0.45):
             t = np.array([math.sqrt(1 - tz * tz), tz])
             frame = FLAT_FRAME if tz > 0 else surface_frame()
-            k = kappa_matrix(ReflectionContext(t=t, frame=frame, sample=HOMOGENEOUS))
+            k = kappa_matrix(t, frame, HOMOGENEOUS)[1]
             assert k.k11 == pytest.approx(-1.0, abs=1e-12)
             assert k.k22 == pytest.approx(-1.0, abs=1e-12)
             assert k.k12 == pytest.approx(0.0, abs=1e-12)
@@ -142,7 +150,7 @@ class TestKappaMatrix:
     def test_flat_boundary_with_gradient(self):
         t = np.array([math.sqrt(1 - 0.25), 0.5])
         sample = (1.0, 0.0, 0.01, 0.0)
-        k = kappa_matrix(ReflectionContext(t=t, frame=FLAT_FRAME, sample=sample))
+        k = kappa_matrix(t, FLAT_FRAME, sample)[1]
         assert k.k12 == pytest.approx(0.04, abs=1e-12)  # 2 n_z / t_z
         assert k.k11 == pytest.approx(-1.0, abs=1e-12)
         assert k.k22 == pytest.approx(-1.0, abs=1e-12)
@@ -158,7 +166,7 @@ class TestKappaMatrix:
             frame = NormalFrame(nr=float(n_vec[0]), nz=float(n_vec[1]), curvature=curv)
             sample = (n, 0.0, 0.0, 0.0)
             try:
-                k = kappa_matrix(ReflectionContext(t=t, frame=frame, sample=sample))
+                k = kappa_matrix(t, frame, sample)[1]
             except SingularReflectionError:
                 continue
             n_t = float(t @ n_vec)
@@ -179,7 +187,7 @@ class TestKappaMatrix:
             sample = (rng.uniform(0.9, 1.1), rng.uniform(-0.01, 0.01),
                       rng.uniform(-0.02, 0.02), 0.0)
             try:
-                k = kappa_matrix(ReflectionContext(t=t, frame=frame, sample=sample))
+                k = kappa_matrix(t, frame, sample)[1]
             except SingularReflectionError:
                 continue
             assert k.det() == pytest.approx(1.0, abs=1e-12)
@@ -202,7 +210,7 @@ class TestKappaMatrix:
             # the context requires an incoming ray, so compare the raw
             # formula evaluated on the mirrored inputs
             try:
-                k = kappa_matrix(ReflectionContext(t=t, frame=frame, sample=sample))
+                k = kappa_matrix(t, frame, sample)[1]
             except SingularReflectionError:
                 continue
             tr, tz = t
@@ -218,7 +226,7 @@ class TestKappaMatrix:
 
     def test_two_flat_bounces_compose_to_identity(self):
         t = np.array([0.8, 0.6])
-        k = kappa_matrix(ReflectionContext(t=t, frame=FLAT_FRAME, sample=HOMOGENEOUS))
+        k = kappa_matrix(t, FLAT_FRAME, HOMOGENEOUS)[1]
         matrix = np.array([[k.k11, k.k12], [k.k21, k.k22]])
         composed = matrix @ matrix
         np.testing.assert_allclose(composed, np.eye(2), atol=1e-12)
@@ -227,8 +235,7 @@ class TestKappaMatrix:
         tr = 1e-8
         t = np.array([tr, -math.sqrt(1.0 - tr * tr)])
         with pytest.raises(SingularReflectionError):
-            kappa_matrix(ReflectionContext(t=t, frame=surface_frame(),
-                                           sample=HOMOGENEOUS))
+            kappa_matrix(t, surface_frame(), HOMOGENEOUS)
 
     def test_tangential_hit_raises(self):
         # t nearly parallel to the boundary: <t, N> tiny but negative
@@ -237,7 +244,16 @@ class TestKappaMatrix:
         eps = 1e-8
         t = np.array([math.cos(eps), math.sin(eps)])  # grazing along the bottom
         with pytest.raises(SingularReflectionError):
-            kappa_matrix(ReflectionContext(t=t, frame=frame, sample=HOMOGENEOUS))
+            kappa_matrix(t, frame, HOMOGENEOUS)
+
+    def test_non_incoming_is_judged_before_singular(self):
+        """A vertical ray leaving the surface is not incoming, which is
+        reported before its vertical direction is."""
+        with pytest.raises(GeometryError) as exc:
+            kappa_matrix([0.0, 1.0], surface_frame(), HOMOGENEOUS)
+        assert type(exc.value) is GeometryError
+        with pytest.raises(SingularReflectionError):
+            kappa_matrix([0.0, -1.0], surface_frame(), HOMOGENEOUS)
 
     def test_vertical_reflected_ray_raises(self):
         # 45-degree wall turns a horizontal-ish ray vertical
@@ -245,7 +261,7 @@ class TestKappaMatrix:
         frame = NormalFrame(nr=math.cos(alpha), nz=math.sin(alpha), curvature=0.0)
         t = np.array([1.0, 0.0])
         with pytest.raises(SingularReflectionError):
-            kappa_matrix(ReflectionContext(t=t, frame=frame, sample=HOMOGENEOUS))
+            kappa_matrix(t, frame, HOMOGENEOUS)
 
 
 class TestIdentities:
