@@ -21,7 +21,7 @@ from .errors import ConfigError, GeometryError, VaritraceError
 from .oracle import BeamPerturbation, verify_kappa
 from .presets import PRESET_NAMES, STUDY_PERTURBATION, VerificationScenario, preset
 from .propagation import TraceResult, TraceStatus, trace_fan, trace_ray
-from .reflection import SINGULAR_TOL, identity_checks, kappa_matrix
+from .reflection import SINGULAR_TOL, _mirror, identity_checks, kappa_matrix
 
 DEFAULT_SCAN_THETAS = [-90.0 + 10.0 * k for k in range(1, 18)]  # -80 .. 80
 
@@ -270,9 +270,9 @@ def _verify_identities(rng, out) -> bool:
     the sides reach about 1e6, where 1e-10 absolute is below one ulp.
 
     Each block of draws drops the pairs kappa_matrix would reject (<t, N>
-    above -SINGULAR_TOL, or |tr| or |t1r| below SINGULAR_TOL), the same
-    singular pairs identity_checks rejects, then makes one array call of
-    identity_checks.
+    above -SINGULAR_TOL, or |tr| or |t1r| below SINGULAR_TOL, by the same
+    _mirror), the singular pairs identity_checks rejects too, then makes
+    one array call of identity_checks.
     """
     import numpy as np
 
@@ -284,10 +284,9 @@ def _verify_identities(rng, out) -> bool:
         # cos and sin from math, value by value: numpy's differ in the last bit
         t = np.array([list(map(math.cos, theta)), list(map(math.sin, theta))])
         n_vec = np.array([list(map(math.cos, alpha)), list(map(math.sin, alpha))])
-        (tr, tz), (nr, nz) = t, n_vec
-        n_t = tr * nr + tz * nz
-        valid = ((n_t <= -SINGULAR_TOL) & (np.abs(tr) >= SINGULAR_TOL)
-                 & (np.abs(tr - 2.0 * nr * n_t) >= SINGULAR_TOL))
+        n_t, t1r, _ = _mirror(*t, *n_vec)
+        valid = ((n_t <= -SINGULAR_TOL) & (np.abs(t[0]) >= SINGULAR_TOL)
+                 & (np.abs(t1r) >= SINGULAR_TOL))
         for lhs, rhs in identity_checks(t[:, valid], n_vec[:, valid]):
             scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
             worst = float(np.max(np.abs(lhs - rhs) / scale, initial=worst))

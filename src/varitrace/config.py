@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -187,17 +188,18 @@ def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        interpolation=None, strict=True)
     try:
-        with open(path) as handle:
-            parser.read_file(handle)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        # One read, so the digest names the bytes that are parsed; newlines
+        # are translated as a text-mode open() does.
+        data = path.read_bytes()
+        parser.read_file(io.StringIO(data.decode(), newline=None), source=str(path))
     except OSError as exc:
         # a directory or an unreadable file
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         # configparser reports offending line numbers in its message
         raise ConfigError(f"cannot parse {path}: {exc}")
     unknown = set(parser.sections()) - _KNOWN_SECTIONS
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown))}")
     sections = {name: _Section(name, dict(parser[name])) for name in parser.sections()}
-    return RunConfig(path=path, sha256=digest, sections=sections)
+    return RunConfig(path=path, sha256=hashlib.sha256(data).hexdigest(), sections=sections)

@@ -176,7 +176,7 @@ class _CubicTable:
     or past the last knot uses the last interval, as ``PPoly`` does.
     """
 
-    __slots__ = ("_x", "_a", "_b", "_c", "_d", "_last")
+    __slots__ = ("_x", "_rows")
 
     def __init__(self, x, y):
         x = [float(v) for v in x]
@@ -199,24 +199,19 @@ class _CubicTable:
              + [0.5 * 0.0 * (dx[-1] * dx[-1]) + 3.0 * (y[-1] - y[-2])])
         m = _gtsv(dx[1:] + [dx[-1]], d, [dx[0]] + dx[:-1], b)
         self._x = x
-        # Coefficients of s^3, s^2, s and 1 on each interval, s = v - x[i].
-        self._a, self._b = [], []
+        # Per interval (x[i], d, c, b, a), the coefficients of 1, s, s^2, s^3 at s = v - x[i];
+        # the last row repeats for points at or past the last knot, so a call needs no clamp.
+        self._rows = []
         for i in range(n - 1):
             t = (m[i] + m[i + 1] - 2.0 * slope[i]) / dx[i]
-            self._a.append(t / dx[i])
-            self._b.append((slope[i] - m[i]) / dx[i] - t)
-        self._c = m[:-1]
-        self._d = y[:-1]
-        self._last = n - 2
+            self._rows.append((x[i], y[i], m[i], (slope[i] - m[i]) / dx[i] - t, t / dx[i]))
+        self._rows.append(self._rows[-1])
 
     def __call__(self, v: float) -> tuple[float, float, float]:
-        i = bisect_right(self._x, v) - 1
-        if i > self._last:
-            i = self._last
-        s = v - self._x[i]
-        a, b, c = self._a[i], self._b[i], self._c[i]
+        x, d, c, b, a = self._rows[bisect_right(self._x, v) - 1]
+        s = v - x
         s2 = s * s
-        return (self._d[i] + c * s + b * s2 + a * (s2 * s),
+        return (d + c * s + b * s2 + a * (s2 * s),
                 c + b * s * 2.0 + a * s2 * 3.0,
                 b * 2.0 + a * s * 6.0)
 
@@ -224,7 +219,7 @@ class _CubicTable:
         """(minimum, where, bound) over [x[0], x[-1]]; ``bound`` is below every value a
         call returns there, by 1e-12 of the summed term sizes (far above rounding)."""
         lowest, bound = (math.inf, math.nan), math.inf
-        for x0, x1, a, b, c, d in zip(self._x, self._x[1:], self._a, self._b, self._c, self._d):
+        for (x0, d, c, b, a), x1 in zip(self._rows, self._x[1:]):
             dx, disc = x1 - x0, b * b - 3.0 * a * c
             # Ends, and roots q / 3a, c / q of the slope 3a s^2 + 2b s + c (a = 0: -c / 2b).
             q = -(b + math.copysign(math.sqrt(max(disc, 0.0)), b))
@@ -264,10 +259,10 @@ class ConstantField(SoundSpeedField):
     def __init__(self, c0: float = 1500.0, c: float | None = None):
         super().__init__(c0)
         self.c = _finite("c", self.c0 if c is None else c, positive=True)
-        self._n = self.c0 / self.c
+        self._sample = (self.c0 / self.c, 0.0, 0.0, 0.0)
 
     def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
-        return self._n, 0.0, 0.0, 0.0
+        return self._sample
 
 
 class LinearGradientField(SoundSpeedField):
@@ -286,16 +281,16 @@ class LinearGradientField(SoundSpeedField):
         super().__init__(c0 if c0 is not None else c_surface)
         self.gradient = _finite("gradient", gradient)
         self.range_gradient = _finite("range_gradient", range_gradient)
-        self._n0 = self.c0 / self.c_surface
+        self._consts = (self.gradient, self.range_gradient, self.c0 / self.c_surface)
 
     def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
-        g = self.gradient
-        f = 1.0 - g * z - self.range_gradient * r
+        g, g_r, n0 = self._consts
+        f = 1.0 - g * z - g_r * r
         if f <= 0.0:
             raise DomainError("sound speed not positive at this depth", "z", z)
-        n0, f2 = self._n0, f**2
+        f2 = f**2
         n = n0 / f
-        n_r = n0 * self.range_gradient / f2
+        n_r = n0 * g_r / f2
         n_z = n0 * g / f2
         n_zz = 2.0 * n0 * g * g / f**3
         return n, n_r, n_z, n_zz
@@ -317,13 +312,14 @@ class MunkField(SoundSpeedField):
         self.z_axis = _finite("z_axis", z_axis)
         self.scale_depth = _finite("scale_depth", scale_depth, positive=True)
         self.epsilon = _finite("epsilon", epsilon)
-        self._a, self._c_eps = 2.0 / self.scale_depth, self.c_axis * self.epsilon
+        self._consts = (self.z_axis, self.scale_depth, self.c_axis, self.epsilon,
+                        2.0 / self.scale_depth, self.c_axis * self.epsilon, self.c0)
 
     def index_at(self, r: float, z: float) -> tuple[float, float, float, float]:
-        eta = 2.0 * (z - self.z_axis) / self.scale_depth
-        a, c_eps, c0 = self._a, self._c_eps, self.c0
+        z_axis, scale_depth, c_axis, epsilon, a, c_eps, c0 = self._consts
+        eta = 2.0 * (z - z_axis) / scale_depth
         e = math.exp(-eta)
-        c = self.c_axis * (1.0 + self.epsilon * (eta - 1.0 + e))
+        c = c_axis * (1.0 + epsilon * (eta - 1.0 + e))
         c_z = c_eps * (1.0 - e) * a
         c_zz = c_eps * e * a * a
         c2 = c**2
@@ -368,12 +364,11 @@ class GriddedField(SoundSpeedField):
         if ranges is None:
             self._table = _CubicTable(self.depths, rows[0])
         else:
-            # Per depth interval: its top, and range splines of its 1, s, s^2, s^3 coefficients.
-            tables = [_CubicTable(self.depths, row) for row in rows]
-            coefs = [(t._d, t._c, t._b, t._a) for t in tables]
-            self._columns = [(top, *(_CubicTable(self.ranges, [k[j][i] for k in coefs])
-                                     for j in range(4))) for i, top in enumerate(self.depths[:-1])]
-            self._columns.append(self._columns[-1])  # for the bottom knot, as _CubicTable does
+            # Per depth row of _CubicTable: its top, and range splines of its 1, s, s^2, s^3 terms.
+            tables = [_CubicTable(self.depths, row)._rows for row in rows]
+            self._columns = [(rows_i[0][0], *(_CubicTable(self.ranges, [row[j] for row in rows_i])
+                                              for j in range(1, 5)))
+                             for rows_i in zip(*tables)]
 
     @classmethod
     def from_file(cls, path, c0: float = 1500.0) -> "GriddedField":

@@ -24,21 +24,23 @@ continuous extension of RK4, Hairer, Norsett & Wanner, Solving ODEs I,
 II.6) at no extra right-hand-side evaluation.  A boundary crossing is
 bracketed by the sign of the boundary gap (-z at the surface,
 z - depth_at(r) at the bottom) at the step end or, when both ends are
-inside, at the interpolated step midpoint (a shallow double crossing).  Both
-depth queries are skipped when both points lie above the bottom's ``floor``
-over a span holding the step: the same decision, which certifies nothing
-between the points.  A step with no bracket ends there; a search is set up
-only for a bracketed boundary.  There an Illinois search on the interpolated
-gap seeds a safeguarded secant search on the exact RK4 map from the step
-start, so the landing state is an RK4 state whose boundary residual is below
-``bisect_tol``.  The reflection jump is applied there and marching resumes.
-A plain step and a landed bounce share one advance, so once launched a
-trace reports every abnormal ending as a status, never an exception.
+inside, at the interpolated step midpoint (a shallow double crossing).  The
+trace loop screens each step in line and calls ``_find_crossing`` only when
+a point lies above the surface or the two are not both above the bottom's
+``floor`` over a span holding the step; depths are queried only in the
+second case.  That is the decision the queries would give, and it
+certifies nothing between the points.  A search is set up only for a bracketed boundary.  There an
+Illinois search on the interpolated gap seeds a safeguarded secant search
+on the exact RK4 map from the step start, so the landing state is an RK4
+state whose boundary residual is below ``bisect_tol``.  The reflection jump
+is applied there and marching resumes.  A plain step and a landed bounce
+share one advance, so once launched a trace reports every abnormal ending
+as a status, never an exception.
 
-The samples are packed once, when the trace ends, into two stdlib
-``array('d')``: the seven columns row after row, and the index.  The CLI
-writes its rows from those, so no trace, fan or kappa scan loads numpy;
-a result's array attributes import it at their first read.
+Each sample is written, as it is made, into two stdlib ``array('d')``: the
+seven columns row after row, and the index.  The CLI writes its rows from
+those, so no trace, fan or kappa scan loads numpy; a result's array
+attributes import it at their first read.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 
 from .environment import Bathymetry, SoundSpeedField, surface_frame
 from .errors import DomainError, GeometryError, SteepRayError
@@ -204,17 +205,16 @@ def _raise_vertical(n: float, p: float):
     raise SteepRayError(f"|p| = {abs(p):g} >= n = {n:g}; ray turned vertical")
 
 
-def _ray_step(field_: SoundSpeedField, r: float, z: float, p: float, sample: tuple,
-              h: float):
+def _ray_step(index_at, r: float, z: float, p: float, sample: tuple, h: float):
     """One RK4 step of the ray alone: the new (z, p) and the four stages.
 
     Each stage is (sample, p, w, dz): the index tuple and pulse it was
     evaluated at, with w = sqrt(n^2 - p^2) and dz = p / w, which
     ``_variation_rhs`` and the dense output read; dp = n n_z / w.  A stage
     with w^2 <= 0 (a vertical ray) raises SteepRayError.  ``sample`` is
-    the index at the start (r, z), so only stages 2-4 call ``index_at``.
+    the index at the start (r, z), so only stages 2-4 call ``index_at``,
+    the field's bound method, which callers read once per trace.
     """
-    index_at = field_.index_at
     hh = 0.5 * h
     n, _, n_z, _ = sample
     ww = n * n - p * p
@@ -342,7 +342,7 @@ def _seed(gap, hi: float, g_lo: float, g_hi: float, tol: float):
     return s, slope
 
 
-def _land(field_, bath, boundary, r0, z0, p0, sample0, hi, s, slope, tol):
+def _land(index_at, bath, boundary, r0, z0, p0, sample0, hi, s, slope, tol):
     """Exact RK4 ray state on the boundary, by a secant search on the true map.
 
     G(s) = gap(r0 + s, RK4(r0, (z0, p0), s).z) is searched from the
@@ -356,7 +356,7 @@ def _land(field_, bath, boundary, r0, z0, p0, sample0, hi, s, slope, tol):
     lo = 0.0
     g_prev = None
     for _ in range(_LAND_MAX_ITER):
-        z, p, stages = _ray_step(field_, r0, z0, p0, sample0, s)
+        z, p, stages = _ray_step(index_at, r0, z0, p0, sample0, s)
         g = _gap(bath, boundary, r0 + s, z)
         if abs(g) < tol:
             return s, p, stages, True
@@ -375,33 +375,28 @@ def _land(field_, bath, boundary, r0, z0, p0, sample0, hi, s, slope, tol):
     return s_prev, p, stages, False
 
 
-def _find_crossing(field_, bath, r0, z0, p0, sample0, h, z_end, stages, tol):
-    """First boundary crossing within a step, or None.
+def _find_crossing(index_at, bath, r0, z0, p0, sample0, h, z_end, stages, dense,
+                   above_floor, tol):
+    """First boundary crossing within a step the trace loop's screen did
+    not clear, or None.
 
-    A crossing is bracketed by the gap at the step end or, when that is
-    inside, at the midpoint of the step's dense output (a shallow double
+    ``dense`` is the step's (c2, c3, z_mid) and ``above_floor`` the
+    screen's floor test.  A crossing is bracketed by the gap at the step
+    end or, when that is inside, at the midpoint (a shallow double
     crossing).  A step with neither bracketed returns None before any
     search is set up; only a bracketed boundary is searched, from the gap
     already computed at its bracket end.  Returns (step_length, boundary,
     p, stages, converged) of the landed step.
     """
-    # Depth on the RK4 continuous extension, expanded in powers of s = t h:
-    # b1 = t - 3t^2/2 + 2t^3/3, b2 = b3 = t^2 - 2t^3/3, b4 = -t^2/2 + 2t^3/3.
-    d1, d2, d3, d4 = stages[0][3], stages[1][3], stages[2][3], stages[3][3]
-    c2 = (-1.5 * d1 + d2 + d3 - 0.5 * d4) / h
-    c3 = (2.0 / 3.0) * (d1 - d2 - d3 + d4) / (h * h)
-    hh = 0.5 * h
-    z_mid = z0 + hh * (d1 + hh * (c2 + hh * c3))
-
+    c2, c3, z_mid = dense
+    d1, hh = stages[0][3], 0.5 * h
     # The step starts inside or, after a bounce, exactly on a boundary, so
     # only the far end and the midpoint need checking: (bracket end, gap).
     hi_top, g_top = h, -z_end
     if g_top <= 0.0:
         hi_top, g_top = hh, -z_mid
-    # Above the bottom's floor over a span holding the step: no gap is positive.
-    z_floor, r_lo, r_hi = bath.floor
     hi_bot, g_bot = h, 0.0
-    if not (z_end < z_floor and z_mid < z_floor and r_lo <= r0 and r0 + h <= r_hi):
+    if not above_floor:
         g_bot = z_end - bath.depth_at(r0 + h)
         if g_bot <= 0.0:
             hi_bot, g_bot = hh, z_mid - bath.depth_at(r0 + hh)
@@ -417,7 +412,7 @@ def _find_crossing(field_, bath, r0, z0, p0, sample0, h, z_end, stages, tol):
             return _gap(bath, boundary, r0 + s, z0 + s * (d1 + s * (c2 + s * c3)))
 
         s, slope = _seed(gap, hi, _gap(bath, boundary, r0, z0), g_hi, tol)
-        s, p_hit, stages_hit, converged = _land(field_, bath, boundary, r0, z0, p0,
+        s, p_hit, stages_hit, converged = _land(index_at, bath, boundary, r0, z0, p0,
                                                 sample0, hi, s, slope, tol)
         hits.append((s, boundary, p_hit, stages_hit, converged))
     return min(hits, key=lambda item: item[0])
@@ -466,24 +461,34 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
     # s is always the index tuple at (r, z), the next step's k1 sample.
     r, z, p = cfg.r_start, z0, p0
     q = (1.0, 0.0, 0.0, 1.0) if variations else (math.nan,) * 4
-    rows = [(r, z, p, *q)]
-    ns = [s[0]]
+    samples, ns = array("d", (r, z, p, *q)), array("d", (s[0],))
     bounces: list[BounceRecord] = []
-    status = TraceStatus.COMPLETED
+    status = completed = TraceStatus.COMPLETED
     unconverged = 0
+    dr, r_end, tol, index_at = cfg.dr, cfg.r_end, cfg.bisect_tol, field_.index_at
+    z_floor, r_lo, r_hi = bath.floor
 
-    while r < cfg.r_end - 1e-12:
-        h = min(cfg.dr, cfg.r_end - r)
+    while r < r_end - 1e-12:
+        h = r_end - r if r_end - r < dr else dr  # min(dr, r_end - r), ties included
         # One advance, step or landed bounce; one that raises appends no row.
         try:
-            z_end, p_end, stages = _ray_step(field_, r, z, p, s, h)
-            hit = _find_crossing(field_, bath, r, z, p, s, h, z_end, stages,
-                                 cfg.bisect_tol)
-            if hit is None:
-                boundary = None
-            else:
-                h, boundary, p_end, stages, converged = hit
-                unconverged += not converged
+            z_end, p_end, stages = _ray_step(index_at, r, z, p, s, h)
+            # The step screen.  Dense-output depth in powers of s = t h (b1 = t - 3t^2/2
+            # + 2t^3/3, b2 = b3 = t^2 - 2t^3/3, b4 = -t^2/2 + 2t^3/3) and at the midpoint.
+            d1, d2, d3, d4 = stages[0][3], stages[1][3], stages[2][3], stages[3][3]
+            c2 = (-1.5 * d1 + d2 + d3 - 0.5 * d4) / h
+            c3 = (2.0 / 3.0) * (d1 - d2 - d3 + d4) / (h * h)
+            hh = 0.5 * h
+            z_mid = z + hh * (d1 + hh * (c2 + hh * c3))
+            # Above the bottom's floor over a span holding the step: no bottom gap is positive.
+            above = z_end < z_floor and z_mid < z_floor and r_lo <= r and r + h <= r_hi
+            boundary = None
+            if z_end < 0.0 or z_mid < 0.0 or not above:
+                hit = _find_crossing(index_at, bath, r, z, p, s, h, z_end, stages,
+                                     (c2, c3, z_mid), above, tol)
+                if hit is not None:
+                    h, boundary, p_end, stages, converged = hit
+                    unconverged += not converged
             if variations:
                 q = _variation_step(stages, q, h)
             r += h
@@ -494,7 +499,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                 frame, z = surface_frame(), 0.0
             else:
                 z, frame = bath.bottom_at(r)
-            s = field_.index_at(r, z)
+            s = index_at(r, z)
         except SteepRayError:
             status = TraceStatus.STEEP_RAY
             break
@@ -521,7 +526,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                 elif len(bounces) >= cfg.max_bounces:
                     status = TraceStatus.MAX_BOUNCES
             # A bounce that ends the trace keeps its incident p and q in the last row.
-            if status is TraceStatus.COMPLETED:
+            if status is completed:
                 bounces.append(BounceRecord(r=r, z=z, boundary=boundary,
                                             theta_incident=math.atan2(tz, tr), kappa=kappa))
                 p = s[0] * t1[1]
@@ -534,16 +539,15 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                         kappa.k22 * q22,
                     )
 
-        rows.append((r, z, p, *q))
+        samples.extend((r, z, p, *q))
         ns.append(s[0])
-        if status is not TraceStatus.COMPLETED:
+        if status is not completed:
             break
         if abs(p) >= s[0] * cutoff_sin:
             status = TraceStatus.STEEP_RAY
             break
 
-    return TraceResult(packed_samples=array("d", chain.from_iterable(rows)),
-                       packed_n=array("d", ns), bounces=bounces, status=status,
+    return TraceResult(packed_samples=samples, packed_n=ns, bounces=bounces, status=status,
                        unconverged_bounces=unconverged)
 
 

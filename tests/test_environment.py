@@ -411,8 +411,10 @@ class TestSplineTable:
             table = _CubicTable(x, y)
             expected = CubicSpline(x, y, bc_type="natural").c.tolist()
             # repr tells signed zeros apart, which == does not
-            assert repr([table._a, table._b, table._c, table._d]) == repr(expected)
-            assert table._x == x.tolist()
+            knots, d, c, b, a = map(list, zip(*table._rows[:-1]))
+            assert repr([a, b, c, d]) == repr(expected)
+            assert table._x == x.tolist() and knots == x.tolist()[:-1]
+            assert table._rows[-1] is table._rows[-2]
 
     def test_interchange_grid_takes_the_row_swap(self, monkeypatch):
         from varitrace import environment

@@ -176,7 +176,10 @@ def test_trace_loop_has_one_guarded_advance():
     and ``bottom_at``, each inside a ``try`` that handles DomainError, so a
     ray leaving a field or bottom ends as ``domain_exit``, never raises.
     Each bounce makes one ``kappa_matrix`` call, inside a ``try`` that
-    handles GeometryError, so a rejected bounce ends the trace instead."""
+    handles GeometryError, so a rejected bounce ends the trace instead.
+    Each step makes one ``_ray_step`` call, and ``_find_crossing`` is
+    called only in the body of the step screen's ``if`` on ``z_end`` and
+    ``z_mid``, so a step in open water makes no call to it."""
     tree = parse(SRC / "propagation.py")
     func = next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == "trace_from_pulse")
@@ -189,10 +192,18 @@ def test_trace_loop_has_one_guarded_advance():
 
     calls = [node for node in ast.walk(loop) if isinstance(node, ast.Call)]
     for name, error in (("_variation_step", "DomainError"), ("index_at", "DomainError"),
-                        ("bottom_at", "DomainError"), ("kappa_matrix", "GeometryError")):
+                        ("bottom_at", "DomainError"), ("kappa_matrix", "GeometryError"),
+                        ("_ray_step", "DomainError"), ("_find_crossing", "DomainError")):
         named = [node for node in calls if call_name(node) == name]
         assert len(named) == 1, f"{name}: {len(named)} calls in the trace loop"
         assert id(named[0]) in guarded_by(error), f"{name} called outside a {error} handler's try"
+
+    screened = {id(inner) for node in ast.walk(loop) if isinstance(node, ast.If)
+                and {"z_end", "z_mid"} <= {name.id for name in ast.walk(node.test)
+                                           if isinstance(name, ast.Name)}
+                for stmt in node.body for inner in ast.walk(stmt)}
+    (crossing,) = [node for node in calls if call_name(node) == "_find_crossing"]
+    assert id(crossing) in screened, "_find_crossing called outside the step screen"
 
 
 ANALYTIC_CFG = """\

@@ -20,6 +20,7 @@ from varitrace.cli import main
 FUNCTIONS = (
     (propagation, "_ray_step"),
     (propagation, "_variation_step"),
+    (propagation, "_find_crossing"),
     (propagation, "_land"),
     (propagation, "kappa_matrix"),
     (cli, "kappa_matrix"),
@@ -39,16 +40,18 @@ COMMANDS = {
 # one _land call.  verify makes 68 oracle traces (4 presets x 1 central
 # and 16 ray-only perturbed rays) and 2,000 structure-sweep kappa_matrix
 # calls beside the 68 bounces' own; identity_checks is one call per block
-# of draws.
+# of draws.  _find_crossing runs only for the steps the trace loop's screen
+# does not clear: every step over a bottom with no depth floor (verify's
+# two arc presets), else only steps near the surface or the floor.
 EXPECTED = {
-    "trace": {"_ray_step": 1505, "_variation_step": 1502, "_land": 3, "kappa_matrix": 3,
-              "index_at": 6019, "depth_at": 171, "bottom_at": 3},
-    "fan": {"_ray_step": 7533, "_variation_step": 7508, "_land": 16, "kappa_matrix": 16,
-            "index_at": 30117, "depth_at": 497, "bottom_at": 10},
+    "trace": {"_ray_step": 1505, "_variation_step": 1502, "_find_crossing": 77, "_land": 3,
+              "kappa_matrix": 3, "index_at": 6019, "depth_at": 171, "bottom_at": 3},
+    "fan": {"_ray_step": 7533, "_variation_step": 7508, "_find_crossing": 225, "_land": 16,
+            "kappa_matrix": 16, "index_at": 30117, "depth_at": 497, "bottom_at": 10},
     "kappa-scan": {"kappa_matrix": 1086},
-    "verify": {"_ray_step": 52156, "_variation_step": 3064, "_land": 68, "kappa_matrix": 2068,
-               "index_at": 208628, "depth_at": 22418, "bottom_at": 68,
-               "trace_from_pulse": 68, "identity_checks": 13},
+    "verify": {"_ray_step": 52156, "_variation_step": 3064, "_find_crossing": 11006,
+               "_land": 68, "kappa_matrix": 2068, "index_at": 208628, "depth_at": 22418,
+               "bottom_at": 68, "trace_from_pulse": 68, "identity_checks": 13},
 }
 
 
