@@ -199,13 +199,12 @@ class _CubicTable:
              + [0.5 * 0.0 * (dx[-1] * dx[-1]) + 3.0 * (y[-1] - y[-2])])
         m = _gtsv(dx[1:] + [dx[-1]], d, [dx[0]] + dx[:-1], b)
         self._x = x
-        # Per interval (x[i], d, c, b, a), the coefficients of 1, s, s^2, s^3 at s = v - x[i];
-        # the last row repeats for points at or past the last knot, so a call needs no clamp.
+        # Interval i's (x[i], d, c, b, a): d + c s + b s^2 + a s^3 at s = v - x[i].
         self._rows = []
         for i in range(n - 1):
             t = (m[i] + m[i + 1] - 2.0 * slope[i]) / dx[i]
             self._rows.append((x[i], y[i], m[i], (slope[i] - m[i]) / dx[i] - t, t / dx[i]))
-        self._rows.append(self._rows[-1])
+        self._rows.append(self._rows[-1])  # at or past the last knot: no clamp in a call
 
     def __call__(self, v: float) -> tuple[float, float, float]:
         x, d, c, b, a = self._rows[bisect_right(self._x, v) - 1]

@@ -20,22 +20,22 @@ bounce, never in the landing search's trial steps, and not at all in a
 ray-only trace (``variations=False``, the oracle's perturbed rays).
 
 Each step's own stage derivatives give a cubic dense output of depth (the
-continuous extension of RK4, Hairer, Norsett & Wanner, Solving ODEs I,
-II.6) at no extra right-hand-side evaluation.  A boundary crossing is
-bracketed by the sign of the boundary gap (-z at the surface,
-z - depth_at(r) at the bottom) at the step end or, when both ends are
-inside, at the interpolated step midpoint (a shallow double crossing).  The
-trace loop screens each step in line and calls ``_find_crossing`` only when
-a point lies above the surface or the two are not both above the bottom's
-``floor`` over a span holding the step; depths are queried only in the
-second case.  That is the decision the queries would give, and it
-certifies nothing between the points.  A search is set up only for a bracketed boundary.  There an
-Illinois search on the interpolated gap seeds a safeguarded secant search
-on the exact RK4 map from the step start, so the landing state is an RK4
-state whose boundary residual is below ``bisect_tol``.  The reflection jump
-is applied there and marching resumes.  A plain step and a landed bounce
-share one advance, so once launched a trace reports every abnormal ending
-as a status, never an exception.
+continuous extension of RK4, Hairer, Norsett & Wanner, Solving ODEs I, II.6)
+at no extra right-hand-side evaluation.  A boundary crossing is bracketed by
+the sign of the boundary gap (-z at the surface, z - depth_at(r) at the
+bottom) at the step end or, when both ends are inside, at the interpolated
+step midpoint (a shallow double crossing).  The trace loop screens each step
+in line and calls ``_find_crossing`` only when a point lies above the
+surface or the two are not both above the bottom's ``floor`` over a span
+holding the step; depths are queried only in the second case.  That is the
+decision the queries would give, and it certifies nothing between the
+points.  A search is set up only for a bracketed boundary.  There an
+Illinois search on the interpolated gap seeds a safeguarded secant search on
+the exact RK4 map from the step start, so the landing state is an RK4 state
+whose boundary residual is below ``bisect_tol``.  The reflection jump is
+applied there and marching resumes.  A plain step and a landed bounce share
+one advance, so once launched a trace reports every abnormal ending as a
+status, never an exception.
 
 Each sample is written, as it is made, into two stdlib ``array('d')``: the
 seven columns row after row, and the index.  The CLI writes its rows from

@@ -1,5 +1,6 @@
 """CLI tests: config validation, CSV output, exit codes, verify gate."""
 
+import hashlib
 import io
 import math
 import os
@@ -405,6 +406,28 @@ class TestPathErrors:
         assert self.run(write_cfg(tmp_path, text), out) == 2
         assert f"config error: [{section}] " in capsys.readouterr().err
         assert out.read_bytes() == self.OLD
+
+    @pytest.mark.parametrize("data", [b"[trace\n", b"[trace]\nz0 = 1\nz0 = 2\n",
+                                      b"\xff\xfe[trace]\n"],
+                             ids=["header", "duplicate-key", "not-utf8"])
+    def test_unparsable_config(self, tmp_path, capsys, data):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(data)
+        out = tmp_path / "out.csv"
+        assert self.run(cfg, out) == 2
+        assert "config error: cannot parse" in capsys.readouterr().err
+        assert out.read_bytes() == self.OLD
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_digest_names_the_parsed_bytes(self, tmp_path, newline):
+        """One read is both hashed and parsed, with newlines translated as
+        a text-mode open() translates them."""
+        cfg = tmp_path / "other.cfg"
+        cfg.write_bytes(BASE_CFG.replace("\n", newline).encode())
+        run, plain = load_config(cfg), load_config(write_cfg(tmp_path, BASE_CFG))
+        assert run.sha256 == hashlib.sha256(cfg.read_bytes()).hexdigest() != plain.sha256
+        assert ({name: sec.raw for name, sec in run.sections.items()}
+                == {name: sec.raw for name, sec in plain.sections.items()})
 
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "missing" / "out.csv"
