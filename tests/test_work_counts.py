@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from test_output_digests import README_CFG, README_SCAN_CFG
+from test_output_digests import DATA, README_CFG, README_SCAN_CFG
 from varitrace import Bathymetry, SoundSpeedField, cli, oracle, propagation
 from varitrace.cli import main
 
@@ -29,9 +29,12 @@ FUNCTIONS = (
 )
 METHODS = ((SoundSpeedField, "index_at"), (Bathymetry, "depth_at"), (Bathymetry, "bottom_at"))
 
+# A command's config is its text, or the path of a shipped file beside its data.
 COMMANDS = {
     "trace": (README_CFG, ["trace"]),
     "fan": (README_CFG, ["fan"]),  # the README's 5 angles, -14 to 14 degrees
+    # 11 rays, -25 to 25 degrees, through a 1D gridded profile over a spline bottom
+    "fan-gridded": (DATA / "shallow_fan" / "fan.cfg", ["fan"]),
     "kappa-scan": (README_SCAN_CFG, ["kappa-scan"]),
     "verify": ("[verify]\npreset = all\n", ["verify", "--seed", "1"]),
 }
@@ -48,6 +51,9 @@ EXPECTED = {
               "kappa_matrix": 3, "index_at": 6019, "depth_at": 171, "bottom_at": 3},
     "fan": {"_ray_step": 7533, "_variation_step": 7508, "_find_crossing": 225, "_land": 16,
             "kappa_matrix": 16, "index_at": 30117, "depth_at": 497, "bottom_at": 10},
+    "fan-gridded": {"_ray_step": 5712, "_variation_step": 5546, "_find_crossing": 371,
+                    "_land": 90, "kappa_matrix": 90, "index_at": 22704, "depth_at": 910,
+                    "bottom_at": 46},
     "kappa-scan": {"kappa_matrix": 1086},
     "verify": {"_ray_step": 52156, "_variation_step": 3064, "_find_crossing": 11006,
                "_land": 68, "kappa_matrix": 2068, "index_at": 208628, "depth_at": 22418,
@@ -77,9 +83,10 @@ def calls(monkeypatch):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_call_counts(tmp_path, calls, command):
-    text, argv = COMMANDS[command]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
+    cfg, argv = COMMANDS[command]
+    if isinstance(cfg, str):
+        (tmp_path / "run.cfg").write_text(cfg)
+        cfg = tmp_path / "run.cfg"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
     assert dict(calls) == EXPECTED[command]
