@@ -90,7 +90,8 @@ def _trace_rows(result: TraceResult):
 
 
 def _write_rows(out, rows, prefix: str = "") -> None:
-    out.write("".join([f"{prefix}{row}\n" for row in rows]))
+    # Every trace has its launch row, so ``rows`` is never empty.
+    out.write(prefix + ("\n" + prefix).join(rows) + "\n")
 
 
 def _warn_unconverged(result: TraceResult, who: str) -> None:

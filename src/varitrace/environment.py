@@ -21,9 +21,10 @@ Coordinate conventions used throughout the package:
 Sampled profiles (a ``GriddedField`` and a ``PiecewiseBottom``) are
 fitted once with a natural cubic spline in plain Python, repeating scipy
 ``CubicSpline``'s arithmetic so the coefficients equal scipy's bit for
-bit; a 2D grid takes two passes of it.  Queries read that coefficient
-table, which returns value, slope and second derivative in one call and
-sums in scipy ``PPoly``'s own order.
+bit; a 2D grid takes two passes of it.  A 1D grid sums the row of that
+coefficient table in line; a ``PiecewiseBottom`` and a 2D grid's range
+splines call the table, which returns value, slope and second derivative
+in one call.  Both sum in scipy ``PPoly``'s own order.
 
 All field and bathymetry objects are immutable after construction and all
 queries are pure functions, so they can be shared freely between
@@ -360,14 +361,16 @@ class GriddedField(SoundSpeedField):
         if any(c <= 0.0 for row in rows for c in row):
             raise ValueError("gridded sound speeds must all be positive")
         self.c_values = rows[0] if ranges is None else tuple(rows)
+        # Per depth interval: its top and the coefficients of its 1, s, s^2, s^3 terms,
+        # numbers for a 1D grid and, for a 2D grid, range splines of _CubicTable's rows.
         if ranges is None:
             self._table = _CubicTable(self.depths, rows[0])
+            self._rows = self._table._rows
         else:
-            # Per depth row of _CubicTable: its top, and range splines of its 1, s, s^2, s^3 terms.
             tables = [_CubicTable(self.depths, row)._rows for row in rows]
-            self._columns = [(rows_i[0][0], *(_CubicTable(self.ranges, [row[j] for row in rows_i])
-                                              for j in range(1, 5)))
-                             for rows_i in zip(*tables)]
+            self._rows = [(rows_i[0][0], *(_CubicTable(self.ranges, [row[j] for row in rows_i])
+                                           for j in range(1, 5)))
+                          for rows_i in zip(*tables)]
 
     @classmethod
     def from_file(cls, path, c0: float = 1500.0) -> "GriddedField":
@@ -380,18 +383,18 @@ class GriddedField(SoundSpeedField):
         z_lo, z_hi = self._z_span
         if not (z_lo <= z <= z_hi):
             raise DomainError("depth outside gridded field", "z", z)
+        top, d, c, b, a = self._rows[bisect_right(self.depths, z) - 1]
+        s = z - top  # the sums of _CubicTable.__call__, in its order
+        s2 = s * s
         if self.ranges is None:
-            (c, c_z, c_zz), c_r = self._table(z), 0.0
+            c_r = 0.0
         else:
             if not (self.ranges[0] <= r <= self.ranges[-1]):
                 raise DomainError("range outside gridded field", "r", r)
-            top, d, c, b, a = self._columns[bisect_right(self.depths, z) - 1]
             (d, d_r, _), (c, c_r, _), (b, b_r, _), (a, a_r, _) = d(r), c(r), b(r), a(r)
-            s = z - top  # the sums of _CubicTable.__call__, in its order
-            s2 = s * s
-            c, c_r, c_z, c_zz = (d + c * s + b * s2 + a * (s2 * s),
-                                 d_r + c_r * s + b_r * s2 + a_r * (s2 * s),
-                                 c + b * s * 2.0 + a * s2 * 3.0, b * 2.0 + a * s * 6.0)
+            c_r = d_r + c_r * s + b_r * s2 + a_r * (s2 * s)
+        c, c_z, c_zz = (d + c * s + b * s2 + a * (s2 * s), c + b * s * 2.0 + a * s2 * 3.0,
+                        b * 2.0 + a * s * 6.0)
         if c <= 0.0:
             raise DomainError("interpolated sound speed not positive", "z", z)
         c0, c2 = self.c0, c**2

@@ -37,10 +37,10 @@ applied there and marching resumes.  A plain step and a landed bounce share
 one advance, so once launched a trace reports every abnormal ending as a
 status, never an exception.
 
-Each sample is written, as it is made, into two stdlib ``array('d')``: the
-seven columns row after row, and the index.  The CLI writes its rows from
-those, so no trace, fan or kappa scan loads numpy; a result's array
-attributes import it at their first read.
+Each sample is written, as it is made, into two stdlib ``array('d')``: its
+seven columns in one ``fromlist`` call, row after row, and the index.  The
+CLI writes its rows from those, so no trace, fan or kappa scan loads numpy;
+a result's array attributes import it at their first read.
 """
 
 from __future__ import annotations
@@ -539,7 +539,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                         kappa.k22 * q22,
                     )
 
-        samples.extend((r, z, p, *q))
+        samples.fromlist([r, z, p, *q])
         ns.append(s[0])
         if status is not completed:
             break

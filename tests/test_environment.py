@@ -20,7 +20,10 @@ from varitrace import (
     NormalFrame,
     PiecewiseBottom,
     SinusoidalBottom,
+    TraceConfig,
+    TraceStatus,
     surface_frame,
+    trace_ray,
 )
 
 
@@ -498,6 +501,12 @@ class TestIndexReference:
         points = list(zip(rng.uniform(-300.0, 4_500.0, 2_000).tolist(),
                           rng.uniform(-40.0, 700.0, 2_000).tolist()))
         points += [(0.0, 0.0), (-0.0, -0.0), (0.0, 260.0), (4_100.0, -20.0), (1e4, 1300.0)]
+        if name.startswith("gridded"):
+            # Every knot (the last included), interval midpoint, and the float below the last.
+            knots = field.depths
+            depths = [*knots, *((lo + hi) / 2.0 for lo, hi in zip(knots, knots[1:])),
+                      math.nextafter(knots[-1], -math.inf)]
+            points += [(r, z) for r in (0.0, 1_000.0, 4_100.0) for z in depths]
         outcomes = set()
         for r, z in points:
             got = _outcome(field.index_at, r, z)
@@ -505,6 +514,24 @@ class TestIndexReference:
             outcomes.add(got[0] == "DomainError")
         if name.startswith("gridded") or name == "linear-gradient":
             assert outcomes == {True, False}  # both sides of the domain were seen
+
+    def test_1d_grid_sums_its_rows_in_line(self, monkeypatch):
+        """A 1D grid's queries read the coefficient rows without calling the
+        table, so a ray through it completes with ``_CubicTable.__call__``
+        made to raise; the reference above still evaluates through it."""
+        from varitrace.environment import _CubicTable
+
+        field = FIELDS["gridded-1d"]
+
+        def no_call(self, v):
+            raise AssertionError("_CubicTable called")
+
+        monkeypatch.setattr(_CubicTable, "__call__", no_call)
+        result = trace_ray(field, FlatBottom(250.0),
+                           TraceConfig(r_start=0.0, r_end=2_000.0, z0=100.0,
+                                       theta0=math.radians(12.0), dr=5.0))
+        assert result.status is TraceStatus.COMPLETED
+        assert {b.boundary for b in result.bounces} == {"surface", "bottom"}
 
 
 def _bathymetries():

@@ -179,7 +179,9 @@ def test_trace_loop_has_one_guarded_advance():
     handles GeometryError, so a rejected bounce ends the trace instead.
     Each step makes one ``_ray_step`` call, and ``_find_crossing`` is
     called only in the body of the step screen's ``if`` on ``z_end`` and
-    ``z_mid``, so a step in open water makes no call to it."""
+    ``z_mid``, so a step in open water makes no call to it.  Each sample's
+    row is written by one ``fromlist`` call, never an item-by-item
+    ``extend``."""
     tree = parse(SRC / "propagation.py")
     func = next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == "trace_from_pulse")
@@ -204,6 +206,9 @@ def test_trace_loop_has_one_guarded_advance():
                 for stmt in node.body for inner in ast.walk(stmt)}
     (crossing,) = [node for node in calls if call_name(node) == "_find_crossing"]
     assert id(crossing) in screened, "_find_crossing called outside the step screen"
+
+    names = [call_name(node) for node in calls]
+    assert (names.count("fromlist"), names.count("extend")) == (1, 0), "one fromlist per row"
 
 
 ANALYTIC_CFG = """\
