@@ -364,8 +364,7 @@ class GriddedField(SoundSpeedField):
         # Per depth interval: its top and the coefficients of its 1, s, s^2, s^3 terms,
         # numbers for a 1D grid and, for a 2D grid, range splines of _CubicTable's rows.
         if ranges is None:
-            self._table = _CubicTable(self.depths, rows[0])
-            self._rows = self._table._rows
+            self._rows = _CubicTable(self.depths, rows[0])._rows
         else:
             tables = [_CubicTable(self.depths, row)._rows for row in rows]
             self._rows = [(rows_i[0][0], *(_CubicTable(self.ranges, [row[j] for row in rows_i])
@@ -453,6 +452,10 @@ class LinearSlopeBottom(Bathymetry):
     def __init__(self, depth0: float, slope: float):
         self.depth0 = _finite("depth0", depth0, positive=True)
         self.slope = _finite("slope", slope)
+        # slope * r >= 0 on the deepening side of r = 0, so depth0 + slope * r >= depth0
+        # there, rounding included (rounding is monotonic).
+        self.floor = ((self.depth0, 0.0, math.inf) if self.slope >= 0.0
+                      else (self.depth0, -math.inf, 0.0))
 
     def _profile(self, r: float) -> tuple[float, float, float]:
         z_b = self.depth0 + self.slope * r

@@ -8,16 +8,15 @@ obeys dq/dr = K q with K built from the second derivatives of H.  The
 tests check both right-hand sides against finite differences of an
 independently written H, so they validate the formulas the integrator runs.
 
-Integrates (z, p, q) with a classical fixed-step RK4 scheme, in two parts
-over one set of stages.  ``_ray_step`` advances (z, p): stages 2-4 each
-make one ``index_at`` call (stage 1 reuses the sample the trace loop holds
-for the step start), each stage writes out the ray right-hand side above on
-the plain index tuple, and it returns the four stage points.  The ray never
-reads q, so ``_variation_step`` then advances q from those stage points with
-``_variation_rhs``, giving the bits one joint six-component step gives.  It
-runs only where q is read: once per accepted step and once per landed
-bounce, never in the landing search's trial steps, and not at all in a
-ray-only trace (``variations=False``, the oracle's perturbed rays).
+Integrates (z, p, q) with a classical fixed-step RK4 scheme in one kernel,
+``_rk4_step``.  Stages 2-4 each make one ``index_at`` call (stage 1 reuses
+the sample the trace loop holds for the step start), and each stage writes
+out the ray right-hand side above on the plain index tuple, in locals.  The
+ray never reads q, so the kernel then advances q from the same stage locals,
+K q written out per stage, giving the bits one joint six-component step
+gives.  Every step advances q, the landing search's trial steps included,
+except in a ray-only trace (``variations=False``, the oracle's perturbed
+rays), which carries q = None and computes no K term.
 
 Each step's own stage derivatives give a cubic dense output of depth (the
 continuous extension of RK4, Hairer, Norsett & Wanner, Solving ODEs I, II.6)
@@ -68,6 +67,7 @@ __all__ = [
 
 SURFACE = "surface"
 BOTTOM = "bottom"
+_NO_Q = (math.nan,) * 4  # the q columns of a ray-only trace
 
 
 class TraceStatus(Enum):
@@ -205,89 +205,74 @@ def _raise_vertical(n: float, p: float):
     raise SteepRayError(f"|p| = {abs(p):g} >= n = {n:g}; ray turned vertical")
 
 
-def _ray_step(index_at, r: float, z: float, p: float, sample: tuple, h: float):
-    """One RK4 step of the ray alone: the new (z, p) and the four stages.
+def _rk4_step(index_at, r: float, z: float, p: float, sample: tuple, h: float, q):
+    """One RK4 step of the ray and, unless ``q`` is None, of q.
 
-    Each stage is (sample, p, w, dz): the index tuple and pulse it was
-    evaluated at, with w = sqrt(n^2 - p^2) and dz = p / w, which
-    ``_variation_rhs`` and the dense output read; dp = n n_z / w.  A stage
-    with w^2 <= 0 (a vertical ray) raises SteepRayError.  ``sample`` is
-    the index at the start (r, z), so only stages 2-4 call ``index_at``,
-    the field's bound method, which callers read once per trace.
+    Returns (z, p, q) at r + h (q stays None) and the step's dense output of
+    depth, z(r + s) = z + s (d1 + s (c2 + s c3)), as (d1, c2, c3).  Each
+    stage writes out dz = p / w and dp = n n_z / w, w = sqrt(n^2 - p^2), on
+    the index tuple (n, n_r, n_z, n_zz); w^2 <= 0 (a vertical ray) raises
+    SteepRayError.  ``sample`` is the index at the start (r, z), so only
+    stages 2-4 call ``index_at``, the field's bound method.  The ray never
+    reads q = (q11, q12, q21, q22), so q is advanced afterwards from the
+    same stage locals with dq = K q: k11 = p n n_z / w^3, k12 = (n_z^2 +
+    n n_zz) / w - (n n_z)^2 / w^3, k21 = n^2 / w^3 and k22 = -k11, whose
+    products are subtracted (x - y is x + (-y) bit for bit).
     """
     hh = 0.5 * h
-    n, _, n_z, _ = sample
-    ww = n * n - p * p
-    w1 = _raise_vertical(n, p) if ww <= 0.0 else math.sqrt(ww)
-    z1, p1 = p / w1, n * n_z / w1
+    n1, _, g1, gg1 = sample
+    ww = n1 * n1 - p * p
+    w1 = _raise_vertical(n1, p) if ww <= 0.0 else math.sqrt(ww)
+    z1, p1 = p / w1, n1 * g1 / w1
     rm = r + hh
-    s2, pp2 = index_at(rm, z + hh * z1), p + hh * p1
-    n, _, n_z, _ = s2
-    ww = n * n - pp2 * pp2
-    w2 = _raise_vertical(n, pp2) if ww <= 0.0 else math.sqrt(ww)
-    z2, p2 = pp2 / w2, n * n_z / w2
-    s3, pp3 = index_at(rm, z + hh * z2), p + hh * p2
-    n, _, n_z, _ = s3
-    ww = n * n - pp3 * pp3
-    w3 = _raise_vertical(n, pp3) if ww <= 0.0 else math.sqrt(ww)
-    z3, p3 = pp3 / w3, n * n_z / w3
-    s4, pp4 = index_at(r + h, z + h * z3), p + h * p3
-    n, _, n_z, _ = s4
-    ww = n * n - pp4 * pp4
-    w4 = _raise_vertical(n, pp4) if ww <= 0.0 else math.sqrt(ww)
-    z4, p4 = pp4 / w4, n * n_z / w4
+    n2, _, g2, gg2 = index_at(rm, z + hh * z1)
+    pp2 = p + hh * p1
+    ww = n2 * n2 - pp2 * pp2
+    w2 = _raise_vertical(n2, pp2) if ww <= 0.0 else math.sqrt(ww)
+    z2, p2 = pp2 / w2, n2 * g2 / w2
+    n3, _, g3, gg3 = index_at(rm, z + hh * z2)
+    pp3 = p + hh * p2
+    ww = n3 * n3 - pp3 * pp3
+    w3 = _raise_vertical(n3, pp3) if ww <= 0.0 else math.sqrt(ww)
+    z3, p3 = pp3 / w3, n3 * g3 / w3
+    n4, _, g4, gg4 = index_at(r + h, z + h * z3)
+    pp4 = p + h * p3
+    ww = n4 * n4 - pp4 * pp4
+    w4 = _raise_vertical(n4, pp4) if ww <= 0.0 else math.sqrt(ww)
+    z4, p4 = pp4 / w4, n4 * g4 / w4
     h6 = h / 6.0
-    return (
-        z + h6 * (z1 + 2.0 * z2 + 2.0 * z3 + z4),
-        p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
-        ((sample, p, w1, z1), (s2, pp2, w2, z2), (s3, pp3, w3, z3), (s4, pp4, w4, z4)),
-    )
-
-
-def _variation_rhs(sample, p: float, w: float, q11: float, q12: float,
-                   q21: float, q22: float) -> tuple[float, float, float, float]:
-    """Variation right-hand side (dq11, dq12, dq21, dq22) = K q.
-
-    ``sample`` is the index tuple (n, n_r, n_z, n_zz) and ``w`` =
-    sqrt(n^2 - p^2) at the same point.
-    k11 = p n n_z / w^3, k12 = (n_z^2 + n n_zz) / w - (n n_z)^2 / w^3,
-    k21 = n^2 / w^3 and k22 = -k11.
-    """
-    n, _, n_z, n_zz = sample
-    w3 = w * w * w
-    k11 = p * n * n_z / w3
-    k12 = (n_z * n_z + n * n_zz) / w - (n * n_z) ** 2 / w3
-    k21 = n * n / w3
-    k22 = -k11
-    return (
-        k11 * q11 + k12 * q21,
-        k11 * q12 + k12 * q22,
-        k21 * q11 + k22 * q21,
-        k21 * q12 + k22 * q22,
-    )
-
-
-def _variation_step(stages, q: tuple, h: float) -> tuple:
-    """The RK4 step of q = (q11, q12, q21, q22) over the ray step that
-    produced ``stages`` (of length ``h``): the stage points of the ray do
-    not depend on q, so q is advanced from them afterwards."""
-    a, b, c, d = q
-    hh = 0.5 * h
-    (s1, p1, w1, _), (s2, p2, w2, _), (s3, p3, w3, _), (s4, p4, w4, _) = stages
-    a1, b1, c1, d1 = _variation_rhs(s1, p1, w1, a, b, c, d)
-    a2, b2, c2, d2 = _variation_rhs(s2, p2, w2, a + hh * a1, b + hh * b1,
-                                    c + hh * c1, d + hh * d1)
-    a3, b3, c3, d3 = _variation_rhs(s3, p3, w3, a + hh * a2, b + hh * b2,
-                                    c + hh * c2, d + hh * d2)
-    a4, b4, c4, d4 = _variation_rhs(s4, p4, w4, a + h * a3, b + h * b3,
-                                    c + h * c3, d + h * d3)
-    h6 = h / 6.0
-    return (
-        a + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-        b + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
-        c + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
-        d + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4),
-    )
+    if q is not None:
+        a, b, c, d = q
+        t = w1 * w1 * w1
+        k11, k21 = p * n1 * g1 / t, n1 * n1 / t
+        k12 = (g1 * g1 + n1 * gg1) / w1 - (n1 * g1) ** 2 / t
+        a1, b1 = k11 * a + k12 * c, k11 * b + k12 * d
+        c1, d1 = k21 * a - k11 * c, k21 * b - k11 * d
+        qa, qb, qc, qd = a + hh * a1, b + hh * b1, c + hh * c1, d + hh * d1
+        t = w2 * w2 * w2
+        k11, k21 = pp2 * n2 * g2 / t, n2 * n2 / t
+        k12 = (g2 * g2 + n2 * gg2) / w2 - (n2 * g2) ** 2 / t
+        a2, b2 = k11 * qa + k12 * qc, k11 * qb + k12 * qd
+        c2, d2 = k21 * qa - k11 * qc, k21 * qb - k11 * qd
+        qa, qb, qc, qd = a + hh * a2, b + hh * b2, c + hh * c2, d + hh * d2
+        t = w3 * w3 * w3
+        k11, k21 = pp3 * n3 * g3 / t, n3 * n3 / t
+        k12 = (g3 * g3 + n3 * gg3) / w3 - (n3 * g3) ** 2 / t
+        a3, b3 = k11 * qa + k12 * qc, k11 * qb + k12 * qd
+        c3, d3 = k21 * qa - k11 * qc, k21 * qb - k11 * qd
+        qa, qb, qc, qd = a + h * a3, b + h * b3, c + h * c3, d + h * d3
+        t = w4 * w4 * w4
+        k11, k21 = pp4 * n4 * g4 / t, n4 * n4 / t
+        k12 = (g4 * g4 + n4 * gg4) / w4 - (n4 * g4) ** 2 / t
+        a4, b4 = k11 * qa + k12 * qc, k11 * qb + k12 * qd
+        c4, d4 = k21 * qa - k11 * qc, k21 * qb - k11 * qd
+        q = (a + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4), b + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+             c + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4), d + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
+    # Dense output in powers of s = t h: b1 = t - 3t^2/2 + 2t^3/3, b2 = b3 = t^2 - 2t^3/3,
+    # b4 = -t^2/2 + 2t^3/3.
+    return (z + h6 * (z1 + 2.0 * z2 + 2.0 * z3 + z4), p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+            q, z1, (-1.5 * z1 + z2 + z3 - 0.5 * z4) / h,
+            (2.0 / 3.0) * (z1 - z2 - z3 + z4) / (h * h))
 
 
 # ---------------------------------------------------------------------------
@@ -342,24 +327,24 @@ def _seed(gap, hi: float, g_lo: float, g_hi: float, tol: float):
     return s, slope
 
 
-def _land(index_at, bath, boundary, r0, z0, p0, sample0, hi, s, slope, tol):
+def _land(index_at, bath, boundary, r0, z0, p0, sample0, q0, hi, s, slope, tol):
     """Exact RK4 ray state on the boundary, by a secant search on the true map.
 
     G(s) = gap(r0 + s, RK4(r0, (z0, p0), s).z) is searched from the
     interpolant's root ``s`` and slope; proposals outside the bracket
-    (0, hi), tightened by every evaluation, fall back to bisection.  Trial
-    steps march (z, p) alone.  Returns (s, p, stages, converged) of the
-    landed step; at the iteration cap, or once the bracket has collapsed to
-    adjacent floats so that no new point lies strictly inside it, of the
+    (0, hi), tightened by every evaluation, fall back to bisection.  Each
+    trial step advances q0 with the ray.  Returns (s, p, q, converged) of
+    the landed step; at the iteration cap, or once the bracket has collapsed
+    to adjacent floats so that no new point lies strictly inside it, of the
     last evaluated step.
     """
     lo = 0.0
     g_prev = None
     for _ in range(_LAND_MAX_ITER):
-        z, p, stages = _ray_step(index_at, r0, z0, p0, sample0, s)
+        z, p, q, _, _, _ = _rk4_step(index_at, r0, z0, p0, sample0, s, q0)
         g = _gap(bath, boundary, r0 + s, z)
         if abs(g) < tol:
-            return s, p, stages, True
+            return s, p, q, True
         if g > 0.0:
             hi = s
         else:
@@ -372,24 +357,24 @@ def _land(index_at, bath, boundary, r0, z0, p0, sample0, hi, s, slope, tol):
             s = 0.5 * (lo + hi)
             if not lo < s < hi:
                 break
-    return s_prev, p, stages, False
+    return s_prev, p, q, False
 
 
-def _find_crossing(index_at, bath, r0, z0, p0, sample0, h, z_end, stages, dense,
+def _find_crossing(index_at, bath, r0, z0, p0, sample0, q0, h, z_end, dense,
                    above_floor, tol):
     """First boundary crossing within a step the trace loop's screen did
     not clear, or None.
 
-    ``dense`` is the step's (c2, c3, z_mid) and ``above_floor`` the
+    ``dense`` is the step's (d1, c2, c3, z_mid) and ``above_floor`` the
     screen's floor test.  A crossing is bracketed by the gap at the step
     end or, when that is inside, at the midpoint (a shallow double
     crossing).  A step with neither bracketed returns None before any
     search is set up; only a bracketed boundary is searched, from the gap
     already computed at its bracket end.  Returns (step_length, boundary,
-    p, stages, converged) of the landed step.
+    p, q, converged) of the landed step.
     """
-    c2, c3, z_mid = dense
-    d1, hh = stages[0][3], 0.5 * h
+    d1, c2, c3, z_mid = dense
+    hh = 0.5 * h
     # The step starts inside or, after a bounce, exactly on a boundary, so
     # only the far end and the midpoint need checking: (bracket end, gap).
     hi_top, g_top = h, -z_end
@@ -412,9 +397,9 @@ def _find_crossing(index_at, bath, r0, z0, p0, sample0, h, z_end, stages, dense,
             return _gap(bath, boundary, r0 + s, z0 + s * (d1 + s * (c2 + s * c3)))
 
         s, slope = _seed(gap, hi, _gap(bath, boundary, r0, z0), g_hi, tol)
-        s, p_hit, stages_hit, converged = _land(index_at, bath, boundary, r0, z0, p0,
-                                                sample0, hi, s, slope, tol)
-        hits.append((s, boundary, p_hit, stages_hit, converged))
+        s, p_hit, q_hit, converged = _land(index_at, bath, boundary, r0, z0, p0, sample0,
+                                           q0, hi, s, slope, tol)
+        hits.append((s, boundary, p_hit, q_hit, converged))
     return min(hits, key=lambda item: item[0])
 
 
@@ -460,8 +445,8 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
 
     # s is always the index tuple at (r, z), the next step's k1 sample.
     r, z, p = cfg.r_start, z0, p0
-    q = (1.0, 0.0, 0.0, 1.0) if variations else (math.nan,) * 4
-    samples, ns = array("d", (r, z, p, *q)), array("d", (s[0],))
+    q = (1.0, 0.0, 0.0, 1.0) if variations else None
+    samples, ns = array("d", (r, z, p, *(q or _NO_Q))), array("d", (s[0],))
     bounces: list[BounceRecord] = []
     status = completed = TraceStatus.COMPLETED
     unconverged = 0
@@ -472,27 +457,21 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
         h = r_end - r if r_end - r < dr else dr  # min(dr, r_end - r), ties included
         # One advance, step or landed bounce; one that raises appends no row.
         try:
-            z_end, p_end, stages = _ray_step(index_at, r, z, p, s, h)
-            # The step screen.  Dense-output depth in powers of s = t h (b1 = t - 3t^2/2
-            # + 2t^3/3, b2 = b3 = t^2 - 2t^3/3, b4 = -t^2/2 + 2t^3/3) and at the midpoint.
-            d1, d2, d3, d4 = stages[0][3], stages[1][3], stages[2][3], stages[3][3]
-            c2 = (-1.5 * d1 + d2 + d3 - 0.5 * d4) / h
-            c3 = (2.0 / 3.0) * (d1 - d2 - d3 + d4) / (h * h)
+            z_end, p_end, q_end, d1, c2, c3 = _rk4_step(index_at, r, z, p, s, h, q)
+            # The step screen, on the dense-output depth at the midpoint.
             hh = 0.5 * h
             z_mid = z + hh * (d1 + hh * (c2 + hh * c3))
             # Above the bottom's floor over a span holding the step: no bottom gap is positive.
             above = z_end < z_floor and z_mid < z_floor and r_lo <= r and r + h <= r_hi
             boundary = None
             if z_end < 0.0 or z_mid < 0.0 or not above:
-                hit = _find_crossing(index_at, bath, r, z, p, s, h, z_end, stages,
-                                     (c2, c3, z_mid), above, tol)
+                hit = _find_crossing(index_at, bath, r, z, p, s, q, h, z_end,
+                                     (d1, c2, c3, z_mid), above, tol)
                 if hit is not None:
-                    h, boundary, p_end, stages, converged = hit
+                    h, boundary, p_end, q_end, converged = hit
                     unconverged += not converged
-            if variations:
-                q = _variation_step(stages, q, h)
             r += h
-            p = p_end
+            p, q = p_end, q_end
             if boundary is None:
                 z = z_end
             elif boundary == SURFACE:
@@ -530,7 +509,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                 bounces.append(BounceRecord(r=r, z=z, boundary=boundary,
                                             theta_incident=math.atan2(tz, tr), kappa=kappa))
                 p = s[0] * t1[1]
-                if variations:
+                if q is not None:
                     q11, q12, q21, q22 = q
                     q = (
                         kappa.k11 * q11 + kappa.k12 * q21,
@@ -539,7 +518,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                         kappa.k22 * q22,
                     )
 
-        samples.fromlist([r, z, p, *q])
+        samples.fromlist([r, z, p, *(q or _NO_Q)])
         ns.append(s[0])
         if status is not completed:
             break

@@ -2,9 +2,11 @@
 
 These are the expressions the fields evaluated before they stored their
 constants at construction and squared c (or f) once per call.  Each
-reference reads only the field's public parameters, and a 1D profile's
-spline table; a 2D grid is refitted with scipy.  So the tests can check
-that the fields still return these tuples bit for bit.
+reference reads only the field's public parameters: a 1D profile is
+refitted with the package's spline table and evaluated through its call,
+which ``index_at`` no longer takes, and a 2D grid is refitted with scipy.
+So the tests can check that the fields still return these tuples bit for
+bit.
 """
 
 import functools
@@ -46,6 +48,14 @@ def munk_index(field: MunkField, r: float, z: float):
 
 
 @functools.cache
+def _depth_spline(field: GriddedField):
+    """A 1D profile's natural spline, fitted again from its public samples."""
+    from varitrace.environment import _CubicTable
+
+    return _CubicTable(field.depths, field.c_values)
+
+
+@functools.cache
 def _range_splines(field: GriddedField):
     """The 2D grid refitted with scipy in the field's two passes: a natural
     ``CubicSpline`` through each range row in depth, then, per depth
@@ -61,7 +71,7 @@ def gridded_index(field: GriddedField, r: float, z: float):
     if not (field.depths[0] <= z <= field.depths[-1]):
         raise DomainError("depth outside gridded field", "z", z)
     if field.ranges is None:
-        c, c_z, c_zz = field._table(z)
+        c, c_z, c_zz = _depth_spline(field)(z)
         c_r = 0.0
     else:
         from scipy.interpolate import PPoly

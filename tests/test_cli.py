@@ -261,6 +261,48 @@ class TestTraceCommand:
         assert "# status: backscattered" in out.read_text()
 
 
+class TestSlopeFloor:
+    """A deepening slope's floor (depth0, over the deepening side of r = 0)
+    lets the step screen skip bottom queries: trace and fan write the bytes
+    they write without a floor, with fewer ``depth_at`` calls."""
+
+    CFG = (BASE_CFG.replace("kind = constant\nc0 = 1500.0",
+                            "kind = linear-gradient\nc_surface = 1490.0\ngradient = 3e-4")
+           .replace("kind = flat\ndepth = 1000.0",
+                    "kind = linear-slope\ndepth0 = 200.0\nslope = 0.02")
+           .replace("z0 = 0.0", "z0 = 50.0").replace("theta0_deg = 45.0", "theta0_deg = 12.0")
+           .replace("dr = 50.0", "dr = 10.0")
+           + "\n[fan]\ntheta_min_deg = -25\ntheta_max_deg = 25\ncount = 11\n")
+
+    @pytest.mark.parametrize("command", ["trace", "fan"])
+    def test_same_bytes_fewer_depth_queries(self, tmp_path, monkeypatch, command):
+        cfg = write_cfg(tmp_path, self.CFG)
+        calls = []
+        depth_at = LinearSlopeBottom.depth_at
+
+        def counted(self, r):
+            calls[-1] += 1
+            return depth_at(self, r)
+
+        monkeypatch.setattr(LinearSlopeBottom, "depth_at", counted)
+        outputs = []
+        for floored in (True, False):
+            if not floored:
+                init = LinearSlopeBottom.__init__
+
+                def no_floor(self, *args, **kwargs):
+                    init(self, *args, **kwargs)
+                    del self.floor  # the class default, which promises nothing
+
+                monkeypatch.setattr(LinearSlopeBottom, "__init__", no_floor)
+            calls.append(0)
+            outputs.append(tmp_path / f"{command}-{floored}.csv")
+            assert main([command, "--config", cfg, "--output", str(outputs[-1])]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+        assert len(read_rows(outputs[0])) > 500
+        assert 0 < calls[0] < calls[1]
+
+
 class TestDomainExitWhereTheSoundSpeedVanishes:
     """A ray whose plain step ends past the depth where c = 0 ends as
     ``domain_exit`` with exit 0, in a trace and among the rays of a fan."""
@@ -1088,3 +1130,21 @@ class TestCarriedIndex:
         rows = list(cli._trace_rows(result))
         assert sum(1 for line in rows if not line.endswith(",")) == len(result.bounces)
         assert rows == expected
+
+    def test_theta_clamp_is_min_max_for_every_ratio(self):
+        """The writer's comparison clamp of p / n gives ``max(-1.0, min(1.0,
+        p / n))``'s theta bit for bit, at and past both ends, on signed
+        zeros and on NaN, which min and max carry as 1.0."""
+        from array import array
+
+        import varitrace.cli as cli
+        from varitrace.propagation import TraceResult, TraceStatus
+
+        ps = [math.nan, math.inf, -math.inf, 2.0, -2.0, 1.0, -1.0, 1.0 + 2**-52,
+              -1.0 - 2**-52, 1.0 - 2**-53, -1.0 + 2**-53, 0.0, -0.0, 0.3, -0.3, 5e-324]
+        result = TraceResult(
+            packed_samples=array("d", [v for p in ps for v in (0.0, 1.0, p, 1.0, 0.0, 0.0, 1.0)]),
+            packed_n=array("d", [1.0] * len(ps)), bounces=[], status=TraceStatus.COMPLETED)
+        thetas = [line.split(",")[3] for line in cli._trace_rows(result)]
+        assert thetas == [format(math.degrees(math.asin(max(-1.0, min(1.0, p)))), ".17g")
+                          for p in ps]

@@ -539,6 +539,7 @@ def _bathymetries():
     return {
         "flat": FlatBottom(250.0),
         "linear-slope": LinearSlopeBottom(depth0=300.0, slope=-0.05),
+        "linear-slope-deepening": LinearSlopeBottom(depth0=300.0, slope=0.05),
         "sinusoidal": SinusoidalBottom(100.0, 4.0, 2.0 * math.pi / 80.0, phase=0.3),
         "sinusoidal-negative": SinusoidalBottom(2000.0, -60.0, 0.003),
         "arc-up": ArcBottom(radius=1500.0, r_center=1000.0, z_center=1620.0, bulge="up"),
@@ -567,6 +568,9 @@ def _span_points(bath, count=10_000):
         k, phase = bath.wavenumber, bath.phase
         trough = -0.5 * math.pi if bath.amplitude > 0.0 else 0.5 * math.pi
         points += [(trough + 2.0 * math.pi * j - phase) / k for j in range(-3, 4)]
+    if isinstance(bath, LinearSlopeBottom):  # the span's r = 0 end, and far along it
+        side = 1.0 if r_hi == math.inf else -1.0
+        points += [0.0, -0.0, side * 5e-324, side * 1e-300, side * 1e6, side * 1e300]
     return points
 
 
@@ -598,7 +602,10 @@ class TestDepthQueries:
         assert BATHYMETRIES["flat"].floor == (250.0, -math.inf, math.inf)
         assert BATHYMETRIES["sinusoidal"].floor == (96.0, -math.inf, math.inf)
         assert BATHYMETRIES["sinusoidal-negative"].floor == (1940.0, -math.inf, math.inf)
-        for name in ("linear-slope", "arc-up", "arc-down"):
+        assert BATHYMETRIES["linear-slope"].floor == (300.0, -math.inf, 0.0)
+        assert BATHYMETRIES["linear-slope-deepening"].floor == (300.0, 0.0, math.inf)
+        assert LinearSlopeBottom(300.0, 0.0).floor == (300.0, 0.0, math.inf)
+        for name in ("arc-up", "arc-down"):
             assert BATHYMETRIES[name].floor == (-math.inf, -math.inf, math.inf)
         assert BATHYMETRIES["piecewise"].floor[1:] == (0.0, 3000.0)
 

@@ -81,13 +81,15 @@ def test_package_imports_exist():
 REMOVED = {"IndexSample": "environment", "reflect_direction": "reflection",
            "IdentityPair": "reflection", "SpreadingFactor": "propagation",
            "KappaVerification": "oracle", "BottomSample": "environment",
-           "ReflectionContext": "reflection"}
+           "ReflectionContext": "reflection", "_ray_step": "propagation",
+           "_variation_step": "propagation", "_variation_rhs": "propagation"}
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
 def test_removed_names_stay_gone(name):
     """Wrappers no ``src/`` code needed: their callers read the plain tuple
-    or float underneath."""
+    or float underneath.  The split RK4 kernel's three parts are one
+    ``propagation._rk4_step`` now."""
     module = importlib.import_module(f"varitrace.{REMOVED[name]}")
     assert not hasattr(varitrace, name)
     assert not hasattr(module, name)
@@ -172,12 +174,12 @@ def call_name(node):
 
 def test_trace_loop_has_one_guarded_advance():
     """Inside ``trace_from_pulse``'s loop, a plain step and a landed bounce
-    share one advance: one call each of ``_variation_step``, ``index_at``
-    and ``bottom_at``, each inside a ``try`` that handles DomainError, so a
-    ray leaving a field or bottom ends as ``domain_exit``, never raises.
-    Each bounce makes one ``kappa_matrix`` call, inside a ``try`` that
-    handles GeometryError, so a rejected bounce ends the trace instead.
-    Each step makes one ``_ray_step`` call, and ``_find_crossing`` is
+    share one advance: one call each of ``_rk4_step``, which advances
+    (z, p) and q together, ``index_at`` and ``bottom_at``, each inside a
+    ``try`` that handles DomainError, so a ray leaving a field or bottom
+    ends as ``domain_exit``, never raises.  Each bounce makes one
+    ``kappa_matrix`` call, inside a ``try`` that handles GeometryError, so
+    a rejected bounce ends the trace instead.  ``_find_crossing`` is
     called only in the body of the step screen's ``if`` on ``z_end`` and
     ``z_mid``, so a step in open water makes no call to it.  Each sample's
     row is written by one ``fromlist`` call, never an item-by-item
@@ -193,9 +195,9 @@ def test_trace_loop_has_one_guarded_advance():
                 for stmt in node.body for inner in ast.walk(stmt)}
 
     calls = [node for node in ast.walk(loop) if isinstance(node, ast.Call)]
-    for name, error in (("_variation_step", "DomainError"), ("index_at", "DomainError"),
+    for name, error in (("_rk4_step", "DomainError"), ("index_at", "DomainError"),
                         ("bottom_at", "DomainError"), ("kappa_matrix", "GeometryError"),
-                        ("_ray_step", "DomainError"), ("_find_crossing", "DomainError")):
+                        ("_find_crossing", "DomainError")):
         named = [node for node in calls if call_name(node) == name]
         assert len(named) == 1, f"{name}: {len(named)} calls in the trace loop"
         assert id(named[0]) in guarded_by(error), f"{name} called outside a {error} handler's try"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hamiltonian_reference import hamiltonian, k_matrix, ray_rhs
+from hamiltonian_reference import hamiltonian, k_matrix, ray_rhs, rk4_step
 from varitrace import (
     ConstantField,
     GriddedField,
@@ -139,11 +139,12 @@ class TestKMatrix:
 
 
 class TestSplitKernel:
-    """The integrator's RK4 stages equal the reference ray_rhs bit for bit
-    (TestRayStep), the w they hand on is -H bit for bit, and
-    _variation_rhs's written-out K q product equals K (its value at q = I)
-    times q bit for bit, so the FD checks of ray_rhs and k_matrix above
-    cover what the integrator runs."""
+    """The integrator's one kernel advances (z, p) and q over the same
+    stages: its ray part equals the reference RK4 step on ray_rhs bit for
+    bit (TestRayStep), the w it divides by is -H bit for bit, and its q
+    part equals the reference step's K q slopes, K from k_matrix, bit for
+    bit, so the FD checks of ray_rhs and k_matrix above cover what the
+    integrator runs."""
 
     def test_w_is_minus_hamiltonian(self):
         rng = np.random.default_rng(5)
@@ -153,17 +154,23 @@ class TestSplitKernel:
             assert ray_rhs(s, p)[2] == -hamiltonian(s[0], p)
 
     def test_dq_equals_k_times_q(self):
+        """Random index tuples at every stage, so every K entry and every
+        stage of the q advance is exercised; ray-only steps carry q = None."""
         rng = np.random.default_rng(6)
         for _ in range(500):
-            s = (rng.uniform(0.9, 1.2), rng.uniform(-0.01, 0.01),
-                 rng.uniform(-0.02, 0.02), rng.uniform(-1e-4, 1e-4))
-            p = rng.uniform(-0.8, 0.8)
-            q11, q12, q21, q22 = rng.uniform(-5.0, 5.0, 4).tolist()
-            (k11, k12), (k21, k22) = k_matrix(s, p).tolist()
-            w = ray_rhs(s, p)[2]
-            out = propagation._variation_rhs(s, p, w, q11, q12, q21, q22)
-            assert out == (k11 * q11 + k12 * q21, k11 * q12 + k12 * q22,
-                           k21 * q11 + k22 * q21, k21 * q12 + k22 * q22)
+            samples = [(rng.uniform(0.9, 1.2), rng.uniform(-0.01, 0.01),
+                        rng.uniform(-0.02, 0.02), rng.uniform(-1e-4, 1e-4)) for _ in range(4)]
+            samples = [tuple(map(float, s)) for s in samples]
+            p = float(rng.uniform(-0.5, 0.5))
+            h = float(rng.uniform(0.1, 20.0))
+            q = tuple(rng.uniform(-5.0, 5.0, 4).tolist())
+            for q0 in (q, None):
+                out = propagation._rk4_step(_ScriptedField(samples[1:]).index_at, 0.0, 10.0,
+                                            p, samples[0], h, q0)
+                ref = rk4_step(_ScriptedField(samples[1:]).index_at, 0.0, 10.0, p,
+                               samples[0], h, q0)
+                assert out == ref
+                assert (out[2] is None) is (q0 is None)
 
 
 def _builtin_fields():
@@ -188,21 +195,22 @@ BUILTIN_FIELDS = _builtin_fields()
 
 
 class _ScriptedField(SoundSpeedField):
-    """A field without gradients whose n at successive ``index_at`` calls
-    is read from a list."""
+    """A field whose index tuples at successive ``index_at`` calls are read
+    from a list; a bare n stands for (n, 0, 0, 0)."""
 
-    def __init__(self, ns):
+    def __init__(self, samples):
         super().__init__(1500.0)
-        self._ns = list(ns)
+        self._samples = [s if isinstance(s, tuple) else (s, 0.0, 0.0, 0.0) for s in samples]
 
     def index_at(self, r, z):
-        return self._ns.pop(0), 0.0, 0.0, 0.0
+        return self._samples.pop(0)
 
 
 class TestRayStep:
-    """``propagation._ray_step`` writes the ray right-hand side out at each
-    stage; every stage, and the step it gives, equals an RK4 step built on
-    the reference ``ray_rhs`` bit for bit."""
+    """``propagation._rk4_step`` writes the ray right-hand side out at each
+    stage; the step it gives, its dense output and its q advance equal
+    the reference RK4 step built on ``ray_rhs`` and ``k_matrix`` bit for
+    bit, and its q advance is the Jacobian of its own (p, z) map."""
 
     @pytest.mark.parametrize("kind", BUILTIN_FIELDS)
     def test_stages_equal_reference_ray_rhs(self, kind):
@@ -215,26 +223,35 @@ class TestRayStep:
             sample = field.index_at(r, z)
             assert type(sample) is tuple and len(sample) == 4
             p = float(rng.uniform(-0.5, 0.5)) * sample[0]
-            z_end, p_end, stages = propagation._ray_step(field.index_at, r, z, p, sample, h)
+            q = tuple(rng.uniform(-5.0, 5.0, 4).tolist())
+            for q0 in (q, (1.0, 0.0, 0.0, 1.0), None):
+                out = propagation._rk4_step(field.index_at, r, z, p, sample, h, q0)
+                assert out == rk4_step(field.index_at, r, z, p, sample, h, q0)
 
-            hh = 0.5 * h
-            ref = []
-            for k, (s_k, p_k, w_k, dz_k) in enumerate(stages):
-                if k == 0:
-                    assert s_k is sample and p_k == p
-                else:
-                    step = hh if k < 3 else h
-                    r_k = r + hh if k < 3 else r + h
-                    dz_prev, dp_prev, _ = ref[-1]
-                    assert s_k == field.index_at(r_k, z + step * dz_prev)
-                    assert p_k == p + step * dp_prev
-                dz_ref, dp_ref, w_ref = ray_rhs(s_k, p_k)
-                assert (w_k, dz_k) == (w_ref, dz_ref)
-                ref.append((dz_ref, dp_ref, w_ref))
-            (z1, p1, _), (z2, p2, _), (z3, p3, _), (z4, p4, _) = ref
-            h6 = h / 6.0
-            assert z_end == z + h6 * (z1 + 2.0 * z2 + 2.0 * z3 + z4)
-            assert p_end == p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+    @pytest.mark.parametrize("kind", BUILTIN_FIELDS)
+    def test_q_end_is_the_jacobian_of_the_step(self, kind):
+        """An RK step of the variational equation is the Jacobian of the RK
+        map: a centred FD of the kernel's one-step (p, z) map, the start
+        sample re-read at each perturbed depth, equals its q_end at q = I."""
+        field, (z_lo, z_hi) = BUILTIN_FIELDS[kind]
+        rng = np.random.default_rng(23)
+        e_p, e_z = 1e-5, 1e-2  # FD error at most 1.4e-8 on q21 (about 3.6), 2e-15 on q12
+
+        def end(z, p):
+            z_end, p_end, *_ = propagation._rk4_step(field.index_at, r, z, p,
+                                                     field.index_at(r, z), h, None)
+            return np.array([p_end, z_end])
+
+        for _ in range(20):
+            r = float(rng.uniform(0.0, 2_500.0))
+            z = float(rng.uniform(z_lo + 20.0, z_hi - 20.0))
+            h = float(rng.uniform(1.0, 20.0))
+            p = float(rng.uniform(-0.4, 0.4)) * field.index_at(r, z)[0]
+            q_end = propagation._rk4_step(field.index_at, r, z, p, field.index_at(r, z), h,
+                                          (1.0, 0.0, 0.0, 1.0))[2]
+            fd = np.column_stack([(end(z, p + e_p) - end(z, p - e_p)) / (2.0 * e_p),
+                                  (end(z + e_z, p) - end(z - e_z, p)) / (2.0 * e_z)])
+            np.testing.assert_allclose(fd, np.reshape(q_end, (2, 2)), rtol=1e-5, atol=1e-13)
 
     @pytest.mark.parametrize("stage", range(4))
     def test_vertical_stage_raises(self, stage):
@@ -244,8 +261,10 @@ class TestRayStep:
         for n_bad in (p, 0.25):
             ns = [1.0] * 4
             ns[stage] = n_bad
-            field = _ScriptedField(ns[1:])
             with pytest.raises(SteepRayError):
                 ray_rhs((n_bad, 0.0, 0.0, 0.0), p)
-            with pytest.raises(SteepRayError):
-                propagation._ray_step(field.index_at, 0.0, 10.0, p, (ns[0], 0.0, 0.0, 0.0), 1.0)
+            for q in ((1.0, 0.0, 0.0, 1.0), None):
+                field = _ScriptedField(ns[1:])
+                with pytest.raises(SteepRayError):
+                    propagation._rk4_step(field.index_at, 0.0, 10.0, p, (ns[0], 0.0, 0.0, 0.0),
+                                          1.0, q)

@@ -18,8 +18,7 @@ from varitrace.cli import main
 
 # Module functions counted where their callers look them up.
 FUNCTIONS = (
-    (propagation, "_ray_step"),
-    (propagation, "_variation_step"),
+    (propagation, "_rk4_step"),
     (propagation, "_find_crossing"),
     (propagation, "_land"),
     (propagation, "kappa_matrix"),
@@ -40,22 +39,24 @@ COMMANDS = {
 }
 
 # The README trace has 1,503 samples and 3 bounces; each bounce lands with
-# one _land call.  verify makes 68 oracle traces (4 presets x 1 central
-# and 16 ray-only perturbed rays) and 2,000 structure-sweep kappa_matrix
+# one _land call.  "q_advance" counts the _rk4_step calls that carry q:
+# every call of a full trace, the landing search's trial steps included,
+# and none of a ray-only trace.  verify makes 68 oracle traces (4 presets
+# x 1 central and 16 ray-only perturbed rays) and 2,000 structure-sweep kappa_matrix
 # calls beside the 68 bounces' own; identity_checks is one call per block
 # of draws.  _find_crossing runs only for the steps the trace loop's screen
 # does not clear: every step over a bottom with no depth floor (verify's
 # two arc presets), else only steps near the surface or the floor.
 EXPECTED = {
-    "trace": {"_ray_step": 1505, "_variation_step": 1502, "_find_crossing": 77, "_land": 3,
+    "trace": {"_rk4_step": 1505, "q_advance": 1505, "_find_crossing": 77, "_land": 3,
               "kappa_matrix": 3, "index_at": 6019, "depth_at": 171, "bottom_at": 3},
-    "fan": {"_ray_step": 7533, "_variation_step": 7508, "_find_crossing": 225, "_land": 16,
+    "fan": {"_rk4_step": 7533, "q_advance": 7533, "_find_crossing": 225, "_land": 16,
             "kappa_matrix": 16, "index_at": 30117, "depth_at": 497, "bottom_at": 10},
-    "fan-gridded": {"_ray_step": 5712, "_variation_step": 5546, "_find_crossing": 371,
+    "fan-gridded": {"_rk4_step": 5712, "q_advance": 5712, "_find_crossing": 371,
                     "_land": 90, "kappa_matrix": 90, "index_at": 22704, "depth_at": 910,
                     "bottom_at": 46},
     "kappa-scan": {"kappa_matrix": 1086},
-    "verify": {"_ray_step": 52156, "_variation_step": 3064, "_find_crossing": 11006,
+    "verify": {"_rk4_step": 52156, "q_advance": 3068, "_find_crossing": 11006,
                "_land": 68, "kappa_matrix": 2068, "index_at": 208628, "depth_at": 22418,
                "bottom_at": 68, "trace_from_pulse": 68, "identity_checks": 13},
 }
@@ -63,7 +64,8 @@ EXPECTED = {
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counter of the calls made to each name in FUNCTIONS and METHODS."""
+    """Counter of the calls made to each name in FUNCTIONS and METHODS, and
+    of the ``_rk4_step`` calls that advance q ("q_advance")."""
     counts = Counter()
 
     def counting(original, name):
@@ -71,6 +73,15 @@ def calls(monkeypatch):
             counts[name] += 1
             return original(*args, **kwargs)
         return counted
+
+    step = propagation._rk4_step
+
+    def counted_step(index_at, r, z, p, sample, h, q):
+        if q is not None:
+            counts["q_advance"] += 1
+        return step(index_at, r, z, p, sample, h, q)
+
+    monkeypatch.setattr(propagation, "_rk4_step", counted_step)
 
     for module, name in FUNCTIONS:
         monkeypatch.setattr(module, name, counting(getattr(module, name), name))
