@@ -25,7 +25,6 @@ from .environment import (
     PiecewiseBottom,
     SinusoidalBottom,
     SoundSpeedField,
-    surface_frame,
 )
 from .errors import (
     ConfigError,

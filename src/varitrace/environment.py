@@ -57,7 +57,6 @@ __all__ = [
     "SinusoidalBottom",
     "ArcBottom",
     "PiecewiseBottom",
-    "surface_frame",
 ]
 
 
@@ -86,11 +85,6 @@ class NormalFrame:
         if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"normal (nr, nz) must be unit length, got |N| = {norm!r}")
         _finite("curvature", self.curvature)
-
-
-def surface_frame() -> NormalFrame:
-    """Frame of the flat free surface z = 0 (normal points down, into water)."""
-    return NormalFrame(nr=0.0, nz=1.0, curvature=0.0)
 
 
 def _bottom_frame(slope: float, d2: float) -> NormalFrame:

@@ -20,21 +20,23 @@ rays), which carries q = None and computes no K term.
 
 Each step's own stage derivatives give a cubic dense output of depth (the
 continuous extension of RK4, Hairer, Norsett & Wanner, Solving ODEs I, II.6)
-at no extra right-hand-side evaluation.  A boundary crossing is bracketed by
-the sign of the boundary gap (-z at the surface, z - depth_at(r) at the
-bottom) at the step end or, when both ends are inside, at the interpolated
-step midpoint (a shallow double crossing).  The trace loop screens each step
-in line and calls ``_find_crossing`` only when a point lies above the
-surface or the two are not both above the bottom's ``floor`` over a span
-holding the step; depths are queried only in the second case.  That is the
-decision the queries would give, and it certifies nothing between the
-points.  A search is set up only for a bracketed boundary.  There an
-Illinois search on the interpolated gap seeds a safeguarded secant search on
-the exact RK4 map from the step start, so the landing state is an RK4 state
-whose boundary residual is below ``bisect_tol``.  The reflection jump is
-applied there and marching resumes.  A plain step and a landed bounce share
-one advance, so once launched a trace reports every abnormal ending as a
-status, never an exception.
+at no extra right-hand-side evaluation.  Each boundary is one record
+(name, gap, hit): the gap is -z at the surface and z - depth_at(r) at the
+bottom, and the hit gives (z, frame) on the boundary at a range.  The trace
+loop screens each step in line, the surface by whether a point lies above
+it and the bottom by whether both lie above its ``floor`` over a span
+holding the step, and passes ``_find_crossing`` the records it did not
+clear, so depths are queried only for the bottom's.  That is the decision
+the queries would give, and it certifies nothing between the points.  Each
+record's crossing is bracketed by the sign of its gap at the step end or,
+when that is inside, at the interpolated step midpoint (a shallow double
+crossing), and only a bracketed one is searched.  There an Illinois search
+on the interpolated gap seeds a safeguarded secant search on the exact RK4
+map from the step start, so the landing state is an RK4 state whose
+boundary residual is below ``bisect_tol``.  The reflection jump is applied
+there, in the frame of the landed record's hit, and marching resumes.  A
+plain step and a landed bounce share one advance, so once launched a trace
+reports every abnormal ending as a status, never an exception.
 
 Each sample is written, as it is made, into two stdlib ``array('d')``: its
 seven columns in one ``fromlist`` call, row after row, and the index.  The
@@ -46,11 +48,12 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
-from .environment import Bathymetry, SoundSpeedField, surface_frame
+from .environment import Bathymetry, NormalFrame, SoundSpeedField
 from .errors import DomainError, GeometryError, SteepRayError
 from .reflection import KappaMatrix, kappa_matrix
 
@@ -65,8 +68,6 @@ __all__ = [
     "spreading_at",
 ]
 
-SURFACE = "surface"
-BOTTOM = "bottom"
 _NO_Q = (math.nan,) * 4  # the q columns of a ray-only trace
 
 
@@ -122,7 +123,7 @@ class BounceRecord:
 
     r: float
     z: float
-    boundary: str  # SURFACE or BOTTOM
+    boundary: str  # "surface" or "bottom"
     theta_incident: float
     kappa: KappaMatrix
 
@@ -284,11 +285,11 @@ _SEED_MAX_ITER = 100
 _LAND_MAX_ITER = 60
 
 
-def _gap(bath: Bathymetry, boundary: str, r: float, z: float) -> float:
-    # Negative inside the water column, positive past the boundary.
-    if boundary == SURFACE:
-        return -z
-    return z - bath.depth_at(r)
+# A boundary: its BounceRecord name, its gap (r, z), negative inside the water
+# and positive past it, and its hit r -> (z, frame with the normal into the water).
+_Boundary = namedtuple("_Boundary", "name gap hit")
+_SURFACE_HIT = (0.0, NormalFrame(nr=0.0, nz=1.0, curvature=0.0))
+_SURFACE = _Boundary("surface", lambda r, z: -z, lambda r: _SURFACE_HIT)
 
 
 def _seed(gap, hi: float, g_lo: float, g_hi: float, tol: float):
@@ -327,7 +328,7 @@ def _seed(gap, hi: float, g_lo: float, g_hi: float, tol: float):
     return s, slope
 
 
-def _land(index_at, bath, boundary, r0, z0, p0, sample0, q0, hi, s, slope, tol):
+def _land(index_at, gap, r0, z0, p0, sample0, q0, hi, s, slope, tol):
     """Exact RK4 ray state on the boundary, by a secant search on the true map.
 
     G(s) = gap(r0 + s, RK4(r0, (z0, p0), s).z) is searched from the
@@ -342,7 +343,7 @@ def _land(index_at, bath, boundary, r0, z0, p0, sample0, q0, hi, s, slope, tol):
     g_prev = None
     for _ in range(_LAND_MAX_ITER):
         z, p, q, _, _, _ = _rk4_step(index_at, r0, z0, p0, sample0, s, q0)
-        g = _gap(bath, boundary, r0 + s, z)
+        g = gap(r0 + s, z)
         if abs(g) < tol:
             return s, p, q, True
         if g > 0.0:
@@ -360,45 +361,40 @@ def _land(index_at, bath, boundary, r0, z0, p0, sample0, q0, hi, s, slope, tol):
     return s_prev, p, q, False
 
 
-def _find_crossing(index_at, bath, r0, z0, p0, sample0, q0, h, z_end, dense,
-                   above_floor, tol):
-    """First boundary crossing within a step the trace loop's screen did
-    not clear, or None.
+def _find_crossing(index_at, r0, z0, p0, sample0, q0, h, z_end, dense, boundaries, tol):
+    """First crossing within a step of one of ``boundaries``, the records
+    the trace loop's screen did not clear, surface first; or None.
 
-    ``dense`` is the step's (d1, c2, c3, z_mid) and ``above_floor`` the
-    screen's floor test.  A crossing is bracketed by the gap at the step
-    end or, when that is inside, at the midpoint (a shallow double
-    crossing).  A step with neither bracketed returns None before any
-    search is set up; only a bracketed boundary is searched, from the gap
-    already computed at its bracket end.  Returns (step_length, boundary,
-    p, q, converged) of the landed step.
+    ``dense`` is the step's (d1, c2, c3, z_mid).  Each record's crossing is
+    bracketed by its gap at the step end or, when that is inside, at the
+    midpoint (a shallow double crossing).  Every record is bracketed before
+    any is searched, and a step with none bracketed returns None before any
+    search is set up; a bracketed record is searched from the gap already
+    computed at its bracket end.  Returns (step_length, boundary, p, q,
+    converged) of the earliest landed step, ``boundary`` being its record.
     """
     d1, c2, c3, z_mid = dense
     hh = 0.5 * h
     # The step starts inside or, after a bounce, exactly on a boundary, so
-    # only the far end and the midpoint need checking: (bracket end, gap).
-    hi_top, g_top = h, -z_end
-    if g_top <= 0.0:
-        hi_top, g_top = hh, -z_mid
-    hi_bot, g_bot = h, 0.0
-    if not above_floor:
-        g_bot = z_end - bath.depth_at(r0 + h)
-        if g_bot <= 0.0:
-            hi_bot, g_bot = hh, z_mid - bath.depth_at(r0 + hh)
-    if g_top <= 0.0 and g_bot <= 0.0:
+    # only the far end and the midpoint need checking: (record, bracket end, gap).
+    brackets = []
+    for boundary in boundaries:
+        gap = boundary.gap
+        hi, g_hi = h, gap(r0 + h, z_end)
+        if g_hi <= 0.0:
+            hi, g_hi = hh, gap(r0 + hh, z_mid)
+        if not g_hi <= 0.0:
+            brackets.append((boundary, hi, g_hi))
+    if not brackets:
         return None
 
     hits = []
-    for boundary, hi, g_hi in ((SURFACE, hi_top, g_top), (BOTTOM, hi_bot, g_bot)):
-        if g_hi <= 0.0:
-            continue
-
-        def gap(s, boundary=boundary):
-            return _gap(bath, boundary, r0 + s, z0 + s * (d1 + s * (c2 + s * c3)))
-
-        s, slope = _seed(gap, hi, _gap(bath, boundary, r0, z0), g_hi, tol)
-        s, p_hit, q_hit, converged = _land(index_at, bath, boundary, r0, z0, p0, sample0,
-                                           q0, hi, s, slope, tol)
+    for boundary, hi, g_hi in brackets:
+        gap = boundary.gap
+        s, slope = _seed(lambda u: gap(r0 + u, z0 + u * (d1 + u * (c2 + u * c3))),
+                         hi, gap(r0, z0), g_hi, tol)
+        s, p_hit, q_hit, converged = _land(index_at, gap, r0, z0, p0, sample0, q0, hi, s,
+                                           slope, tol)
         hits.append((s, boundary, p_hit, q_hit, converged))
     return min(hits, key=lambda item: item[0])
 
@@ -428,20 +424,22 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
     full trace, and r, z and p equal its values bit for bit.
     """
     s = field_.index_at(cfg.r_start, z0)
+    depth_at = bath.depth_at
+    boundaries = surface, bottom = (
+        _SURFACE, _Boundary("bottom", lambda r, z: z - depth_at(r), bath.bottom_at))
+    gaps = [boundary.gap(cfg.r_start, z0) for boundary in boundaries]  # every depth query first
+    tz0 = p0 / s[0]
+    for boundary, gap in zip(boundaries, gaps):
+        if not gap <= 0.0:  # NaN included
+            raise ValueError(f"source depth {z0:g} outside the water column")
+        # Launching exactly on a boundary requires the ray to move into the water.
+        if gap == 0.0:
+            _, frame = boundary.hit(cfg.r_start)
+            if not math.sqrt(max(0.0, 1.0 - tz0 * tz0)) * frame.nr + tz0 * frame.nz > 0.0:
+                raise ValueError(f"source on the {boundary.name} must launch into the water")
     cutoff_sin = math.sin(cfg.steep_cutoff)
-    if abs(p0) >= s[0] * cutoff_sin:
+    if not abs(p0) < s[0] * cutoff_sin:  # NaN included
         raise ValueError(f"initial pulse {p0:g} exceeds the steep-ray cutoff")
-    z_bottom = bath.depth_at(cfg.r_start)
-    if not 0.0 <= z0 <= z_bottom:
-        raise ValueError(f"source depth {z0:g} outside the water column")
-    # Launching exactly on a boundary requires the ray to move into the water.
-    if z0 == 0.0 and p0 <= 0.0:
-        raise ValueError("source on the free surface must launch downward")
-    if z0 == z_bottom:
-        tz0 = p0 / s[0]
-        _, frame = bath.bottom_at(cfg.r_start)
-        if math.sqrt(max(0.0, 1.0 - tz0 * tz0)) * frame.nr + tz0 * frame.nz <= 0.0:
-            raise ValueError("source on the bottom must launch into the water")
 
     # s is always the index tuple at (r, z), the next step's k1 sample.
     r, z, p = cfg.r_start, z0, p0
@@ -465,8 +463,11 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             above = z_end < z_floor and z_mid < z_floor and r_lo <= r and r + h <= r_hi
             boundary = None
             if z_end < 0.0 or z_mid < 0.0 or not above:
-                hit = _find_crossing(index_at, bath, r, z, p, s, q, h, z_end,
-                                     (d1, c2, c3, z_mid), above, tol)
+                # Only the boundaries the screen did not clear, surface first.
+                uncleared = ((bottom,) if z_end >= 0.0 and z_mid >= 0.0
+                             else (surface,) if above else boundaries)
+                hit = _find_crossing(index_at, r, z, p, s, q, h, z_end,
+                                     (d1, c2, c3, z_mid), uncleared, tol)
                 if hit is not None:
                     h, boundary, p_end, q_end, converged = hit
                     unconverged += not converged
@@ -474,10 +475,8 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             p, q = p_end, q_end
             if boundary is None:
                 z = z_end
-            elif boundary == SURFACE:
-                frame, z = surface_frame(), 0.0
             else:
-                z, frame = bath.bottom_at(r)
+                z, frame = boundary.hit(r)
             s = index_at(r, z)
         except SteepRayError:
             status = TraceStatus.STEEP_RAY
@@ -506,7 +505,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                     status = TraceStatus.MAX_BOUNCES
             # A bounce that ends the trace keeps its incident p and q in the last row.
             if status is completed:
-                bounces.append(BounceRecord(r=r, z=z, boundary=boundary,
+                bounces.append(BounceRecord(r=r, z=z, boundary=boundary.name,
                                             theta_incident=math.atan2(tz, tr), kappa=kappa))
                 p = s[0] * t1[1]
                 if q is not None:

@@ -22,9 +22,9 @@ from varitrace import (
     SinusoidalBottom,
     TraceConfig,
     TraceStatus,
-    surface_frame,
     trace_ray,
 )
+from varitrace.propagation import _SURFACE
 
 
 def slope_of(frame):
@@ -303,7 +303,11 @@ class TestBathymetry:
 
 class TestNormalFrames:
     def test_surface_frame_trivial(self):
-        frame = surface_frame()
+        """The surface record's hit: z = 0 at every range, a unit normal
+        pointing down into the water and no curvature."""
+        for r in (-1.0e3, 0.0, 1.0e6):
+            z, frame = _SURFACE.hit(r)
+            assert z == 0.0 and _SURFACE.gap(r, z) == 0.0
         assert frame.nr == 0.0
         assert frame.nz == 1.0
         assert frame.curvature == 0.0

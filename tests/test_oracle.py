@@ -335,7 +335,7 @@ class TestIdentitiesAtBouncePoints:
     def test_identities_hold_at_every_preset_bounce(self):
         """The tangent-ratio identities hold at the actual bounce geometry
         of every verification scenario."""
-        from varitrace import identity_checks, surface_frame, trace_ray
+        from varitrace import NormalFrame, identity_checks, trace_ray
         from varitrace.presets import PRESET_NAMES
 
         for name in PRESET_NAMES:
@@ -344,7 +344,7 @@ class TestIdentitiesAtBouncePoints:
             assert res.bounces
             for b in res.bounces:
                 frame = (sc.bath.bottom_at(b.r)[1] if b.boundary == "bottom"
-                         else surface_frame())
+                         else NormalFrame(nr=0.0, nz=1.0, curvature=0.0))
                 t_vec = np.array([math.cos(b.theta_incident),
                                   math.sin(b.theta_incident)])
                 for lhs, rhs in identity_checks(t_vec, (frame.nr, frame.nz)):

@@ -3,11 +3,11 @@ every exported name exists, no module imports scipy, no trace, fan, kappa
 scan or 2D sound-speed grid loads numpy, no module uses the
 matrix-product operator, the RK4 path does not call a ray right-hand
 side, the trace loop advances along one guarded path and judges each
-bounce with one guarded reflection call, each field and
-bottom quantity has one definition, the config
-reader restates no constructor default, the package re-exports exactly
-each module's ``__all__``, and the README's library example runs as
-written."""
+bounce with one guarded reflection call, propagation compares nothing
+with a boundary's name, each field and bottom quantity has one
+definition, the config reader restates no constructor default, the
+package re-exports exactly each module's ``__all__``, and the README's
+library example runs as written."""
 
 import ast
 import importlib
@@ -82,7 +82,8 @@ REMOVED = {"IndexSample": "environment", "reflect_direction": "reflection",
            "IdentityPair": "reflection", "SpreadingFactor": "propagation",
            "KappaVerification": "oracle", "BottomSample": "environment",
            "ReflectionContext": "reflection", "_ray_step": "propagation",
-           "_variation_step": "propagation", "_variation_rhs": "propagation"}
+           "_variation_step": "propagation", "_variation_rhs": "propagation",
+           "surface_frame": "environment"}
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
@@ -175,9 +176,9 @@ def call_name(node):
 def test_trace_loop_has_one_guarded_advance():
     """Inside ``trace_from_pulse``'s loop, a plain step and a landed bounce
     share one advance: one call each of ``_rk4_step``, which advances
-    (z, p) and q together, ``index_at`` and ``bottom_at``, each inside a
-    ``try`` that handles DomainError, so a ray leaving a field or bottom
-    ends as ``domain_exit``, never raises.  Each bounce makes one
+    (z, p) and q together, ``index_at`` and the landed boundary record's
+    ``hit``, each inside a ``try`` that handles DomainError, so a ray
+    leaving a field or bottom ends as ``domain_exit``, never raises.  Each bounce makes one
     ``kappa_matrix`` call, inside a ``try`` that handles GeometryError, so
     a rejected bounce ends the trace instead.  ``_find_crossing`` is
     called only in the body of the step screen's ``if`` on ``z_end`` and
@@ -196,11 +197,14 @@ def test_trace_loop_has_one_guarded_advance():
 
     calls = [node for node in ast.walk(loop) if isinstance(node, ast.Call)]
     for name, error in (("_rk4_step", "DomainError"), ("index_at", "DomainError"),
-                        ("bottom_at", "DomainError"), ("kappa_matrix", "GeometryError"),
+                        ("hit", "DomainError"), ("kappa_matrix", "GeometryError"),
                         ("_find_crossing", "DomainError")):
         named = [node for node in calls if call_name(node) == name]
         assert len(named) == 1, f"{name}: {len(named)} calls in the trace loop"
         assert id(named[0]) in guarded_by(error), f"{name} called outside a {error} handler's try"
+
+    (hit,) = [node for node in calls if call_name(node) == "hit"]
+    assert ast.unparse(hit.func) == "boundary.hit", "a hit not of the landed record"
 
     screened = {id(inner) for node in ast.walk(loop) if isinstance(node, ast.If)
                 and {"z_end", "z_mid"} <= {name.id for name in ast.walk(node.test)
@@ -211,6 +215,23 @@ def test_trace_loop_has_one_guarded_advance():
 
     names = [call_name(node) for node in calls]
     assert (names.count("fromlist"), names.count("extend")) == (1, 0), "one fromlist per row"
+
+
+def test_propagation_never_asks_which_boundary():
+    """Each boundary is one record (name, gap, hit) that every boundary
+    event runs through, so ``propagation.py`` compares nothing with a
+    boundary's name: no ``SURFACE`` or ``BOTTOM`` constant and no
+    ``"surface"`` or ``"bottom"`` string in any comparison."""
+    def names_a_boundary(node):
+        if isinstance(node, ast.Name):
+            return node.id.strip("_").upper() in {"SURFACE", "BOTTOM"}
+        return isinstance(node, ast.Constant) and node.value in {"surface", "bottom"}
+
+    for node in ast.walk(parse(SRC / "propagation.py")):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            assert not any(map(names_a_boundary, operands)), (
+                f"propagation.py:{node.lineno}: {ast.unparse(node)}")
 
 
 ANALYTIC_CFG = """\

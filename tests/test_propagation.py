@@ -319,26 +319,49 @@ class TestLaunchValidation:
             TraceConfig(**cfg)
 
     def test_source_outside_water_rejected(self):
+        """Past the bottom, above the surface, or at a NaN depth, which
+        every ordering test lets through."""
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=600.0, theta0=0.1)
-        with pytest.raises(ValueError):
-            trace_ray(HOMOGENEOUS, FlatBottom(500.0), cfg)
+        for z0 in (600.0, -1.0):
+            with pytest.raises(ValueError, match="outside the water column"):
+                trace_ray(HOMOGENEOUS, FlatBottom(500.0), replace(cfg, z0=z0))
+        for field in (HOMOGENEOUS, MunkField()):  # n(r, nan) is nan in the Munk field
+            with pytest.raises(ValueError, match="outside the water column"):
+                trace_from_pulse(field, FlatBottom(500.0), cfg, math.nan, 0.1)
 
     def test_surface_source_must_launch_downward(self):
+        """A pulse up or along the surface (p0 = 0) does not enter the water."""
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=0.0, theta0=-0.1)
-        with pytest.raises(ValueError):
-            trace_ray(HOMOGENEOUS, FlatBottom(500.0), cfg)
+        for theta0 in (-0.1, 0.0):
+            with pytest.raises(ValueError, match="launch into the water"):
+                trace_ray(HOMOGENEOUS, FlatBottom(500.0), replace(cfg, theta0=theta0))
 
     def test_bottom_source_must_launch_upward(self):
+        """Into the water as the bottom's own frame judges it: on a bottom
+        falling at 0.2 (11.3 degrees), a 5-degree downward pulse enters the
+        water and a 15-degree one leaves it."""
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=500.0, theta0=0.1)
         with pytest.raises(ValueError):
             trace_ray(HOMOGENEOUS, FlatBottom(500.0), cfg)
         res = trace_ray(HOMOGENEOUS, FlatBottom(500.0), replace(cfg, theta0=-0.1))
         assert res.status is TraceStatus.COMPLETED
+        tilted = LinearSlopeBottom(500.0, 0.2)
+        with pytest.raises(ValueError, match="launch into the water"):
+            trace_ray(HOMOGENEOUS, tilted, replace(cfg, theta0=math.radians(15.0)))
+        res = trace_ray(HOMOGENEOUS, tilted, replace(cfg, theta0=math.radians(5.0)))
+        assert res.status is TraceStatus.COMPLETED and not res.bounces
 
     def test_steep_initial_pulse_rejected(self):
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=100.0, theta0=0.1)
         with pytest.raises(ValueError):
             trace_from_pulse(HOMOGENEOUS, FlatBottom(500.0), cfg, 100.0, 0.99999)
+
+    def test_nan_initial_pulse_rejected(self):
+        """A NaN pulse fails every comparison, so it must not pass the
+        cutoff test and march on as NaN rows."""
+        cfg = TraceConfig(r_start=0.0, r_end=1000.0, z0=50.0, theta0=0.1)
+        with pytest.raises(ValueError, match="steep-ray cutoff"):
+            trace_from_pulse(MunkField(), FlatBottom(200.0), cfg, 50.0, math.nan)
 
 
 class TestIndependentIntegrator:

@@ -12,11 +12,11 @@ from varitrace import (
     SingularReflectionError,
     identity_checks,
     kappa_matrix,
-    surface_frame,
 )
 from varitrace.reflection import _mirror
 
 FLAT_FRAME = FlatBottom(100.0).bottom_at(0.0)[1]
+SURFACE_FRAME = NormalFrame(nr=0.0, nz=1.0, curvature=0.0)
 HOMOGENEOUS = (1.0, 0.0, 0.0, 0.0)
 
 
@@ -70,7 +70,7 @@ class TestReflectDirection:
 
     def test_outgoing_ray_rejected(self):
         with pytest.raises(GeometryError):
-            kappa_matrix([0.8, 0.6], surface_frame(), HOMOGENEOUS)
+            kappa_matrix([0.8, 0.6], SURFACE_FRAME, HOMOGENEOUS)
 
     def test_non_unit_inputs_rejected(self):
         with pytest.raises(GeometryError):
@@ -140,7 +140,7 @@ class TestKappaMatrix:
     def test_flat_boundary_zero_gradient_is_minus_identity(self):
         for tz in (0.3, 0.6, -0.45):
             t = np.array([math.sqrt(1 - tz * tz), tz])
-            frame = FLAT_FRAME if tz > 0 else surface_frame()
+            frame = FLAT_FRAME if tz > 0 else SURFACE_FRAME
             k = kappa_matrix(t, frame, HOMOGENEOUS)[1]
             assert k.k11 == pytest.approx(-1.0, abs=1e-12)
             assert k.k22 == pytest.approx(-1.0, abs=1e-12)
@@ -235,7 +235,7 @@ class TestKappaMatrix:
         tr = 1e-8
         t = np.array([tr, -math.sqrt(1.0 - tr * tr)])
         with pytest.raises(SingularReflectionError):
-            kappa_matrix(t, surface_frame(), HOMOGENEOUS)
+            kappa_matrix(t, SURFACE_FRAME, HOMOGENEOUS)
 
     def test_tangential_hit_raises(self):
         # t nearly parallel to the boundary: <t, N> tiny but negative
@@ -250,10 +250,10 @@ class TestKappaMatrix:
         """A vertical ray leaving the surface is not incoming, which is
         reported before its vertical direction is."""
         with pytest.raises(GeometryError) as exc:
-            kappa_matrix([0.0, 1.0], surface_frame(), HOMOGENEOUS)
+            kappa_matrix([0.0, 1.0], SURFACE_FRAME, HOMOGENEOUS)
         assert type(exc.value) is GeometryError
         with pytest.raises(SingularReflectionError):
-            kappa_matrix([0.0, -1.0], surface_frame(), HOMOGENEOUS)
+            kappa_matrix([0.0, -1.0], SURFACE_FRAME, HOMOGENEOUS)
 
     def test_vertical_reflected_ray_raises(self):
         # 45-degree wall turns a horizontal-ish ray vertical
