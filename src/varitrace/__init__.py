@@ -37,7 +37,6 @@ from .errors import (
 )
 from .oracle import (
     BeamPerturbation,
-    JacobianEstimate,
     fd_jacobian,
     verify_kappa,
 )

@@ -19,7 +19,7 @@ from .config import RunConfig, load_config
 from .environment import NormalFrame
 from .errors import ConfigError, GeometryError, VaritraceError
 from .oracle import BeamPerturbation, verify_kappa
-from .presets import PRESET_NAMES, STUDY_PERTURBATION, VerificationScenario, preset
+from .presets import PRESET_NAMES, PRESETS, STUDY_PERTURBATION, VerificationScenario, preset
 from .propagation import TraceResult, TraceStatus, trace_fan, trace_ray
 from .reflection import SINGULAR_TOL, _mirror, identity_checks, kappa_matrix
 
@@ -216,6 +216,8 @@ def cmd_kappa_scan(run: RunConfig, out, seed: int | None) -> int:
         raise ConfigError("[kappa_scan] needs alpha_max_deg >= alpha_min_deg and a positive step")
     curvature = sec.get_float("curvature", 0.02)
     n = sec.get_float("n", 1.0)
+    if n <= 0.0:
+        raise ConfigError(f"[kappa_scan] n = {n:g} must be positive")
     n_z = sec.get_float("n_z", 0.01)
     n_r = sec.get_float("n_r", 0.0)
 
@@ -302,11 +304,11 @@ def _verify_identities(rng, out) -> bool:
 
 
 def _verify_structure(rng, out) -> bool:
-    """det kappa = 1 and kappa21 = 0 over random valid geometries, drawn in
-    blocks as in _verify_identities, from the tracer's own kappa_matrix.  A
-    draw with tr nr + tz nz > -SINGULAR_TOL, which kappa_matrix would
-    reject, is dropped before any frame is built; kappa_matrix judges every
-    other draw, backward reflections included."""
+    """det kappa = 1 and kappa21 = 0 of the jump as the tracer applies it,
+    kappa_matrix's kappa.apply, over random valid geometries drawn in blocks
+    as in _verify_identities.  A draw with tr nr + tz nz > -SINGULAR_TOL,
+    which kappa_matrix would reject, is dropped before any frame is built;
+    kappa_matrix judges every other draw, backward reflections included."""
     worst_det = 0.0
     worst_k21 = 0.0
     checked = 0
@@ -323,8 +325,9 @@ def _verify_structure(rng, out) -> bool:
                 _, kappa = kappa_matrix((tr, tz), frame, (n, n_r, n_z, 0.0))
             except GeometryError:
                 continue
-            worst_det = max(worst_det, abs(kappa.det() - 1.0))
-            worst_k21 = max(worst_k21, abs(kappa.k21))
+            a, b, c, d = kappa.apply((1.0, 0.0, 0.0, 1.0))
+            worst_det = max(worst_det, abs(a * d - b * c - 1.0))
+            worst_k21 = max(worst_k21, abs(c))
             checked += 1
     passed = worst_det < 1e-12 and worst_k21 == 0.0
     print(f"kappa structure: max |det - 1| {worst_det:.3e}, max |kappa21| "
@@ -344,7 +347,7 @@ def cmd_verify(run: RunConfig, out, seed: int | None) -> int:
         raise ConfigError(f"[verify] r_after_bounce is read only with preset = custom, "
                           f"not {which!r}")
     if which == "all":
-        scenarios = [preset(name) for name in PRESET_NAMES]
+        scenarios = PRESETS
     elif which in PRESET_NAMES:
         scenarios = [preset(which)]
     elif which == "custom":

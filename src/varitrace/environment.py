@@ -472,10 +472,6 @@ class SinusoidalBottom(Bathymetry):
         # Rounding is monotonic and |sin| <= 1, so no depth lies below this.
         self.floor = (self.mean_depth - abs(self.amplitude), -math.inf, math.inf)
 
-    # Kept beside _profile: one sine, not _profile's two and a cosine; ~250 ns cheaper.
-    def depth_at(self, r: float) -> float:
-        return self.mean_depth + self.amplitude * math.sin(self.wavenumber * r + self.phase)
-
     def _profile(self, r: float) -> tuple[float, float, float]:
         k, a = self.wavenumber, self.amplitude
         arg = k * r + self.phase

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Any
 
 from .environment import Bathymetry, SoundSpeedField, _finite
 from .errors import DomainError, GeometryError, PerturbationTooLargeError
@@ -26,7 +25,6 @@ from .propagation import TraceConfig, TraceResult, TraceStatus, trace_from_pulse
 
 __all__ = [
     "BeamPerturbation",
-    "JacobianEstimate",
     "fd_jacobian",
     "verify_kappa",
 ]
@@ -43,8 +41,7 @@ class BeamPerturbation:
     ``h_p`` perturbs the launch pulse (dimensionless), ``h_z`` the launch
     depth (m); both must be small against the problem scales.
     ``richardson_levels`` >= 1 offset sizes, each half the one before,
-    are traced (four rays each); ``fd_jacobian``'s error estimate compares
-    the last two, so it needs at least two.
+    are traced (four rays each).
     """
 
     h_p: float = 1e-6
@@ -56,28 +53,6 @@ class BeamPerturbation:
         _finite("h_z", self.h_z, positive=True)
         if self.richardson_levels < 1:
             raise ValueError("need at least 1 Richardson level")
-
-    def halved(self) -> "BeamPerturbation":
-        return replace(self, h_p=0.5 * self.h_p, h_z=0.5 * self.h_z)
-
-
-@dataclass(frozen=True)
-class JacobianEstimate:
-    """Centered-difference flow-map Jacobian and its Richardson error bars.
-
-    ``matrix`` is the estimate at the requested perturbation h; ``error``
-    is the per-entry estimate |J(h') - J(h'/2)| * 4/3 from the last two
-    Richardson levels h' and h'/2; both are 2x2 numpy arrays.
-    """
-
-    matrix: Any
-    error: Any
-    h_p: float
-    h_z: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, self.error.flat)):
-            raise ValueError("Richardson error estimate is not finite")
 
 
 def _bounce_signature(result: TraceResult) -> tuple:
@@ -145,13 +120,13 @@ def _fd_levels(field_, bath, cfg_q, p0, central, pert):
             ]
         except PerturbationTooLargeError as exc:
             last_error = exc
-            pert = pert.halved()
+            pert = replace(pert, h_p=0.5 * pert.h_p, h_z=0.5 * pert.h_z)
     raise PerturbationTooLargeError(
         f"bounce sequences still differ after {MAX_HALVINGS} halvings: {last_error}")
 
 
 def fd_jacobian(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
-                pert: BeamPerturbation, r_query: float) -> JacobianEstimate:
+                pert: BeamPerturbation, r_query: float) -> tuple[BeamPerturbation, list]:
     """Numerical flow-map Jacobian at r_query via centered differences.
 
     Runs four perturbed traces per Richardson level plus the central one;
@@ -159,15 +134,14 @@ def fd_jacobian(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
     endpoints and bounce sequences are read, so every trace, the central
     one included, is ray-only.  On a sequence mismatch every level's
     perturbations are halved together, up to five times, before failing
-    with PerturbationTooLargeError.  The error bar compares the last two
-    levels, so ``pert`` needs at least two.
+    with PerturbationTooLargeError.  Returns (pert after any halving, one
+    2x2 array per Richardson level); a non-finite level raises ValueError.
     """
-    if pert.richardson_levels < 2:
-        raise ValueError("the FD error estimate needs at least 2 Richardson levels")
     cfg_q, p0, central = _central_trace(field_, bath, cfg, r_query, variations=False)
     pert, levels = _fd_levels(field_, bath, cfg_q, p0, central, pert)
-    error = abs(levels[-2] - levels[-1]) * (4.0 / 3.0)
-    return JacobianEstimate(matrix=levels[0], error=error, h_p=pert.h_p, h_z=pert.h_z)
+    if not all(map(math.isfinite, (x for level in levels for x in level.flat))):
+        raise ValueError("finite-difference Jacobian is not finite")
+    return pert, levels
 
 
 def _relative_errors(a, b, floor: float = 1e-12):

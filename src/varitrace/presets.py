@@ -1,6 +1,6 @@
 """Verification scenario matrix used by the CLI gate and the test suite.
 
-Each scenario traces a single bounce off a specific boundary/profile
+Each ``PRESETS`` scenario traces one bounce off a specific boundary/profile
 combination and is tuned so the finite-difference comparison stays in its
 second-order convergence regime at the study perturbation sizes.
 """
@@ -23,7 +23,7 @@ from .environment import (
 from .oracle import BeamPerturbation
 from .propagation import TraceConfig
 
-__all__ = ["VerificationScenario", "PRESET_NAMES", "preset"]
+__all__ = ["VerificationScenario", "PRESETS", "PRESET_NAMES", "preset"]
 
 # Convergence study: one perturbation at offsets h, h/2 and h/4 (its three
 # Richardson levels).  The defaults of BeamPerturbation sit at the
@@ -43,48 +43,39 @@ class VerificationScenario:
     r_after_bounce: float
 
 
-def _flat_linear() -> VerificationScenario:
+PRESETS = (
     # Depth-linear index over a flat bottom: exercises the n_z term alone.
-    return VerificationScenario(
+    VerificationScenario(
         name="flat-linear",
         field=LinearGradientField(c_surface=1500.0, gradient=1e-3),
         bath=FlatBottom(200.0),
         cfg=TraceConfig(r_start=0.0, r_end=350.0, z0=50.0,
                         theta0=math.radians(35.0), dr=0.5),
         r_after_bounce=350.0,
-    )
-
-
-def _arc_homogeneous() -> VerificationScenario:
+    ),
     # Homogeneous water over a circular basin (curvature +0.02 1/m):
     # exercises the curvature term alone.
-    return VerificationScenario(
+    VerificationScenario(
         name="arc-homogeneous",
         field=ConstantField(c0=1500.0),
         bath=ArcBottom(radius=50.0, r_center=100.0, z_center=30.0, bulge="down"),
         cfg=TraceConfig(r_start=70.0, r_end=140.0, z0=60.0,
                         theta0=math.radians(20.0), dr=0.25),
         r_after_bounce=140.0,
-    )
-
-
-def _arc_linear() -> VerificationScenario:
+    ),
     # Curvature and index gradient together; the range gradient gives the
     # jump's horizontal-gradient (n_r) term a value the gate can see.
-    return VerificationScenario(
+    VerificationScenario(
         name="arc-linear",
         field=LinearGradientField(c_surface=1500.0, gradient=5e-4, range_gradient=1e-3),
         bath=ArcBottom(radius=50.0, r_center=100.0, z_center=30.0, bulge="down"),
         cfg=TraceConfig(r_start=70.0, r_end=140.0, z0=60.0,
                         theta0=math.radians(20.0), dr=0.25),
         r_after_bounce=140.0,
-    )
-
-
-def _sinusoidal_munk() -> VerificationScenario:
+    ),
     # Canonical channel profile over a corrugated bottom; the ray dives
     # through the channel axis and bounces once off a curved section.
-    return VerificationScenario(
+    VerificationScenario(
         name="sinusoidal-munk",
         field=MunkField(),
         bath=SinusoidalBottom(mean_depth=2500.0, amplitude=40.0,
@@ -92,22 +83,15 @@ def _sinusoidal_munk() -> VerificationScenario:
         cfg=TraceConfig(r_start=0.0, r_end=3600.0, z0=800.0,
                         theta0=math.radians(30.0), dr=2.0),
         r_after_bounce=3600.0,
-    )
+    ),
+)
 
-
-_BUILDERS = {
-    "flat-linear": _flat_linear,
-    "arc-homogeneous": _arc_homogeneous,
-    "arc-linear": _arc_linear,
-    "sinusoidal-munk": _sinusoidal_munk,
-}
-
-PRESET_NAMES = tuple(_BUILDERS)
+PRESET_NAMES = tuple(sc.name for sc in PRESETS)
 
 
 def preset(name: str) -> VerificationScenario:
     """Look up a verification scenario by name."""
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
-        raise KeyError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    for scenario in PRESETS:
+        if scenario.name == name:
+            return scenario
+    raise KeyError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")

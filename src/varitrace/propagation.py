@@ -509,13 +509,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                                             theta_incident=math.atan2(tz, tr), kappa=kappa))
                 p = s[0] * t1[1]
                 if q is not None:
-                    q11, q12, q21, q22 = q
-                    q = (
-                        kappa.k11 * q11 + kappa.k12 * q21,
-                        kappa.k11 * q12 + kappa.k12 * q22,
-                        kappa.k22 * q21,
-                        kappa.k22 * q22,
-                    )
+                    q = kappa.apply(q)
 
         samples.fromlist([r, z, p, *(q or _NO_Q)])
         ns.append(s[0])

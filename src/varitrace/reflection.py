@@ -2,10 +2,10 @@
 
 When a ray hits the surface or the bottom, its direction t flips
 specularly to t1 = t - 2 N <t, N>, the pulse becomes n * t1_z, and the
-variation matrix picks up a left factor q -> kappa q.  The jump matrix
-kappa is upper triangular with unit determinant; its off-diagonal entry
-collects three effects at the hit point: boundary curvature, the vertical
-index gradient and the horizontal index gradient.
+variation matrix picks up a left factor, KappaMatrix.apply: q -> kappa q.
+kappa is upper triangular with unit determinant, so KappaMatrix keeps
+k11, k12 and k22; k12 collects three effects at the hit point: boundary
+curvature, the vertical index gradient and the horizontal index gradient.
 
 The off-diagonal entry implemented here is
 
@@ -52,15 +52,17 @@ def _mirror(tr, tz, nr, nz):
 
 @dataclass(frozen=True)
 class KappaMatrix:
-    """Upper-triangular jump applied to q at a bounce (k21 = 0, det = 1)."""
+    """Upper-triangular jump [[k11, k12], [0, k22]] applied to q at a bounce."""
 
     k11: float
     k12: float
     k22: float
-    k21: float = 0.0
 
-    def det(self) -> float:
-        return self.k11 * self.k22 - self.k12 * self.k21
+    def apply(self, q: tuple) -> tuple:
+        """kappa q for q = (q11, q12, q21, q22), in the same layout."""
+        q11, q12, q21, q22 = q
+        return (self.k11 * q11 + self.k12 * q21, self.k11 * q12 + self.k12 * q22,
+                self.k22 * q21, self.k22 * q22)
 
 
 def kappa_matrix(t, frame: NormalFrame, sample: tuple) -> tuple[tuple | None, KappaMatrix]:

@@ -676,6 +676,16 @@ n_r = 0.0
         assert main(["kappa-scan", "--config", cfg]) == 2
         assert "theta_deg list is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_non_positive_index_is_usage_error(self, tmp_path, capsys, n):
+        """n <= 0 is a config error raised before any output, not a scan
+        whose rows are all flagged valid."""
+        cfg = write_cfg(tmp_path, self.SCAN_CFG.replace("n = 1.0", f"n = {n}"))
+        out = tmp_path / "scan.csv"
+        assert main(["kappa-scan", "--config", cfg, "--output", str(out)]) == 2
+        assert "[kappa_scan] n" in capsys.readouterr().err
+        assert not out.exists() or out.read_text() == ""
+
     def test_backward_reflection_flagged_invalid(self):
         # theta = 0 against a steep wall reflects backward: t1r <= 0
         assert scan_kappa(0.0, 150.0, 0.0, 1.0, 0.01, 0.0) is None
@@ -942,8 +952,9 @@ def scalar_structure(rng, out) -> bool:
             _, kappa = kappa_matrix(t, frame, sample)
         except GeometryError:
             continue
-        worst_det = max(worst_det, abs(kappa.det() - 1.0))
-        worst_k21 = max(worst_k21, abs(kappa.k21))
+        a, b, c, d = kappa.apply((1.0, 0.0, 0.0, 1.0))
+        worst_det = max(worst_det, abs(a * d - b * c - 1.0))
+        worst_k21 = max(worst_k21, abs(c))
         checked += 1
     passed = worst_det < 1e-12 and worst_k21 == 0.0
     print(f"kappa structure: max |det - 1| {worst_det:.3e}, max |kappa21| "

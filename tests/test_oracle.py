@@ -55,25 +55,24 @@ class TestFdJacobian:
     def test_identity_at_zero_length_flow(self):
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=500.0,
                           theta0=math.radians(5.0), dr=1.0)
-        est = fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation(), 0.0)
-        np.testing.assert_allclose(est.matrix, np.eye(2), atol=1e-9)
+        _, levels = fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation(), 0.0)
+        np.testing.assert_allclose(levels[0], np.eye(2), atol=1e-9)
 
     def test_homogeneous_closed_form(self):
         R = 4000.0
         theta = math.radians(12.0)
         cfg = TraceConfig(r_start=0.0, r_end=R, z0=2000.0, theta0=theta, dr=10.0)
-        est = fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation(), R)
+        _, levels = fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation(), R)
         w = math.cos(theta)
         expected = np.array([[1.0, 0.0], [R / w**3, 1.0]])
-        np.testing.assert_allclose(est.matrix, expected, rtol=1e-6, atol=1e-6)
-        assert np.all(np.isfinite(est.error))
+        np.testing.assert_allclose(levels[0], expected, rtol=1e-6, atol=1e-6)
 
     def test_determinant_close_to_one(self):
         cfg = TraceConfig(r_start=0.0, r_end=3000.0, z0=1000.0,
                           theta0=math.radians(9.0), dr=10.0)
-        est = fd_jacobian(LinearGradientField(1500.0, 1e-4), DEEP, cfg,
-                          BeamPerturbation(), 3000.0)
-        assert np.linalg.det(est.matrix) == pytest.approx(1.0, abs=1e-5)
+        _, levels = fd_jacobian(LinearGradientField(1500.0, 1e-4), DEEP, cfg,
+                                BeamPerturbation(), 3000.0)
+        assert np.linalg.det(levels[0]) == pytest.approx(1.0, abs=1e-5)
 
     def test_single_flat_bounce_matches_analytic_composition(self):
         """One flat homogeneous bounce: J = F2 (-I) F1 with shear factors."""
@@ -82,23 +81,24 @@ class TestFdJacobian:
         r_bounce = (depth - z0) / math.tan(theta)
         R = r_bounce + 120.0
         cfg = TraceConfig(r_start=0.0, r_end=R, z0=z0, theta0=theta, dr=0.5)
-        est = fd_jacobian(HOMOGENEOUS, FlatBottom(depth), cfg, BeamPerturbation(), R)
+        _, levels = fd_jacobian(HOMOGENEOUS, FlatBottom(depth), cfg, BeamPerturbation(), R)
         a = 1.0 / math.cos(theta) ** 3
         f1 = np.array([[1.0, 0.0], [r_bounce * a, 1.0]])
         f2 = np.array([[1.0, 0.0], [(R - r_bounce) * a, 1.0]])
         expected = f2 @ (-np.eye(2)) @ f1
-        np.testing.assert_allclose(est.matrix, expected, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(levels[0], expected, rtol=1e-5, atol=1e-5)
 
     def test_perturbation_auto_halves_when_launch_leaves_water(self):
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=40.0,
                           theta0=math.radians(5.0), dr=1.0)
         w = math.cos(math.radians(5.0))
-        for levels in (2, 3):
+        for levels_requested in (2, 3):
             # z0 - h_z < 0 at first try
-            pert = BeamPerturbation(h_p=1e-6, h_z=60.0, richardson_levels=levels)
-            est = fd_jacobian(HOMOGENEOUS, FlatBottom(500.0), cfg, pert, 100.0)
-            assert est.h_z < 60.0
-            np.testing.assert_allclose(est.matrix, [[1.0, 0.0], [100.0 / w**3, 1.0]],
+            pert = BeamPerturbation(h_p=1e-6, h_z=60.0, richardson_levels=levels_requested)
+            used, levels = fd_jacobian(HOMOGENEOUS, FlatBottom(500.0), cfg, pert, 100.0)
+            assert used.h_z < 60.0
+            assert len(levels) == levels_requested
+            np.testing.assert_allclose(levels[0], [[1.0, 0.0], [100.0 / w**3, 1.0]],
                                        rtol=1e-4, atol=1e-4)
 
     def test_perturbation_auto_halves_when_launch_leaves_grid(self):
@@ -110,11 +110,11 @@ class TestFdJacobian:
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=0.5,
                           theta0=math.radians(30.0), dr=0.5)
         # z0 - h_z = -0.5 lies above the grid at first try
-        est = fd_jacobian(field, FlatBottom(200.0), cfg,
-                          BeamPerturbation(h_p=1e-3, h_z=1.0), 100.0)
-        assert est.h_z < 1.0
+        used, levels = fd_jacobian(field, FlatBottom(200.0), cfg,
+                                   BeamPerturbation(h_p=1e-3, h_z=1.0), 100.0)
+        assert used.h_z < 1.0
         q = trace_ray(field, FlatBottom(200.0), cfg).q[-1]
-        np.testing.assert_allclose(est.matrix, q, rtol=1e-4, atol=1e-4)
+        np.testing.assert_allclose(levels[0], q, rtol=1e-4, atol=1e-4)
 
     def test_bounce_sequence_mismatch_raises_after_halvings(self):
         theta = math.radians(35.0)
@@ -137,11 +137,17 @@ class TestFdJacobian:
             BeamPerturbation(h_p=0.0)
         with pytest.raises(ValueError):
             BeamPerturbation(richardson_levels=0)
-        # one level is a valid beam, but fd_jacobian's error bar needs two
+
+    def test_non_finite_level_raises(self, monkeypatch):
+        """A level that is not finite is an error, not a returned estimate."""
+        import varitrace.oracle as oracle
+
+        monkeypatch.setattr(oracle, "_centered_jacobian",
+                            lambda *args: np.full((2, 2), math.nan))
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=50.0,
                           theta0=math.radians(5.0), dr=1.0)
-        with pytest.raises(ValueError, match="2 Richardson levels"):
-            fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation(richardson_levels=1), 100.0)
+        with pytest.raises(ValueError, match="not finite"):
+            fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation(), 100.0)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_every_trace_is_ray_only(self, monkeypatch, name):
@@ -171,10 +177,9 @@ class TestFdJacobian:
             estimates.append(fd_jacobian(sc.field, sc.bath, sc.cfg, BeamPerturbation(),
                                          sc.r_after_bounce))
             assert calls == [False] * 9
-        ray_only, full = estimates
-        assert ray_only.matrix.tobytes() == full.matrix.tobytes()
-        assert ray_only.error.tobytes() == full.error.tobytes()
-        assert (ray_only.h_p, ray_only.h_z) == (full.h_p, full.h_z)
+        (ray_only_pert, ray_only), (full_pert, full) = estimates
+        assert [level.tobytes() for level in ray_only] == [level.tobytes() for level in full]
+        assert ray_only_pert == full_pert
 
 
 class TestVerifyKappa:

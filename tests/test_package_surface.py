@@ -6,8 +6,9 @@ side, the trace loop advances along one guarded path and judges each
 bounce with one guarded reflection call, propagation compares nothing
 with a boundary's name, each field and bottom quantity has one
 definition, the config reader restates no constructor default, the
-package re-exports exactly each module's ``__all__``, and the README's
-library example runs as written."""
+package re-exports exactly each module's ``__all__``, the jump matrix
+stores only the entries it applies, the verification presets are one
+table, and the README's library example runs as written."""
 
 import ast
 import importlib
@@ -83,7 +84,7 @@ REMOVED = {"IndexSample": "environment", "reflect_direction": "reflection",
            "KappaVerification": "oracle", "BottomSample": "environment",
            "ReflectionContext": "reflection", "_ray_step": "propagation",
            "_variation_step": "propagation", "_variation_rhs": "propagation",
-           "surface_frame": "environment"}
+           "surface_frame": "environment", "JacobianEstimate": "oracle"}
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
@@ -102,6 +103,25 @@ def test_reflection_is_one_routine():
     from varitrace import reflection
 
     assert reflection.__all__ == ["KappaMatrix", "kappa_matrix", "identity_checks"]
+
+
+def test_kappa_matrix_holds_only_what_it_applies():
+    """The jump keeps the three entries ``apply`` reads; its zero (2, 1)
+    entry and its determinant are checked on ``apply``, not stored."""
+    from varitrace.reflection import KappaMatrix
+
+    assert not hasattr(KappaMatrix, "k21")
+    assert not hasattr(KappaMatrix, "det")
+    assert [f for f in KappaMatrix.__dataclass_fields__] == ["k11", "k12", "k22"]
+
+
+def test_presets_are_one_table():
+    """Each preset is one value of ``presets.PRESETS``, named once; no
+    builder functions or name-to-builder dict beside it."""
+    from varitrace import presets
+
+    assert not hasattr(presets, "_BUILDERS")
+    assert presets.PRESET_NAMES == tuple(sc.name for sc in presets.PRESETS)
 
 
 @pytest.mark.parametrize("module", ["environment", "oracle", "propagation", "reflection"])
@@ -155,8 +175,7 @@ def test_one_definition_per_environment_quantity():
                if isinstance(c, type) and c.__module__ == environment.__name__]
     for cls in classes:
         assert not {"sound_speed", "kind"} & set(vars(cls)), cls.__name__
-    assert {c.__name__ for c in classes if "depth_at" in vars(c)} == {
-        "Bathymetry", "ArcBottom", "SinusoidalBottom"}
+    assert {c.__name__ for c in classes if "depth_at" in vars(c)} == {"Bathymetry", "ArcBottom"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

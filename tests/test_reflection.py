@@ -145,7 +145,7 @@ class TestKappaMatrix:
             assert k.k11 == pytest.approx(-1.0, abs=1e-12)
             assert k.k22 == pytest.approx(-1.0, abs=1e-12)
             assert k.k12 == pytest.approx(0.0, abs=1e-12)
-            assert k.k21 == 0.0
+            assert k.apply((1.0, 0.0, 0.0, 1.0))[2] == 0.0
 
     def test_flat_boundary_with_gradient(self):
         t = np.array([math.sqrt(1 - 0.25), 0.5])
@@ -190,9 +190,10 @@ class TestKappaMatrix:
                 k = kappa_matrix(t, frame, sample)[1]
             except SingularReflectionError:
                 continue
-            assert k.det() == pytest.approx(1.0, abs=1e-12)
+            a, b, c, d = k.apply((1.0, 0.0, 0.0, 1.0))
+            assert a * d - b * c == pytest.approx(1.0, abs=1e-12)
             assert k.k11 * k.k22 == pytest.approx(1.0, abs=1e-12)
-            assert k.k21 == 0.0
+            assert c == 0.0
             checked += 1
 
     def test_normal_flip_invariance(self):
@@ -227,9 +228,19 @@ class TestKappaMatrix:
     def test_two_flat_bounces_compose_to_identity(self):
         t = np.array([0.8, 0.6])
         k = kappa_matrix(t, FLAT_FRAME, HOMOGENEOUS)[1]
-        matrix = np.array([[k.k11, k.k12], [k.k21, k.k22]])
-        composed = matrix @ matrix
-        np.testing.assert_allclose(composed, np.eye(2), atol=1e-12)
+        composed = k.apply(k.apply((1.0, 0.0, 0.0, 1.0)))
+        np.testing.assert_allclose(composed, (1.0, 0.0, 0.0, 1.0), atol=1e-12)
+
+    def test_apply_is_the_upper_triangular_product(self):
+        """apply(q) is [[k11, k12], [0, k22]] times q, with q and the
+        result laid out as (q11, q12, q21, q22)."""
+        rng = np.random.default_rng(37)
+        t = np.array([0.8, 0.6])
+        k = kappa_matrix(t, FLAT_FRAME, (1.0, 0.003, 0.01, 0.0))[1]
+        for q in rng.normal(size=(20, 4)).tolist():
+            expected = np.array([[k.k11, k.k12], [0.0, k.k22]]) @ np.reshape(q, (2, 2))
+            np.testing.assert_allclose(k.apply(tuple(q)), expected.ravel(),
+                                       rtol=1e-15, atol=1e-15)
 
     def test_vertical_incident_ray_raises(self):
         tr = 1e-8
