@@ -6,11 +6,14 @@ rerunning whole traces with perturbed initial data and centered
 differences.  The perturbed rays, and ``fd_jacobian``'s central ray,
 march (z, p) alone: they never evaluate the variation right-hand side
 (the K-matrix code) and never apply a jump matrix to q, so the estimate
-does not go through the code it checks.  Each of their bounces is still judged by the tracer's own reflection
-checks, which build the jump matrix, so a perturbed ray ends or bounces
-exactly where the full trace would.  ``verify_kappa`` is the decisive test
-of the boundary jump: it compares the analytically propagated q (with the
-jump applied) against the numerically differentiated bounce map.
+does not go through the code it checks.  Each of their bounces is still
+judged by the tracer's own reflection checks, which build the jump
+matrix, so a perturbed ray ends or bounces exactly where the full trace
+would.  Only a ray's final row, status and bounce sequence are read, and
+a ray-only trace keeps just its launch and final rows.  ``verify_kappa``
+is the decisive test of the boundary jump: it compares the analytically
+propagated q (with the jump applied) against the numerically
+differentiated bounce map.
 """
 
 from __future__ import annotations

@@ -41,7 +41,11 @@ reports every abnormal ending as a status, never an exception.
 Each sample is written, as it is made, into two stdlib ``array('d')``: its
 seven columns in one ``fromlist`` call, row after row, and the index.  The
 CLI writes its rows from those, so no trace, fan or kappa scan loads numpy;
-a result's array attributes import it at their first read.
+a result's array attributes import it at their first read.  A ray-only
+trace, whose reader needs only its end, keeps two rows: its launch row and
+its final row, the full trace's last.  The loop's state changes only once
+an advance is past every call that can raise, so on any ending it is the
+last row a full trace wrote.
 """
 
 from __future__ import annotations
@@ -106,6 +110,11 @@ class TraceConfig:
             raise ValueError("r_end must not precede r_start")
         if self.dr <= 0.0:
             raise ValueError("base step dr must be positive")
+        # A step that rounds away at the largest range would never advance r.
+        span = max(abs(self.r_start), abs(self.r_end))
+        if self.r_end > self.r_start and span + self.dr == span:
+            raise ValueError(f"base step dr = {self.dr:g} is below the range "
+                             f"resolution at r = {span:g}")
         if self.bisect_tol <= 0.0:
             raise ValueError("bisection tolerance must be positive")
         if not 0.0 < self.steep_cutoff < math.pi / 2.0:
@@ -135,8 +144,9 @@ class TraceResult:
     ``packed_samples`` holds each sample's seven columns in turn and
     ``packed_n`` the refractive index the integrator evaluated there, both
     as float64 ``array('d')``; ``samples`` (shape (n_samples, 7)), ``n``
-    and the views below are numpy arrays on them, made at first read.  The
-    q columns are NaN in a ray-only trace (``variations=False``).
+    and the views below are numpy arrays on them, made at first read.  A
+    ray-only trace (``variations=False``) keeps two rows, its launch and
+    its final row, with NaN q columns.
     ``unconverged_bounces`` counts bounces whose location search stopped at
     its iteration cap before the boundary residual fell below ``bisect_tol``.
     """
@@ -418,10 +428,11 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                      z0: float, p0: float, *, variations: bool = True) -> TraceResult:
     """Trace from explicit initial (z0, p0); used by the FD oracle.
 
-    With ``variations=False`` only (z, p) is integrated: the q columns of
-    the result are NaN and no jump is applied to them, while statuses and
-    bounces (each still checked and given its jump matrix) are those of the
-    full trace, and r, z and p equal its values bit for bit.
+    With ``variations=False`` only (z, p) is integrated and only two rows
+    are kept: the launch row and the final row, which equal the full
+    trace's first and last in r, z, p and n bit for bit, with NaN q
+    columns.  No jump is applied to q, while statuses and bounces (each
+    still checked and given its jump matrix) are those of the full trace.
     """
     s = field_.index_at(cfg.r_start, z0)
     depth_at = bath.depth_at
@@ -471,19 +482,19 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                 if hit is not None:
                     h, boundary, p_end, q_end, converged = hit
                     unconverged += not converged
-            r += h
-            p, q = p_end, q_end
-            if boundary is None:
-                z = z_end
-            else:
-                z, frame = boundary.hit(r)
-            s = index_at(r, z)
+            r_next = r + h
+            if boundary is not None:
+                z_end, frame = boundary.hit(r_next)
+            s = index_at(r_next, z_end)
         except SteepRayError:
             status = TraceStatus.STEEP_RAY
             break
         except DomainError:
             status = TraceStatus.DOMAIN_EXIT
             break
+        # Past every call that can raise, so an advance that raises leaves
+        # (r, z, p, q, s) at the last row a full trace wrote.
+        r, z, p, q = r_next, z_end, p_end, q_end
 
         if boundary is not None:
             tz = p / s[0]
@@ -511,14 +522,18 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                 if q is not None:
                     q = kappa.apply(q)
 
-        samples.fromlist([r, z, p, *(q or _NO_Q)])
-        ns.append(s[0])
+        if variations:
+            samples.fromlist([r, z, p, *q])
+            ns.append(s[0])
         if status is not completed:
             break
         if abs(p) >= s[0] * cutoff_sin:
             status = TraceStatus.STEEP_RAY
             break
 
+    if not variations:  # a ray-only trace keeps its launch row and its final row
+        samples.fromlist([r, z, p, *_NO_Q])
+        ns.append(s[0])
     return TraceResult(packed_samples=samples, packed_n=ns, bounces=bounces, status=status,
                        unconverged_bounces=unconverged)
 

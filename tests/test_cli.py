@@ -537,6 +537,30 @@ class TestNonFiniteNumbers:
         assert out.read_bytes() == old
 
 
+class TestStepBelowRangeResolution:
+    """A ``dr`` that rounds away at the trace's largest range used to pass
+    validation and append rows forever; it is a config error (exit 2) that
+    keeps ``--output``.  It runs in its own process with a timeout, so a
+    regression fails instead of hanging the suite."""
+
+    def test_config_error_keeps_output(self, tmp_path):
+        text = (BASE_CFG.replace("r_start = 0.0\nr_end = 6000.0",
+                                 "r_start = 1e6\nr_end = 1000100.0")
+                .replace("dr = 50.0", "dr = 1e-11"))
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out.csv"
+        old = b"# an earlier run\n1,2,3\n"
+        out.write_bytes(old)
+        proc = subprocess.run(
+            [sys.executable, "-m", "varitrace.cli", "trace", "--config", cfg,
+             "--output", str(out)],
+            capture_output=True, text=True, timeout=60, env=cli_env())
+        assert proc.returncode == 2, proc.stderr
+        assert ("varitrace: config error: [trace] base step dr = 1e-11 is below the "
+                "range resolution") in proc.stderr
+        assert out.read_bytes() == old
+
+
 class TestFanCommand:
     FAN_CFG = BASE_CFG.replace("z0 = 0.0", "z0 = 500.0") + \
         "\n[fan]\nangles_deg = -20, 0.5, 20\n"

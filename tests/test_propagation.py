@@ -308,6 +308,17 @@ class TestLaunchValidation:
         with pytest.raises(ValueError):
             TraceConfig(r_start=0.0, r_end=100.0, z0=10.0, theta0=0.1, dr=-1.0)
 
+    def test_step_below_range_resolution_rejected(self):
+        """1e6 + 1e-11 == 1e6, so such a step would never advance r and the
+        trace would append rows forever.  A step the range resolves, and any
+        step over an empty range, are accepted."""
+        cfg = dict(r_start=1e6, r_end=1e6 + 100.0, z0=1000.0, theta0=math.radians(5.0))
+        for r_start, r_end in ((1e6, 1e6 + 100.0), (-1e6 - 100.0, -1e6), (0.0, 1e6)):
+            with pytest.raises(ValueError, match="range resolution"):
+                TraceConfig(**{**cfg, "r_start": r_start, "r_end": r_end}, dr=1e-11)
+        TraceConfig(**cfg, dr=1e-9)
+        TraceConfig(**{**cfg, "r_end": 1e6}, dr=1e-11)
+
     @pytest.mark.parametrize("field", ["r_start", "r_end", "z0", "theta0", "dr",
                                        "bisect_tol", "steep_cutoff"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -649,6 +660,34 @@ class TestLocatorConvergence:
             assert res.unconverged_bounces == 0
 
 
+class TestSnellInvariantDrift:
+    """In a range-independent field w = sqrt(n^2 - p^2) is conserved on each
+    segment between bounces, and RK4 lets it drift at order 4 in dr.  On the
+    README trace the max drift from each segment's first row (the launch
+    row and each bounce row) reads 1.48e-10, 9.44e-12 and 5.94e-13 at
+    dr = 80, 40 and 20."""
+
+    @staticmethod
+    def max_segment_drift(res):
+        w = np.sqrt(res.n**2 - res.p**2)
+        starts = np.searchsorted(res.r, [b.r for b in res.bounces])
+        assert res.r[starts].tolist() == [b.r for b in res.bounces]  # the bounce rows
+        segment = np.zeros(len(w), dtype=int)
+        segment[starts] = 1
+        first = np.r_[0, starts][np.cumsum(segment)]
+        return float(np.abs(w - w[first]).max())
+
+    def test_drift_falls_at_order_four(self):
+        drifts = []
+        for dr in (80.0, 40.0, 20.0):
+            res = trace_ray(README_FIELD, README_BATH, replace(README_CFG, dr=dr))
+            assert res.status is TraceStatus.COMPLETED and len(res.bounces) == 3
+            drifts.append(self.max_segment_drift(res))
+        for coarse, fine in zip(drifts, drifts[1:]):
+            assert math.log2(coarse / fine) == pytest.approx(4.0, abs=0.3)
+        assert drifts[-1] < 1e-12
+
+
 def _ray_only_cases():
     """(field, bathymetry, config, launch angles in degrees) per case."""
     from varitrace import PiecewiseBottom
@@ -675,6 +714,11 @@ def _ray_only_cases():
     cases["domain-exit"] = (
         HOMOGENEOUS, ArcBottom(radius=50.0, r_center=100.0, z_center=30.0, bulge="down"),
         TraceConfig(r_start=60.0, r_end=400.0, z0=20.0, theta0=0.0, dr=1.0), [2.0])
+    # The step end lies past c = 0, so the index call after the advance raises.
+    z0, angle, dr = ZERO_SPEED_LAUNCHES[0]
+    cases["domain-exit-at-step-end"] = (
+        ZERO_SPEED_FIELD, FlatBottom(2000.0),
+        TraceConfig(r_start=0.0, r_end=200.0, z0=z0, theta0=0.0, dr=dr), [angle])
     cases["max-bounces"] = (
         HOMOGENEOUS, FlatBottom(500.0),
         TraceConfig(r_start=0.0, r_end=20_000.0, z0=0.0, theta0=0.0, dr=10.0,
@@ -722,22 +766,45 @@ class TestHitPastTheBounceBudget:
         assert len(res.bounces) == 1 and len(hits) == 2
 
 
+@pytest.fixture
+def step_calls(monkeypatch):
+    """(r, h, z, p, whether q advances) of every ``_rk4_step`` call, in order."""
+    import varitrace.propagation as propagation
+
+    calls = []
+    step = propagation._rk4_step
+
+    def recorded(index_at, r, z, p, sample, h, q):
+        calls.append((r, h, z, p, q is not None))
+        return step(index_at, r, z, p, sample, h, q)
+
+    monkeypatch.setattr(propagation, "_rk4_step", recorded)
+    return calls
+
+
 class TestRayOnlyTraces:
-    """``variations=False`` marches (z, p) alone: r, z, p, the index, the
-    status and the bounces are those of the full trace bit for bit, and the
-    q columns are NaN."""
+    """``variations=False`` marches (z, p) alone: each ``_rk4_step`` call,
+    trial steps included, is the full trace's in r, h, z and p bit for bit,
+    the status and the bounces are the full trace's, and the trace keeps
+    two rows, the full trace's first and last with NaN q columns."""
 
     @pytest.mark.parametrize("case", RAY_ONLY_CASES)
-    def test_same_ray_as_the_full_trace(self, case):
+    def test_same_ray_as_the_full_trace(self, step_calls, case):
         field, bath, cfg, angles = RAY_ONLY_CASES[case]
         statuses = set()
         for angle in angles:
             run = replace(cfg, theta0=math.radians(angle))
+            step_calls.clear()
             full = trace_ray(field, bath, run)
+            full_steps = np.array([call[:4] for call in step_calls])
+            step_calls.clear()
             ray = trace_from_pulse(field, bath, run, run.z0, float(full.p[0]),
                                    variations=False)
-            assert ray.samples[:, :3].tobytes() == full.samples[:, :3].tobytes()
-            assert ray.n.tobytes() == full.n.tobytes()
+            ray_steps = np.array([call[:4] for call in step_calls])
+            assert ray_steps.tobytes() == full_steps.tobytes()
+            assert len(ray.samples) == 2
+            assert ray.samples[:, :3].tobytes() == full.samples[[0, -1], :3].tobytes()
+            assert ray.n.tobytes() == full.n[[0, -1]].tobytes()
             assert np.isnan(ray.samples[:, 3:]).all()
             assert not np.isnan(full.samples[:, 3:]).any()
             assert ray.status is full.status
@@ -748,43 +815,38 @@ class TestRayOnlyTraces:
         expected = {"backscatter-wall": TraceStatus.BACKSCATTERED,
                     "steep-ray": TraceStatus.STEEP_RAY,
                     "domain-exit": TraceStatus.DOMAIN_EXIT,
+                    "domain-exit-at-step-end": TraceStatus.DOMAIN_EXIT,
                     "max-bounces": TraceStatus.MAX_BOUNCES}.get(case, TraceStatus.COMPLETED)
         assert statuses == {expected}
 
-    def test_variation_updates_only_where_q_is_read(self, monkeypatch):
+    def test_variation_updates_only_where_q_is_read(self, step_calls):
         """A full trace advances q in every ``_rk4_step`` call, the landing
         search's trial steps included; a ray-only trace and the oracle's
         perturbed rays carry q = None and advance it in none."""
-        import varitrace.propagation as propagation
         from varitrace import BeamPerturbation, verify_kappa
         from varitrace.presets import preset
 
-        calls = {"step": 0, "variation": 0}
-        step = propagation._rk4_step
-
-        def counted(index_at, r, z, p, sample, h, q):
-            calls["step"] += 1
-            calls["variation"] += q is not None
-            return step(index_at, r, z, p, sample, h, q)
-
-        monkeypatch.setattr(propagation, "_rk4_step", counted)
+        def counts():
+            steps = len(step_calls), sum(call[4] for call in step_calls)
+            step_calls.clear()
+            return steps
 
         full = trace_ray(README_FIELD, README_BATH, README_CFG)
+        steps, variation = counts()
         assert full.status is TraceStatus.COMPLETED and full.bounces
         rows = len(full.samples) - 1  # every row after the launch: a step or a bounce
-        assert calls["variation"] == calls["step"] > rows  # the landing search took trial steps
+        assert variation == steps > rows  # the landing search took trial steps
 
-        calls.update(step=0, variation=0)
         ray = trace_from_pulse(README_FIELD, README_BATH, README_CFG, README_CFG.z0,
                                float(full.p[0]), variations=False)
-        assert calls["variation"] == 0 and calls["step"] > rows
-        assert len(ray.samples) == len(full.samples)
+        steps, variation = counts()
+        assert variation == 0 and steps > rows
+        assert len(ray.samples) == 2
 
         sc = preset("sinusoidal-munk")
-        calls.update(step=0, variation=0)
         central = trace_ray(sc.field, sc.bath, replace(sc.cfg, r_end=sc.r_after_bounce))
-        central_steps = calls["step"]
-        calls.update(step=0, variation=0)
+        central_steps, _ = counts()
         verify_kappa(sc.field, sc.bath, sc.cfg, [BeamPerturbation()], sc.r_after_bounce)
-        assert calls["variation"] == central_steps >= len(central.samples) - 1
-        assert calls["step"] > 9 * (len(central.samples) - 1)  # 8 perturbed rays, stepped
+        steps, variation = counts()
+        assert variation == central_steps >= len(central.samples) - 1
+        assert steps > 9 * (len(central.samples) - 1)  # 8 perturbed rays, stepped

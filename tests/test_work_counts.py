@@ -44,10 +44,11 @@ COMMANDS = {
 # and none of a ray-only trace.  verify makes 68 oracle traces (4 presets
 # x 1 central and 16 ray-only perturbed rays) and 2,000 structure-sweep kappa_matrix
 # calls beside the 68 bounces' own; identity_checks is one call per block
-# of draws, and "rows" sums the rows the oracle traces keep.  _find_crossing
-# runs only for the steps the trace loop's screen does not clear: every
-# step over a bottom with no depth floor (verify's two arc presets), else
-# only steps near the surface or the floor.
+# of draws.  "rows" sums the rows the oracle traces keep: every row of the
+# 4 central traces and the launch and final rows of each ray-only one.
+# _find_crossing runs only for the steps the trace loop's screen does not
+# clear: every step over a bottom with no depth floor (verify's two arc
+# presets), else only steps near the surface or the floor.
 EXPECTED = {
     "trace": {"_rk4_step": 1505, "q_advance": 1505, "_find_crossing": 77, "_land": 3,
               "kappa_matrix": 3, "index_at": 6019, "depth_at": 171, "bottom_at": 3},
@@ -59,7 +60,7 @@ EXPECTED = {
     "kappa-scan": {"kappa_matrix": 1086},
     "verify": {"_rk4_step": 52156, "q_advance": 3068, "_find_crossing": 11006,
                "_land": 68, "kappa_matrix": 2068, "index_at": 208628, "depth_at": 22418,
-               "bottom_at": 68, "trace_from_pulse": 68, "rows": 52156, "identity_checks": 13},
+               "bottom_at": 68, "trace_from_pulse": 68, "rows": 3196, "identity_checks": 13},
 }
 
 
