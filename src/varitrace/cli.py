@@ -23,7 +23,7 @@ from .presets import PRESET_NAMES, PRESETS, STUDY_PERTURBATION, VerificationScen
 from .propagation import TraceResult, TraceStatus, trace_fan, trace_ray
 from .reflection import SINGULAR_TOL, _mirror, identity_checks, kappa_matrix
 
-DEFAULT_SCAN_THETAS = [-90.0 + 10.0 * k for k in range(1, 18)]  # -80 .. 80
+DEFAULT_SCAN_THETAS = tuple(-90.0 + 10.0 * k for k in range(1, 18))  # -80 .. 80
 
 
 def _fmt(x: float) -> str:
@@ -252,8 +252,7 @@ def _verify_scenario(scenario: VerificationScenario, tolerance: float, out) -> b
     order study (12), both about one central trace: 17 traces."""
     ok = True
     (err,), errs = verify_kappa(scenario.field, scenario.bath, scenario.cfg,
-                                (BeamPerturbation(richardson_levels=1), STUDY_PERTURBATION),
-                                scenario.r_after_bounce)
+                                (BeamPerturbation(richardson_levels=1), STUDY_PERTURBATION))
     passed = err < tolerance
     ok &= passed
     print(f"[{scenario.name}] default-h max rel err {err:.3e} "
@@ -338,14 +337,11 @@ def _verify_structure(rng, out) -> bool:
 
 def cmd_verify(run: RunConfig, out, seed: int | None) -> int:
     sec = run.section("verify", required=False)
-    sec.check_keys({"preset", "tolerance", "r_after_bounce"})
+    sec.check_keys({"preset", "tolerance"})
     which = sec.get_str("preset", "all")
     tolerance = sec.get_float("tolerance", 1e-3)
     if tolerance <= 0.0:
         raise ConfigError(f"[verify] tolerance = {tolerance:g} must be positive")
-    if "r_after_bounce" in sec.raw and which != "custom":
-        raise ConfigError(f"[verify] r_after_bounce is read only with preset = custom, "
-                          f"not {which!r}")
     if which == "all":
         scenarios = PRESETS
     elif which in PRESET_NAMES:
@@ -358,7 +354,6 @@ def cmd_verify(run: RunConfig, out, seed: int | None) -> int:
             field=run.build_field(),
             bath=run.build_bathymetry(),
             cfg=run.build_trace_config(),
-            r_after_bounce=sec.get_float("r_after_bounce", required=True),
         )]
     else:
         raise ConfigError(

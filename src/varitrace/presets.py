@@ -1,8 +1,9 @@
 """Verification scenario matrix used by the CLI gate and the test suite.
 
 Each ``PRESETS`` scenario traces one bounce off a specific boundary/profile
-combination and is tuned so the finite-difference comparison stays in its
-second-order convergence regime at the study perturbation sizes.
+combination, compared at its trace's own ``r_end``, and is tuned so the
+finite-difference comparison stays in its second-order convergence regime
+at the study perturbation sizes.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ STUDY_PERTURBATION = BeamPerturbation(h_p=1e-3, h_z=1.0, richardson_levels=3)
 
 @dataclass(frozen=True)
 class VerificationScenario:
-    """One single-bounce scenario for the analytic-vs-numeric comparison."""
+    """One single-bounce scenario, compared analytic vs numeric at cfg.r_end."""
 
     name: str
     field: SoundSpeedField
     bath: Bathymetry
     cfg: TraceConfig
-    r_after_bounce: float
 
 
 PRESETS = (
@@ -51,7 +51,6 @@ PRESETS = (
         bath=FlatBottom(200.0),
         cfg=TraceConfig(r_start=0.0, r_end=350.0, z0=50.0,
                         theta0=math.radians(35.0), dr=0.5),
-        r_after_bounce=350.0,
     ),
     # Homogeneous water over a circular basin (curvature +0.02 1/m):
     # exercises the curvature term alone.
@@ -61,7 +60,6 @@ PRESETS = (
         bath=ArcBottom(radius=50.0, r_center=100.0, z_center=30.0, bulge="down"),
         cfg=TraceConfig(r_start=70.0, r_end=140.0, z0=60.0,
                         theta0=math.radians(20.0), dr=0.25),
-        r_after_bounce=140.0,
     ),
     # Curvature and index gradient together; the range gradient gives the
     # jump's horizontal-gradient (n_r) term a value the gate can see.
@@ -71,7 +69,6 @@ PRESETS = (
         bath=ArcBottom(radius=50.0, r_center=100.0, z_center=30.0, bulge="down"),
         cfg=TraceConfig(r_start=70.0, r_end=140.0, z0=60.0,
                         theta0=math.radians(20.0), dr=0.25),
-        r_after_bounce=140.0,
     ),
     # Canonical channel profile over a corrugated bottom; the ray dives
     # through the channel axis and bounces once off a curved section.
@@ -82,7 +79,6 @@ PRESETS = (
                               wavenumber=2.0 * math.pi / 1500.0),
         cfg=TraceConfig(r_start=0.0, r_end=3600.0, z0=800.0,
                         theta0=math.radians(30.0), dr=2.0),
-        r_after_bounce=3600.0,
     ),
 )
 

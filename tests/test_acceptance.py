@@ -151,7 +151,7 @@ def test_criterion_3_oracle_equivalence():
     for name in PRESET_NAMES:
         sc = preset(name)
         (err, _), errs = verify_kappa(sc.field, sc.bath, sc.cfg,
-                                      (BeamPerturbation(), STUDY_PERTURBATION), sc.r_after_bounce)
+                                      (BeamPerturbation(), STUDY_PERTURBATION))
         assert err < 1e-3, f"{name}: default-h error {err:.3e}"
         order = 0.5 * (math.log2(errs[0] / errs[1]) + math.log2(errs[1] / errs[2]))
         assert abs(order - 2.0) <= 0.3, f"{name}: order {order:.2f}"
@@ -216,7 +216,7 @@ def test_criterion_5_closed_form_flow():
     scale = np.abs(expected).max()
     assert np.abs(analytic - expected).max() / scale < 1e-8
 
-    _, levels = fd_jacobian(field, bath, cfg, BeamPerturbation(), R)
+    _, levels = fd_jacobian(field, bath, cfg, BeamPerturbation())
     assert np.abs(levels[0] - expected).max() / scale < 1e-6
     report("ACCEPTANCE 5 (closed-form flow): PASS  analytic within 1e-8, "
            "FD within 1e-6")
@@ -360,7 +360,7 @@ def test_criterion_7_sweep_reproduction():
         assert k22 == pytest.approx(bounce.kappa.k22, rel=1e-6)
 
         # and the whole analytic q agrees with the FD oracle
-        (v,) = verify_kappa(field, bath, cfg, [BeamPerturbation()], cfg.r_end)
+        (v,) = verify_kappa(field, bath, cfg, [BeamPerturbation()])
         assert v[0] < 1e-3, f"pair ({theta_deg}, {alpha_deg}): {v[0]:.3e}"
     report("ACCEPTANCE 7 (sweep reproduction): PASS  alpha=90 column exact, "
            "5 sampled pairs oracle-validated to 1e-3")

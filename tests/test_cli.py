@@ -592,6 +592,18 @@ class TestFanCommand:
         assert "[fan] angles_deg with " + key.split()[0] in err
         assert "one or the other" in err and not out.exists()
 
+    @pytest.mark.parametrize("keys,message", [
+        ("theta_min_deg = -5\ntheta_max_deg = 5\n",
+         "[fan] needs angles_deg or theta_min_deg/theta_max_deg/count"),
+        ("theta_min_deg = -5\ntheta_max_deg = 5\ncount = 0\n", "[fan] count must be at least 1"),
+        ("theta_min_deg = -5\ntheta_max_deg = 5\ncount = 2.5\n",
+         "[fan] count = '2.5' is not an integer"),
+    ], ids=["no-count", "count-0", "count-2.5"])
+    def test_bad_angle_range_is_usage_error(self, tmp_path, capsys, keys, message):
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("z0 = 0.0", "z0 = 500.0") + "\n[fan]\n" + keys)
+        assert main(["fan", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_fan_section(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG)
         assert main(["fan", "--config", cfg]) == 2
@@ -699,6 +711,26 @@ n_r = 0.0
                                                         "[kappa_scan]\ntheta_deg =\n"))
         assert main(["kappa-scan", "--config", cfg]) == 2
         assert "theta_deg list is empty" in capsys.readouterr().err
+
+    def test_missing_section_runs_on_defaults(self, tmp_path):
+        """kappa-scan reads no other section, so a config without
+        [kappa_scan] scans every default theta over alpha 0..180 in 1 deg
+        steps."""
+        out = tmp_path / "scan.csv"
+        assert main(["kappa-scan", "--config", write_cfg(tmp_path, BASE_CFG),
+                     "--output", str(out)]) == 0
+        assert "# curvature=0.02 n=1 n_z=0.01 n_r=0\n" in out.read_text()
+        rows = read_rows(out)
+        assert len(rows) == len(DEFAULT_SCAN_THETAS) * 181
+        assert [float(r[1]) for r in rows[:3]] == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("keys", ["alpha_min_deg = 10\nalpha_max_deg = 5\n",
+                                      "alpha_step_deg = 0\n"], ids=["max-below-min", "step-0"])
+    def test_bad_alpha_range_is_usage_error(self, tmp_path, capsys, keys):
+        cfg = write_cfg(tmp_path, "[kappa_scan]\n" + keys)
+        assert main(["kappa-scan", "--config", cfg]) == 2
+        assert ("[kappa_scan] needs alpha_max_deg >= alpha_min_deg and a positive step"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_non_positive_index_is_usage_error(self, tmp_path, capsys, n):
@@ -872,13 +904,15 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg]) == 2
         assert "[verify] tolerance" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("preset_line", ["preset = flat-linear\n", "preset = all\n", ""])
+    @pytest.mark.parametrize("preset_line", ["preset = flat-linear\n", "preset = all\n", "",
+                                             "preset = custom\n"])
     def test_r_after_bounce_needs_custom_preset(self, tmp_path, capsys, preset_line):
-        """Only preset = custom reads r_after_bounce; any other preset,
-        the default one included, rejects it instead of ignoring it."""
+        """No preset reads r_after_bounce, custom included: a scenario
+        verifies at its [trace] r_end.  A config that sets the key exits 2
+        naming it instead of ignoring it."""
         cfg = write_cfg(tmp_path, f"[verify]\n{preset_line}r_after_bounce = 5\n")
         assert main(["verify", "--config", cfg]) == 2
-        assert "[verify] r_after_bounce" in capsys.readouterr().err
+        assert "unknown key(s) in [verify]: r_after_bounce" in capsys.readouterr().err
 
     def test_unknown_preset_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[verify]\npreset = bogus\n")
@@ -890,7 +924,7 @@ class TestVerifyCommand:
             "[environment]\nkind = linear-gradient\ngradient = 5e-4\n"
             "[bathymetry]\nkind = flat\ndepth = 300.0\n"
             "[trace]\nr_start = 0\nr_end = 600\nz0 = 80\ntheta0_deg = 30\ndr = 0.5\n"
-            "[verify]\npreset = custom\nr_after_bounce = 600\n")
+            "[verify]\npreset = custom\n")
         cfg = write_cfg(tmp_path, text)
         assert main(["verify", "--config", cfg]) == 0
         out = capsys.readouterr().out
@@ -906,27 +940,43 @@ class TestVerifyCommand:
             "[environment]\nkind = gridded\nfile = ssp.txt\n"
             "[bathymetry]\nkind = flat\ndepth = 200.0\n"
             "[trace]\nr_start = 0\nr_end = 400\nz0 = 0.5\ntheta0_deg = 30\ndr = 0.5\n"
-            "[verify]\npreset = custom\nr_after_bounce = 400\n")
+            "[verify]\npreset = custom\n")
         cfg = write_cfg(tmp_path, text)
         assert main(["verify", "--config", cfg]) == 0
         assert "OVERALL PASS" in capsys.readouterr().out
 
-    def test_custom_scenario_needs_r_after_bounce(self, tmp_path, capsys):
+    def test_custom_scenario_ending_before_the_bounce_is_config_error(self, tmp_path, capsys):
+        """The ray first bounces near r = 381 m; a custom scenario verifies
+        at its own r_end, so r_end = 300 leaves it with no bounce."""
+        text = (
+            "[environment]\nkind = constant\n"
+            "[bathymetry]\nkind = flat\ndepth = 300.0\n"
+            "[trace]\nr_start = 0\nr_end = 300\nz0 = 80\ntheta0_deg = 30\ndr = 0.5\n"
+            "[verify]\npreset = custom\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["verify", "--config", cfg]) == 2
+        assert "config error: expected exactly one bounce" in capsys.readouterr().err
+
+    def test_custom_scenario_stopping_early_is_config_error(self, tmp_path, capsys):
+        """With max_bounces = 0 the central ray ends at its first bounce,
+        before r_end: a config error, raised before any perturbed trace."""
         text = (
             "[environment]\nkind = constant\n"
             "[bathymetry]\nkind = flat\ndepth = 300.0\n"
             "[trace]\nr_start = 0\nr_end = 600\nz0 = 80\ntheta0_deg = 30\ndr = 0.5\n"
+            "max_bounces = 0\n"
             "[verify]\npreset = custom\n")
         cfg = write_cfg(tmp_path, text)
         assert main(["verify", "--config", cfg]) == 2
-        assert "r_after_bounce" in capsys.readouterr().err
+        assert ("config error: central ray did not reach 600: max_bounces"
+                in capsys.readouterr().err)
 
     def test_custom_scenario_with_many_bounces_is_config_error(self, tmp_path, capsys):
         text = (
             "[environment]\nkind = constant\n"
             "[bathymetry]\nkind = flat\ndepth = 100.0\n"
             "[trace]\nr_start = 0\nr_end = 2000\nz0 = 80\ntheta0_deg = 30\ndr = 0.5\n"
-            "[verify]\npreset = custom\nr_after_bounce = 2000\n")
+            "[verify]\npreset = custom\n")
         cfg = write_cfg(tmp_path, text)
         assert main(["verify", "--config", cfg]) == 2
         assert "config error: expected exactly one bounce" in capsys.readouterr().err

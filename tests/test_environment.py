@@ -359,6 +359,32 @@ def test_non_finite_parameter_rejected(case):
         build()
 
 
+INVALID_GEOMETRY = {
+    "SinusoidalBottom(100, 100, 0.1)": (
+        "smaller than the mean depth", lambda: SinusoidalBottom(100.0, 100.0, 0.1)),
+    "SinusoidalBottom(100, -120, 0.1)": (
+        "smaller than the mean depth", lambda: SinusoidalBottom(100.0, -120.0, 0.1)),
+    "ArcBottom(bulge=side)": (
+        "bulge must be 'up' or 'down'", lambda: ArcBottom(50.0, 100.0, 30.0, "side")),
+    "PiecewiseBottom(0 depth)": (
+        "depths must all be positive",
+        lambda: PiecewiseBottom([0.0, 1.0, 2.0, 3.0], [10.0, 0.0, 10.0, 10.0])),
+    "PiecewiseBottom(negative depth)": (
+        "depths must all be positive",
+        lambda: PiecewiseBottom([0.0, 1.0, 2.0, 3.0], [10.0, 10.0, 10.0, -5.0])),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_GEOMETRY)
+def test_invalid_geometry_rejected(case):
+    """Finite parameters that still describe no waveguide: a corrugation
+    reaching the surface, an arc bulging neither way, a sampled bottom at
+    or above the surface."""
+    message, build = INVALID_GEOMETRY[case]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestSplineTable:
     """Sampled profiles are fitted in plain Python to scipy's natural
     ``CubicSpline`` coefficients, and evaluated to its values, bit for bit."""

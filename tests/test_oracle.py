@@ -1,7 +1,7 @@
 """FD-oracle tests: flow-map Jacobians vs analytic variation matrices."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -55,14 +55,14 @@ class TestFdJacobian:
     def test_identity_at_zero_length_flow(self):
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=500.0,
                           theta0=math.radians(5.0), dr=1.0)
-        _, levels = fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation(), 0.0)
+        _, levels = fd_jacobian(HOMOGENEOUS, DEEP, replace(cfg, r_end=0.0), BeamPerturbation())
         np.testing.assert_allclose(levels[0], np.eye(2), atol=1e-9)
 
     def test_homogeneous_closed_form(self):
         R = 4000.0
         theta = math.radians(12.0)
         cfg = TraceConfig(r_start=0.0, r_end=R, z0=2000.0, theta0=theta, dr=10.0)
-        _, levels = fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation(), R)
+        _, levels = fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation())
         w = math.cos(theta)
         expected = np.array([[1.0, 0.0], [R / w**3, 1.0]])
         np.testing.assert_allclose(levels[0], expected, rtol=1e-6, atol=1e-6)
@@ -71,7 +71,7 @@ class TestFdJacobian:
         cfg = TraceConfig(r_start=0.0, r_end=3000.0, z0=1000.0,
                           theta0=math.radians(9.0), dr=10.0)
         _, levels = fd_jacobian(LinearGradientField(1500.0, 1e-4), DEEP, cfg,
-                                BeamPerturbation(), 3000.0)
+                                BeamPerturbation())
         assert np.linalg.det(levels[0]) == pytest.approx(1.0, abs=1e-5)
 
     def test_single_flat_bounce_matches_analytic_composition(self):
@@ -81,7 +81,7 @@ class TestFdJacobian:
         r_bounce = (depth - z0) / math.tan(theta)
         R = r_bounce + 120.0
         cfg = TraceConfig(r_start=0.0, r_end=R, z0=z0, theta0=theta, dr=0.5)
-        _, levels = fd_jacobian(HOMOGENEOUS, FlatBottom(depth), cfg, BeamPerturbation(), R)
+        _, levels = fd_jacobian(HOMOGENEOUS, FlatBottom(depth), cfg, BeamPerturbation())
         a = 1.0 / math.cos(theta) ** 3
         f1 = np.array([[1.0, 0.0], [r_bounce * a, 1.0]])
         f2 = np.array([[1.0, 0.0], [(R - r_bounce) * a, 1.0]])
@@ -95,7 +95,7 @@ class TestFdJacobian:
         for levels_requested in (2, 3):
             # z0 - h_z < 0 at first try
             pert = BeamPerturbation(h_p=1e-6, h_z=60.0, richardson_levels=levels_requested)
-            used, levels = fd_jacobian(HOMOGENEOUS, FlatBottom(500.0), cfg, pert, 100.0)
+            used, levels = fd_jacobian(HOMOGENEOUS, FlatBottom(500.0), cfg, pert)
             assert used.h_z < 60.0
             assert len(levels) == levels_requested
             np.testing.assert_allclose(levels[0], [[1.0, 0.0], [100.0 / w**3, 1.0]],
@@ -111,7 +111,7 @@ class TestFdJacobian:
                           theta0=math.radians(30.0), dr=0.5)
         # z0 - h_z = -0.5 lies above the grid at first try
         used, levels = fd_jacobian(field, FlatBottom(200.0), cfg,
-                                   BeamPerturbation(h_p=1e-3, h_z=1.0), 100.0)
+                                   BeamPerturbation(h_p=1e-3, h_z=1.0))
         assert used.h_z < 1.0
         q = trace_ray(field, FlatBottom(200.0), cfg).q[-1]
         np.testing.assert_allclose(levels[0], q, rtol=1e-4, atol=1e-4)
@@ -120,17 +120,35 @@ class TestFdJacobian:
         theta = math.radians(35.0)
         cfg = TraceConfig(r_start=0.0, r_end=300.0, z0=50.0, theta0=theta, dr=0.5)
         r_bounce = 150.0 / math.tan(theta)
-        # query just past the central bounce; even h_z/32 shifts the
-        # perturbed bounce past the query range
+        # r_end just past the central bounce; even h_z/32 shifts the
+        # perturbed bounce past it
         with pytest.raises(PerturbationTooLargeError):
-            fd_jacobian(HOMOGENEOUS, FlatBottom(200.0), cfg,
-                        BeamPerturbation(h_p=1e-9, h_z=40.0), r_bounce + 0.5)
+            fd_jacobian(HOMOGENEOUS, FlatBottom(200.0), replace(cfg, r_end=r_bounce + 0.5),
+                        BeamPerturbation(h_p=1e-9, h_z=40.0))
 
-    def test_invalid_query_range(self):
-        cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=50.0,
-                          theta0=math.radians(5.0), dr=1.0)
-        with pytest.raises(ValueError):
-            fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation(), 150.0)
+    @pytest.mark.parametrize("check", [
+        lambda bath, cfg: fd_jacobian(HOMOGENEOUS, bath, cfg, BeamPerturbation()),
+        lambda bath, cfg: verify_kappa(HOMOGENEOUS, bath, cfg, [BeamPerturbation()]),
+    ], ids=["fd_jacobian", "verify_kappa"])
+    def test_central_ray_that_stops_early_is_a_geometry_error(self, monkeypatch, check):
+        """A central ray that ends before r_end, here at its first bounce
+        with max_bounces = 0, is the scenario's fault, not the
+        perturbation's: both entry points raise GeometryError after
+        tracing the central ray alone."""
+        import varitrace.oracle as oracle
+
+        calls = []
+        original = oracle.trace_from_pulse
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["variations"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "trace_from_pulse", counted)
+        cfg = TraceConfig(0.0, 300.0, 50.0, math.radians(35.0), dr=0.5, max_bounces=0)
+        with pytest.raises(GeometryError, match="central ray did not reach 300: max_bounces"):
+            check(FlatBottom(200.0), cfg)
+        assert len(calls) == 1
 
     def test_perturbation_validation(self):
         with pytest.raises(ValueError):
@@ -147,7 +165,7 @@ class TestFdJacobian:
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=50.0,
                           theta0=math.radians(5.0), dr=1.0)
         with pytest.raises(ValueError, match="not finite"):
-            fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation(), 100.0)
+            fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation())
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_every_trace_is_ray_only(self, monkeypatch, name):
@@ -174,8 +192,7 @@ class TestFdJacobian:
         for wrapper in (counted, full_central):
             calls.clear()
             monkeypatch.setattr(oracle, "trace_from_pulse", wrapper)
-            estimates.append(fd_jacobian(sc.field, sc.bath, sc.cfg, BeamPerturbation(),
-                                         sc.r_after_bounce))
+            estimates.append(fd_jacobian(sc.field, sc.bath, sc.cfg, BeamPerturbation()))
             assert calls == [False] * 9
         (ray_only_pert, ray_only), (full_pert, full) = estimates
         assert [level.tobytes() for level in ray_only] == [level.tobytes() for level in full]
@@ -186,8 +203,7 @@ class TestVerifyKappa:
     def test_flat_linear_accuracy_and_convergence(self):
         scenario = preset("flat-linear")
         v, errs = verify_kappa(scenario.field, scenario.bath, scenario.cfg,
-                               (BeamPerturbation(), STUDY_PERTURBATION),
-                               scenario.r_after_bounce)
+                               (BeamPerturbation(), STUDY_PERTURBATION))
         assert v[0] < 1e-3
         assert math.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.3)
 
@@ -196,14 +212,12 @@ class TestVerifyKappa:
         """The one-call study's level errors are, bit for bit, the errors
         of separate calls at h, h/2 and h/4, each with two levels."""
         sc = preset(name)
-        (study,) = verify_kappa(sc.field, sc.bath, sc.cfg, [STUDY_PERTURBATION],
-                                sc.r_after_bounce)
+        (study,) = verify_kappa(sc.field, sc.bath, sc.cfg, [STUDY_PERTURBATION])
         reference = []
         for i in range(3):
             pert = BeamPerturbation(h_p=STUDY_PERTURBATION.h_p / 2**i,
                                     h_z=STUDY_PERTURBATION.h_z / 2**i)
-            reference.append(verify_kappa(sc.field, sc.bath, sc.cfg, [pert],
-                                          sc.r_after_bounce)[0][0])
+            reference.append(verify_kappa(sc.field, sc.bath, sc.cfg, [pert])[0][0])
         assert study == tuple(reference)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -212,8 +226,7 @@ class TestVerifyKappa:
         perturbed trace lands on the boundary, not by truncation."""
         sc = preset(name)
         v, one = verify_kappa(sc.field, sc.bath, sc.cfg,
-                              (BeamPerturbation(), BeamPerturbation(richardson_levels=1)),
-                              sc.r_after_bounce)
+                              (BeamPerturbation(), BeamPerturbation(richardson_levels=1)))
         assert v[0] <= 1e-6
         # one level, as verify traces it, gives the same first-level error
         assert one == v[:1]
@@ -238,7 +251,7 @@ class TestVerifyKappa:
         for perts, traces in (([one], 5), ([BeamPerturbation()], 9),
                               ([STUDY_PERTURBATION], 13), ([one, STUDY_PERTURBATION], 17)):
             calls.clear()
-            results = verify_kappa(sc.field, sc.bath, sc.cfg, perts, sc.r_after_bounce)
+            results = verify_kappa(sc.field, sc.bath, sc.cfg, perts)
             assert len(results) == len(perts)
             assert calls == [True] + [False] * (traces - 1)
 
@@ -247,14 +260,14 @@ class TestVerifyKappa:
         formula -2 curv n t1r tr / <t,N> through the composed q."""
         scenario = preset("arc-homogeneous")
         (v,) = verify_kappa(scenario.field, scenario.bath, scenario.cfg,
-                            [BeamPerturbation()], scenario.r_after_bounce)
+                            [BeamPerturbation()])
         assert v[0] < 1e-3
 
     def test_requires_exactly_one_bounce(self):
         cfg = TraceConfig(r_start=0.0, r_end=1000.0, z0=500.0,
                           theta0=math.radians(3.0), dr=5.0)
         with pytest.raises(GeometryError):
-            verify_kappa(HOMOGENEOUS, DEEP, cfg, [BeamPerturbation()], 1000.0)
+            verify_kappa(HOMOGENEOUS, DEEP, cfg, [BeamPerturbation()])
 
     def test_horizontal_gradient_term_regression(self):
         """Pins the n_r coefficient of the jump: a tilted index field over a
@@ -275,8 +288,13 @@ class TestVerifyKappa:
         bath = LinearSlopeBottom(depth0=150.0, slope=0.35)
         cfg = TraceConfig(r_start=0.0, r_end=400.0, z0=20.0,
                           theta0=math.radians(40.0), dr=0.5)
-        (v,) = verify_kappa(field, bath, cfg, [BeamPerturbation()], 400.0)
+        (v,) = verify_kappa(field, bath, cfg, [BeamPerturbation()])
         assert v[0] < 1e-4
+
+
+def test_unknown_preset_name_raises():
+    with pytest.raises(KeyError, match="unknown preset 'bogus'; choose from flat-linear"):
+        preset("bogus")
 
 
 class TestGriddedFieldJump:
@@ -294,7 +312,7 @@ class TestGriddedFieldJump:
         bath = LinearSlopeBottom(depth0=150.0, slope=0.35)
         cfg = TraceConfig(r_start=0.0, r_end=400.0, z0=20.0,
                           theta0=math.radians(40.0), dr=0.5)
-        (v,) = verify_kappa(field, bath, cfg, [BeamPerturbation()], 400.0)
+        (v,) = verify_kappa(field, bath, cfg, [BeamPerturbation()])
         assert v[0] < 1e-3
 
 

@@ -124,6 +124,21 @@ def test_presets_are_one_table():
     assert presets.PRESET_NAMES == tuple(sc.name for sc in presets.PRESETS)
 
 
+def test_oracle_checks_at_the_trace_end():
+    """The oracle's range is the trace config's r_end and nothing else
+    names it: no query-range parameter, no scenario field beside cfg."""
+    import inspect
+
+    from varitrace import presets
+
+    assert list(inspect.signature(varitrace.fd_jacobian).parameters) == [
+        "field_", "bath", "cfg", "pert"]
+    assert list(inspect.signature(varitrace.verify_kappa).parameters) == [
+        "field_", "bath", "cfg", "perts"]
+    assert list(presets.VerificationScenario.__dataclass_fields__) == [
+        "name", "field", "bath", "cfg"]
+
+
 @pytest.mark.parametrize("module", ["environment", "oracle", "propagation", "reflection"])
 def test_package_reexports_each_module_all(module):
     """``varitrace/__init__.py`` imports exactly the module's ``__all__``, so

@@ -18,6 +18,7 @@ from varitrace import (
     PiecewiseBottom,
     SingularReflectionError,
     SinusoidalBottom,
+    SoundSpeedField,
     TraceConfig,
     TraceStatus,
     spreading_at,
@@ -253,6 +254,29 @@ class TestStatuses:
         assert res.status is TraceStatus.BACKSCATTERED
         assert res.samples[-1, 0] < 1000.0
 
+    def test_steep_ray_on_landing(self):
+        """A ray that lands on the bottom where |p| >= n has no grazing
+        angle (sqrt(1 - tz^2) would raise): the trace ends steep_ray on its
+        incident row, with no bounce recorded.  The field is smooth but for
+        n = 0.3 exactly at z = 200; the ray must curve, since in a constant
+        field the landing's last stage probe lands on 200 and raises inside
+        the step instead."""
+
+        class DropAtTheBottom(SoundSpeedField):
+            def __init__(self):
+                super().__init__(1500.0)
+
+            def index_at(self, r, z):
+                return (0.3 if z == 200.0 else 1.0 + 1e-4 * z, 0.0, 1e-4, 0.0)
+
+        cfg = TraceConfig(r_start=0.0, r_end=500.0, z0=50.0,
+                          theta0=math.radians(30.0), dr=5.0)
+        res = trace_ray(DropAtTheBottom(), FlatBottom(200.0), cfg)
+        assert res.status is TraceStatus.STEEP_RAY and not res.bounces
+        r, z, p = res.samples[-1, :3]
+        assert r == pytest.approx(252.449, abs=1e-3) and z == 200.0
+        assert p == pytest.approx(0.5319, abs=1e-4) and res.n[-1] == 0.3
+
     def test_max_bounces(self):
         cfg = TraceConfig(r_start=0.0, r_end=20_000.0, z0=0.0,
                           theta0=math.radians(45.0), dr=10.0, max_bounces=3)
@@ -307,6 +331,13 @@ class TestLaunchValidation:
             TraceConfig(r_start=0.0, r_end=100.0, z0=10.0, theta0=math.radians(89.9))
         with pytest.raises(ValueError):
             TraceConfig(r_start=0.0, r_end=100.0, z0=10.0, theta0=0.1, dr=-1.0)
+        with pytest.raises(ValueError, match="bisection tolerance"):
+            TraceConfig(r_start=0.0, r_end=100.0, z0=10.0, theta0=0.1, bisect_tol=0.0)
+        for cutoff in (0.0, math.pi / 2.0):
+            with pytest.raises(ValueError, match="steep-angle cutoff"):
+                TraceConfig(r_start=0.0, r_end=100.0, z0=10.0, theta0=0.1, steep_cutoff=cutoff)
+        with pytest.raises(ValueError, match="max_bounces"):
+            TraceConfig(r_start=0.0, r_end=100.0, z0=10.0, theta0=0.1, max_bounces=-1)
 
     def test_step_below_range_resolution_rejected(self):
         """1e6 + 1e-11 == 1e6, so such a step would never advance r and the
@@ -844,9 +875,9 @@ class TestRayOnlyTraces:
         assert len(ray.samples) == 2
 
         sc = preset("sinusoidal-munk")
-        central = trace_ray(sc.field, sc.bath, replace(sc.cfg, r_end=sc.r_after_bounce))
+        central = trace_ray(sc.field, sc.bath, sc.cfg)
         central_steps, _ = counts()
-        verify_kappa(sc.field, sc.bath, sc.cfg, [BeamPerturbation()], sc.r_after_bounce)
+        verify_kappa(sc.field, sc.bath, sc.cfg, [BeamPerturbation()])
         steps, variation = counts()
         assert variation == central_steps >= len(central.samples) - 1
         assert steps > 9 * (len(central.samples) - 1)  # 8 perturbed rays, stepped
