@@ -214,6 +214,11 @@ def cmd_kappa_scan(run: RunConfig, out, seed: int | None) -> int:
     alpha_step = sec.get_float("alpha_step_deg", 1.0)
     if alpha_step <= 0.0 or alpha_max < alpha_min:
         raise ConfigError("[kappa_scan] needs alpha_max_deg >= alpha_min_deg and a positive step")
+    # A step that rounds away at the largest angle would list alphas forever.
+    span = max(abs(alpha_min), abs(alpha_max))
+    if alpha_max > alpha_min and span + alpha_step == span:
+        raise ConfigError(f"[kappa_scan] alpha_step_deg = {alpha_step:g} is below the angle "
+                          f"resolution at {span:g} degrees")
     curvature = sec.get_float("curvature", 0.02)
     n = sec.get_float("n", 1.0)
     if n <= 0.0:

@@ -25,18 +25,20 @@ at no extra right-hand-side evaluation.  Each boundary is one record
 bottom, and the hit gives (z, frame) on the boundary at a range.  The trace
 loop screens each step in line, the surface by whether a point lies above
 it and the bottom by whether both lie above its ``floor`` over a span
-holding the step, and passes ``_find_crossing`` the records it did not
-clear, so depths are queried only for the bottom's.  That is the decision
-the queries would give, and it certifies nothing between the points.  Each
-record's crossing is bracketed by the sign of its gap at the step end or,
-when that is inside, at the interpolated step midpoint (a shallow double
-crossing), and only a bracketed one is searched.  There an Illinois search
-on the interpolated gap seeds a safeguarded secant search on the exact RK4
-map from the step start, so the landing state is an RK4 state whose
-boundary residual is below ``bisect_tol``.  The reflection jump is applied
-there, in the frame of the landed record's hit, and marching resumes.  A
-plain step and a landed bounce share one advance, so once launched a trace
-reports every abnormal ending as a status, never an exception.
+holding the step.  That is the decision the gaps would give, and it
+certifies nothing between the points.  In the screen's ``if``, one loop
+over the records it did not clear (so depths are queried only for an
+uncleared bottom) brackets each crossing by the sign of its gap at the
+step end or, when that is inside, at the interpolated step midpoint (a
+shallow double crossing); a non-finite gap raises DomainError.  Only a
+step with a bracket calls ``_find_crossing``, which lands each bracket and
+keeps the earliest: an Illinois search on the interpolated gap seeds a
+safeguarded secant search on the exact RK4 map from the step start, so the
+landing state is an RK4 state whose boundary residual is below
+``bisect_tol``.  The reflection jump is applied there, in the frame of the
+landed record's hit, and marching resumes.  A plain step and a landed
+bounce share one advance, so once launched a trace reports every abnormal
+ending as a status, never an exception.
 
 Each sample is written, as it is made, into two stdlib ``array('d')``: its
 seven columns in one ``fromlist`` call, row after row, and the index.  The
@@ -371,33 +373,15 @@ def _land(index_at, gap, r0, z0, p0, sample0, q0, hi, s, slope, tol):
     return s_prev, p, q, False
 
 
-def _find_crossing(index_at, r0, z0, p0, sample0, q0, h, z_end, dense, boundaries, tol):
-    """First crossing within a step of one of ``boundaries``, the records
-    the trace loop's screen did not clear, surface first; or None.
+def _find_crossing(index_at, r0, z0, p0, sample0, q0, dense, brackets, tol):
+    """Earliest landing within a step among ``brackets``, the trace loop's
+    (record, bracket end, gap) triples, each gap positive at its end.
 
-    ``dense`` is the step's (d1, c2, c3, z_mid).  Each record's crossing is
-    bracketed by its gap at the step end or, when that is inside, at the
-    midpoint (a shallow double crossing).  Every record is bracketed before
-    any is searched, and a step with none bracketed returns None before any
-    search is set up; a bracketed record is searched from the gap already
-    computed at its bracket end.  Returns (step_length, boundary, p, q,
+    ``dense`` is the step's (d1, c2, c3).  Each bracket is searched from the
+    gap already computed at its end.  Returns (step_length, boundary, p, q,
     converged) of the earliest landed step, ``boundary`` being its record.
     """
-    d1, c2, c3, z_mid = dense
-    hh = 0.5 * h
-    # The step starts inside or, after a bounce, exactly on a boundary, so
-    # only the far end and the midpoint need checking: (record, bracket end, gap).
-    brackets = []
-    for boundary in boundaries:
-        gap = boundary.gap
-        hi, g_hi = h, gap(r0 + h, z_end)
-        if g_hi <= 0.0:
-            hi, g_hi = hh, gap(r0 + hh, z_mid)
-        if not g_hi <= 0.0:
-            brackets.append((boundary, hi, g_hi))
-    if not brackets:
-        return None
-
+    d1, c2, c3 = dense
     hits = []
     for boundary, hi, g_hi in brackets:
         gap = boundary.gap
@@ -474,13 +458,21 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             above = z_end < z_floor and z_mid < z_floor and r_lo <= r and r + h <= r_hi
             boundary = None
             if z_end < 0.0 or z_mid < 0.0 or not above:
-                # Only the boundaries the screen did not clear, surface first.
-                uncleared = ((bottom,) if z_end >= 0.0 and z_mid >= 0.0
-                             else (surface,) if above else boundaries)
-                hit = _find_crossing(index_at, r, z, p, s, q, h, z_end,
-                                     (d1, c2, c3, z_mid), uncleared, tol)
-                if hit is not None:
-                    h, boundary, p_end, q_end, converged = hit
+                # (record, bracket end, gap) of each record the screen did not clear,
+                # surface first; the step starts inside or, after a bounce, on it.
+                brackets = []
+                for record in ((bottom,) if z_end >= 0.0 and z_mid >= 0.0
+                               else (surface,) if above else boundaries):
+                    hi, g_hi = h, record.gap(r + h, z_end)
+                    if g_hi <= 0.0:
+                        hi, g_hi = hh, record.gap(r + hh, z_mid)
+                    if not g_hi <= 0.0:  # NaN included
+                        if not math.isfinite(g_hi):
+                            raise DomainError(f"{record.name} gap {g_hi:g} at r = {r + hi:g}")
+                        brackets.append((record, hi, g_hi))
+                if brackets:
+                    h, boundary, p_end, q_end, converged = _find_crossing(
+                        index_at, r, z, p, s, q, (d1, c2, c3), brackets, tol)
                     unconverged += not converged
             r_next = r + h
             if boundary is not None:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import replace
@@ -558,6 +559,30 @@ class TestStepBelowRangeResolution:
         assert proc.returncode == 2, proc.stderr
         assert ("varitrace: config error: [trace] base step dr = 1e-11 is below the "
                 "range resolution") in proc.stderr
+        assert out.read_bytes() == old
+
+
+class TestScanStepBelowAngleResolution:
+    """An ``alpha_step_deg`` that rounds away at the scan's largest angle
+    used to pass validation and list alphas without end; it is a config
+    error (exit 2) that keeps ``--output``.  It runs in its own process with
+    a timeout and a 1 GiB address-space limit, so a regression fails instead
+    of hanging the suite or filling memory with alphas."""
+
+    def test_config_error_keeps_output(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[kappa_scan]\nalpha_min_deg = 0\nalpha_max_deg = 1\n"
+                                  "alpha_step_deg = 1e-300\n")
+        out = tmp_path / "out.csv"
+        old = b"# an earlier run\n1,2,3\n"
+        out.write_bytes(old)
+        proc = subprocess.run(
+            [sys.executable, "-m", "varitrace.cli", "kappa-scan", "--config", cfg,
+             "--output", str(out)],
+            capture_output=True, text=True, timeout=60, env=cli_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+        assert proc.returncode == 2, proc.stderr
+        assert ("varitrace: config error: [kappa_scan] alpha_step_deg = 1e-300 is below the "
+                "angle resolution at 1 degrees") in proc.stderr
         assert out.read_bytes() == old
 
 

@@ -214,10 +214,13 @@ def test_trace_loop_has_one_guarded_advance():
     ``hit``, each inside a ``try`` that handles DomainError, so a ray
     leaving a field or bottom ends as ``domain_exit``, never raises.  Each bounce makes one
     ``kappa_matrix`` call, inside a ``try`` that handles GeometryError, so
-    a rejected bounce ends the trace instead.  ``_find_crossing`` is
-    called only in the body of the step screen's ``if`` on ``z_end`` and
-    ``z_mid``, so a step in open water makes no call to it.  Each sample's
-    row is written by one ``fromlist`` call, never an item-by-item
+    a rejected bounce ends the trace instead.  The bracket decision is one
+    ``for`` loop over the boundary records, holding every ``gap`` call of
+    the loop, and it and ``_find_crossing`` lie only in the body of the step
+    screen's ``if`` on ``z_end`` and ``z_mid``, so a step in open water makes
+    no call to either.  ``_find_crossing`` is given the brackets, not the
+    step (no ``h``, ``z_end`` or ``z_mid``), and always lands one.  Each
+    sample's row is written by one ``fromlist`` call, never an item-by-item
     ``extend``."""
     tree = parse(SRC / "propagation.py")
     func = next(node for node in ast.walk(tree)
@@ -246,6 +249,18 @@ def test_trace_loop_has_one_guarded_advance():
                 for stmt in node.body for inner in ast.walk(stmt)}
     (crossing,) = [node for node in calls if call_name(node) == "_find_crossing"]
     assert id(crossing) in screened, "_find_crossing called outside the step screen"
+
+    fors = [node for node in ast.walk(loop) if isinstance(node, (ast.For, ast.comprehension))]
+    assert len(fors) == 1 and id(fors[0]) in screened, "the brackets are not one screened loop"
+    in_bracket_loop = {id(node) for node in ast.walk(fors[0])}
+    gaps = [node for node in calls if call_name(node) == "gap"]
+    assert gaps and all(id(node) in in_bracket_loop for node in gaps), "a gap outside the loop"
+    finder = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_find_crossing")
+    assert not {"h", "z_end", "z_mid"} & {arg.arg for arg in finder.args.args}
+    returns = [node.value for node in ast.walk(finder) if isinstance(node, ast.Return)]
+    assert not any(value is None or isinstance(value, ast.Constant) for value in returns), (
+        "_find_crossing returns without a landing")
 
     names = [call_name(node) for node in calls]
     assert (names.count("fromlist"), names.count("extend")) == (1, 0), "one fromlist per row"

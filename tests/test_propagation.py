@@ -315,6 +315,26 @@ class TestStatuses:
         assert res.status is TraceStatus.DOMAIN_EXIT
         assert res.samples[:, 1].max() < 1000.0
 
+    def test_non_finite_step_ends_domain_exit(self):
+        """A step whose end is NaN (here a field that is NaN below 700 m)
+        brackets no boundary: it ends the trace as ``domain_exit`` on the
+        last finite row.  A NaN gap used to count as crossed, so the step
+        landed on the surface and ended ``backscattered`` on a NaN row."""
+
+        class NanBelow700(SoundSpeedField):
+            def __init__(self):
+                super().__init__(1500.0)
+
+            def index_at(self, r, z):
+                return (math.nan,) * 4 if z > 700.0 else README_FIELD.index_at(r, z)
+
+        cfg = TraceConfig(r_start=0.0, r_end=10_000.0, z0=600.0,
+                          theta0=math.radians(14.0), dr=10.0)
+        res = trace_ray(NanBelow700(), FlatBottom(2000.0), cfg)
+        assert res.status is TraceStatus.DOMAIN_EXIT and not res.bounces
+        assert np.isfinite(res.samples[:, :3]).all()
+        assert 600.0 < res.samples[-1, 1] <= 700.0
+
     def test_completed_has_final_sample_at_r_end(self):
         cfg = TraceConfig(r_start=0.0, r_end=1234.0, z0=100.0,
                           theta0=math.radians(3.0), dr=10.0)
@@ -562,6 +582,44 @@ class TestShallowGrazingDetection:
         assert gap[start + 17.0] > 0.0 and gap[start + 18.0] > 0.0
 
         assert coarse.bounces[0].r == pytest.approx(r_hit, abs=1e-5)
+
+    def test_step_bracketing_both_boundaries_lands_the_earliest(self, monkeypatch):
+        """In a 0.5 m column a 5 m step can bracket the surface and the
+        bottom at once.  Each bracket is landed and the earliest landing
+        wins: the step ends there, on that boundary, with a converged
+        landing.  The ray is far under-resolved, so only the rule is
+        pinned, not the path."""
+        import varitrace.propagation as propagation
+
+        landings, steps = [], []
+        land, find = propagation._land, propagation._find_crossing
+
+        def spied_land(*args):
+            landings.append(land(*args))
+            return landings[-1]
+
+        def spied_find(index_at, r0, z0, p0, sample0, q0, dense, brackets, tol):
+            del landings[:]
+            hit = find(index_at, r0, z0, p0, sample0, q0, dense, brackets, tol)
+            steps.append((r0, [b.name for b, _, _ in brackets], list(landings), hit))
+            return hit
+
+        monkeypatch.setattr(propagation, "_land", spied_land)
+        monkeypatch.setattr(propagation, "_find_crossing", spied_find)
+        bath = FlatBottom(0.5)
+        cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=0.25,
+                          theta0=math.radians(-20.0), dr=5.0)
+        res = trace_ray(LinearGradientField(1500.0, -0.2), bath, cfg)
+        both = [step for step in steps if len(step[1]) == 2]
+        assert both, "no step bracketed both boundaries"
+        for r0, names, landed, (h, boundary, _, _, converged) in both:
+            assert names == ["surface", "bottom"] and len(landed) == 2
+            assert h == min(s for s, _, _, _ in landed) and converged
+            (bounce,) = [b for b in res.bounces if b.r == r0 + h]
+            assert bounce.boundary == boundary.name
+            (row,) = res.samples[res.samples[:, 0] == r0 + h]
+            depth = 0.0 if boundary.name == "surface" else bath.depth_at(r0 + h)
+            assert abs(row[1] - depth) <= cfg.bisect_tol
 
 
 README_FIELD = MunkField()

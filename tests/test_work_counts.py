@@ -46,19 +46,21 @@ COMMANDS = {
 # calls beside the 68 bounces' own; identity_checks is one call per block
 # of draws.  "rows" sums the rows the oracle traces keep: every row of the
 # 4 central traces and the launch and final rows of each ray-only one.
-# _find_crossing runs only for the steps the trace loop's screen does not
-# clear: every step over a bottom with no depth floor (verify's two arc
-# presets), else only steps near the surface or the floor.
+# The trace loop brackets each boundary its screen does not clear (every
+# step over a bottom with no depth floor, as verify's two arc presets, else
+# only steps near the surface or the floor) and calls _find_crossing only for
+# a step with a bracket, so it runs once per landing: once per _land call
+# while no step brackets both boundaries.
 EXPECTED = {
-    "trace": {"_rk4_step": 1505, "q_advance": 1505, "_find_crossing": 77, "_land": 3,
+    "trace": {"_rk4_step": 1505, "q_advance": 1505, "_find_crossing": 3, "_land": 3,
               "kappa_matrix": 3, "index_at": 6019, "depth_at": 171, "bottom_at": 3},
-    "fan": {"_rk4_step": 7533, "q_advance": 7533, "_find_crossing": 225, "_land": 16,
+    "fan": {"_rk4_step": 7533, "q_advance": 7533, "_find_crossing": 16, "_land": 16,
             "kappa_matrix": 16, "index_at": 30117, "depth_at": 497, "bottom_at": 10},
-    "fan-gridded": {"_rk4_step": 5712, "q_advance": 5712, "_find_crossing": 371,
+    "fan-gridded": {"_rk4_step": 5712, "q_advance": 5712, "_find_crossing": 90,
                     "_land": 90, "kappa_matrix": 90, "index_at": 22704, "depth_at": 910,
                     "bottom_at": 46},
     "kappa-scan": {"kappa_matrix": 1086},
-    "verify": {"_rk4_step": 52156, "q_advance": 3068, "_find_crossing": 11006,
+    "verify": {"_rk4_step": 52156, "q_advance": 3068, "_find_crossing": 68,
                "_land": 68, "kappa_matrix": 2068, "index_at": 208628, "depth_at": 22418,
                "bottom_at": 68, "trace_from_pulse": 68, "rows": 3196, "identity_checks": 13},
 }
@@ -113,3 +115,4 @@ def test_call_counts(tmp_path, calls, command):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
     assert dict(calls) == EXPECTED[command]
+    assert calls["_find_crossing"] == calls["_land"], "a _find_crossing call with no landing"
