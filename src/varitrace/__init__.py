@@ -46,7 +46,6 @@ from .propagation import (
     TraceResult,
     TraceStatus,
     spreading_at,
-    trace_fan,
     trace_from_pulse,
     trace_ray,
 )

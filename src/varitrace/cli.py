@@ -13,6 +13,7 @@ import functools
 import math
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 
 from . import __version__
 from .config import RunConfig, load_config
@@ -20,7 +21,7 @@ from .environment import NormalFrame
 from .errors import ConfigError, GeometryError, VaritraceError
 from .oracle import BeamPerturbation, verify_kappa
 from .presets import PRESET_NAMES, PRESETS, STUDY_PERTURBATION, VerificationScenario, preset
-from .propagation import TraceResult, TraceStatus, trace_fan, trace_ray
+from .propagation import TraceResult, TraceStatus, trace_ray
 from .reflection import SINGULAR_TOL, _mirror, identity_checks, kappa_matrix
 
 DEFAULT_SCAN_THETAS = tuple(-90.0 + 10.0 * k for k in range(1, 18))  # -80 .. 80
@@ -104,10 +105,7 @@ def _warn_unconverged(result: TraceResult, who: str) -> None:
 
 
 def cmd_trace(run: RunConfig, out, seed: int | None) -> int:
-    field = run.build_field()
-    bath = run.build_bathymetry()
-    cfg = run.build_trace_config()
-    result = trace_ray(field, bath, cfg)
+    result = trace_ray(*run.build())
     for line in _metadata(run, "trace", seed):
         print(line, file=out)
     print(f"# status: {result.status.value}", file=out)
@@ -152,11 +150,9 @@ def _fan_angles(run: RunConfig) -> list[float]:
 
 
 def cmd_fan(run: RunConfig, out, seed: int | None) -> int:
-    field = run.build_field()
-    bath = run.build_bathymetry()
-    cfg = run.build_trace_config()
+    field, bath, cfg = run.build()
     angles = _fan_angles(run)
-    results = trace_fan(field, bath, cfg, [math.radians(a) for a in angles])
+    results = [trace_ray(field, bath, replace(cfg, theta0=math.radians(a))) for a in angles]
     for line in _metadata(run, "fan", seed):
         print(line, file=out)
     print("ray_id," + _TRACE_HEADER, file=out)
@@ -354,12 +350,7 @@ def cmd_verify(run: RunConfig, out, seed: int | None) -> int:
     elif which == "custom":
         # single-bounce scenario taken from the environment/bathymetry/
         # trace sections of this config
-        scenarios = [VerificationScenario(
-            name="custom",
-            field=run.build_field(),
-            bath=run.build_bathymetry(),
-            cfg=run.build_trace_config(),
-        )]
+        scenarios = [VerificationScenario("custom", *run.build())]
     else:
         raise ConfigError(
             f"[verify] preset = {which!r}; expected 'all', 'custom' or one of "
@@ -382,6 +373,16 @@ def cmd_verify(run: RunConfig, out, seed: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each subcommand's handler and help text.
+_COMMANDS = {
+    "trace": (cmd_trace, "trace a single ray and emit its trajectory as CSV"),
+    "fan": (cmd_fan, "trace a fan of rays, one CSV block per launch angle"),
+    "kappa-scan": (cmd_kappa_scan, "sweep the reflection jump matrix over incidence "
+                                   "and normal angles"),
+    "verify": (cmd_verify, "run the finite-difference verification gate"),
+}
+
+
 @functools.cache  # built once per process; parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -390,13 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "curvature-aware boundary reflection jumps.")
     parser.add_argument("--version", action="version", version=f"varitrace {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("trace", "trace a single ray and emit its trajectory as CSV"),
-        ("fan", "trace a fan of rays, one CSV block per launch angle"),
-        ("kappa-scan", "sweep the reflection jump matrix over incidence "
-                       "and normal angles"),
-        ("verify", "run the finite-difference verification gate"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--output", default="-", help="output path (default stdout)")
@@ -410,13 +405,7 @@ def main(argv=None) -> int:
     try:
         run = load_config(args.config)
         with _open_output(args.output) as out:
-            if args.command == "trace":
-                return cmd_trace(run, out, args.seed)
-            if args.command == "fan":
-                return cmd_fan(run, out, args.seed)
-            if args.command == "kappa-scan":
-                return cmd_kappa_scan(run, out, args.seed)
-            return cmd_verify(run, out, args.seed)
+            return _COMMANDS[args.command][0](run, out, args.seed)
     except (VaritraceError, ValueError) as exc:
         # config-derived values that fail validation (launch outside the
         # water column, angles past the cutoff, a custom verify scenario

@@ -1,7 +1,10 @@
 """Run configuration: a flat, sectioned key-value text file.
 
 Sections name the environment, the bathymetry, the trace parameters and
-per-command parameters.  Keys are validated strictly: unknown sections or
+per-command parameters.  ``RunConfig.build`` makes the field, the
+bathymetry and the ``TraceConfig`` of the first three, each from one table
+of constructors; the commands read their own sections through
+``RunConfig.section``.  Keys are validated strictly: unknown sections or
 keys, missing required keys and malformed numbers are all reported as
 :class:`ConfigError` with the offending section and key named.  Angles in
 the file are in degrees.
@@ -72,16 +75,8 @@ class _Section:
             raise ConfigError(
                 f"unknown key(s) in [{self.name}]: {', '.join(sorted(unknown))}")
 
-    def _fetch(self, key: str, required: bool):
-        if key not in self.raw:
-            if required:
-                raise ConfigError(f"missing required key '{key}' in [{self.name}]")
-            return None
-        return self.raw[key]
-
-    def get_str(self, key: str, default: str | None = None, required: bool = False) -> str | None:
-        value = self._fetch(key, required)
-        return default if value is None else value
+    def get_str(self, key: str, default: str | None = None) -> str | None:
+        return self.raw.get(key, default)
 
     def _number(self, key: str, text: str) -> float:
         try:
@@ -92,20 +87,16 @@ class _Section:
             raise ConfigError(f"[{self.name}] {key} = {text!r} is not a finite number")
         return value
 
-    def get_float(self, key: str, default: float | None = None,
-                  required: bool = False) -> float | None:
-        value = self._fetch(key, required)
-        return default if value is None else self._number(key, value)
+    def get_float(self, key: str, default: float | None = None) -> float | None:
+        return default if key not in self.raw else self._number(key, self.raw[key])
 
-    def get_int(self, key: str, default: int | None = None,
-                required: bool = False) -> int | None:
-        value = self._fetch(key, required)
-        if value is None:
+    def get_int(self, key: str, default: int | None = None) -> int | None:
+        if key not in self.raw:
             return default
         try:
-            return int(value)
+            return int(self.raw[key])
         except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {value!r} is not an integer")
+            raise ConfigError(f"[{self.name}] {key} = {self.raw[key]!r} is not an integer")
 
     def get_float_list(self, key: str) -> list[float] | None:
         if key not in self.raw:
@@ -128,22 +119,18 @@ class RunConfig:
             return _Section(name, {})
         return self.sections[name]
 
-    # -- builders ----------------------------------------------------------
-
-    def build_field(self) -> SoundSpeedField:
-        return self._build("environment", _FIELDS)
-
-    def build_bathymetry(self) -> Bathymetry:
-        return self._build("bathymetry", _BOTTOMS)
-
-    def build_trace_config(self) -> TraceConfig:
-        return self._build("trace", {None: _TRACE})
+    def build(self) -> tuple[SoundSpeedField, Bathymetry, TraceConfig]:
+        """The field, the bathymetry and the trace parameters, built in that order."""
+        return (self._build("environment", _FIELDS), self._build("bathymetry", _BOTTOMS),
+                self._build("trace", {None: _TRACE}))
 
     def _build(self, name: str, kinds: dict):
         """The object section ``name`` describes, from its ``kinds`` table
         (one entry under the key None for a section without ``kind``)."""
         sec = self.section(name)
-        kind = None if None in kinds else sec.get_str("kind", required=True)
+        kind = None
+        if None not in kinds:
+            _, kind = self._argument(sec, "kind")
         if kind not in kinds:
             raise ConfigError(
                 f"[{name}] kind = {kind!r}; expected one of {', '.join(sorted(kinds))}")
@@ -159,17 +146,20 @@ class RunConfig:
 
     def _argument(self, sec: _Section, key: str):
         """(keyword, value) of one key the section must hold: ``file`` is the
-        resolved ``path``, a ``*_deg`` angle is passed in radians without the
-        suffix, ``max_bounces`` is an int, ``bulge`` a string, others floats."""
+        resolved ``path``, ``kind`` and ``bulge`` are strings, a ``*_deg``
+        angle is passed in radians without the suffix, ``max_bounces`` is an
+        int, others floats."""
+        if key not in sec.raw:
+            raise ConfigError(f"missing required key '{key}' in [{sec.name}]")
         if key == "file":
-            return "path", self._resolve(sec.get_str(key, required=True))
-        if key == "bulge":
-            return key, sec.get_str(key, required=True)
+            return "path", self._resolve(sec.raw[key])
+        if key in ("kind", "bulge"):
+            return key, sec.raw[key]
         if key == "max_bounces":
-            return key, sec.get_int(key, required=True)
+            return key, sec.get_int(key)
         if key.endswith("_deg"):
-            return key.removesuffix("_deg"), math.radians(sec.get_float(key, required=True))
-        return key, sec.get_float(key, required=True)
+            return key.removesuffix("_deg"), math.radians(sec.get_float(key))
+        return key, sec.get_float(key)
 
     def _resolve(self, name: str) -> Path:
         path = Path(name)

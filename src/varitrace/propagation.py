@@ -35,10 +35,13 @@ step with a bracket calls ``_find_crossing``, which lands each bracket and
 keeps the earliest: an Illinois search on the interpolated gap seeds a
 safeguarded secant search on the exact RK4 map from the step start, so the
 landing state is an RK4 state whose boundary residual is below
-``bisect_tol``.  The reflection jump is applied there, in the frame of the
-landed record's hit, and marching resumes.  A plain step and a landed
-bounce share one advance, so once launched a trace reports every abnormal
-ending as a status, never an exception.
+``bisect_tol``.  A midpoint bracket whose exact search neither lands nor
+sees a positive gap is dropped, as the exact map never crossed there; a
+step left with no landing is a plain step.  The reflection jump is applied
+at a landing, in the frame of the landed record's hit, and marching
+resumes.  A plain step and a landed bounce share one advance, so once
+launched a trace reports every abnormal ending as a status, never an
+exception.  A fan is one ``trace_ray`` per launch angle.
 
 Each sample is written, as it is made, into two stdlib ``array('d')``: its
 seven columns in one ``fromlist`` call, row after row, and the index.  The
@@ -55,7 +58,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -70,7 +73,6 @@ __all__ = [
     "TraceResult",
     "trace_ray",
     "trace_from_pulse",
-    "trace_fan",
     "spreading_at",
 ]
 
@@ -340,16 +342,17 @@ def _seed(gap, hi: float, g_lo: float, g_hi: float, tol: float):
     return s, slope
 
 
-def _land(index_at, gap, r0, z0, p0, sample0, q0, hi, s, slope, tol):
+def _land(index_at, gap, r0, z0, p0, sample0, q0, hi, s, slope, tol, crossed):
     """Exact RK4 ray state on the boundary, by a secant search on the true map.
 
     G(s) = gap(r0 + s, RK4(r0, (z0, p0), s).z) is searched from the
     interpolant's root ``s`` and slope; proposals outside the bracket
     (0, hi), tightened by every evaluation, fall back to bisection.  Each
-    trial step advances q0 with the ray.  Returns (s, p, q, converged) of
-    the landed step; at the iteration cap, or once the bracket has collapsed
-    to adjacent floats so that no new point lies strictly inside it, of the
-    last evaluated step.
+    trial step advances q0 with the ray.  ``crossed`` says whether G(hi) is
+    known to be positive (a step-end bracket).  Returns (s, p, q, converged)
+    of the landed step; at the iteration cap, or once the bracket has
+    collapsed to adjacent floats so that no new point lies strictly inside
+    it, of the last evaluated step, or None if no G was positive.
     """
     lo = 0.0
     g_prev = None
@@ -359,7 +362,7 @@ def _land(index_at, gap, r0, z0, p0, sample0, q0, hi, s, slope, tol):
         if abs(g) < tol:
             return s, p, q, True
         if g > 0.0:
-            hi = s
+            hi, crossed = s, True
         else:
             lo = s
         if g_prev is not None and g != g_prev:
@@ -370,27 +373,31 @@ def _land(index_at, gap, r0, z0, p0, sample0, q0, hi, s, slope, tol):
             s = 0.5 * (lo + hi)
             if not lo < s < hi:
                 break
-    return s_prev, p, q, False
+    return (s_prev, p, q, False) if crossed else None
 
 
 def _find_crossing(index_at, r0, z0, p0, sample0, q0, dense, brackets, tol):
     """Earliest landing within a step among ``brackets``, the trace loop's
-    (record, bracket end, gap) triples, each gap positive at its end.
+    (record, bracket end, gap, exact) tuples, each gap positive at its end,
+    exact at the step end and interpolated at the midpoint.
 
     ``dense`` is the step's (d1, c2, c3).  Each bracket is searched from the
-    gap already computed at its end.  Returns (step_length, boundary, p, q,
-    converged) of the earliest landed step, ``boundary`` being its record.
+    gap already computed at its end; a midpoint bracket whose exact search
+    neither lands nor sees a positive gap is no crossing and is dropped.
+    Returns (step_length, boundary, p, q, converged) of the earliest landed
+    step, ``boundary`` being its record, or None if every bracket was dropped.
     """
     d1, c2, c3 = dense
     hits = []
-    for boundary, hi, g_hi in brackets:
+    for boundary, hi, g_hi, exact in brackets:
         gap = boundary.gap
         s, slope = _seed(lambda u: gap(r0 + u, z0 + u * (d1 + u * (c2 + u * c3))),
                          hi, gap(r0, z0), g_hi, tol)
-        s, p_hit, q_hit, converged = _land(index_at, gap, r0, z0, p0, sample0, q0, hi, s,
-                                           slope, tol)
-        hits.append((s, boundary, p_hit, q_hit, converged))
-    return min(hits, key=lambda item: item[0])
+        landed = _land(index_at, gap, r0, z0, p0, sample0, q0, hi, s, slope, tol, exact)
+        if landed is not None:
+            s, p_hit, q_hit, converged = landed
+            hits.append((s, boundary, p_hit, q_hit, converged))
+    return min(hits, key=lambda item: item[0], default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +465,8 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             above = z_end < z_floor and z_mid < z_floor and r_lo <= r and r + h <= r_hi
             boundary = None
             if z_end < 0.0 or z_mid < 0.0 or not above:
-                # (record, bracket end, gap) of each record the screen did not clear,
-                # surface first; the step starts inside or, after a bounce, on it.
+                # (record, bracket end, gap, exact: at the step end) of each record the
+                # screen did not clear, surface first; the step starts inside or on it.
                 brackets = []
                 for record in ((bottom,) if z_end >= 0.0 and z_mid >= 0.0
                                else (surface,) if above else boundaries):
@@ -469,10 +476,11 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
                     if not g_hi <= 0.0:  # NaN included
                         if not math.isfinite(g_hi):
                             raise DomainError(f"{record.name} gap {g_hi:g} at r = {r + hi:g}")
-                        brackets.append((record, hi, g_hi))
-                if brackets:
-                    h, boundary, p_end, q_end, converged = _find_crossing(
-                        index_at, r, z, p, s, q, (d1, c2, c3), brackets, tol)
+                        brackets.append((record, hi, g_hi, hi == h))
+                crossing = brackets and _find_crossing(
+                    index_at, r, z, p, s, q, (d1, c2, c3), brackets, tol)
+                if crossing:
+                    h, boundary, p_end, q_end, converged = crossing
                     unconverged += not converged
             r_next = r + h
             if boundary is not None:
@@ -528,12 +536,6 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
         ns.append(s[0])
     return TraceResult(packed_samples=samples, packed_n=ns, bounces=bounces, status=status,
                        unconverged_bounces=unconverged)
-
-
-def trace_fan(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
-              angles) -> list[TraceResult]:
-    """Trace one independent ray per launch angle (radians)."""
-    return [trace_ray(field_, bath, replace(cfg, theta0=float(a))) for a in angles]
 
 
 def spreading_at(result: TraceResult, r: float) -> float:

@@ -187,9 +187,13 @@ class TestKindTables:
 
     @staticmethod
     def build(tmp_path, section, keys):
-        run = load_config(write_cfg(tmp_path, f"[{section}]\n{keys}"))
-        return {"environment": run.build_field, "bathymetry": run.build_bathymetry,
-                "trace": run.build_trace_config}[section]()
+        """What ``section`` builds in a complete config whose other two
+        sections are BASE_CFG's."""
+        names = ("environment", "bathymetry", "trace")
+        parts = dict(zip(names, BASE_CFG.split("\n\n")))
+        parts[section] = f"[{section}]\n{keys}"
+        run = load_config(write_cfg(tmp_path, "\n\n".join(parts.values())))
+        return run.build()[names.index(section)]
 
     @staticmethod
     def assert_same(got, want):
@@ -1158,6 +1162,30 @@ class TestSweepPrefilters:
                              (n, n_r, n_z, 0.0))
         assert dropped > 1000
 
+    def test_structure_sweep_skips_a_draw_kappa_matrix_rejects(self):
+        """A draw past the pre-drop that kappa_matrix still rejects, here a
+        vertical incident ray onto a normal pointing up against it, is
+        skipped and not counted: the sweep still checks 2000 contexts."""
+        import varitrace.cli as cli
+
+        class VerticalFirst:
+            def __init__(self):
+                self.rng, self.first = np.random.default_rng(0), True
+
+            def uniform(self, low, high, size):
+                draws = self.rng.uniform(low, high, size)
+                if self.first:
+                    draws[0, :2] = (math.pi / 2.0, -math.pi / 2.0)
+                    self.first = False
+                return draws
+
+        out = io.StringIO()
+        with pytest.raises(GeometryError, match="incident ray is vertical"):
+            kappa_matrix((math.cos(math.pi / 2.0), 1.0), NormalFrame(0.0, -1.0, 0.0),
+                         (1.0, 0.0, 0.0, 0.0))
+        assert cli._verify_structure(VerticalFirst(), out)
+        assert "over 2000 contexts" in out.getvalue()
+
 
 class TestParserBuiltOnce:
     def test_parser_state_does_not_leak_between_calls(self, tmp_path):
@@ -1199,7 +1227,7 @@ class TestCarriedIndex:
         import varitrace.cli as cli
 
         cfg = write_cfg(tmp_path, text)
-        field = load_config(cfg).build_field()
+        field, _, _ = load_config(cfg).build()
 
         def reevaluating_rows(result):
             bounce_at = {b.r: b.boundary for b in result.bounces}
@@ -1226,8 +1254,7 @@ class TestCarriedIndex:
         from varitrace.propagation import trace_ray
 
         run = load_config(write_cfg(tmp_path, self.BOUNCING))
-        result = trace_ray(run.build_field(), run.build_bathymetry(),
-                           run.build_trace_config())
+        result = trace_ray(*run.build())
         assert result.bounces
         bounce_at = {b.r: b.boundary for b in result.bounces}
         expected = []

@@ -131,6 +131,10 @@ class TestSoundSpeedFields:
                              c_values=[1500.0, 1501.0, 1502.0, 1503.0])
         with pytest.raises(DomainError, match="z"):
             field.index_at(0.0, 50.0)
+        # the spline through a 1500 -> 5 m/s drop undershoots zero just past it
+        drop = GriddedField([0, 1, 2, 3, 4, 5], [1500, 1500, 1500, 5, 5, 5])
+        with pytest.raises(DomainError, match=r"sound speed not positive \(z = 3.01\)"):
+            drop.index_at(0.0, 3.01)
 
     def test_gridded_rejects_bad_grids(self):
         with pytest.raises(ValueError):
@@ -299,6 +303,15 @@ class TestBathymetry:
         bath = LinearSlopeBottom(depth0=100.0, slope=-0.5)
         with pytest.raises(DomainError):
             bath.bottom_at(300.0)
+
+        # A profile at the surface is caught by bottom_at itself (no
+        # shipped bottom returns one: each raises or backscatters first).
+        class Touching(FlatBottom):
+            def _profile(self, r):
+                return 0.0, 0.0, 0.0
+
+        with pytest.raises(DomainError, match=r"bottom reaches the free surface \(r = 5\)"):
+            Touching(10.0).bottom_at(5.0)
 
 
 class TestNormalFrames:

@@ -116,6 +116,18 @@ class TestFdJacobian:
         q = trace_ray(field, FlatBottom(200.0), cfg).q[-1]
         np.testing.assert_allclose(levels[0], q, rtol=1e-4, atol=1e-4)
 
+    def test_perturbation_auto_halves_when_a_perturbed_ray_leaves_the_grid(self):
+        """A perturbed ray with the central ray's bounces (none) that leaves
+        the field early, here below a grid's last depth, is a perturbation
+        too large: the offsets halve until every ray reaches r_end."""
+        depths = np.arange(0.0, 101.0, 20.0)
+        field = GriddedField(depths, np.full(depths.shape, 1500.0))
+        cfg = TraceConfig(r_start=0.0, r_end=1000.0, z0=99.9995, theta0=0.0, dr=10.0)
+        # the h_p = 1e-6 ray sinks 1e-3 m by r_end, 5e-4 m past the grid
+        used, levels = fd_jacobian(field, FlatBottom(500.0), cfg, BeamPerturbation())
+        assert used.h_p == 2.5e-7
+        np.testing.assert_allclose(levels[0], [[1.0, 0.0], [1000.0, 1.0]], rtol=1e-6)
+
     def test_bounce_sequence_mismatch_raises_after_halvings(self):
         theta = math.radians(35.0)
         cfg = TraceConfig(r_start=0.0, r_end=300.0, z0=50.0, theta0=theta, dr=0.5)

@@ -26,6 +26,7 @@ import hashlib
 import io
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from varitrace import (
     PiecewiseBottom,
     TraceConfig,
     TraceStatus,
-    trace_fan,
+    trace_ray,
 )
 from varitrace.cli import main
 
@@ -216,8 +217,8 @@ def test_range_dependent_gridded_fan_bytes():
          + 4.0 * np.sin(ranges[:, None] / 900.0) * np.exp(-depths[None, :] / 120.0))
     field = GriddedField(depths, c, ranges=ranges)
     cfg = TraceConfig(r_start=0.0, r_end=4_000.0, z0=60.0, theta0=0.0, dr=8.0)
-    results = trace_fan(field, FlatBottom(220.0), cfg,
-                        [math.radians(a) for a in (-12.0, -5.0, 7.0, 11.0)])
+    results = [trace_ray(field, FlatBottom(220.0), replace(cfg, theta0=math.radians(a)))
+               for a in (-12.0, -5.0, 7.0, 11.0)]
     assert all(res.bounces for res in results)
     assert fan_digest(results) == GRIDDED_2D_DIGEST
 
@@ -274,7 +275,7 @@ FAN_DIGESTS = {
 @pytest.mark.parametrize("case", FAN_CASES)
 def test_library_fan_bytes(case):
     field, bath, cfg, angles, statuses = FAN_CASES[case]
-    results = trace_fan(field, bath, cfg, angles)
+    results = [trace_ray(field, bath, replace(cfg, theta0=a)) for a in angles]
     assert {res.status for res in results} == statuses
     assert any(res.bounces for res in results)
     assert fan_digest(results) == FAN_DIGESTS[case]

@@ -5,8 +5,9 @@ matrix-product operator, the RK4 path does not call a ray right-hand
 side, the trace loop advances along one guarded path and judges each
 bounce with one guarded reflection call, propagation compares nothing
 with a boundary's name, each field and bottom quantity has one
-definition, the config reader restates no constructor default, the
-package re-exports exactly each module's ``__all__``, the jump matrix
+definition, the config reader restates no constructor default and builds
+its objects in one call with no ``required`` getter flag, the package
+re-exports exactly each module's ``__all__``, the jump matrix
 stores only the entries it applies, the verification presets are one
 table, and the README's library example runs as written."""
 
@@ -84,17 +85,35 @@ REMOVED = {"IndexSample": "environment", "reflect_direction": "reflection",
            "KappaVerification": "oracle", "BottomSample": "environment",
            "ReflectionContext": "reflection", "_ray_step": "propagation",
            "_variation_step": "propagation", "_variation_rhs": "propagation",
-           "surface_frame": "environment", "JacobianEstimate": "oracle"}
+           "surface_frame": "environment", "JacobianEstimate": "oracle",
+           "trace_fan": "propagation"}
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
 def test_removed_names_stay_gone(name):
     """Wrappers no ``src/`` code needed: their callers read the plain tuple
-    or float underneath.  The split RK4 kernel's three parts are one
-    ``propagation._rk4_step`` now."""
+    or float underneath, and the fan command calls ``trace_ray`` per angle.
+    The split RK4 kernel's three parts are one ``propagation._rk4_step``
+    now."""
     module = importlib.import_module(f"varitrace.{REMOVED[name]}")
     assert not hasattr(varitrace, name)
     assert not hasattr(module, name)
+
+
+def test_config_builds_once_and_checks_each_key_once():
+    """``RunConfig.build`` makes the field, bathymetry and trace parameters
+    together, with no builder per section, and a missing key is reported
+    where the build reads it: no section getter takes ``required``."""
+    import inspect
+
+    from varitrace.config import RunConfig, _Section
+
+    assert hasattr(RunConfig, "build")
+    assert not [name for name in vars(RunConfig) if name.startswith("build_")]
+    assert not hasattr(_Section, "_fetch")
+    for name, method in vars(_Section).items():
+        if name.startswith("get_"):
+            assert "required" not in inspect.signature(method).parameters, name
 
 
 def test_reflection_is_one_routine():
@@ -219,7 +238,8 @@ def test_trace_loop_has_one_guarded_advance():
     the loop, and it and ``_find_crossing`` lie only in the body of the step
     screen's ``if`` on ``z_end`` and ``z_mid``, so a step in open water makes
     no call to either.  ``_find_crossing`` is given the brackets, not the
-    step (no ``h``, ``z_end`` or ``z_mid``), and always lands one.  Each
+    step (no ``h``, ``z_end`` or ``z_mid``), and its one return is the
+    earliest of its landings, None only when it dropped every bracket.  Each
     sample's row is written by one ``fromlist`` call, never an item-by-item
     ``extend``."""
     tree = parse(SRC / "propagation.py")
@@ -258,9 +278,9 @@ def test_trace_loop_has_one_guarded_advance():
     finder = next(node for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name == "_find_crossing")
     assert not {"h", "z_end", "z_mid"} & {arg.arg for arg in finder.args.args}
-    returns = [node.value for node in ast.walk(finder) if isinstance(node, ast.Return)]
-    assert not any(value is None or isinstance(value, ast.Constant) for value in returns), (
-        "_find_crossing returns without a landing")
+    (value,) = [node.value for node in ast.walk(finder) if isinstance(node, ast.Return)]
+    assert isinstance(value, ast.Call) and call_name(value) == "min", (
+        "_find_crossing returns other than its earliest landing")
 
     names = [call_name(node) for node in calls]
     assert (names.count("fromlist"), names.count("extend")) == (1, 0), "one fromlist per row"

@@ -22,7 +22,6 @@ from varitrace import (
     TraceConfig,
     TraceStatus,
     spreading_at,
-    trace_fan,
     kappa_matrix,
     trace_from_pulse,
     trace_ray,
@@ -144,13 +143,15 @@ class TestClosedFormFlow:
 
 class TestFan:
     def test_singleton_fan_matches_trace(self):
+        """A fan ray, a config replaced at its angle as the fan command
+        makes it, traces what a config launched at that angle traces."""
         bath = FlatBottom(500.0)
         cfg = TraceConfig(r_start=0.0, r_end=5000.0, z0=200.0,
                           theta0=math.radians(14.0), dr=10.0)
         single = trace_ray(HOMOGENEOUS, bath, cfg)
-        fan = trace_fan(HOMOGENEOUS, bath, cfg, [math.radians(14.0)])
-        assert len(fan) == 1
-        np.testing.assert_array_equal(fan[0].samples, single.samples)
+        fan_ray = trace_ray(HOMOGENEOUS, bath,
+                            replace(replace(cfg, theta0=0.0), theta0=math.radians(14.0)))
+        np.testing.assert_array_equal(fan_ray.samples, single.samples)
 
     def test_deterministic(self):
         bath = SinusoidalBottom(400.0, 30.0, 1.5e-3)
@@ -171,8 +172,8 @@ class TestFan:
         bath = FlatBottom(2 * z_src)
         cfg = TraceConfig(r_start=0.0, r_end=12_000.0, z0=z_src,
                           theta0=math.radians(15.0), dr=10.0)
-        up, down = trace_fan(field, bath, cfg,
-                             [-math.radians(15.0), math.radians(15.0)])
+        up, down = (trace_ray(field, bath, replace(cfg, theta0=a))
+                    for a in (-math.radians(15.0), math.radians(15.0)))
         assert up.status is down.status is TraceStatus.COMPLETED
         assert len(up.samples) == len(down.samples)
         np.testing.assert_allclose(up.r, down.r, atol=1e-7)
@@ -585,10 +586,12 @@ class TestShallowGrazingDetection:
 
     def test_step_bracketing_both_boundaries_lands_the_earliest(self, monkeypatch):
         """In a 0.5 m column a 5 m step can bracket the surface and the
-        bottom at once.  Each bracket is landed and the earliest landing
-        wins: the step ends there, on that boundary, with a converged
-        landing.  The ray is far under-resolved, so only the rule is
-        pinned, not the path."""
+        bottom at once.  Each bracket is searched.  The step-end bracket
+        always lands; a midpoint bracket whose exact map never crosses
+        lands nowhere and is dropped.  The earliest landing wins: the step
+        ends there, on that boundary, with a converged landing.  The case
+        has steps of both kinds.  The ray is far under-resolved, so only the
+        rule is pinned, not the path."""
         import varitrace.propagation as propagation
 
         landings, steps = [], []
@@ -601,7 +604,8 @@ class TestShallowGrazingDetection:
         def spied_find(index_at, r0, z0, p0, sample0, q0, dense, brackets, tol):
             del landings[:]
             hit = find(index_at, r0, z0, p0, sample0, q0, dense, brackets, tol)
-            steps.append((r0, [b.name for b, _, _ in brackets], list(landings), hit))
+            steps.append((r0, [(b.name, exact) for b, _, _, exact in brackets],
+                          list(landings), hit))
             return hit
 
         monkeypatch.setattr(propagation, "_land", spied_land)
@@ -612,14 +616,38 @@ class TestShallowGrazingDetection:
         res = trace_ray(LinearGradientField(1500.0, -0.2), bath, cfg)
         both = [step for step in steps if len(step[1]) == 2]
         assert both, "no step bracketed both boundaries"
-        for r0, names, landed, (h, boundary, _, _, converged) in both:
-            assert names == ["surface", "bottom"] and len(landed) == 2
-            assert h == min(s for s, _, _, _ in landed) and converged
+        dropped = 0
+        for r0, brackets, landed, hit in both:
+            assert brackets == [("surface", True), ("bottom", False)] and len(landed) == 2
+            assert landed[0] is not None, "a step-end bracket was dropped"
+            dropped += landed[1] is None
+            h, boundary, _, _, converged = hit
+            assert h == min(s for s, _, _, _ in filter(None, landed)) and converged
             (bounce,) = [b for b in res.bounces if b.r == r0 + h]
             assert bounce.boundary == boundary.name
             (row,) = res.samples[res.samples[:, 0] == r0 + h]
             depth = 0.0 if boundary.name == "surface" else bath.depth_at(r0 + h)
             assert abs(row[1] - depth) <= cfg.bisect_tol
+        assert 0 < dropped < len(both), "the case lands both brackets and drops one"
+
+    def test_midpoint_bracket_the_exact_map_never_crosses_is_dropped(self):
+        """A 2 m step brackets the bottom at its dense-output midpoint,
+        but the exact RK4 map never reaches the bottom.  That bracket is no
+        crossing: the trace keeps bouncing off the surface until the ray
+        turns steep, with every landing converged.  It used to collapse the
+        bottom landing onto the bracket end, 0.47 m from the RK4 state, win
+        over the surface and end backscattered at r = 12.646 with one
+        unconverged landing."""
+        bath = FlatBottom(0.5)
+        cfg = TraceConfig(r_start=0.0, r_end=40.0, z0=0.25,
+                          theta0=math.radians(-20.0), dr=2.0)
+        res = trace_ray(LinearGradientField(1500.0, -0.5), bath, cfg)
+        assert res.status is TraceStatus.STEEP_RAY
+        assert res.unconverged_bounces == 0
+        assert [b.boundary for b in res.bounces] == ["surface"] * 11
+        for bounce in res.bounces:
+            (row,) = res.samples[res.samples[:, 0] == bounce.r]
+            assert abs(row[1]) <= cfg.bisect_tol
 
 
 README_FIELD = MunkField()
