@@ -49,4 +49,4 @@ from .propagation import (
     trace_from_pulse,
     trace_ray,
 )
-from .reflection import KappaMatrix, identity_checks, kappa_matrix
+from .reflection import KappaMatrix, kappa_matrix

@@ -17,12 +17,12 @@ from dataclasses import replace
 
 from . import __version__
 from .config import RunConfig, load_config
-from .environment import NormalFrame
+from .environment import NormalFrame, _bottom_frame
 from .errors import ConfigError, GeometryError, VaritraceError
 from .oracle import BeamPerturbation, verify_kappa
 from .presets import PRESET_NAMES, PRESETS, STUDY_PERTURBATION, VerificationScenario, preset
-from .propagation import TraceResult, TraceStatus, trace_ray
-from .reflection import SINGULAR_TOL, _mirror, identity_checks, kappa_matrix
+from .propagation import _SURFACE_HIT, TraceResult, TraceStatus, trace_ray
+from .reflection import kappa_matrix
 
 DEFAULT_SCAN_THETAS = tuple(-90.0 + 10.0 * k for k in range(1, 18))  # -80 .. 80
 
@@ -270,69 +270,68 @@ def _verify_scenario(scenario: VerificationScenario, tolerance: float, out) -> b
     return ok
 
 
-def _verify_identities(rng, out) -> bool:
-    """Both tangent-ratio identities over random valid pairs, each held to
-    1e-10 relative to max(1, |lhs|, |rhs|): near a vertical reflected ray
-    the sides reach about 1e6, where 1e-10 absolute is below one ulp.
+def _bounce_map(tr0, tz0, n, n_r, n_z, sigma, psi, dp, dz):
+    """(p, z) at the hit range r_b just after a bounce, to first order, of the
+    ray that reaches r_b with (n tz0 + dp, dz), on a boundary of slope sigma
+    and z_b'' psi where the index is n, n_r, n_z.  From the ray equations
+    dz/dr = p / w, dp/dr = n n_z / w (w = n tr) and the mirror law alone, in
+    plain arithmetic that numpy arrays and a complex step pass through; its
+    Jacobian in (dp, dz) at 0 is kappa.  At 0 each real part is the float
+    kappa_matrix forms, <t0, N0> and t1r included, so near singular hits the
+    two share the rounding of those cancellations."""
+    # 1-2: the incident branch z = dz + u tz0 / tr0 meets the boundary z = sigma u at
+    # u = dz tr0 / (sigma tr0 - tz0) = dz tr0 / (norm <t0, N0>), N0 = (sigma, -1) / norm.
+    norm = (1.0 + sigma * sigma) ** 0.5
+    nr0, nz0 = sigma / norm, -1.0 / norm
+    u = dz * tr0 / (norm * (tr0 * nr0 + tz0 * nz0))
+    # 3: there the index is n + dn and tz = (n tz0 + dp + u n_z / tr0) / (n + dn).
+    dn = (n_r + sigma * n_z) * u
+    tz = tz0 + (dp + u * n_z / tr0 - tz0 * dn) / (n + dn)
+    tr = (tr0 * tr0 + (tz0 - tz) * (tz0 + tz)) ** 0.5
+    # 4: the mirror law at the moved normal, N0 + psi u (1, sigma) / norm^3.
+    bend = psi * u / (norm * norm * norm)
+    nr, nz = nr0 + bend, nz0 + sigma * bend
+    n_t = tr * nr + tz * nz
+    t1r, t1z = tr - 2.0 * nr * n_t, tz - 2.0 * nz * n_t
+    # 5: the reflected branch back to r_b: z = sigma u - u t1z / t1r = -u norm <t, N> / t1r.
+    return (n + dn) * t1z - u * n_z / t1r, -u * norm * n_t / t1r
 
-    Each block of draws drops the pairs kappa_matrix would reject (<t, N>
-    above -SINGULAR_TOL, or |tr| or |t1r| below SINGULAR_TOL, by the same
-    _mirror), the singular pairs identity_checks rejects too, then makes
-    one array call of identity_checks.
-    """
+
+def _verify_bounce_map(rng, out) -> bool:
+    """kappa.apply on the identity against the complex-step Jacobian of
+    _bounce_map (a step of 1e-30 in dp, then in dz) at 2,000 random hits
+    that kappa_matrix accepts with t1 advancing, drawn in blocks of the hits
+    still needed, a quarter of them upward rays at the surface.  k11, k12
+    and k22 must agree to 1e-10 relative to max(1, |derived|), and k21 must
+    be exactly 0, applied and derived."""
     import numpy as np
 
-    worst = 0.0
-    checked = 0
-    while checked < 10_000:
-        # no more rows than pairs still needed: no draw a per-pair loop would skip
-        theta, alpha = rng.uniform(-math.pi, math.pi, size=(10_000 - checked, 2)).T.tolist()
-        # cos and sin from math, value by value: numpy's differ in the last bit
-        t = np.array([list(map(math.cos, theta)), list(map(math.sin, theta))])
-        n_vec = np.array([list(map(math.cos, alpha)), list(map(math.sin, alpha))])
-        n_t, t1r, _ = _mirror(*t, *n_vec)
-        valid = ((n_t <= -SINGULAR_TOL) & (np.abs(t[0]) >= SINGULAR_TOL)
-                 & (np.abs(t1r) >= SINGULAR_TOL))
-        for lhs, rhs in identity_checks(t[:, valid], n_vec[:, valid]):
-            scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
-            worst = float(np.max(np.abs(lhs - rhs) / scale, initial=worst))
-        checked += int(np.count_nonzero(valid))
-    passed = worst <= 1e-10
-    print(f"identities: max |lhs - rhs| / max(1, |lhs|, |rhs|) {worst:.3e} over "
-          f"{checked} pairs (tol 1e-10) {'PASS' if passed else 'FAIL'}", file=out)
-    return passed
-
-
-def _verify_structure(rng, out) -> bool:
-    """det kappa = 1 and kappa21 = 0 of the jump as the tracer applies it,
-    kappa_matrix's kappa.apply, over random valid geometries drawn in blocks
-    as in _verify_identities.  A draw with tr nr + tz nz > -SINGULAR_TOL,
-    which kappa_matrix would reject, is dropped before any frame is built;
-    kappa_matrix judges every other draw, backward reflections included."""
-    worst_det = 0.0
-    worst_k21 = 0.0
-    checked = 0
-    while checked < 2_000:
-        draws = rng.uniform((-math.pi, -math.pi, -0.05, 0.9, -0.01, -0.02),
-                            (math.pi, math.pi, 0.05, 1.1, 0.01, 0.02), size=(2_000 - checked, 6))
-        for theta, alpha, curvature, n, n_r, n_z in draws.tolist():
+    hits, applied = [], []
+    while len(hits) < 2_000:
+        draws = rng.uniform((-1.3, -1.0, -0.05, 0.9, -0.01, -0.02, 0.0),
+                            (1.3, 1.0, 0.05, 1.1, 0.01, 0.02, 1.0), size=(2_000 - len(hits), 7))
+        for theta, slope, d2, n, n_r, n_z, at in draws.tolist():
+            if at < 0.25:  # an upward ray at the surface
+                theta, slope, d2 = -abs(theta), 0.0, 0.0
+            frame = _SURFACE_HIT[1] if at < 0.25 else _bottom_frame(slope, d2)
             tr, tz = math.cos(theta), math.sin(theta)
-            nr, nz = math.cos(alpha), math.sin(alpha)
-            if tr * nr + tz * nz > -SINGULAR_TOL:
-                continue
-            frame = NormalFrame(nr=nr, nz=nz, curvature=curvature)
             try:
-                _, kappa = kappa_matrix((tr, tz), frame, (n, n_r, n_z, 0.0))
+                t1, kappa = kappa_matrix((tr, tz), frame, (n, n_r, n_z, 0.0))
             except GeometryError:
                 continue
-            a, b, c, d = kappa.apply((1.0, 0.0, 0.0, 1.0))
-            worst_det = max(worst_det, abs(a * d - b * c - 1.0))
-            worst_k21 = max(worst_k21, abs(c))
-            checked += 1
-    passed = worst_det < 1e-12 and worst_k21 == 0.0
-    print(f"kappa structure: max |det - 1| {worst_det:.3e}, max |kappa21| "
-          f"{worst_k21:.3e} over {checked} contexts (tol 1e-12) "
-          f"{'PASS' if passed else 'FAIL'}", file=out)
+            if t1 is not None:
+                hits.append((tr, tz, n, n_r, n_z, slope, d2))
+                applied.append(kappa.apply((1.0, 0.0, 0.0, 1.0)))
+    k11, k12, k21, k22 = np.array(applied).T
+    (p_dp, z_dp), (p_dz, z_dz) = (_bounce_map(*np.array(hits).T, *step)
+                                  for step in ((1e-30j, 0.0), (0.0, 1e-30j)))
+    derived = np.array((p_dp.imag, p_dz.imag, z_dz.imag)) / 1e-30
+    worst = float(np.max(np.abs(np.array((k11, k12, k22)) - derived)
+                         / np.maximum(1.0, np.abs(derived))))
+    worst_k21 = float(np.max(np.abs((k21, z_dp.imag / 1e-30))))
+    passed = worst <= 1e-10 and worst_k21 == 0.0
+    print(f"kappa vs bounce map: max rel err {worst:.3e}, max |kappa21| {worst_k21:.3e} "
+          f"over {len(hits)} hits (tol 1e-10) {'PASS' if passed else 'FAIL'}", file=out)
     return passed
 
 
@@ -362,8 +361,7 @@ def cmd_verify(run: RunConfig, out, seed: int | None) -> int:
     ok = True
     for scenario in scenarios:
         ok &= _verify_scenario(scenario, tolerance, out)
-    ok &= _verify_identities(rng, out)
-    ok &= _verify_structure(rng, out)
+    ok &= _verify_bounce_map(rng, out)
     print(f"OVERALL {'PASS' if ok else 'FAIL'}", file=out)
     return 0 if ok else 1
 

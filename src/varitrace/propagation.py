@@ -78,6 +78,8 @@ __all__ = [
 
 _NO_Q = (math.nan,) * 4  # the q columns of a ray-only trace
 
+MAX_BASE_STEPS = 10_000_000  # the most (r_end - r_start) / dr a trace accepts
+
 
 class TraceStatus(Enum):
     COMPLETED = "completed"
@@ -119,6 +121,8 @@ class TraceConfig:
         if self.r_end > self.r_start and span + self.dr == span:
             raise ValueError(f"base step dr = {self.dr:g} is below the range "
                              f"resolution at r = {span:g}")
+        if (self.r_end - self.r_start) / self.dr > MAX_BASE_STEPS:
+            raise ValueError(f"base step dr = {self.dr:g} takes over {MAX_BASE_STEPS:,} steps")
         if self.bisect_tol <= 0.0:
             raise ValueError("bisection tolerance must be positive")
         if not 0.0 < self.steep_cutoff < math.pi / 2.0:
@@ -223,8 +227,8 @@ def _raise_vertical(n: float, p: float):
 def _rk4_step(index_at, r: float, z: float, p: float, sample: tuple, h: float, q):
     """One RK4 step of the ray and, unless ``q`` is None, of q.
 
-    Returns (z, p, q) at r + h (q stays None) and the step's dense output of
-    depth, z(r + s) = z + s (d1 + s (c2 + s c3)), as (d1, c2, c3).  Each
+    Returns (z, p, q) at r + h (q stays None) and the stage slopes of depth
+    z1, z2, z3, z4, from which the trace loop forms its dense output.  Each
     stage writes out dz = p / w and dp = n n_z / w, w = sqrt(n^2 - p^2), on
     the index tuple (n, n_r, n_z, n_zz); w^2 <= 0 (a vertical ray) raises
     SteepRayError.  ``sample`` is the index at the start (r, z), so only
@@ -283,11 +287,8 @@ def _rk4_step(index_at, r: float, z: float, p: float, sample: tuple, h: float, q
         c4, d4 = k21 * qa - k11 * qc, k21 * qb - k11 * qd
         q = (a + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4), b + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
              c + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4), d + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
-    # Dense output in powers of s = t h: b1 = t - 3t^2/2 + 2t^3/3, b2 = b3 = t^2 - 2t^3/3,
-    # b4 = -t^2/2 + 2t^3/3.
     return (z + h6 * (z1 + 2.0 * z2 + 2.0 * z3 + z4), p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
-            q, z1, (-1.5 * z1 + z2 + z3 - 0.5 * z4) / h,
-            (2.0 / 3.0) * (z1 - z2 - z3 + z4) / (h * h))
+            q, z1, z2, z3, z4)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +358,7 @@ def _land(index_at, gap, r0, z0, p0, sample0, q0, hi, s, slope, tol, crossed):
     lo = 0.0
     g_prev = None
     for _ in range(_LAND_MAX_ITER):
-        z, p, q, _, _, _ = _rk4_step(index_at, r0, z0, p0, sample0, s, q0)
+        z, p, q, _, _, _, _ = _rk4_step(index_at, r0, z0, p0, sample0, s, q0)
         g = gap(r0 + s, z)
         if abs(g) < tol:
             return s, p, q, True
@@ -457,7 +458,11 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
         h = r_end - r if r_end - r < dr else dr  # min(dr, r_end - r), ties included
         # One advance, step or landed bounce; one that raises appends no row.
         try:
-            z_end, p_end, q_end, d1, c2, c3 = _rk4_step(index_at, r, z, p, s, h, q)
+            z_end, p_end, q_end, d1, z2, z3, z4 = _rk4_step(index_at, r, z, p, s, h, q)
+            # Dense output z(r + u) = z + u (d1 + u (c2 + u c3)), formed only here: a
+            # landing's trial step can be so short that h * h underflows to 0.
+            c2 = (-1.5 * d1 + z2 + z3 - 0.5 * z4) / h
+            c3 = (2.0 / 3.0) * (d1 - z2 - z3 + z4) / (h * h)
             # The step screen, on the dense-output depth at the midpoint.
             hh = 0.5 * h
             z_mid = z + hh * (d1 + hh * (c2 + hh * c3))

@@ -20,8 +20,7 @@ Whether a bounce is valid is decided here and nowhere else.
 ``kappa_matrix`` rejects a ray that is not incoming, raises on the
 singular geometries and returns t1 = None when the reflected ray does not
 advance in range (t1r <= SINGULAR_TOL).  The tracer and the kappa scan
-ask it and keep no incidence test of their own; the verify sweeps drop,
-before asking, only draws it would reject.
+ask it and keep no incidence test of their own.
 
 The mirror law is written out in plain floats, with one <t, N> = tr nr +
 tz nz, never handed to a BLAS dot product, whose last bit depends on the
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 from .environment import NormalFrame
 from .errors import GeometryError, SingularReflectionError
 
-__all__ = ["KappaMatrix", "kappa_matrix", "identity_checks"]
+__all__ = ["KappaMatrix", "kappa_matrix"]
 
 # Entries of kappa blow up near vertical rays and tangential hits; below
 # this scale they are reported as singular instead of returned huge.
@@ -98,28 +97,3 @@ def kappa_matrix(t, frame: NormalFrame, sample: tuple) -> tuple[tuple | None, Ka
            + nr * nz * nz * n_r) * 2.0 / n_t
     kappa = KappaMatrix(k11=-t1r / tr, k12=k12, k22=-tr / t1r)
     return ((t1r, t1z) if t1r > SINGULAR_TOL else None), kappa
-
-
-def identity_checks(t, n_vec) -> tuple[tuple, tuple]:
-    """Evaluate 1 - 2Nz^2 + 2NzNr tz/tr == -t1r/tr and its companion.
-
-    The second identity is 1 + (tr Nz / <t,N>) (t1z/t1r - tz/tr) == -tr/t1r.
-    Both hold for any unit t, N with tr, t1r and <t, N> nonzero.  Returns
-    both sides of each, ((lhs1, rhs1), (lhs2, rhs2)), as numpy floats.
-
-    ``t`` and ``n_vec`` may also be (2, N) arrays of N stacked pairs: each
-    side is then an N-array, bit for bit the scalar result per column, and
-    any singular column raises.
-    """
-    import numpy as np
-
-    (tr, tz), (nr, nz) = np.asarray(t, dtype=float), np.asarray(n_vec, dtype=float)
-    n_t, t1r, t1z = _mirror(tr, tz, nr, nz)
-    if np.any((np.abs(tr) < SINGULAR_TOL) | (np.abs(t1r) < SINGULAR_TOL)
-              | (np.abs(n_t) < SINGULAR_TOL)):
-        raise SingularReflectionError("identity expressions are singular for this geometry")
-    lhs1 = 1.0 - 2.0 * nz * nz + 2.0 * nz * nr * tz / tr
-    rhs1 = -t1r / tr
-    lhs2 = 1.0 + (tr * nz / n_t) * (t1z / t1r - tz / tr)
-    rhs2 = -tr / t1r
-    return (lhs1, rhs1), (lhs2, rhs2)

@@ -58,9 +58,9 @@ def rk4_step(index_at, r, z, p, sample, h, q):
     """One classical RK4 step of (z, p) and, unless ``q`` is None, of
     q = (q11, q12, q21, q22), with the stage slopes from ``ray_rhs`` and
     ``k_matrix``.  ``sample`` is the index at (r, z); stages 2-4 call
-    ``index_at``.  Returns (z, p, q, d1, c2, c3) as ``propagation._rk4_step``
-    does: the end state and the cubic dense output of depth,
-    z(r + s) = z + s (d1 + s (c2 + s c3)).
+    ``index_at``.  Returns (z, p, q, z1, z2, z3, z4) as
+    ``propagation._rk4_step`` does: the end state and the four stage slopes
+    of depth, from which the trace loop forms its cubic dense output.
     """
     hh = 0.5 * h
 
@@ -85,5 +85,4 @@ def rk4_step(index_at, r, z, p, sample, h, q):
         q = tuple(x + h6 * (a + 2.0 * b + 2.0 * c + d)
                   for x, a, b, c, d in zip(q, q1, q2, q3, q4))
     return (z + h6 * (z1 + 2.0 * z2 + 2.0 * z3 + z4), p + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
-            q, z1, (-1.5 * z1 + z2 + z3 - 0.5 * z4) / h,
-            (2.0 / 3.0) * (z1 - z2 - z3 + z4) / (h * h))
+            q, z1, z2, z3, z4)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hamiltonian_reference import k_matrix, ray_rhs
+from identity_reference import identity_checks
 from varitrace import (
     ArcBottom,
     BeamPerturbation,
@@ -25,7 +26,6 @@ from varitrace import (
     TraceConfig,
     TraceStatus,
     fd_jacobian,
-    identity_checks,
     kappa_matrix,
     trace_ray,
     verify_kappa,

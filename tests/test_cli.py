@@ -29,7 +29,7 @@ from varitrace.environment import (
 )
 from varitrace.errors import ConfigError, GeometryError
 from varitrace.propagation import TraceConfig
-from varitrace.reflection import identity_checks, kappa_matrix
+from varitrace.reflection import kappa_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -566,6 +566,33 @@ class TestStepBelowRangeResolution:
         assert out.read_bytes() == old
 
 
+class TestTooManyBaseSteps:
+    """A ``dr`` the range resolves but tiny against the span (5e11 base
+    steps here) used to trace until it was killed; it is a config error
+    (exit 2) that writes nothing and keeps ``--output``.  It runs in its
+    own process with a timeout and a 1 GiB address-space limit, so a
+    regression fails instead of hanging the suite or filling memory."""
+
+    def test_config_error_keeps_output(self, tmp_path):
+        text = (BASE_CFG.replace("r_start = 0.0\nr_end = 6000.0",
+                                 "r_start = 1e6\nr_end = 1000100.0")
+                .replace("dr = 50.0", "dr = 2e-10"))
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out.csv"
+        old = b"# an earlier run\n1,2,3\n"
+        out.write_bytes(old)
+        proc = subprocess.run(
+            [sys.executable, "-m", "varitrace.cli", "trace", "--config", cfg,
+             "--output", str(out)],
+            capture_output=True, text=True, timeout=60, env=cli_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+        assert proc.returncode == 2, proc.stderr
+        assert ("varitrace: config error: [trace] base step dr = 2e-10 takes over "
+                "10,000,000 steps") in proc.stderr
+        assert proc.stdout == ""
+        assert out.read_bytes() == old
+
+
 class TestScanStepBelowAngleResolution:
     """An ``alpha_step_deg`` that rounds away at the scan's largest angle
     used to pass validation and list alphas without end; it is a config
@@ -879,38 +906,75 @@ class TestVerifyCommand:
         assert len(failed) >= 2 and failed[-1] == "OVERALL FAIL"
         assert all(line.startswith("[arc-linear]") for line in failed[:-1])
 
-    def test_identity_gate_scales_with_the_sides(self, tmp_path, capsys):
-        """This seed draws a reflected ray near vertical, where the sides of
-        the second identity reach about 7e5 and differ by 2 ulps; the gate
-        holds the difference to 1e-10 relative to the larger side."""
-        cfg = write_cfg(tmp_path, "[verify]\npreset = arc-homogeneous\n")
-        assert main(["verify", "--config", cfg, "--seed", "1715831031"]) == 0
-        out = capsys.readouterr().out
-        assert "OVERALL PASS" in out
+    # A bottom draw (theta, slope, z_b'', n, n_r, n_z, at) whose reflected ray is
+    # 1.5e-6 from vertical: k22 is about -6.0e5.
+    NEAR_VERTICAL = (0.37575590128989145, -0.6805013984098305, 0.02, 1.0, 0.005, 0.01, 0.5)
 
-    def test_flipped_identity_term_fails(self, tmp_path, capsys, monkeypatch):
-        """Mutation check: the identity sweep fails once the 2 Nz Nr tz/tr
-        term of the first identity has the wrong sign."""
+    def test_identity_gate_scales_with_the_sides(self):
+        """kappa.apply on the identity is held to the derived map relative to
+        max(1, |derived|): near a vertical reflected ray the entries reach
+        6e5, where the two differ by 3.5e-10, a few rounding steps, and an
+        absolute 1e-10 would fail the tracer's own kappa."""
         import varitrace.cli as cli
 
-        original = cli.identity_checks
-        shapes = []
+        theta, slope, d2, n, n_r, n_z, _ = self.NEAR_VERTICAL
+        _, kappa = kappa_matrix((math.cos(theta), math.sin(theta)),
+                                cli._bottom_frame(slope, d2), (n, n_r, n_z, 0.0))
+        geometry = np.array([[math.cos(theta), math.sin(theta), n, n_r, n_z, slope, d2]]).T
+        z_dz = cli._bounce_map(*geometry, 0.0, 1e-30j)[1].imag[0] / 1e-30
+        assert abs(kappa.k22) > 5e5 and 1e-10 < abs(kappa.k22 - z_dz) < 1e-14 * abs(z_dz)
 
-        def flipped(t, n_vec):
-            shapes.append(np.shape(t))
-            (tr, tz), (nr, nz) = t, n_vec
-            (_, rhs1), second = original(t, n_vec)
-            return (1.0 - 2.0 * nz * nz - 2.0 * nz * nr * tz / tr, rhs1), second
+        out = io.StringIO()
+        assert cli._verify_bounce_map(FirstDraw(self.NEAR_VERTICAL), out)
+        assert "over 2000 hits (tol 1e-10) PASS" in out.getvalue()
 
-        monkeypatch.setattr(cli, "identity_checks", flipped)
-        cfg = write_cfg(tmp_path, "[verify]\npreset = arc-homogeneous\n")
+    def test_curvature_mutant_fails_only_the_bounce_map_line(self, tmp_path, capsys,
+                                                            monkeypatch):
+        """Mutation check: kappa12's curvature term x 1.01 in the kappa that
+        verify checks against the bounce map fails that line alone; the
+        tracer's kappa is untouched, so every preset line passes."""
+        import varitrace.cli as cli
+
+        def mutant(t, frame, sample):
+            t1, k = kappa_matrix(t, frame, sample)
+            (tr, tz), n = t, sample[0]
+            n_t = tr * frame.nr + tz * frame.nz
+            term = -frame.curvature * n * (tr - 2.0 * frame.nr * n_t) * tr * 2.0 / n_t
+            return t1, replace(k, k12=k.k12 + 0.01 * term)
+
+        monkeypatch.setattr(cli, "kappa_matrix", mutant)
+        cfg = write_cfg(tmp_path, "[verify]\npreset = all\n")
+        assert main(["verify", "--config", cfg, "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if " FAIL" in line] == [lines[-2], "OVERALL FAIL"]
+        assert lines[-2].startswith("kappa vs bounce map: ")
+        assert len(lines) == 10 and all(" PASS" in line for line in lines[:-2])
+
+    def test_nonzero_kappa21_fails(self, tmp_path, capsys, monkeypatch):
+        """Mutation check: a kappa whose apply leaves q21 at 1e-17 q11 fails
+        the bounce-map line, which holds kappa21 to exactly 0."""
+        import varitrace.cli as cli
+
+        class Leaky:
+            def __init__(self, kappa):
+                self.kappa = kappa
+
+            def apply(self, q):
+                q11, q12, q21, q22 = self.kappa.apply(q)
+                return q11, q12, q21 + 1e-17 * q[0], q22
+
+        def mutant(t, frame, sample):
+            t1, k = kappa_matrix(t, frame, sample)
+            return t1, Leaky(k)
+
+        monkeypatch.setattr(cli, "kappa_matrix", mutant)
+        cfg = write_cfg(tmp_path, "[verify]\npreset = flat-linear\n")
         assert main(["verify", "--config", cfg]) == 1
-        # the sweep passes whole blocks: the wrapper flips every column
-        assert shapes and all(len(shape) == 2 and shape[0] == 2 for shape in shapes)
         out = capsys.readouterr().out
-        assert [line for line in out.splitlines()
-                if line.startswith("identities:") and line.endswith("FAIL")]
-        assert "OVERALL FAIL" in out
+        failed = [line for line in out.splitlines() if " FAIL" in line]
+        assert len(failed) == 2 and failed[-1] == "OVERALL FAIL"
+        assert failed[0].startswith("kappa vs bounce map: ")
+        assert failed[0].endswith(", max |kappa21| 1.000e-17 over 2000 hits (tol 1e-10) FAIL")
 
     def test_corrupt_flag_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "[verify]\npreset = arc-homogeneous\n")
@@ -1011,59 +1075,66 @@ class TestVerifyCommand:
         assert "config error: expected exactly one bounce" in capsys.readouterr().err
 
 
-HOMOGENEOUS = (1.0, 0.0, 0.0, 0.0)
+# The bounce-map sweep's draw ranges: theta, slope, z_b'', n, n_r, n_z and
+# where (below 0.25 the surface).
+LOW = (-1.3, -1.0, -0.05, 0.9, -0.01, -0.02, 0.0)
+HIGH = (1.3, 1.0, 0.05, 1.1, 0.01, 0.02, 1.0)
 
 
-def scalar_identities(rng, out) -> bool:
-    """The identity sweep with one generator call per value: the reference
+def hit_of(draw):
+    """(t, frame, sample, bounce-map geometry) of one draw, as the sweep reads it."""
+    import varitrace.cli as cli
+
+    theta, slope, d2, n, n_r, n_z, at = draw
+    if at < 0.25:
+        theta, slope, d2, frame = -abs(theta), 0.0, 0.0, NormalFrame(0.0, 1.0, 0.0)
+    else:
+        frame = cli._bottom_frame(slope, d2)
+    t = (math.cos(theta), math.sin(theta))
+    return t, frame, (n, n_r, n_z, 0.0), (*t, n, n_r, n_z, slope, d2)
+
+
+def scalar_bounce_map(rng, out) -> bool:
+    """The bounce-map sweep with one generator call per value: the reference
     for cli's block-drawn sweep."""
-    worst = 0.0
-    checked = 0
-    while checked < 10_000:
-        theta = rng.uniform(-math.pi, math.pi)
-        alpha = rng.uniform(-math.pi, math.pi)
-        t = np.array([math.cos(theta), math.sin(theta)])
-        n_vec = np.array([math.cos(alpha), math.sin(alpha)])
+    import varitrace.cli as cli
+
+    hits, applied = [], []
+    while len(hits) < 2_000:
+        t, frame, sample, geometry = hit_of([rng.uniform(lo, hi) for lo, hi in zip(LOW, HIGH)])
         try:
-            kappa_matrix(t, NormalFrame(*n_vec, 0.0), HOMOGENEOUS)
-            pairs = identity_checks(t, n_vec)
+            t1, kappa = kappa_matrix(t, frame, sample)
         except GeometryError:
             continue
-        for lhs, rhs in pairs:
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-        checked += 1
-    passed = worst <= 1e-10
-    print(f"identities: max |lhs - rhs| / max(1, |lhs|, |rhs|) {worst:.3e} over "
-          f"{checked} pairs (tol 1e-10) {'PASS' if passed else 'FAIL'}", file=out)
+        if t1 is not None:
+            hits.append(geometry)
+            applied.append(kappa.apply((1.0, 0.0, 0.0, 1.0)))
+    geometry = np.array(hits).T
+    (p_dp, z_dp), (p_dz, z_dz) = (cli._bounce_map(*geometry, 1e-30j, 0.0),
+                                  cli._bounce_map(*geometry, 0.0, 1e-30j))
+    worst = worst_k21 = 0.0
+    for j, (k11, k12, k21, k22) in enumerate(applied):
+        for got, want in ((k11, p_dp[j].imag), (k12, p_dz[j].imag), (k22, z_dz[j].imag)):
+            want /= 1e-30
+            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+        worst_k21 = max(worst_k21, abs(k21), abs(z_dp[j].imag / 1e-30))
+    passed = worst <= 1e-10 and worst_k21 == 0.0
+    print(f"kappa vs bounce map: max rel err {worst:.3e}, max |kappa21| {worst_k21:.3e} "
+          f"over {len(hits)} hits (tol 1e-10) {'PASS' if passed else 'FAIL'}", file=out)
     return passed
 
 
-def scalar_structure(rng, out) -> bool:
-    """The kappa-structure sweep with one generator call per value."""
-    worst_det = 0.0
-    worst_k21 = 0.0
-    checked = 0
-    while checked < 2_000:
-        theta = rng.uniform(-math.pi, math.pi)
-        alpha = rng.uniform(-math.pi, math.pi)
-        t = np.array([math.cos(theta), math.sin(theta)])
-        frame = NormalFrame(nr=math.cos(alpha), nz=math.sin(alpha),
-                            curvature=rng.uniform(-0.05, 0.05))
-        sample = (rng.uniform(0.9, 1.1), rng.uniform(-0.01, 0.01),
-                  rng.uniform(-0.02, 0.02), 0.0)
-        try:
-            _, kappa = kappa_matrix(t, frame, sample)
-        except GeometryError:
-            continue
-        a, b, c, d = kappa.apply((1.0, 0.0, 0.0, 1.0))
-        worst_det = max(worst_det, abs(a * d - b * c - 1.0))
-        worst_k21 = max(worst_k21, abs(c))
-        checked += 1
-    passed = worst_det < 1e-12 and worst_k21 == 0.0
-    print(f"kappa structure: max |det - 1| {worst_det:.3e}, max |kappa21| "
-          f"{worst_k21:.3e} over {checked} contexts (tol 1e-12) "
-          f"{'PASS' if passed else 'FAIL'}", file=out)
-    return passed
+class FirstDraw:
+    """A generator whose first block of draws starts with ``row``."""
+
+    def __init__(self, row):
+        self.rng, self.row = np.random.default_rng(0), row
+
+    def uniform(self, low, high, size):
+        draws = self.rng.uniform(low, high, size)
+        if self.row is not None:
+            draws[0], self.row = self.row, None
+        return draws
 
 
 SWEEP_SEEDS = [0, 1, 11, 1715831031] + np.random.SeedSequence(8).generate_state(20).tolist()
@@ -1072,18 +1143,17 @@ SWEEP_SEEDS = [0, 1, 11, 1715831031] + np.random.SeedSequence(8).generate_state(
 class TestBlockDrawnSweeps:
     @pytest.mark.parametrize("seed", SWEEP_SEEDS)
     def test_same_lines_and_generator_state_as_scalar_draws(self, seed):
-        """Drawing in blocks of the checks still needed takes exactly the
+        """Drawing in blocks of the hits still needed takes exactly the
         values, in the order, of one generator call per value: the printed
-        lines and the generator's final state are those of the scalar
-        reference loops."""
+        line and the generator's final state are those of the scalar
+        reference loop."""
         import varitrace.cli as cli
 
         lines, states = [], []
-        for identities, structure in ((cli._verify_identities, cli._verify_structure),
-                                      (scalar_identities, scalar_structure)):
+        for sweep in (cli._verify_bounce_map, scalar_bounce_map):
             rng = np.random.default_rng(seed)
             out = io.StringIO()
-            assert identities(rng, out) and structure(rng, out)
+            assert sweep(rng, out)
             lines.append(out.getvalue())
             states.append(rng.bit_generator.state)
         assert lines[0] == lines[1]
@@ -1091,100 +1161,56 @@ class TestBlockDrawnSweeps:
 
 
 class TestSweepPrefilters:
-    """The sweeps drop draws before the reflection code sees them.  Every
-    dropped draw is one that code rejects, and the identity sweep passes on
-    exactly the pairs it accepts."""
-
-    @staticmethod
-    def replay(seed, low, high, reached):
-        """Walk the seeded draw stream up to the last draw the sweep passed
-        on; yield (draw, whether the sweep passed it on)."""
-        draws = np.random.default_rng(seed).uniform(low, high, size=(30_000, len(low)))
-        j = 0
-        for draw in draws.tolist():
-            if j == len(reached):
-                return
-            theta, alpha = draw[:2]
-            key = (math.cos(theta), math.sin(theta), math.cos(alpha), math.sin(alpha))
-            passed = key == reached[j]
-            j += passed
-            yield draw, passed
-        raise AssertionError("the sweep passed on draws outside the replayed stream")
-
-    @pytest.mark.parametrize("seed", [0, 1, 653457016])
-    def test_identity_mask_drops_exactly_the_rejected_pairs(self, monkeypatch, seed):
-        import varitrace.cli as cli
-
-        reached = []
-
-        def recording(t, n_vec):
-            reached.extend(zip(*t.tolist(), *n_vec.tolist()))
-            return identity_checks(t, n_vec)
-
-        monkeypatch.setattr(cli, "identity_checks", recording)
-        assert cli._verify_identities(np.random.default_rng(seed), io.StringIO())
-        assert len(reached) == 10_000
-        stream = self.replay(seed, (-math.pi, -math.pi), (math.pi, math.pi), reached)
-        for (theta, alpha), passed in stream:
-            t = np.array([math.cos(theta), math.sin(theta)])
-            n_vec = np.array([math.cos(alpha), math.sin(alpha)])
-            try:
-                kappa_matrix(t, NormalFrame(*n_vec, 0.0), HOMOGENEOUS)
-                identity_checks(t, n_vec)
-            except GeometryError:
-                assert not passed
-            else:
-                assert passed
+    """The sweep has no incidence test of its own: every draw goes to
+    kappa_matrix, and the sweep keeps exactly the hits it accepts with a
+    reflected ray advancing in range."""
 
     @pytest.mark.parametrize("seed", [0, 1, 653457016])
     def test_structure_prefilter_drops_only_rejected_contexts(self, monkeypatch, seed):
         import varitrace.cli as cli
 
-        reached = []
+        judged, maps = [], []
 
         def recording(t, frame, sample):
-            reached.append((*t, frame.nr, frame.nz))
+            judged.append((t, frame, sample))
             return kappa_matrix(t, frame, sample)
 
+        def recording_map(*args):
+            maps.append(np.array(args[:7]).T)
+            return bounce_map(*args)
+
+        bounce_map = cli._bounce_map
         monkeypatch.setattr(cli, "kappa_matrix", recording)
-        assert cli._verify_structure(np.random.default_rng(seed), io.StringIO())
-        low = (-math.pi, -math.pi, -0.05, 0.9, -0.01, -0.02)
-        high = (math.pi, math.pi, 0.05, 1.1, 0.01, 0.02)
-        dropped = 0
-        for draw, passed in self.replay(seed, low, high, reached):
-            if passed:
-                continue
-            dropped += 1
-            theta, alpha, curvature, n, n_r, n_z = draw
-            frame = NormalFrame(nr=math.cos(alpha), nz=math.sin(alpha), curvature=curvature)
-            with pytest.raises(GeometryError):
-                kappa_matrix(np.array([math.cos(theta), math.sin(theta)]), frame,
-                             (n, n_r, n_z, 0.0))
-        assert dropped > 1000
+        monkeypatch.setattr(cli, "_bounce_map", recording_map)
+        assert cli._verify_bounce_map(np.random.default_rng(seed), io.StringIO())
+        draws = np.random.default_rng(seed).uniform(LOW, HIGH, size=(len(judged), 7))
+        kept, dropped = [], 0
+        for draw, call in zip(draws.tolist(), judged):
+            t, frame, sample, geometry = hit_of(draw)
+            assert call == (t, frame, sample)
+            try:
+                t1, _ = kappa_matrix(t, frame, sample)
+            except GeometryError:
+                t1 = None
+            if t1 is None:
+                dropped += 1
+            else:
+                kept.append(list(geometry))
+        assert len(kept) == 2000 and dropped > 1000
+        assert maps[0].tolist() == maps[1].tolist() == kept
 
     def test_structure_sweep_skips_a_draw_kappa_matrix_rejects(self):
-        """A draw past the pre-drop that kappa_matrix still rejects, here a
-        vertical incident ray onto a normal pointing up against it, is
-        skipped and not counted: the sweep still checks 2000 contexts."""
+        """A draw that kappa_matrix rejects, here a vertical incident ray onto
+        the bottom, is skipped and not counted: the sweep still checks 2000
+        hits."""
         import varitrace.cli as cli
 
-        class VerticalFirst:
-            def __init__(self):
-                self.rng, self.first = np.random.default_rng(0), True
-
-            def uniform(self, low, high, size):
-                draws = self.rng.uniform(low, high, size)
-                if self.first:
-                    draws[0, :2] = (math.pi / 2.0, -math.pi / 2.0)
-                    self.first = False
-                return draws
-
-        out = io.StringIO()
+        vertical = (math.pi / 2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5)
         with pytest.raises(GeometryError, match="incident ray is vertical"):
-            kappa_matrix((math.cos(math.pi / 2.0), 1.0), NormalFrame(0.0, -1.0, 0.0),
-                         (1.0, 0.0, 0.0, 0.0))
-        assert cli._verify_structure(VerticalFirst(), out)
-        assert "over 2000 contexts" in out.getvalue()
+            kappa_matrix(*hit_of(vertical)[:3])
+        out = io.StringIO()
+        assert cli._verify_bounce_map(FirstDraw(vertical), out)
+        assert "over 2000 hits" in out.getvalue()
 
 
 class TestParserBuiltOnce:

@@ -370,7 +370,8 @@ class TestIdentitiesAtBouncePoints:
     def test_identities_hold_at_every_preset_bounce(self):
         """The tangent-ratio identities hold at the actual bounce geometry
         of every verification scenario."""
-        from varitrace import NormalFrame, identity_checks, trace_ray
+        from identity_reference import identity_checks
+        from varitrace import NormalFrame, trace_ray
         from varitrace.presets import PRESET_NAMES
 
         for name in PRESET_NAMES:

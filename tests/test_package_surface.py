@@ -86,7 +86,7 @@ REMOVED = {"IndexSample": "environment", "reflect_direction": "reflection",
            "ReflectionContext": "reflection", "_ray_step": "propagation",
            "_variation_step": "propagation", "_variation_rhs": "propagation",
            "surface_frame": "environment", "JacobianEstimate": "oracle",
-           "trace_fan": "propagation"}
+           "trace_fan": "propagation", "identity_checks": "reflection"}
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
@@ -94,7 +94,8 @@ def test_removed_names_stay_gone(name):
     """Wrappers no ``src/`` code needed: their callers read the plain tuple
     or float underneath, and the fan command calls ``trace_ray`` per angle.
     The split RK4 kernel's three parts are one ``propagation._rk4_step``
-    now."""
+    now, and the tangent-ratio identities are a test reference
+    (``tests/identity_reference.py``)."""
     module = importlib.import_module(f"varitrace.{REMOVED[name]}")
     assert not hasattr(varitrace, name)
     assert not hasattr(module, name)
@@ -117,11 +118,15 @@ def test_config_builds_once_and_checks_each_key_once():
 
 
 def test_reflection_is_one_routine():
-    """A bounce is one ``kappa_matrix`` call on plain inputs; the identities
-    and the jump's record type are the module's only other names."""
+    """A bounce is one ``kappa_matrix`` call on plain inputs; the jump's
+    record type is the module's only other name, and no line of the module
+    imports numpy."""
     from varitrace import reflection
 
-    assert reflection.__all__ == ["KappaMatrix", "kappa_matrix", "identity_checks"]
+    assert reflection.__all__ == ["KappaMatrix", "kappa_matrix"]
+    assert not [ast.unparse(node) for node in ast.walk(parse(SRC / "reflection.py"))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and "numpy" in ast.unparse(node)]
 
 
 def test_kappa_matrix_holds_only_what_it_applies():

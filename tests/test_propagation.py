@@ -26,6 +26,7 @@ from varitrace import (
     trace_from_pulse,
     trace_ray,
 )
+from varitrace.propagation import MAX_BASE_STEPS
 
 HOMOGENEOUS = ConstantField(c0=1500.0)
 
@@ -368,8 +369,22 @@ class TestLaunchValidation:
         for r_start, r_end in ((1e6, 1e6 + 100.0), (-1e6 - 100.0, -1e6), (0.0, 1e6)):
             with pytest.raises(ValueError, match="range resolution"):
                 TraceConfig(**{**cfg, "r_start": r_start, "r_end": r_end}, dr=1e-11)
-        TraceConfig(**cfg, dr=1e-9)
+        TraceConfig(**cfg, dr=1e-4)
         TraceConfig(**{**cfg, "r_end": 1e6}, dr=1e-11)
+
+    def test_step_count_bound(self):
+        """A step the range resolves but tiny against the span, here 5e11
+        base steps, used to pass validation and run until it was killed; at
+        most MAX_BASE_STEPS base steps are accepted."""
+        cfg = dict(z0=1000.0, theta0=math.radians(5.0))
+        with pytest.raises(ValueError, match="over 10,000,000 steps"):
+            TraceConfig(r_start=1e6, r_end=1e6 + 100.0, dr=2e-10, **cfg)
+        limit = float(MAX_BASE_STEPS)
+        TraceConfig(r_start=0.0, r_end=limit, dr=1.0, **cfg)
+        with pytest.raises(ValueError, match="over 10,000,000 steps"):
+            TraceConfig(r_start=0.0, r_end=limit + 1.0, dr=1.0, **cfg)
+        with pytest.raises(ValueError, match="over 10,000,000 steps"):  # the span overflows to inf
+            TraceConfig(r_start=-1e308, r_end=1e308, dr=1e300, **cfg)
 
     @pytest.mark.parametrize("field", ["r_start", "r_end", "z0", "theta0", "dr",
                                        "bisect_tol", "steep_cutoff"])
@@ -413,6 +428,25 @@ class TestLaunchValidation:
             trace_ray(HOMOGENEOUS, tilted, replace(cfg, theta0=math.radians(15.0)))
         res = trace_ray(HOMOGENEOUS, tilted, replace(cfg, theta0=math.radians(5.0)))
         assert res.status is TraceStatus.COMPLETED and not res.bounces
+
+    @pytest.mark.parametrize("z0", [1e-200, 1e-170])
+    @pytest.mark.parametrize("theta_deg", [-1.0, -10.0, -45.0])
+    def test_launch_just_below_the_surface_lands(self, z0, theta_deg):
+        """The first step brackets the surface and the landing's first trial
+        step, about z0 / slope, squares to 0 in float64; the step's dense
+        output divided by h * h and raised ZeroDivisionError.  The ray lands
+        on the surface where a straight ray does and bounces as it does
+        from 1e-160 m, which never underflowed."""
+        theta = math.radians(theta_deg)
+        field, bath = ConstantField(1500.0, 1400.0), FlatBottom(20.0)
+        cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=z0, theta0=theta, dr=0.5)
+        res = trace_ray(field, bath, cfg)
+        ref = trace_ray(field, bath, replace(cfg, z0=1e-160))
+        assert res.status is ref.status is TraceStatus.COMPLETED
+        assert res.unconverged_bounces == 0
+        assert res.bounces[0].boundary == "surface"
+        assert res.bounces[0].r == pytest.approx(-z0 / math.tan(theta), rel=1e-9)
+        assert [b.boundary for b in res.bounces] == [b.boundary for b in ref.bounces]
 
     def test_steep_initial_pulse_rejected(self):
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=100.0, theta0=0.1)

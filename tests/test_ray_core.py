@@ -208,9 +208,9 @@ class _ScriptedField(SoundSpeedField):
 
 class TestRayStep:
     """``propagation._rk4_step`` writes the ray right-hand side out at each
-    stage; the step it gives, its dense output and its q advance equal
-    the reference RK4 step built on ``ray_rhs`` and ``k_matrix`` bit for
-    bit, and its q advance is the Jacobian of its own (p, z) map."""
+    stage; the step it gives, its stage slopes of depth and its q advance
+    equal the reference RK4 step built on ``ray_rhs`` and ``k_matrix`` bit
+    for bit, and its q advance is the Jacobian of its own (p, z) map."""
 
     @pytest.mark.parametrize("kind", BUILTIN_FIELDS)
     def test_stages_equal_reference_ray_rhs(self, kind):

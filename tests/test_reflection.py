@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from identity_reference import identity_checks
 from varitrace import (
     FlatBottom,
     GeometryError,
     NormalFrame,
     SingularReflectionError,
-    identity_checks,
     kappa_matrix,
 )
 from varitrace.reflection import _mirror

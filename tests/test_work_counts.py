@@ -23,7 +23,6 @@ FUNCTIONS = (
     (propagation, "_land"),
     (propagation, "kappa_matrix"),
     (cli, "kappa_matrix"),
-    (cli, "identity_checks"),
     (oracle, "trace_from_pulse"),
 )
 METHODS = ((SoundSpeedField, "index_at"), (Bathymetry, "depth_at"), (Bathymetry, "bottom_at"))
@@ -42,10 +41,11 @@ COMMANDS = {
 # one _land call.  "q_advance" counts the _rk4_step calls that carry q:
 # every call of a full trace, the landing search's trial steps included,
 # and none of a ray-only trace.  verify makes 68 oracle traces (4 presets
-# x 1 central and 16 ray-only perturbed rays) and 2,000 structure-sweep kappa_matrix
-# calls beside the 68 bounces' own; identity_checks is one call per block
-# of draws.  "rows" sums the rows the oracle traces keep: every row of the
-# 4 central traces and the launch and final rows of each ray-only one.
+# x 1 central and 16 ray-only perturbed rays), and its bounce-map sweep
+# calls kappa_matrix once per draw, 3,693 draws for 2,000 accepted hits,
+# beside the 68 bounces' own.  "rows" sums the rows the oracle traces
+# keep: every row of the 4 central traces and the launch and final rows
+# of each ray-only one.
 # The trace loop brackets each boundary its screen does not clear (every
 # step over a bottom with no depth floor, as verify's two arc presets, else
 # only steps near the surface or the floor) and calls _find_crossing only for
@@ -61,8 +61,8 @@ EXPECTED = {
                     "bottom_at": 46},
     "kappa-scan": {"kappa_matrix": 1086},
     "verify": {"_rk4_step": 52156, "q_advance": 3068, "_find_crossing": 68,
-               "_land": 68, "kappa_matrix": 2068, "index_at": 208628, "depth_at": 22418,
-               "bottom_at": 68, "trace_from_pulse": 68, "rows": 3196, "identity_checks": 13},
+               "_land": 68, "kappa_matrix": 3761, "index_at": 208628, "depth_at": 22418,
+               "bottom_at": 68, "trace_from_pulse": 68, "rows": 3196},
 }
 
 
