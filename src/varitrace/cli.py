@@ -81,8 +81,8 @@ _ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
 
 
 def _trace_rows(result: TraceResult):
-    # Bounce samples carry exactly the float range stored in the record.
-    bounce_at = {b.r: b.boundary for b in result.bounces}
+    # Bounce samples carry exactly the float (r, z) stored in the record.
+    bounce_at = {(b.r, b.z): b.boundary for b in result.bounces}
     asin, degrees = math.asin, math.degrees
     values = iter(result.packed_samples.tolist())  # seven at a time, one sample per row
     for n, r, z, p, q11, q12, q21, q22 in zip(result.packed_n.tolist(), *[values] * 7):
@@ -90,7 +90,7 @@ def _trace_rows(result: TraceResult):
         # max(-1.0, min(1.0, t)), NaN included: min(1.0, nan) is 1.0
         theta = degrees(asin(t if -1.0 <= t < 1.0 else -1.0 if t < -1.0 else 1.0))
         yield _ROW % (r, z, p, theta, q11, q12, q21, q22, q11 * q22 - q12 * q21,
-                      bounce_at.pop(r, ""))
+                      bounce_at.pop((r, z), ""))
 
 
 def _write_rows(out, rows, prefix: str = "") -> None:

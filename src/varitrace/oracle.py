@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 from .environment import Bathymetry, SoundSpeedField, _finite
 from .errors import DomainError, GeometryError, PerturbationTooLargeError
-from .propagation import TraceConfig, TraceResult, TraceStatus, trace_from_pulse
+from .propagation import TraceConfig, TraceResult, TraceStatus, _launch_index, trace_from_pulse
 
 __all__ = [
     "BeamPerturbation",
@@ -98,7 +98,7 @@ def _centered_jacobian(field_, bath, cfg, p0, h_p, h_z, signature):
 def _central_trace(field_, bath, cfg, *, variations: bool):
     """Launch pulse and central trace to cfg.r_end, which it must reach;
     the trace integrates q only with ``variations``."""
-    n0 = field_.index_at(cfg.r_start, cfg.z0)[0]
+    n0 = _launch_index(field_, cfg.r_start, cfg.z0)[0]
     p0 = n0 * math.sin(cfg.theta0)
     central = trace_from_pulse(field_, bath, cfg, cfg.z0, p0, variations=variations)
     if central.status is not TraceStatus.COMPLETED:

@@ -30,17 +30,18 @@ certifies nothing between the points.  In the screen's ``if``, one loop
 over the records it did not clear (so depths are queried only for an
 uncleared bottom) brackets each crossing by the sign of its gap at the
 step end or, when that is inside, at the interpolated step midpoint (a
-shallow double crossing); a non-finite gap raises DomainError.  Only a
-step with a bracket calls ``_find_crossing``, which lands each bracket and
-keeps the earliest: an Illinois search on the interpolated gap seeds a
-safeguarded secant search on the exact RK4 map from the step start, so the
-landing state is an RK4 state whose boundary residual is below
-``bisect_tol``.  A midpoint bracket whose exact search neither lands nor
-sees a positive gap is dropped, as the exact map never crossed there; a
-step left with no landing is a plain step.  The reflection jump is applied
-at a landing, in the frame of the landed record's hit, and marching
-resumes.  A plain step and a landed bounce share one advance, so once
-launched a trace reports every abnormal ending as a status, never an
+shallow double crossing); a non-finite gap raises DomainError.  It lands
+each bracket, an Illinois search on the interpolated gap (``_seed``)
+seeding a safeguarded secant search on the exact RK4 map (``_land``), on
+an RK4 state whose boundary residual is below ``bisect_tol``, and keeps a
+landing strictly earlier than any it holds, so the surface wins a tie.  A
+midpoint bracket whose exact search neither lands nor sees a positive gap
+is dropped, as the exact map never crossed there; a step left with no
+landing is a plain step.  The reflection jump is applied at a landing, in
+the frame of the landed record's hit, and marching resumes.  A plain step
+and a landed bounce share one advance, where a DomainError, or an index
+that overflows or divides by zero, ends the trace as ``domain_exit``: once
+launched, a trace reports every abnormal ending as a status, never an
 exception.  A fan is one ``trace_ray`` per launch angle.
 
 Each sample is written, as it is made, into two stdlib ``array('d')``: its
@@ -377,33 +378,22 @@ def _land(index_at, gap, r0, z0, p0, sample0, q0, hi, s, slope, tol, crossed):
     return (s_prev, p, q, False) if crossed else None
 
 
-def _find_crossing(index_at, r0, z0, p0, sample0, q0, dense, brackets, tol):
-    """Earliest landing within a step among ``brackets``, the trace loop's
-    (record, bracket end, gap, exact) tuples, each gap positive at its end,
-    exact at the step end and interpolated at the midpoint.
-
-    ``dense`` is the step's (d1, c2, c3).  Each bracket is searched from the
-    gap already computed at its end; a midpoint bracket whose exact search
-    neither lands nor sees a positive gap is no crossing and is dropped.
-    Returns (step_length, boundary, p, q, converged) of the earliest landed
-    step, ``boundary`` being its record, or None if every bracket was dropped.
-    """
-    d1, c2, c3 = dense
-    hits = []
-    for boundary, hi, g_hi, exact in brackets:
-        gap = boundary.gap
-        s, slope = _seed(lambda u: gap(r0 + u, z0 + u * (d1 + u * (c2 + u * c3))),
-                         hi, gap(r0, z0), g_hi, tol)
-        landed = _land(index_at, gap, r0, z0, p0, sample0, q0, hi, s, slope, tol, exact)
-        if landed is not None:
-            s, p_hit, q_hit, converged = landed
-            hits.append((s, boundary, p_hit, q_hit, converged))
-    return min(hits, key=lambda item: item[0], default=None)
-
-
 # ---------------------------------------------------------------------------
 # Tracing
 # ---------------------------------------------------------------------------
+
+
+def _launch_index(field_: SoundSpeedField, r: float, z: float) -> tuple:
+    """``index_at`` at a launch point, where an index that overflows, divides
+    by zero or is 0 (as c = inf gives) is outside the field's domain."""
+    try:
+        sample = field_.index_at(r, z)
+        if sample[0] != 0.0:
+            return sample
+        error = "n = 0"
+    except ArithmeticError as exc:
+        error = exc
+    raise DomainError(f"index at the launch point (r, z) = ({r:g}, {z:g}): {error}")
 
 
 def trace_ray(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig) -> TraceResult:
@@ -412,7 +402,7 @@ def trace_ray(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig) -> Tr
     The initial pulse is n(r_start, z0) * sin(theta0) and the variation
     matrix starts as the identity.
     """
-    n0 = field_.index_at(cfg.r_start, cfg.z0)[0]
+    n0 = _launch_index(field_, cfg.r_start, cfg.z0)[0]
     return trace_from_pulse(field_, bath, cfg, cfg.z0, n0 * math.sin(cfg.theta0))
 
 
@@ -426,7 +416,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
     columns.  No jump is applied to q, while statuses and bounces (each
     still checked and given its jump matrix) are those of the full trace.
     """
-    s = field_.index_at(cfg.r_start, z0)
+    s = _launch_index(field_, cfg.r_start, z0)
     depth_at = bath.depth_at
     boundaries = surface, bottom = (
         _SURFACE, _Boundary("bottom", lambda r, z: z - depth_at(r), bath.bottom_at))
@@ -468,33 +458,34 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             z_mid = z + hh * (d1 + hh * (c2 + hh * c3))
             # Above the bottom's floor over a span holding the step: no bottom gap is positive.
             above = z_end < z_floor and z_mid < z_floor and r_lo <= r and r + h <= r_hi
-            boundary = None
+            r_next, boundary = r + h, None
             if z_end < 0.0 or z_mid < 0.0 or not above:
-                # (record, bracket end, gap, exact: at the step end) of each record the
-                # screen did not clear, surface first; the step starts inside or on it.
-                brackets = []
+                # Bracket each record the screen did not clear, surface first (the step
+                # starts inside or on it), and keep a landing strictly earlier than any held.
                 for record in ((bottom,) if z_end >= 0.0 and z_mid >= 0.0
                                else (surface,) if above else boundaries):
                     hi, g_hi = h, record.gap(r + h, z_end)
                     if g_hi <= 0.0:
                         hi, g_hi = hh, record.gap(r + hh, z_mid)
-                    if not g_hi <= 0.0:  # NaN included
-                        if not math.isfinite(g_hi):
-                            raise DomainError(f"{record.name} gap {g_hi:g} at r = {r + hi:g}")
-                        brackets.append((record, hi, g_hi, hi == h))
-                crossing = brackets and _find_crossing(
-                    index_at, r, z, p, s, q, (d1, c2, c3), brackets, tol)
-                if crossing:
-                    h, boundary, p_end, q_end, converged = crossing
+                        if g_hi <= 0.0:
+                            continue
+                    if not math.isfinite(g_hi):
+                        raise DomainError(f"{record.name} gap {g_hi:g} at r = {r + hi:g}")
+                    u, slope = _seed(lambda u: record.gap(r + u, z + u * (d1 + u * (c2 + u * c3))),
+                                     hi, record.gap(r, z), g_hi, tol)
+                    landed = _land(index_at, record.gap, r, z, p, s, q, hi, u, slope, tol, hi == h)
+                    if landed is not None and (boundary is None or landed[0] < h_hit):
+                        boundary = record
+                        h_hit, p_end, q_end, converged = landed
+                if boundary is not None:
+                    r_next = r + h_hit
                     unconverged += not converged
-            r_next = r + h
-            if boundary is not None:
-                z_end, frame = boundary.hit(r_next)
+                    z_end, frame = boundary.hit(r_next)
             s = index_at(r_next, z_end)
         except SteepRayError:
             status = TraceStatus.STEEP_RAY
             break
-        except DomainError:
+        except (DomainError, ArithmeticError):
             status = TraceStatus.DOMAIN_EXIT
             break
         # Past every call that can raise, so an advance that raises leaves

@@ -256,6 +256,21 @@ class TestTraceCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert "# seed: 7" in out1.read_text()
 
+    def test_bounce_at_the_launch_range_labels_its_own_row(self, tmp_path):
+        """A launch 5e-324 m below the surface lands on it with a zero-length
+        step, so the bounce row shares the launch row's range r = 0.  The
+        bounce is labelled on its own row (z = 0), not on the launch row; the
+        label was keyed by range alone and went to the launch row."""
+        text = (BASE_CFG.replace("c0 = 1500.0", "c0 = 1500.0\nc = 1400.0")
+                .replace("depth = 1000.0", "depth = 20.0")
+                .replace("r_end = 6000.0\nz0 = 0.0\ntheta0_deg = 45.0\ndr = 50.0",
+                         "r_end = 10.0\nz0 = 5e-324\ntheta0_deg = -1.0\ndr = 0.5"))
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--config", write_cfg(tmp_path, text), "--output", str(out)]) == 0
+        launch, bounce = read_rows(out)[:2]
+        assert (launch[0], launch[1], launch[9]) == ("0", "4.9406564584124654e-324", "")
+        assert (bounce[0], bounce[1], bounce[9]) == ("0", "0", "surface")
+
     def test_abnormal_status_still_exits_zero(self, tmp_path, capsys):
         text = BASE_CFG.replace("kind = flat\ndepth = 1000.0",
                                 "kind = linear-slope\ndepth0 = 500.0\nslope = -1.5")
@@ -591,6 +606,44 @@ class TestTooManyBaseSteps:
                 "10,000,000 steps") in proc.stderr
         assert proc.stdout == ""
         assert out.read_bytes() == old
+
+
+class TestIndexArithmeticErrorsAtLaunch:
+    """An index that overflows, divides by zero or is 0 at the launch point
+    is a config error (exit 2) with no output.  Each case used to end in a
+    traceback and exit 1: Munk with ``scale_depth = 1`` (exp(2600) at the
+    surface) or ``c_axis = 1e-245`` (c^2 underflows to 0), Munk with
+    ``c_axis = 1.8e308`` (c overflows to inf, so n = 0 and the launch
+    divided by it), and a linear gradient whose (1 - g z)^2 overflows at
+    z0 = -1e300.  It runs in its own process with a timeout."""
+
+    @pytest.mark.parametrize("environment, z0", [
+        ("kind = munk\nscale_depth = 1.0", "0.0"),
+        ("kind = munk\nc_axis = 1e-245", "0.0"),
+        ("kind = munk\nc_axis = 1.7976931348623157e308", "0.0"),
+        ("kind = linear-gradient\ngradient = 1e-30", "-1e300"),
+    ], ids=["munk-exp-overflow", "munk-c2-underflow", "munk-c-overflow", "linear-f2-overflow"])
+    def test_config_error(self, tmp_path, environment, z0):
+        cfg = write_cfg(tmp_path, f"""\
+[environment]
+{environment}
+
+[bathymetry]
+kind = flat
+depth = 2000.0
+
+[trace]
+r_start = 0.0
+r_end = 1000.0
+z0 = {z0}
+theta0_deg = 5.0
+dr = 10.0
+""")
+        proc = subprocess.run([sys.executable, "-m", "varitrace.cli", "trace", "--config", cfg],
+                              capture_output=True, text=True, timeout=60, env=cli_env())
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("varitrace: config error: index at the launch point")
+        assert proc.stdout == ""
 
 
 class TestScanStepBelowAngleResolution:

@@ -235,18 +235,17 @@ def test_trace_loop_has_one_guarded_advance():
     """Inside ``trace_from_pulse``'s loop, a plain step and a landed bounce
     share one advance: one call each of ``_rk4_step``, which advances
     (z, p) and q together, ``index_at`` and the landed boundary record's
-    ``hit``, each inside a ``try`` that handles DomainError, so a ray
-    leaving a field or bottom ends as ``domain_exit``, never raises.  Each bounce makes one
+    ``hit``, each inside a ``try`` that handles DomainError and
+    ArithmeticError, so a ray leaving a field or bottom, or an index that
+    overflows there, ends as ``domain_exit``, never raises.  Each bounce makes one
     ``kappa_matrix`` call, inside a ``try`` that handles GeometryError, so
     a rejected bounce ends the trace instead.  The bracket decision is one
     ``for`` loop over the boundary records, holding every ``gap`` call of
-    the loop, and it and ``_find_crossing`` lie only in the body of the step
-    screen's ``if`` on ``z_end`` and ``z_mid``, so a step in open water makes
-    no call to either.  ``_find_crossing`` is given the brackets, not the
-    step (no ``h``, ``z_end`` or ``z_mid``), and its one return is the
-    earliest of its landings, None only when it dropped every bracket.  Each
-    sample's row is written by one ``fromlist`` call, never an item-by-item
-    ``extend``."""
+    the loop and the one call each of ``_seed`` and ``_land`` that land a
+    bracket, and it lies only in the body of the step screen's ``if`` on
+    ``z_end`` and ``z_mid``, so a step in open water makes no call to any
+    of them.  Each sample's row is written by one ``fromlist`` call, never
+    an item-by-item ``extend``."""
     tree = parse(SRC / "propagation.py")
     func = next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == "trace_from_pulse")
@@ -260,10 +259,12 @@ def test_trace_loop_has_one_guarded_advance():
     calls = [node for node in ast.walk(loop) if isinstance(node, ast.Call)]
     for name, error in (("_rk4_step", "DomainError"), ("index_at", "DomainError"),
                         ("hit", "DomainError"), ("kappa_matrix", "GeometryError"),
-                        ("_find_crossing", "DomainError")):
+                        ("_seed", "DomainError"), ("_land", "DomainError")):
         named = [node for node in calls if call_name(node) == name]
         assert len(named) == 1, f"{name}: {len(named)} calls in the trace loop"
         assert id(named[0]) in guarded_by(error), f"{name} called outside a {error} handler's try"
+    assert guarded_by("DomainError") == guarded_by("ArithmeticError"), (
+        "an overflow or zero division handled apart from DomainError")
 
     (hit,) = [node for node in calls if call_name(node) == "hit"]
     assert ast.unparse(hit.func) == "boundary.hit", "a hit not of the landed record"
@@ -272,20 +273,14 @@ def test_trace_loop_has_one_guarded_advance():
                 and {"z_end", "z_mid"} <= {name.id for name in ast.walk(node.test)
                                            if isinstance(name, ast.Name)}
                 for stmt in node.body for inner in ast.walk(stmt)}
-    (crossing,) = [node for node in calls if call_name(node) == "_find_crossing"]
-    assert id(crossing) in screened, "_find_crossing called outside the step screen"
 
     fors = [node for node in ast.walk(loop) if isinstance(node, (ast.For, ast.comprehension))]
     assert len(fors) == 1 and id(fors[0]) in screened, "the brackets are not one screened loop"
     in_bracket_loop = {id(node) for node in ast.walk(fors[0])}
-    gaps = [node for node in calls if call_name(node) == "gap"]
-    assert gaps and all(id(node) in in_bracket_loop for node in gaps), "a gap outside the loop"
-    finder = next(node for node in ast.walk(tree)
-                  if isinstance(node, ast.FunctionDef) and node.name == "_find_crossing")
-    assert not {"h", "z_end", "z_mid"} & {arg.arg for arg in finder.args.args}
-    (value,) = [node.value for node in ast.walk(finder) if isinstance(node, ast.Return)]
-    assert isinstance(value, ast.Call) and call_name(value) == "min", (
-        "_find_crossing returns other than its earliest landing")
+    for name in ("gap", "_seed", "_land"):
+        named = [node for node in calls if call_name(node) == name]
+        assert named and all(id(node) in in_bracket_loop for node in named), (
+            f"a {name} call outside the screened bracket loop")
 
     names = [call_name(node) for node in calls]
     assert (names.count("fromlist"), names.count("extend")) == (1, 0), "one fromlist per row"

@@ -1,6 +1,7 @@
 """Tracing tests: geometry oracles, closed forms, statuses, convergence."""
 
 import math
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from hamiltonian_reference import hamiltonian
 from varitrace import (
     ArcBottom,
+    BeamPerturbation,
     ConstantField,
+    DomainError,
     FlatBottom,
     GriddedField,
     LinearGradientField,
@@ -21,6 +24,7 @@ from varitrace import (
     SoundSpeedField,
     TraceConfig,
     TraceStatus,
+    fd_jacobian,
     spreading_at,
     kappa_matrix,
     trace_from_pulse,
@@ -337,6 +341,33 @@ class TestStatuses:
         assert np.isfinite(res.samples[:, :3]).all()
         assert 600.0 < res.samples[-1, 1] <= 700.0
 
+    @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+    def test_index_arithmetic_error_ends_domain_exit(self, error):
+        """An ``index_at`` that overflows or divides by zero (here below
+        700 m) ends the trace as ``domain_exit`` on the last finite row, as
+        a DomainError there does, and so does the ray-only trace.  The
+        error used to escape the trace."""
+
+        class FailsBelow700(SoundSpeedField):
+            def __init__(self):
+                super().__init__(1500.0)
+
+            def index_at(self, r, z):
+                if z > 700.0:
+                    raise error("index past its range")
+                return README_FIELD.index_at(r, z)
+
+        field, bath = FailsBelow700(), FlatBottom(2000.0)
+        cfg = TraceConfig(r_start=0.0, r_end=10_000.0, z0=600.0,
+                          theta0=math.radians(14.0), dr=10.0)
+        res = trace_ray(field, bath, cfg)
+        assert res.status is TraceStatus.DOMAIN_EXIT and not res.bounces
+        assert np.isfinite(res.samples).all()
+        assert 600.0 < res.samples[-1, 1] <= 700.0
+        ray_only = trace_from_pulse(field, bath, cfg, cfg.z0, res.p[0], variations=False)
+        assert ray_only.status is TraceStatus.DOMAIN_EXIT
+        assert (ray_only.samples[-1, :3] == res.samples[-1, :3]).all()
+
     def test_completed_has_final_sample_at_r_end(self):
         cfg = TraceConfig(r_start=0.0, r_end=1234.0, z0=100.0,
                           theta0=math.radians(3.0), dr=10.0)
@@ -385,6 +416,22 @@ class TestLaunchValidation:
             TraceConfig(r_start=0.0, r_end=limit + 1.0, dr=1.0, **cfg)
         with pytest.raises(ValueError, match="over 10,000,000 steps"):  # the span overflows to inf
             TraceConfig(r_start=-1e308, r_end=1e308, dr=1e300, **cfg)
+
+    @pytest.mark.parametrize("munk", [dict(scale_depth=1.0), dict(c_axis=1e-245),
+                                      dict(c_axis=1.7976931348623157e308)])
+    def test_index_arithmetic_error_at_launch_is_domain_error(self, munk):
+        """A Munk index that overflows (exp(2600)), divides by zero (c^2
+        underflows) or is 0 (c overflows to inf) at the launch point is a
+        launch outside the field's domain: every launch raises DomainError,
+        where an OverflowError or ZeroDivisionError used to escape."""
+        field, bath = MunkField(**munk), FlatBottom(2000.0)
+        cfg = TraceConfig(r_start=0.0, r_end=1000.0, z0=0.0, theta0=math.radians(5.0), dr=10.0)
+        with pytest.raises(DomainError, match="launch point"):
+            trace_ray(field, bath, cfg)
+        with pytest.raises(DomainError, match="launch point"):
+            trace_from_pulse(field, bath, cfg, cfg.z0, 0.0, variations=False)
+        with pytest.raises(DomainError, match="launch point"):
+            fd_jacobian(field, bath, cfg, BeamPerturbation())
 
     @pytest.mark.parametrize("field", ["r_start", "r_end", "z0", "theta0", "dr",
                                        "bisect_tol", "steep_cutoff"])
@@ -628,39 +675,38 @@ class TestShallowGrazingDetection:
         rule is pinned, not the path."""
         import varitrace.propagation as propagation
 
-        landings, steps = [], []
-        land, find = propagation._land, propagation._find_crossing
+        steps = defaultdict(list)  # step start -> (boundary, exact, landing) per bracket
+        land = propagation._land
 
-        def spied_land(*args):
-            landings.append(land(*args))
-            return landings[-1]
-
-        def spied_find(index_at, r0, z0, p0, sample0, q0, dense, brackets, tol):
-            del landings[:]
-            hit = find(index_at, r0, z0, p0, sample0, q0, dense, brackets, tol)
-            steps.append((r0, [(b.name, exact) for b, _, _, exact in brackets],
-                          list(landings), hit))
-            return hit
+        def spied_land(index_at, gap, r0, *args):
+            landed = land(index_at, gap, r0, *args)
+            name = "surface" if gap is propagation._SURFACE.gap else "bottom"
+            steps[r0].append((name, args[-1], landed))
+            return landed
 
         monkeypatch.setattr(propagation, "_land", spied_land)
-        monkeypatch.setattr(propagation, "_find_crossing", spied_find)
         bath = FlatBottom(0.5)
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=0.25,
                           theta0=math.radians(-20.0), dr=5.0)
         res = trace_ray(LinearGradientField(1500.0, -0.2), bath, cfg)
-        both = [step for step in steps if len(step[1]) == 2]
+        both = {r0: step for r0, step in steps.items() if len(step) == 2}
         assert both, "no step bracketed both boundaries"
         dropped = 0
-        for r0, brackets, landed, hit in both:
-            assert brackets == [("surface", True), ("bottom", False)] and len(landed) == 2
-            assert landed[0] is not None, "a step-end bracket was dropped"
-            dropped += landed[1] is None
-            h, boundary, _, _, converged = hit
-            assert h == min(s for s, _, _, _ in filter(None, landed)) and converged
+        for r0, step in both.items():
+            assert [(name, exact) for name, exact, _ in step] == [("surface", True),
+                                                                  ("bottom", False)]
+            (_, _, first), (_, _, second) = step
+            assert first is not None, "a step-end bracket was dropped"
+            dropped += second is None
+            # the earliest landing, the surface's on a tie
+            h, name, converged = min(((landed[0], name, landed[3])
+                                      for name, _, landed in step if landed is not None),
+                                     key=lambda item: item[0])
+            assert converged
             (bounce,) = [b for b in res.bounces if b.r == r0 + h]
-            assert bounce.boundary == boundary.name
+            assert bounce.boundary == name
             (row,) = res.samples[res.samples[:, 0] == r0 + h]
-            depth = 0.0 if boundary.name == "surface" else bath.depth_at(r0 + h)
+            depth = 0.0 if name == "surface" else bath.depth_at(r0 + h)
             assert abs(row[1] - depth) <= cfg.bisect_tol
         assert 0 < dropped < len(both), "the case lands both brackets and drops one"
 

@@ -19,7 +19,7 @@ from varitrace.cli import main
 # Module functions counted where their callers look them up.
 FUNCTIONS = (
     (propagation, "_rk4_step"),
-    (propagation, "_find_crossing"),
+    (propagation, "_seed"),
     (propagation, "_land"),
     (propagation, "kappa_matrix"),
     (cli, "kappa_matrix"),
@@ -48,19 +48,19 @@ COMMANDS = {
 # of each ray-only one.
 # The trace loop brackets each boundary its screen does not clear (every
 # step over a bottom with no depth floor, as verify's two arc presets, else
-# only steps near the surface or the floor) and calls _find_crossing only for
-# a step with a bracket, so it runs once per landing: once per _land call
-# while no step brackets both boundaries.
+# only steps near the surface or the floor) and seeds a landing (_seed, then
+# _land) only for a bracket, so each runs once per bracket: once per bounce
+# while no bracket is dropped and no step brackets both boundaries.
 EXPECTED = {
-    "trace": {"_rk4_step": 1505, "q_advance": 1505, "_find_crossing": 3, "_land": 3,
+    "trace": {"_rk4_step": 1505, "q_advance": 1505, "_seed": 3, "_land": 3,
               "kappa_matrix": 3, "index_at": 6019, "depth_at": 171, "bottom_at": 3},
-    "fan": {"_rk4_step": 7533, "q_advance": 7533, "_find_crossing": 16, "_land": 16,
+    "fan": {"_rk4_step": 7533, "q_advance": 7533, "_seed": 16, "_land": 16,
             "kappa_matrix": 16, "index_at": 30117, "depth_at": 497, "bottom_at": 10},
-    "fan-gridded": {"_rk4_step": 5712, "q_advance": 5712, "_find_crossing": 90,
+    "fan-gridded": {"_rk4_step": 5712, "q_advance": 5712, "_seed": 90,
                     "_land": 90, "kappa_matrix": 90, "index_at": 22704, "depth_at": 910,
                     "bottom_at": 46},
     "kappa-scan": {"kappa_matrix": 1086},
-    "verify": {"_rk4_step": 52156, "q_advance": 3068, "_find_crossing": 68,
+    "verify": {"_rk4_step": 52156, "q_advance": 3068, "_seed": 68,
                "_land": 68, "kappa_matrix": 3761, "index_at": 208628, "depth_at": 22418,
                "bottom_at": 68, "trace_from_pulse": 68, "rows": 3196},
 }
@@ -115,4 +115,4 @@ def test_call_counts(tmp_path, calls, command):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
     assert dict(calls) == EXPECTED[command]
-    assert calls["_find_crossing"] == calls["_land"], "a _find_crossing call with no landing"
+    assert calls["_seed"] == calls["_land"], "a seeded bracket with no landing search"
