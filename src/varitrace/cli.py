@@ -2,8 +2,11 @@
 
 All numeric output is CSV with '#'-prefixed metadata lines, written with
 17 significant digits so results round-trip exactly; identical inputs
-produce byte-identical output.  Exit codes: 0 success, 1 verification
-failure, 2 usage or configuration error.
+produce byte-identical output.  A fan traces and formats its rays on
+every usable core, in this process and in one forked child per other
+core (``_fork_map``), and writes them in ray order once all are done, so
+its bytes do not depend on how many cores there are.  Exit codes: 0
+success, 1 verification failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -93,14 +97,14 @@ def _trace_rows(result: TraceResult):
                       bounce_at.pop((r, z), ""))
 
 
-def _write_rows(out, rows, prefix: str = "") -> None:
-    # Every trace has its launch row, so ``rows`` is never empty.
-    out.write(prefix + ("\n" + prefix).join(rows) + "\n")
+def _rows_text(result: TraceResult, prefix: str = "") -> str:
+    # Every trace has its launch row, so the text is never empty.
+    return prefix + ("\n" + prefix).join(_trace_rows(result)) + "\n"
 
 
-def _warn_unconverged(result: TraceResult, who: str) -> None:
-    if result.unconverged_bounces:
-        print(f"varitrace {who}: {result.unconverged_bounces} of {len(result.bounces)} "
+def _warn_unconverged(unconverged: int, bounces: int, who: str) -> None:
+    if unconverged:
+        print(f"varitrace {who}: {unconverged} of {bounces} "
               "bounce landings stopped above bisect_tol", file=sys.stderr)
 
 
@@ -110,12 +114,80 @@ def cmd_trace(run: RunConfig, out, seed: int | None) -> int:
         print(line, file=out)
     print(f"# status: {result.status.value}", file=out)
     print(_TRACE_HEADER, file=out)
-    _write_rows(out, _trace_rows(result))
+    out.write(_rows_text(result))
     if result.status is not TraceStatus.COMPLETED:
         print(f"varitrace trace: ray ended with status {result.status.value}",
               file=sys.stderr)
-    _warn_unconverged(result, "trace")
+    _warn_unconverged(result.unconverged_bounces, len(result.bounces), "trace")
     return 0
+
+
+def _fork_map(work, items: list) -> list:
+    """``[work(x) for x in items]``, on every usable core.
+
+    The items are dealt in turn to this process and to one forked child
+    per other usable core.  Each child works through its share, stopping
+    at its first exception, pickles the outcomes back through a pipe and
+    leaves by ``os._exit``; so ``work`` must return picklable values and
+    change nothing this process reads.  Every child is reaped before the
+    results return or the first exception in item order is raised; a
+    child that sends no result raises ChildProcessError.  With one usable
+    core or one item, no ``os.fork``, or another live thread (a child
+    forked beside one could deadlock on a lock it held), the map runs in
+    this process.
+    """
+    import threading
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    procs = min(cores, len(items))
+    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [work(x) for x in items]
+    import pickle
+
+    def outcomes(share):
+        done = []
+        for x in share:
+            try:
+                done.append((True, work(x)))
+            except Exception as exc:
+                done.append((False, exc))
+                break
+        return done
+
+    children = []  # (pid, read end of its pipe)
+    try:
+        for k in range(1, procs):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:  # the child: anything that escapes leaves the pipe empty
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(outcomes(items[k::procs])))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read))
+        shares = [outcomes(items[::procs])]
+        for _, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            shares.append(pickle.loads(data) if data else None)
+    finally:
+        for pid, read in children:
+            os.close(read)  # a child still writing then fails and leaves
+            os.waitpid(pid, 0)
+
+    results = []
+    for i in range(len(items)):
+        share = shares[i % procs]
+        if share is None:
+            raise ChildProcessError(f"worker {i % procs} of {procs} ended without a result")
+        ok, value = share[i // procs]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
@@ -149,21 +221,31 @@ def _fan_angles(run: RunConfig) -> list[float]:
     return angles
 
 
+def _fan_ray(field, bath, cfg, ray: tuple[int, float]) -> tuple[str, str, int, int]:
+    """One fan ray's CSV block (its ``# ray`` line and its rows), status,
+    unconverged landings and bounces."""
+    ray_id, angle = ray
+    result = trace_ray(field, bath, replace(cfg, theta0=math.radians(angle)))
+    status = result.status.value
+    block = (f"# ray {ray_id}: theta0_deg={_fmt(angle)} status={status}\n"
+             + _rows_text(result, f"{ray_id},"))
+    return block, status, result.unconverged_bounces, len(result.bounces)
+
+
 def cmd_fan(run: RunConfig, out, seed: int | None) -> int:
     field, bath, cfg = run.build()
-    angles = _fan_angles(run)
-    results = [trace_ray(field, bath, replace(cfg, theta0=math.radians(a))) for a in angles]
+    rays = list(enumerate(_fan_angles(run)))
+    # The rays share nothing, so they are traced and formatted on every usable core;
+    # the output is written in ray order once every ray is done.
+    blocks = _fork_map(functools.partial(_fan_ray, field, bath, cfg), rays)
     for line in _metadata(run, "fan", seed):
         print(line, file=out)
     print("ray_id," + _TRACE_HEADER, file=out)
-    for ray_id, (angle, result) in enumerate(zip(angles, results)):
-        print(f"# ray {ray_id}: theta0_deg={_fmt(angle)} status={result.status.value}",
-              file=out)
-        _write_rows(out, _trace_rows(result), f"{ray_id},")
-        if result.status is not TraceStatus.COMPLETED:
-            print(f"varitrace fan: ray {ray_id} ended with status {result.status.value}",
-                  file=sys.stderr)
-        _warn_unconverged(result, f"fan: ray {ray_id}")
+    for ray_id, (block, status, unconverged, bounces) in enumerate(blocks):
+        out.write(block)
+        if status != TraceStatus.COMPLETED.value:
+            print(f"varitrace fan: ray {ray_id} ended with status {status}", file=sys.stderr)
+        _warn_unconverged(unconverged, bounces, f"fan: ray {ray_id}")
     return 0
 
 

@@ -42,7 +42,10 @@ the frame of the landed record's hit, and marching resumes.  A plain step
 and a landed bounce share one advance, where a DomainError, or an index
 that overflows or divides by zero, ends the trace as ``domain_exit``: once
 launched, a trace reports every abnormal ending as a status, never an
-exception.  A fan is one ``trace_ray`` per launch angle.
+exception; n = 0 (c = inf) at a stage or a sample is outside the field's
+domain too, not a vertical ray.  A fan is one ``trace_ray`` per launch
+angle, independent of every other, so the CLI traces a fan's rays on
+every usable core (``cli._fork_map``).
 
 Each sample is written, as it is made, into two stdlib ``array('d')``: its
 seven columns in one ``fromlist`` call, row after row, and the index.  The
@@ -221,7 +224,10 @@ class TraceResult:
 
 
 def _raise_vertical(n: float, p: float):
-    """Raise for a stage whose w^2 = n^2 - p^2 is not positive."""
+    """Raise for a stage whose w^2 = n^2 - p^2 is not positive: a vertical
+    ray, or n = 0 (as c = inf gives), which is outside the field's domain."""
+    if n == 0.0:
+        raise DomainError("n = 0: the sound speed is infinite there")
     raise SteepRayError(f"|p| = {abs(p):g} >= n = {n:g}; ray turned vertical")
 
 
@@ -427,7 +433,11 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
             raise ValueError(f"source depth {z0:g} outside the water column")
         # Launching exactly on a boundary requires the ray to move into the water.
         if gap == 0.0:
-            _, frame = boundary.hit(cfg.r_start)
+            try:
+                _, frame = boundary.hit(cfg.r_start)
+            except ArithmeticError as exc:  # a frame that overflows, as a slope of 1e300 gives
+                raise DomainError(f"{boundary.name} frame at the launch range "
+                                  f"{cfg.r_start:g}: {exc}")
             if not math.sqrt(max(0.0, 1.0 - tz0 * tz0)) * frame.nr + tz0 * frame.nz > 0.0:
                 raise ValueError(f"source on the {boundary.name} must launch into the water")
     cutoff_sin = math.sin(cfg.steep_cutoff)
@@ -493,9 +503,9 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
         r, z, p, q = r_next, z_end, p_end, q_end
 
         if boundary is not None:
-            tz = p / s[0]
-            if abs(tz) >= 1.0:
-                status = TraceStatus.STEEP_RAY
+            tz = p / s[0] if s[0] != 0.0 else math.inf
+            if abs(tz) >= 1.0:  # n = 0 at the hit is outside the field's domain
+                status = TraceStatus.STEEP_RAY if s[0] != 0.0 else TraceStatus.DOMAIN_EXIT
             else:
                 tr = math.sqrt(1.0 - tz * tz)
                 try:
@@ -524,7 +534,7 @@ def trace_from_pulse(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig
         if status is not completed:
             break
         if abs(p) >= s[0] * cutoff_sin:
-            status = TraceStatus.STEEP_RAY
+            status = TraceStatus.STEEP_RAY if s[0] != 0.0 else TraceStatus.DOMAIN_EXIT
             break
 
     if not variations:  # a ray-only trace keeps its launch row and its final row

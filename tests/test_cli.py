@@ -305,6 +305,8 @@ class TestSlopeFloor:
             return depth_at(self, r)
 
         monkeypatch.setattr(LinearSlopeBottom, "depth_at", counted)
+        # One usable core, so the fan traces every ray in this process, where they are counted.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         outputs = []
         for floored in (True, False):
             if not floored:
@@ -646,6 +648,24 @@ dr = 10.0
         assert proc.stdout == ""
 
 
+class TestLaunchOnABottomWhoseFrameOverflows:
+    """A launch exactly on a sinusoidal bottom of slope 1e140 (amplitude
+    1e-160, wavenumber 1e300), whose normal frame overflows, is a config
+    error (exit 2) with no output; it used to end in a traceback and exit
+    1.  It runs in its own process with a timeout."""
+
+    def test_config_error(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE_CFG.replace(
+            "kind = flat\ndepth = 1000.0",
+            "kind = sinusoidal\nmean_depth = 10\namplitude = 1e-160\nwavenumber = 1e300")
+            .replace("z0 = 0.0", "z0 = 10").replace("theta0_deg = 45.0", "theta0_deg = -5"))
+        proc = subprocess.run([sys.executable, "-m", "varitrace.cli", "trace", "--config", cfg],
+                              capture_output=True, text=True, timeout=60, env=cli_env())
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("varitrace: config error: bottom frame at the launch range")
+        assert proc.stdout == ""
+
+
 class TestScanStepBelowAngleResolution:
     """An ``alpha_step_deg`` that rounds away at the scan's largest angle
     used to pass validation and list alphas without end; it is a config
@@ -745,6 +765,110 @@ class TestFanCommand:
         p0 = np.array([float(r[3]) for r in rows if r[0] == "0"])
         p1 = np.array([float(r[3]) for r in rows if r[0] == "1"])
         np.testing.assert_allclose(p0, -p1, atol=1e-9)
+
+
+class TestForkedFan:
+    """A fan traces its rays in this process and in one forked child per
+    other usable core.  Its bytes and its stderr do not depend on how many
+    cores there are, and no child outlives the command."""
+
+    FAILING_CFG = BASE_CFG.replace("z0 = 0.0", "z0 = 500.0") + \
+        "\n[fan]\nangles_deg = 0, 89.7, 89.8, 5\n"
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """A function that sets the number of usable cores and returns the
+        list of forks made so far, one entry each."""
+        forked, fork = [], os.fork
+
+        def counted_fork():
+            forked.append(1)
+            return fork()
+
+        def on_cores(cores):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            return forked
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return on_cores
+
+    def run(self, cfg, out, capsys):
+        code = main(["fan", "--config", str(cfg), "--output", str(out)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["readme", "shallow-fan"])
+    def test_same_bytes_on_1_2_and_3_cores(self, tmp_path, capsys, forks, which):
+        from test_output_digests import DATA, README_CFG
+
+        cfg = (write_cfg(tmp_path, README_CFG) if which == "readme"
+               else DATA / "shallow_fan" / "fan.cfg")
+        runs, counts = [], []
+        for cores in (1, 2, 3):
+            forked = forks(cores)
+            forked.clear()
+            out = tmp_path / f"{cores}.csv"
+            code, err = self.run(cfg, out, capsys)
+            runs.append((code, err, out.read_bytes()))
+            counts.append(len(forked))
+        assert counts == [0, 1, 2]
+        assert runs[0][0] == 0 and runs[1] == runs[0] and runs[2] == runs[0]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_first_failing_ray_in_a_childs_share(self, tmp_path, capsys, forks):
+        """Rays 1 and 2 are past the steep cutoff.  On 2 or 3 cores ray 1
+        is a child's and ray 2 the parent's; the error is ray 1's, as in
+        one process, and nothing is written."""
+        cfg = write_cfg(tmp_path, self.FAILING_CFG)
+        runs = []
+        for cores in (1, 2, 3):
+            forks(cores)
+            runs.append(self.run(cfg, tmp_path / "fan.csv", capsys))
+        assert runs[0] == (2, f"varitrace: config error: launch angle "
+                              f"{math.radians(89.7):g} rad exceeds the steep cutoff\n")
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert not (tmp_path / "fan.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_beside_a_live_thread(self, tmp_path, capsys, forks):
+        import threading
+
+        from test_output_digests import README_CFG
+
+        cfg = write_cfg(tmp_path, README_CFG)
+        forked = forks(2)
+        serial = self.run(cfg, tmp_path / "serial.csv", capsys)
+        assert len(forked) == 1
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert self.run(cfg, tmp_path / "threaded.csv", capsys) == serial
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and len(forked) == 1
+        assert (tmp_path / "threaded.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def test_items_are_dealt_in_turn_and_returned_in_order(self, forks):
+        from varitrace.cli import _fork_map
+
+        forks(3)
+        results = _fork_map(lambda x: (x, os.getpid()), list(range(7)))
+        assert [x for x, _ in results] == list(range(7))
+        pids = [pid for _, pid in results]
+        assert pids[0] == os.getpid() and len(set(pids)) == 3
+        assert all(pids[i] == pids[i % 3] for i in range(7))
+
+    def test_a_child_that_sends_nothing_raises_once_reaped(self, forks):
+        from varitrace.cli import _fork_map
+
+        forks(2)
+        with pytest.raises(ChildProcessError, match="worker 1 of 2 ended without a result"):
+            _fork_map(lambda x: os._exit(3) if x == 1 else x, [0, 1, 2])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def bits(values):

@@ -22,6 +22,8 @@ The last is kappa_matrix's own rounding of t1r = tr - 2 Nr <t, N>, a few
 1e-16 against t1r >= 3e-6.  The whole module takes about 3 s.
 """
 
+import ast
+import inspect
 import math
 
 import mpmath
@@ -30,7 +32,7 @@ import pytest
 import sympy as sp
 
 from varitrace import Bathymetry, GeometryError, kappa_matrix
-from varitrace.propagation import _SURFACE
+from varitrace.propagation import _SURFACE, _rk4_step
 from varitrace.reflection import SINGULAR_TOL
 
 TOL = 1e-10
@@ -198,3 +200,41 @@ def test_kappa_matches_bounce_map(derived, case):
     worst, k21 = errors(derived, CASES[case]())
     assert k21 == 0.0
     assert max(worst) <= TOL, dict(zip(("k11", "k12", "k22"), worst))
+
+
+def kernel_stage_one_k():
+    """k11, k12 and k21 as ``_rk4_step`` forms them at its first stage, by
+    running the kernel's own assignments to t, k11, k21 and k12 on sympy
+    symbols: n1, g1 and gg1 are n, n_z and n_zz, and w1 = sqrt(n^2 - p^2)."""
+    (branch,) = [node for node in ast.walk(ast.parse(inspect.getsource(_rk4_step)))
+                 if isinstance(node, ast.If) and ast.unparse(node.test) == "q is not None"]
+    p, n_zz = sp.symbols("p n_zz", real=True)
+    scope = {"p": p, "n1": n, "g1": n_z, "gg1": n_zz, "w1": sp.sqrt(n**2 - p**2)}
+    wanted = {"t", "k11", "k21", "k12"}
+    for stmt in branch.body:
+        targets = {name.id for name in ast.walk(stmt) if isinstance(name, ast.Name)
+                   and isinstance(name.ctx, ast.Store)}
+        if targets & wanted:
+            exec(compile(ast.Module([stmt], []), "<kernel>", "exec"), {}, scope)
+            wanted -= targets
+        if not wanted:
+            break
+    assert not wanted, f"the kernel no longer assigns {wanted}"
+    return scope["k11"], scope["k12"], scope["k21"], p, n_zz
+
+
+def test_k_is_the_linearisation_of_the_hamiltonian():
+    """dq/dr = K q linearises dz/dr = H_p, dp/dr = -H_z with
+    H = -sqrt(n(z)^2 - p^2) in q = d(p, z)/d(p0, z0): K = [[-H_zp, -H_zz],
+    [H_pp, H_pz]].  Derived here with sympy, each entry minus the kernel's
+    k11, k12, k21 and -k11 (the kernel applies k22 as -k11) simplifies to
+    exactly 0."""
+    k11, k12, k21, p, n_zz = kernel_stage_one_k()
+    z = sp.Symbol("z", real=True)
+    index = sp.Function("n")(z)
+    H = -sp.sqrt(index**2 - p**2)
+    K = (-sp.diff(H, z, p), -sp.diff(H, z, z), sp.diff(H, p, p), sp.diff(H, p, z))
+    # The second derivative first, so no derivative sees a plain n.
+    plain = [(sp.Derivative(index, (z, 2)), n_zz), (sp.Derivative(index, z), n_z), (index, n)]
+    K = [entry.subs(plain) for entry in K]
+    assert [sp.simplify(got - want) for got, want in zip(K, (k11, k12, k21, -k11))] == [0] * 4

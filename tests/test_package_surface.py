@@ -9,7 +9,9 @@ definition, the config reader restates no constructor default and builds
 its objects in one call with no ``required`` getter flag, the package
 re-exports exactly each module's ``__all__``, the jump matrix
 stores only the entries it applies, the verification presets are one
-table, and the README's library example runs as written."""
+table, one function forks and no module loads a process pool, threads
+or ``pickle`` on import, and the README's library example runs as
+written."""
 
 import ast
 import importlib
@@ -377,6 +379,32 @@ def test_no_module_imports_scipy():
                for path in MODULES for node in ast.walk(parse(path))
                if isinstance(node, (ast.Import, ast.ImportFrom)) and "scipy" in ast.unparse(node)]
     assert imports == []
+
+
+def test_one_function_forks():
+    """The fan's ``_fork_map`` is the one place a process is forked."""
+    forking = [(path.name, func.name) for path in MODULES for func in ast.walk(parse(path))
+               if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "os.fork"]
+    assert forking == [("cli.py", "_fork_map")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("package", ["multiprocessing", "concurrent", "threading"])
+def test_no_pool_or_threads_imported_at_module_level(path, package):
+    """A fan forks its workers itself: no module loads a process pool or
+    ``threading`` on import (``_fork_map`` imports ``threading`` to count
+    live threads)."""
+    assert module_level_imports(path, package) == [], f"{path.name}: {package} at module level"
+
+
+def test_cli_import_leaves_pickle_unloaded():
+    """``pickle`` is imported only where a forked fan sends its results, so
+    importing the CLI, which the benchmark's set-up time includes, does not
+    load it."""
+    assert run_fresh("import sys, varitrace.cli; print('pickle' in sys.modules)").split() == [
+        "False"]
 
 
 _COMMANDS_PROBE = """\

@@ -368,6 +368,73 @@ class TestStatuses:
         assert ray_only.status is TraceStatus.DOMAIN_EXIT
         assert (ray_only.samples[-1, :3] == res.samples[-1, :3]).all()
 
+    def test_zero_index_inside_the_water_ends_domain_exit(self):
+        """n = 0 (as c = inf gives) is outside the field's domain, not a
+        vertical ray.  Here n = 0 above z = 0: the stage probes of the step
+        past r = 110 reach it, and the trace, full and ray-only, ends
+        ``domain_exit`` on its row at r = 110.  It used to end
+        ``steep_ray``."""
+
+        class ZeroAtAndAbove0(SoundSpeedField):
+            def __init__(self):
+                super().__init__(1500.0)
+
+            def index_at(self, r, z):
+                return (0.0 if z <= 0.0 else 1.0, 0.0, 0.0, 0.0)
+
+        field, bath = ZeroAtAndAbove0(), FlatBottom(100.0)
+        cfg = TraceConfig(r_start=0.0, r_end=300.0, z0=10.0, theta0=math.radians(-5.0), dr=10.0)
+        res = trace_ray(field, bath, cfg)
+        assert res.status is TraceStatus.DOMAIN_EXIT and not res.bounces
+        assert res.samples[-1, 0] == 110.0 and res.samples[-1, 1] > 0.0
+        ray_only = trace_from_pulse(field, bath, cfg, cfg.z0, res.p[0], variations=False)
+        assert ray_only.status is TraceStatus.DOMAIN_EXIT
+        assert (ray_only.samples[-1, :3] == res.samples[-1, :3]).all()
+
+    def test_zero_index_at_a_landing_ends_domain_exit(self):
+        """n = 0 exactly on the surface: the landed ray has no grazing angle
+        (p / n used to raise ZeroDivisionError from the trace), so the trace
+        ends ``domain_exit`` on its incident row there, with no bounce.  The
+        field curves the ray, as in ``test_steep_ray_on_landing``."""
+
+        class ZeroOnTheSurface(SoundSpeedField):
+            def __init__(self):
+                super().__init__(1500.0)
+
+            def index_at(self, r, z):
+                return (0.0 if z == 0.0 else 1.0 + 1e-4 * z, 0.0, 1e-4, 0.0)
+
+        field, bath = ZeroOnTheSurface(), FlatBottom(200.0)
+        cfg = TraceConfig(r_start=0.0, r_end=500.0, z0=50.0,
+                          theta0=math.radians(-30.0), dr=5.0)
+        res = trace_ray(field, bath, cfg)
+        assert res.status is TraceStatus.DOMAIN_EXIT and not res.bounces
+        assert res.samples[-1, 1] == 0.0 and res.n[-1] == 0.0
+        ray_only = trace_from_pulse(field, bath, cfg, cfg.z0, res.p[0], variations=False)
+        assert ray_only.status is TraceStatus.DOMAIN_EXIT
+        assert (ray_only.samples[-1, :3] == res.samples[-1, :3]).all()
+
+    def test_zero_index_at_a_step_end_ends_domain_exit(self):
+        """n = 0 read only at a plain step's end (the field's 14th call is
+        the end of the third step: ``trace_ray`` and ``trace_from_pulse``
+        each read the launch index, then each step makes three stage calls
+        and one end call) ends the trace ``domain_exit`` on that row, where
+        the steep check after the step used to call it ``steep_ray``."""
+
+        class ZeroOnce(SoundSpeedField):
+            def __init__(self):
+                super().__init__(1500.0)
+                self.calls = 0
+
+            def index_at(self, r, z):
+                self.calls += 1
+                return (0.0 if self.calls == 14 else 1.0, 0.0, 0.0, 0.0)
+
+        cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=50.0, theta0=0.0, dr=10.0)
+        res = trace_ray(ZeroOnce(), FlatBottom(100.0), cfg)
+        assert res.status is TraceStatus.DOMAIN_EXIT
+        assert res.samples[-1, 0] == 30.0 and res.n[-1] == 0.0
+
     def test_completed_has_final_sample_at_r_end(self):
         cfg = TraceConfig(r_start=0.0, r_end=1234.0, z0=100.0,
                           theta0=math.radians(3.0), dr=10.0)
@@ -432,6 +499,18 @@ class TestLaunchValidation:
             trace_from_pulse(field, bath, cfg, cfg.z0, 0.0, variations=False)
         with pytest.raises(DomainError, match="launch point"):
             fd_jacobian(field, bath, cfg, BeamPerturbation())
+
+    def test_launch_on_a_bottom_whose_frame_overflows_is_domain_error(self):
+        """A slope of 1e140 (amplitude 1e-160, wavenumber 1e300) overflows
+        the bottom frame's norm**3 at a launch exactly on the bottom: the
+        launch is outside the bottom's domain, where an OverflowError used
+        to escape."""
+        bath = SinusoidalBottom(10.0, 1e-160, 1e300)
+        cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=10.0, theta0=math.radians(-5.0), dr=10.0)
+        with pytest.raises(DomainError, match="bottom frame at the launch range"):
+            trace_ray(HOMOGENEOUS, bath, cfg)
+        with pytest.raises(DomainError, match="bottom frame at the launch range"):
+            trace_from_pulse(HOMOGENEOUS, bath, cfg, cfg.z0, -0.01, variations=False)
 
     @pytest.mark.parametrize("field", ["r_start", "r_end", "z0", "theta0", "dr",
                                        "bisect_tol", "steep_cutoff"])

@@ -8,7 +8,8 @@ The counts do not depend on the machine or its clock.
 
 import contextlib
 import io
-from collections import Counter
+import mmap
+import os
 
 import pytest
 
@@ -66,16 +67,44 @@ EXPECTED = {
 }
 
 
+# Every name the fixture counts, in the order of its table's columns.
+COUNTED = (*(name for _, name in FUNCTIONS), *(name for _, name in METHODS), "q_advance", "rows")
+# Rows of the table: this process and the fan's forked children.
+PROCESSES = 64
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Counter of the calls made to each name in FUNCTIONS and METHODS, of
+    """Counts of the calls made to each name in FUNCTIONS and METHODS, of
     the ``_rk4_step`` calls that advance q ("q_advance") and of the rows the
-    oracle's traces keep ("rows")."""
-    counts = Counter()
+    oracle's traces keep ("rows"), as a function returning the non-zero ones.
+
+    The counts live in an anonymous shared mmap, one row per process, so
+    calls a fan makes in its forked children count too: ``os.fork`` is
+    wrapped to give each child the next free row, taken before it forks."""
+    table = mmap.mmap(-1, 8 * PROCESSES * len(COUNTED))
+    cells = memoryview(table).cast("q")
+    column = {name: i for i, name in enumerate(COUNTED)}
+    row = [0]  # this process's row; a child's is set in the child
+    rows = [1]  # rows taken
+    fork = os.fork
+
+    def counted_fork():
+        assert rows[0] < PROCESSES, "more forked children than table rows"
+        rows[0] += 1
+        pid = fork()
+        if pid == 0:
+            row[0] = rows[0] - 1
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def count(name, n=1):
+        cells[row[0] * len(COUNTED) + column[name]] += n
 
     def counting(original, name):
         def counted(*args, **kwargs):
-            counts[name] += 1
+            count(name)
             return original(*args, **kwargs)
         return counted
 
@@ -83,7 +112,7 @@ def calls(monkeypatch):
 
     def counted_step(index_at, r, z, p, sample, h, q):
         if q is not None:
-            counts["q_advance"] += 1
+            count("q_advance")
         return step(index_at, r, z, p, sample, h, q)
 
     monkeypatch.setattr(propagation, "_rk4_step", counted_step)
@@ -92,7 +121,7 @@ def calls(monkeypatch):
 
     def counted_trace(*args, **kwargs):
         result = trace(*args, **kwargs)
-        counts["rows"] += len(result.packed_n)
+        count("rows", len(result.packed_n))
         return result
 
     monkeypatch.setattr(oracle, "trace_from_pulse", counted_trace)
@@ -103,7 +132,15 @@ def calls(monkeypatch):
         for cls in (base, *base.__subclasses__()):
             if name in vars(cls):
                 monkeypatch.setattr(cls, name, counting(vars(cls)[name], name))
-    return counts
+
+    def totals():
+        sums = {name: sum(cells[r * len(COUNTED) + i] for r in range(rows[0]))
+                for name, i in column.items()}
+        return {name: total for name, total in sums.items() if total}
+
+    yield totals
+    cells.release()
+    table.close()
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -114,5 +151,6 @@ def test_call_counts(tmp_path, calls, command):
         cfg = tmp_path / "run.cfg"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
-    assert dict(calls) == EXPECTED[command]
-    assert calls["_seed"] == calls["_land"], "a seeded bracket with no landing search"
+    counts = calls()
+    assert counts == EXPECTED[command]
+    assert counts.get("_seed") == counts.get("_land"), "a seeded bracket with no landing search"
