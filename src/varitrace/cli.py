@@ -5,8 +5,11 @@ All numeric output is CSV with '#'-prefixed metadata lines, written with
 produce byte-identical output.  A fan traces and formats its rays on
 every usable core, in this process and in one forked child per other
 core (``_fork_map``), and writes them in ray order once all are done, so
-its bytes do not depend on how many cores there are.  Exit codes: 0
-success, 1 verification failure, 2 usage or configuration error.
+its bytes do not depend on how many cores there are.  A command writes
+into an in-memory sink, and ``main`` writes what it holds in one go once
+the command returns: to stdout, or to the ``--output`` file, so a command
+that fails leaves that file as it was.  Exit codes: 0 success, 1
+verification failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -16,16 +19,15 @@ import functools
 import math
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import replace
 
 from . import __version__
 from .config import RunConfig, load_config
 from .environment import NormalFrame, _bottom_frame
 from .errors import ConfigError, GeometryError, VaritraceError
-from .oracle import BeamPerturbation, verify_kappa
-from .presets import PRESET_NAMES, PRESETS, STUDY_PERTURBATION, VerificationScenario, preset
-from .propagation import _SURFACE_HIT, TraceResult, TraceStatus, trace_ray
+from .oracle import (PRESET_NAMES, PRESETS, STUDY_PERTURBATION, BeamPerturbation,
+                     VerificationScenario, preset, verify_kappa)
+from .propagation import _SURFACE_HIT, MAX_BASE_STEPS, TraceResult, TraceStatus, trace_ray
 from .reflection import kappa_matrix
 
 DEFAULT_SCAN_THETAS = tuple(-90.0 + 10.0 * k for k in range(1, 18))  # -80 .. 80
@@ -35,45 +37,18 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-class _OutputFile:
-    """Text file opened for writing at its first write, so a command that
-    fails while building or tracing leaves an existing file as it was."""
+class _Sink(list):
+    """The pieces of text a command writes, kept in order until it returns."""
 
-    def __init__(self, path: str):
-        self._path = path
-        self._file = None
-
-    def write(self, text: str) -> int:
-        if self._file is None:
-            try:
-                self._file = open(self._path, "w")
-            except OSError as exc:
-                raise ConfigError(f"cannot write output file {self._path}: {exc.strerror}")
-        return self._file.write(text)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._file is not None:
-            self._file.close()
+    write = list.append
 
 
-def _open_output(path: str | None):
-    if path is None or path == "-":
-        return nullcontext(sys.stdout)
-    return _OutputFile(path)
-
-
-def _metadata(run: RunConfig, command: str, seed: int | None) -> list[str]:
-    lines = [
-        f"# varitrace {__version__}",
-        f"# command: {command}",
-        f"# config: {run.path.name} sha256={run.sha256}",
-    ]
+def _write_metadata(run: RunConfig, command: str, seed: int | None, out) -> None:
+    print(f"# varitrace {__version__}", file=out)
+    print(f"# command: {command}", file=out)
+    print(f"# config: {run.path.name} sha256={run.sha256}", file=out)
     if seed is not None:
-        lines.append(f"# seed: {seed}")
-    return lines
+        print(f"# seed: {seed}", file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +85,7 @@ def _warn_unconverged(unconverged: int, bounces: int, who: str) -> None:
 
 def cmd_trace(run: RunConfig, out, seed: int | None) -> int:
     result = trace_ray(*run.build())
-    for line in _metadata(run, "trace", seed):
-        print(line, file=out)
+    _write_metadata(run, "trace", seed, out)
     print(f"# status: {result.status.value}", file=out)
     print(_TRACE_HEADER, file=out)
     out.write(_rows_text(result))
@@ -215,6 +189,8 @@ def _fan_angles(run: RunConfig) -> list[float]:
             raise ConfigError("[fan] needs angles_deg or theta_min_deg/theta_max_deg/count")
         if count < 1:
             raise ConfigError("[fan] count must be at least 1")
+        if count > MAX_BASE_STEPS:
+            raise ConfigError(f"[fan] count = {count} is over {MAX_BASE_STEPS:,} rays")
         angles = _linspace(lo, hi, count)
     if not angles:
         raise ConfigError("[fan] angle list is empty")
@@ -238,8 +214,7 @@ def cmd_fan(run: RunConfig, out, seed: int | None) -> int:
     # The rays share nothing, so they are traced and formatted on every usable core;
     # the output is written in ray order once every ray is done.
     blocks = _fork_map(functools.partial(_fan_ray, field, bath, cfg), rays)
-    for line in _metadata(run, "fan", seed):
-        print(line, file=out)
+    _write_metadata(run, "fan", seed, out)
     print("ray_id," + _TRACE_HEADER, file=out)
     for ray_id, (block, status, unconverged, bounces) in enumerate(blocks):
         out.write(block)
@@ -297,6 +272,10 @@ def cmd_kappa_scan(run: RunConfig, out, seed: int | None) -> int:
     if alpha_max > alpha_min and span + alpha_step == span:
         raise ConfigError(f"[kappa_scan] alpha_step_deg = {alpha_step:g} is below the angle "
                           f"resolution at {span:g} degrees")
+    rows = len(thetas) * (alpha_max - alpha_min) / alpha_step  # inf where the span overflows
+    if not rows <= MAX_BASE_STEPS:
+        raise ConfigError(f"[kappa_scan] alpha_step_deg = {alpha_step:g} takes over "
+                          f"{MAX_BASE_STEPS:,} rows")
     curvature = sec.get_float("curvature", 0.02)
     n = sec.get_float("n", 1.0)
     if n <= 0.0:
@@ -308,8 +287,7 @@ def cmd_kappa_scan(run: RunConfig, out, seed: int | None) -> int:
     count = math.floor((alpha_max - alpha_min) / alpha_step + 1e-9) + 1
     alphas = [alpha_min + i * alpha_step for i in range(count)]
 
-    for line in _metadata(run, "kappa-scan", seed):
-        print(line, file=out)
+    _write_metadata(run, "kappa-scan", seed, out)
     print(f"# curvature={_fmt(curvature)} n={_fmt(n)} n_z={_fmt(n_z)} n_r={_fmt(n_r)}",
           file=out)
     print("theta_deg,alpha_deg,kappa11,kappa12,kappa22,valid_flag", file=out)
@@ -484,8 +462,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         run = load_config(args.config)
-        with _open_output(args.output) as out:
-            return _COMMANDS[args.command][0](run, out, args.seed)
+        out = _Sink()
+        code = _COMMANDS[args.command][0](run, out, args.seed)
+        if args.output == "-":
+            sys.stdout.writelines(out)
+            return code
+        try:
+            with open(args.output, "w") as file:
+                file.writelines(out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {args.output}: {exc.strerror}")
+        return code
     except (VaritraceError, ValueError) as exc:
         # config-derived values that fail validation (launch outside the
         # water column, angles past the cutoff, a custom verify scenario

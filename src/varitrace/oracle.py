@@ -13,7 +13,9 @@ exactly where the full trace would.  Only a ray's final row, status and
 bounce sequence are read, and a ray-only trace keeps just its launch and
 final rows.  ``verify_kappa`` is the decisive test of the boundary jump:
 it compares the analytically propagated q (with the jump applied)
-against the numerically differentiated bounce map.
+against the numerically differentiated bounce map.  ``PRESETS`` holds
+the scenarios the ``verify`` command checks.  The module holds plain
+values and never imports numpy: a Jacobian level is a 2x2 tuple of rows.
 """
 
 from __future__ import annotations
@@ -22,7 +24,17 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from .environment import Bathymetry, SoundSpeedField, _finite
+from .environment import (
+    ArcBottom,
+    Bathymetry,
+    ConstantField,
+    FlatBottom,
+    LinearGradientField,
+    MunkField,
+    SinusoidalBottom,
+    SoundSpeedField,
+    _finite,
+)
 from .errors import DomainError, GeometryError, PerturbationTooLargeError
 from .propagation import TraceConfig, TraceResult, TraceStatus, _launch_index, trace_from_pulse
 
@@ -63,17 +75,15 @@ def _bounce_signature(result: TraceResult) -> tuple:
 
 
 def _endpoint(result: TraceResult, r_end: float) -> tuple[float, float]:
-    r_final = result.samples[-1, 0]
+    r_final, z, p = result.packed_samples[-7:-4]  # the final row's (r, z, p)
     if result.status is not TraceStatus.COMPLETED or abs(r_final - r_end) > 1e-9:
         raise PerturbationTooLargeError(
             f"perturbed trace ended at r = {r_final:g} with status "
             f"{result.status.value}, expected to reach {r_end:g}")
-    return float(result.samples[-1, 2]), float(result.samples[-1, 1])
+    return p, z
 
 
 def _centered_jacobian(field_, bath, cfg, p0, h_p, h_z, signature):
-    import numpy as np
-
     cols = []
     for dp0, dz0 in ((h_p, 0.0), (0.0, h_z)):
         try:
@@ -92,7 +102,7 @@ def _centered_jacobian(field_, bath, cfg, p0, h_p, h_z, signature):
         p_minus, z_minus = _endpoint(minus, cfg.r_end)
         denom = 2.0 * (dp0 + dz0)
         cols.append(((p_plus - p_minus) / denom, (z_plus - z_minus) / denom))
-    return np.array(cols).T  # rows (p, z), columns (p0, z0)
+    return tuple(zip(*cols))  # rows (p, z), columns (p0, z0)
 
 
 def _central_trace(field_, bath, cfg, *, variations: bool):
@@ -138,21 +148,24 @@ def fd_jacobian(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
     is ray-only.  On a sequence mismatch every level's perturbations are
     halved together, up to five times, before failing with
     PerturbationTooLargeError.  Returns (pert after any halving, one 2x2
-    array per Richardson level); a non-finite level raises ValueError.
+    tuple of rows per Richardson level); a non-finite level raises
+    ValueError.
     """
     p0, central = _central_trace(field_, bath, cfg, variations=False)
     pert, levels = _fd_levels(field_, bath, cfg, p0, central, pert)
-    if not all(map(math.isfinite, (x for level in levels for x in level.flat))):
+    if not all(map(math.isfinite, (x for level in levels for row in level for x in row))):
         raise ValueError("finite-difference Jacobian is not finite")
     return pert, levels
 
 
-def _relative_errors(a, b, floor: float = 1e-12):
-    import numpy as np
-
-    scale = np.maximum(np.abs(a), np.abs(b))
-    return np.where(scale > floor, np.abs(a - b) / np.maximum(scale, floor),
-                    np.abs(a - b))
+def _max_relative_error(analytic, level, floor: float = 1e-12) -> float:
+    """Max over the four entries of |a - b| / max(|a|, |b|), or of |a - b|
+    where that scale is at most ``floor``; NaN if any entry is NaN."""
+    errs = []
+    for a, b in zip(analytic, (x for row in level for x in row)):
+        scale = max(abs(a), abs(b))
+        errs.append(abs(a - b) / scale if scale > floor else abs(a - b))
+    return max(errs, key=lambda e: (math.isnan(e), e))
 
 
 def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
@@ -175,11 +188,77 @@ def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
         raise GeometryError(
             f"expected exactly one bounce before r = {cfg.r_end:g}, "
             f"got {len(central.bounces)}")
-    analytic = central.q[-1]
+    analytic = central.packed_samples[-4:]  # the final (q11, q12, q21, q22)
 
     results = []
     for pert in perts:
         _, levels = _fd_levels(field_, bath, cfg, p0, central, pert)
-        results.append(tuple(float(_relative_errors(analytic, numeric).max())
-                             for numeric in levels))
+        results.append(tuple(_max_relative_error(analytic, level) for level in levels))
     return tuple(results)
+
+
+# Convergence study: one perturbation at offsets h, h/2 and h/4 (its three
+# Richardson levels).  The defaults of BeamPerturbation sit at the
+# event-location noise floor; the study needs a truncation-dominated
+# starting point to exhibit the h^2 decay.
+STUDY_PERTURBATION = BeamPerturbation(h_p=1e-3, h_z=1.0, richardson_levels=3)
+
+
+@dataclass(frozen=True)
+class VerificationScenario:
+    """One single-bounce scenario, compared analytic vs numeric at cfg.r_end."""
+
+    name: str
+    field: SoundSpeedField
+    bath: Bathymetry
+    cfg: TraceConfig
+
+
+PRESETS = (
+    # Depth-linear index over a flat bottom: exercises the n_z term alone.
+    VerificationScenario(
+        name="flat-linear",
+        field=LinearGradientField(c_surface=1500.0, gradient=1e-3),
+        bath=FlatBottom(200.0),
+        cfg=TraceConfig(r_start=0.0, r_end=350.0, z0=50.0,
+                        theta0=math.radians(35.0), dr=0.5),
+    ),
+    # Homogeneous water over a circular basin (curvature +0.02 1/m):
+    # exercises the curvature term alone.
+    VerificationScenario(
+        name="arc-homogeneous",
+        field=ConstantField(c0=1500.0),
+        bath=ArcBottom(radius=50.0, r_center=100.0, z_center=30.0, bulge="down"),
+        cfg=TraceConfig(r_start=70.0, r_end=140.0, z0=60.0,
+                        theta0=math.radians(20.0), dr=0.25),
+    ),
+    # Curvature and index gradient together; the range gradient gives the
+    # jump's horizontal-gradient (n_r) term a value the gate can see.
+    VerificationScenario(
+        name="arc-linear",
+        field=LinearGradientField(c_surface=1500.0, gradient=5e-4, range_gradient=1e-3),
+        bath=ArcBottom(radius=50.0, r_center=100.0, z_center=30.0, bulge="down"),
+        cfg=TraceConfig(r_start=70.0, r_end=140.0, z0=60.0,
+                        theta0=math.radians(20.0), dr=0.25),
+    ),
+    # Canonical channel profile over a corrugated bottom; the ray dives
+    # through the channel axis and bounces once off a curved section.
+    VerificationScenario(
+        name="sinusoidal-munk",
+        field=MunkField(),
+        bath=SinusoidalBottom(mean_depth=2500.0, amplitude=40.0,
+                              wavenumber=2.0 * math.pi / 1500.0),
+        cfg=TraceConfig(r_start=0.0, r_end=3600.0, z0=800.0,
+                        theta0=math.radians(30.0), dr=2.0),
+    ),
+)
+
+PRESET_NAMES = tuple(sc.name for sc in PRESETS)
+
+
+def preset(name: str) -> VerificationScenario:
+    """Look up a verification scenario by name."""
+    for scenario in PRESETS:
+        if scenario.name == name:
+            return scenario
+    raise KeyError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")

@@ -31,7 +31,7 @@ from varitrace import (
     verify_kappa,
 )
 from varitrace.cli import main, scan_kappa
-from varitrace.presets import PRESET_NAMES, STUDY_PERTURBATION, preset
+from varitrace.oracle import PRESET_NAMES, STUDY_PERTURBATION, preset
 
 
 def report(line: str) -> None:

@@ -433,6 +433,30 @@ class TestOutputKeptOnConfigError:
         assert self.run_over_old_file(tmp_path, text) == (2, True)
         assert "config error: depth outside gridded field (z = 500)" in capsys.readouterr().err
 
+    def test_command_failing_part_way_keeps_the_file(self, tmp_path, capsys, monkeypatch):
+        """A verify whose third preset raises after two presets' lines were
+        written exits 2 and leaves the file as it was: the output is written
+        once the command returns, not line by line."""
+        import varitrace.cli as cli
+
+        calls = []
+
+        def third_raises(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise GeometryError("third preset fails")
+            return (0.0,), (4e-4, 1e-4, 2.5e-5)
+
+        monkeypatch.setattr(cli, "verify_kappa", third_raises)
+        cfg = write_cfg(tmp_path, "[verify]\npreset = all\n")
+        out = tmp_path / "out.csv"
+        old = b"# an earlier run\n1,2,3\n"
+        out.write_bytes(old)
+        assert main(["verify", "--config", cfg, "--output", str(out)]) == 2
+        assert len(calls) == 3
+        assert "config error: third preset fails" in capsys.readouterr().err
+        assert out.read_bytes() == old
+
     def test_valid_run_replaces_the_file(self, tmp_path):
         text = (self.GRIDDED_CFG.replace("depth = 1000.0", "depth = 140.0")
                 .replace("z0 = 0.0", "z0 = 50.0").replace("dr = 50.0", "dr = 5.0"))
@@ -688,6 +712,68 @@ class TestScanStepBelowAngleResolution:
         assert ("varitrace: config error: [kappa_scan] alpha_step_deg = 1e-300 is below the "
                 "angle resolution at 1 degrees") in proc.stderr
         assert out.read_bytes() == old
+
+
+class TestScanAndFanSizes:
+    """A kappa scan of more than 10,000,000 rows, or a fan of more than
+    10,000,000 rays, is a config error (exit 2) found before any list is
+    built, and keeps ``--output``.  A span that overflows to inf ended in
+    an OverflowError traceback, and a scan step of 1e-12 or a fan count of
+    1e9 in a MemoryError; those two run in their own process with a timeout
+    and a 1 GiB address-space limit, so a regression fails instead of
+    filling memory."""
+
+    def test_overflowing_span(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[kappa_scan]\nalpha_min_deg = -1e308\n"
+                                  "alpha_max_deg = 1e308\nalpha_step_deg = 1e308\n")
+        assert main(["kappa-scan", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert ("varitrace: config error: [kappa_scan] alpha_step_deg = 1e+308 takes over "
+                "10,000,000 rows") in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("kappa-scan", "[kappa_scan]\nalpha_min_deg = 0\nalpha_max_deg = 1\n"
+                       "alpha_step_deg = 1e-12\n",
+         "[kappa_scan] alpha_step_deg = 1e-12 takes over 10,000,000 rows"),
+        ("fan", BASE_CFG.replace("z0 = 0.0", "z0 = 500.0")
+         + "\n[fan]\ntheta_min_deg = -1\ntheta_max_deg = 1\ncount = 1000000000\n",
+         "[fan] count = 1000000000 is over 10,000,000 rays"),
+    ], ids=["scan-step", "fan-count"])
+    def test_config_error_keeps_output(self, tmp_path, command, text, message):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out.csv"
+        old = b"# an earlier run\n1,2,3\n"
+        out.write_bytes(old)
+        proc = subprocess.run(
+            [sys.executable, "-m", "varitrace.cli", command, "--config", cfg,
+             "--output", str(out)],
+            capture_output=True, text=True, timeout=60, env=cli_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+        assert proc.returncode == 2, proc.stderr
+        assert f"varitrace: config error: {message}" in proc.stderr
+        assert out.read_bytes() == old
+
+    @pytest.mark.parametrize("command, text, largest, message", [
+        ("kappa-scan", "[kappa_scan]\nalpha_min_deg = 0\nalpha_max_deg = 10\n"
+                       "alpha_step_deg = {}\n", ("1", "0.99"), "takes over 170 rows"),
+        ("fan", BASE_CFG.replace("z0 = 0.0", "z0 = 500.0") + "\n[fan]\ntheta_min_deg = -5\n"
+                "theta_max_deg = 5\ncount = {}\n", ("3", "4"), "count = 4 is over 3 rays"),
+    ], ids=["scan", "fan"])
+    def test_the_bound_itself_is_allowed(self, tmp_path, capsys, monkeypatch,
+                                         command, text, largest, message):
+        """With the bound lowered to 170 rows (17 default angles by 10
+        alphas) or to 3 rays, a scan or fan of exactly that size runs and
+        one a little larger is rejected."""
+        import varitrace.cli as cli
+
+        monkeypatch.setattr(cli, "MAX_BASE_STEPS", 170 if command == "kappa-scan" else 3)
+        fits, over = (write_cfg(tmp_path, text.format(value), f"{value}.cfg")
+                      for value in largest)
+        assert main([command, "--config", fits]) == 0
+        assert "config error" not in capsys.readouterr().err
+        assert main([command, "--config", over]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestFanCommand:

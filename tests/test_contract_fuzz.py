@@ -15,8 +15,9 @@ launches:
 - a completed trace reaches r_end;
 - the ray-only trace has the full trace's status, bounces and final row.
 
-The CLI contract: ``trace`` and ``fan`` exit 0, or 2 on a config error, on
-every config, profiles that overflow or underflow included.
+The CLI contract: ``trace``, ``fan`` and ``kappa-scan`` exit 0, or 2 on a
+config error, on every config, profiles that overflow or underflow and
+scans whose span overflows included.
 """
 
 import contextlib
@@ -195,3 +196,30 @@ def test_cli_exits_0_or_2(tmp_path_factory, text, command):
     path.write_text(text)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main([command, "--config", str(path)]) in (0, 2)
+
+
+@st.composite
+def scan_configs(draw):
+    keys = {"alpha_min_deg": values(-180.0, 180.0), "alpha_max_deg": values(-180.0, 360.0),
+            "alpha_step_deg": values(1.0, 90.0), "curvature": values(-0.1, 0.1),
+            "n": values(0.5, 2.0), "n_z": values(-0.1, 0.1), "n_r": values(-0.1, 0.1)}
+    drawn = {key: draw(value) for key, value in keys.items() if draw(st.booleans())}
+    if draw(st.booleans()):
+        drawn["theta_deg"] = ", ".join(draw(st.lists(values(-90.0, 90.0), max_size=3)))
+    # Skip scans of over 20,000 rows that the bound of 1e7 lets run, to keep
+    # the run short; a longer scan is a config error found before any row.
+    thetas = len(drawn["theta_deg"].split(",")) if "theta_deg" in drawn else 17
+    lo, hi, step = (float(drawn.get(key, default)) for key, default in (
+        ("alpha_min_deg", "0"), ("alpha_max_deg", "180"), ("alpha_step_deg", "1")))
+    if math.isfinite(step) and step > 0.0:
+        assume(not 2e4 < thetas * (hi - lo) / step <= 1e7)
+    return "[kappa_scan]\n" + "".join(f"{key} = {value}\n" for key, value in drawn.items())
+
+
+@settings(FUZZ, max_examples=80)
+@given(scan_configs())
+def test_kappa_scan_exits_0_or_2(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "scan.cfg"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["kappa-scan", "--config", str(path)]) in (0, 2)

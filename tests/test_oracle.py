@@ -21,7 +21,7 @@ from varitrace import (
     trace_ray,
     verify_kappa,
 )
-from varitrace.presets import PRESET_NAMES, STUDY_PERTURBATION, preset
+from varitrace.oracle import PRESET_NAMES, STUDY_PERTURBATION, preset
 
 HOMOGENEOUS = ConstantField(c0=1500.0)
 DEEP = FlatBottom(5000.0)
@@ -207,7 +207,11 @@ class TestFdJacobian:
             estimates.append(fd_jacobian(sc.field, sc.bath, sc.cfg, BeamPerturbation()))
             assert calls == [False] * 9
         (ray_only_pert, ray_only), (full_pert, full) = estimates
-        assert [level.tobytes() for level in ray_only] == [level.tobytes() for level in full]
+
+        def bits(levels):
+            return [[x.hex() for row in level for x in row] for level in levels]
+
+        assert bits(ray_only) == bits(full)
         assert ray_only_pert == full_pert
 
 
@@ -304,6 +308,36 @@ class TestVerifyKappa:
         assert v[0] < 1e-4
 
 
+def test_max_relative_error_matches_the_array_form():
+    """The plain-float error is, bit for bit, the numpy form it replaced:
+    the entrywise ``where(scale > floor, |a - b| / max(scale, floor),
+    |a - b|)`` with ``scale = maximum(|a|, |b|)``, then its ``max``, which
+    is NaN if any entry is.  Checked on every pairing of ordinary, tiny,
+    zero, infinite and NaN entries, in each of the four places."""
+    from itertools import product
+
+    from varitrace.oracle import _max_relative_error
+
+    special = [0.0, -0.0, 1.0, -2.5, 1e-13, 3e-12, 1e300, math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(7)
+    cases = []
+    for (a, b), at in product(product(special, repeat=2), range(4)):
+        analytic, numeric = [1.0, -1.0, 0.5, 2.0], [1.0 + 1e-9, -1.0, 0.5, 2.0]
+        analytic[at], numeric[at] = a, b
+        cases.append((tuple(analytic), (tuple(numeric[:2]), tuple(numeric[2:]))))
+    for _ in range(500):
+        a, b = rng.normal(size=4) * 10.0 ** rng.integers(-14, 3, size=4), rng.normal(size=4)
+        cases.append((tuple(a.tolist()), (tuple(b[:2].tolist()), tuple(b[2:].tolist()))))
+    for analytic, level in cases:
+        a, b = np.array(analytic), np.array(level).ravel()
+        scale = np.maximum(np.abs(a), np.abs(b))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            expected = np.where(scale > 1e-12, np.abs(a - b) / np.maximum(scale, 1e-12),
+                                np.abs(a - b)).max()
+        assert _max_relative_error(analytic, level).hex() == float(expected).hex(), (
+            analytic, level)
+
+
 def test_unknown_preset_name_raises():
     with pytest.raises(KeyError, match="unknown preset 'bogus'; choose from flat-linear"):
         preset("bogus")
@@ -372,7 +406,7 @@ class TestIdentitiesAtBouncePoints:
         of every verification scenario."""
         from identity_reference import identity_checks
         from varitrace import NormalFrame, trace_ray
-        from varitrace.presets import PRESET_NAMES
+        from varitrace.oracle import PRESET_NAMES
 
         for name in PRESET_NAMES:
             sc = preset(name)

@@ -9,9 +9,10 @@ definition, the config reader restates no constructor default and builds
 its objects in one call with no ``required`` getter flag, the package
 re-exports exactly each module's ``__all__``, the jump matrix
 stores only the entries it applies, the verification presets are one
-table, one function forks and no module loads a process pool, threads
-or ``pickle`` on import, and the README's library example runs as
-written."""
+table in the oracle, which imports no numpy, the CLI opens no output
+file before its command returns, one function forks and no module loads
+a process pool, threads or ``pickle`` on import, and the README's
+library example runs as written."""
 
 import ast
 import importlib
@@ -88,7 +89,8 @@ REMOVED = {"IndexSample": "environment", "reflect_direction": "reflection",
            "ReflectionContext": "reflection", "_ray_step": "propagation",
            "_variation_step": "propagation", "_variation_rhs": "propagation",
            "surface_frame": "environment", "JacobianEstimate": "oracle",
-           "trace_fan": "propagation", "identity_checks": "reflection"}
+           "trace_fan": "propagation", "identity_checks": "reflection",
+           "_OutputFile": "cli", "_open_output": "cli"}
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
@@ -96,8 +98,10 @@ def test_removed_names_stay_gone(name):
     """Wrappers no ``src/`` code needed: their callers read the plain tuple
     or float underneath, and the fan command calls ``trace_ray`` per angle.
     The split RK4 kernel's three parts are one ``propagation._rk4_step``
-    now, and the tangent-ratio identities are a test reference
-    (``tests/identity_reference.py``)."""
+    now, the tangent-ratio identities are a test reference
+    (``tests/identity_reference.py``), and each command writes into
+    ``main``'s in-memory sink, not into an output file opened at its
+    first write."""
     module = importlib.import_module(f"varitrace.{REMOVED[name]}")
     assert not hasattr(varitrace, name)
     assert not hasattr(module, name)
@@ -142,12 +146,25 @@ def test_kappa_matrix_holds_only_what_it_applies():
 
 
 def test_presets_are_one_table():
-    """Each preset is one value of ``presets.PRESETS``, named once; no
-    builder functions or name-to-builder dict beside it."""
-    from varitrace import presets
+    """Each preset is one value of ``oracle.PRESETS``, named once; no
+    builder functions or name-to-builder dict beside it, no module of its
+    own and no name in ``oracle.__all__``, so the package re-exports none."""
+    from varitrace import oracle
 
-    assert not hasattr(presets, "_BUILDERS")
-    assert presets.PRESET_NAMES == tuple(sc.name for sc in presets.PRESETS)
+    assert not hasattr(oracle, "_BUILDERS")
+    assert oracle.PRESET_NAMES == tuple(sc.name for sc in oracle.PRESETS)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("varitrace.presets")
+    assert not {"PRESETS", "PRESET_NAMES", "STUDY_PERTURBATION", "VerificationScenario",
+                "preset"} & (set(oracle.__all__) | set(vars(varitrace)))
+
+
+def test_oracle_holds_plain_values():
+    """The oracle reads a trace's packed rows and returns each Jacobian
+    level as a 2x2 tuple of rows: no line of the module imports numpy."""
+    assert not [ast.unparse(node) for node in ast.walk(parse(SRC / "oracle.py"))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and "numpy" in ast.unparse(node)]
 
 
 def test_oracle_checks_at_the_trace_end():
@@ -155,13 +172,13 @@ def test_oracle_checks_at_the_trace_end():
     names it: no query-range parameter, no scenario field beside cfg."""
     import inspect
 
-    from varitrace import presets
+    from varitrace import oracle
 
     assert list(inspect.signature(varitrace.fd_jacobian).parameters) == [
         "field_", "bath", "cfg", "pert"]
     assert list(inspect.signature(varitrace.verify_kappa).parameters) == [
         "field_", "bath", "cfg", "perts"]
-    assert list(presets.VerificationScenario.__dataclass_fields__) == [
+    assert list(oracle.VerificationScenario.__dataclass_fields__) == [
         "name", "field", "bath", "cfg"]
 
 

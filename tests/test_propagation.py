@@ -926,7 +926,7 @@ class TestLocatorConvergence:
         assert locator <= 16 * len(res.bounces)
 
     def test_readme_config_and_presets_converge(self):
-        from varitrace.presets import PRESET_NAMES, preset
+        from varitrace.oracle import PRESET_NAMES, preset
 
         runs = [(README_FIELD, README_BATH, README_CFG)]
         runs += [(sc.field, sc.bath, sc.cfg) for sc in map(preset, PRESET_NAMES)]
@@ -967,7 +967,7 @@ class TestSnellInvariantDrift:
 def _ray_only_cases():
     """(field, bathymetry, config, launch angles in degrees) per case."""
     from varitrace import PiecewiseBottom
-    from varitrace.presets import PRESET_NAMES, preset
+    from varitrace.oracle import PRESET_NAMES, preset
 
     cases = {}
     for name in PRESET_NAMES:
@@ -1100,7 +1100,7 @@ class TestRayOnlyTraces:
         search's trial steps included; a ray-only trace and the oracle's
         perturbed rays carry q = None and advance it in none."""
         from varitrace import BeamPerturbation, verify_kappa
-        from varitrace.presets import preset
+        from varitrace.oracle import preset
 
         def counts():
             steps = len(step_calls), sum(call[4] for call in step_calls)
