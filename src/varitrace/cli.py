@@ -4,8 +4,9 @@ All numeric output is CSV with '#'-prefixed metadata lines, written with
 17 significant digits so results round-trip exactly; identical inputs
 produce byte-identical output.  A fan traces and formats its rays on
 every usable core, in this process and in one forked child per other
-core (``_fork_map``), and writes them in ray order once all are done, so
-its bytes do not depend on how many cores there are.  A command writes
+core (``propagation._fork_map``), and writes them in ray order once all
+are done; verify's oracle traces its perturbed rays the same way.  So no
+command's bytes depend on how many cores there are.  A command writes
 into an in-memory sink, and ``main`` writes what it holds in one go once
 the command returns: to stdout, or to the ``--output`` file, so a command
 that fails leaves that file as it was.  Exit codes: 0 success, 1
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -27,7 +27,8 @@ from .environment import NormalFrame, _bottom_frame
 from .errors import ConfigError, GeometryError, VaritraceError
 from .oracle import (PRESET_NAMES, PRESETS, STUDY_PERTURBATION, BeamPerturbation,
                      VerificationScenario, preset, verify_kappa)
-from .propagation import _SURFACE_HIT, MAX_BASE_STEPS, TraceResult, TraceStatus, trace_ray
+from .propagation import (_SURFACE_HIT, MAX_BASE_STEPS, TraceResult, TraceStatus, _fork_map,
+                          trace_ray)
 from .reflection import kappa_matrix
 
 DEFAULT_SCAN_THETAS = tuple(-90.0 + 10.0 * k for k in range(1, 18))  # -80 .. 80
@@ -94,74 +95,6 @@ def cmd_trace(run: RunConfig, out, seed: int | None) -> int:
               file=sys.stderr)
     _warn_unconverged(result.unconverged_bounces, len(result.bounces), "trace")
     return 0
-
-
-def _fork_map(work, items: list) -> list:
-    """``[work(x) for x in items]``, on every usable core.
-
-    The items are dealt in turn to this process and to one forked child
-    per other usable core.  Each child works through its share, stopping
-    at its first exception, pickles the outcomes back through a pipe and
-    leaves by ``os._exit``; so ``work`` must return picklable values and
-    change nothing this process reads.  Every child is reaped before the
-    results return or the first exception in item order is raised; a
-    child that sends no result raises ChildProcessError.  With one usable
-    core or one item, no ``os.fork``, or another live thread (a child
-    forked beside one could deadlock on a lock it held), the map runs in
-    this process.
-    """
-    import threading
-
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    procs = min(cores, len(items))
-    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [work(x) for x in items]
-    import pickle
-
-    def outcomes(share):
-        done = []
-        for x in share:
-            try:
-                done.append((True, work(x)))
-            except Exception as exc:
-                done.append((False, exc))
-                break
-        return done
-
-    children = []  # (pid, read end of its pipe)
-    try:
-        for k in range(1, procs):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:  # the child: anything that escapes leaves the pipe empty
-                    os.close(read)
-                    with open(write, "wb") as pipe:
-                        pipe.write(pickle.dumps(outcomes(items[k::procs])))
-                finally:
-                    os._exit(0)
-            os.close(write)
-            children.append((pid, read))
-        shares = [outcomes(items[::procs])]
-        for _, read in children:
-            with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            shares.append(pickle.loads(data) if data else None)
-    finally:
-        for pid, read in children:
-            os.close(read)  # a child still writing then fails and leaves
-            os.waitpid(pid, 0)
-
-    results = []
-    for i in range(len(items)):
-        share = shares[i % procs]
-        if share is None:
-            raise ChildProcessError(f"worker {i % procs} of {procs} ended without a result")
-        ok, value = share[i // procs]
-        if not ok:
-            raise value
-        results.append(value)
-    return results
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
@@ -291,15 +224,16 @@ def cmd_kappa_scan(run: RunConfig, out, seed: int | None) -> int:
     print(f"# curvature={_fmt(curvature)} n={_fmt(n)} n_z={_fmt(n_z)} n_r={_fmt(n_r)}",
           file=out)
     print("theta_deg,alpha_deg,kappa11,kappa12,kappa22,valid_flag", file=out)
-    for theta in thetas:
+    for theta in thetas:  # one sink piece per theta, not print's two per row
+        rows = []
         for alpha in alphas:
             entries = scan_kappa(theta, alpha, curvature, n, n_z, n_r)
             if entries is None:
-                print(f"{_fmt(theta)},{_fmt(alpha)},,,,0", file=out)
+                rows.append(f"{_fmt(theta)},{_fmt(alpha)},,,,0\n")
             else:
                 k11, k12, k22 = entries
-                print(f"{_fmt(theta)},{_fmt(alpha)},{_fmt(k11)},{_fmt(k12)},{_fmt(k22)},1",
-                      file=out)
+                rows.append(f"{_fmt(theta)},{_fmt(alpha)},{_fmt(k11)},{_fmt(k12)},{_fmt(k22)},1\n")
+        out.write("".join(rows))
     return 0
 
 
@@ -415,13 +349,13 @@ def cmd_verify(run: RunConfig, out, seed: int | None) -> int:
             f"[verify] preset = {which!r}; expected 'all', 'custom' or one of "
             f"{', '.join(PRESET_NAMES)}")
 
-    import numpy as np
-
-    rng = np.random.default_rng(0 if seed is None else seed)
     ok = True
     for scenario in scenarios:
         ok &= _verify_scenario(scenario, tolerance, out)
-    ok &= _verify_bounce_map(rng, out)
+    # numpy is loaded only now, so the oracle's forked children start without it.
+    import numpy as np
+
+    ok &= _verify_bounce_map(np.random.default_rng(0 if seed is None else seed), out)
     print(f"OVERALL {'PASS' if ok else 'FAIL'}", file=out)
     return 0 if ok else 1
 

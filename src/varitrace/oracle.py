@@ -11,7 +11,10 @@ Each of their bounces is still judged by the tracer's own reflection
 checks, which build the jump matrix, so a perturbed ray ends or bounces
 exactly where the full trace would.  Only a ray's final row, status and
 bounce sequence are read, and a ray-only trace keeps just its launch and
-final rows.  ``verify_kappa`` is the decisive test of the boundary jump:
+final rows.  The perturbed rays share nothing, so each round of them, all
+perturbations' Richardson levels together, is traced on every usable core
+(``propagation._fork_map``), with the same results on any number of cores.
+``verify_kappa`` is the decisive test of the boundary jump:
 it compares the analytically propagated q (with the jump applied)
 against the numerically differentiated bounce map.  ``PRESETS`` holds
 the scenarios the ``verify`` command checks.  The module holds plain
@@ -20,6 +23,7 @@ values and never imports numpy: a Jacobian level is a 2x2 tuple of rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -36,7 +40,8 @@ from .environment import (
     _finite,
 )
 from .errors import DomainError, GeometryError, PerturbationTooLargeError
-from .propagation import TraceConfig, TraceResult, TraceStatus, _launch_index, trace_from_pulse
+from .propagation import (TraceConfig, TraceResult, TraceStatus, _fork_map, _launch_index,
+                          trace_from_pulse)
 
 __all__ = [
     "BeamPerturbation",
@@ -74,35 +79,34 @@ def _bounce_signature(result: TraceResult) -> tuple:
     return tuple(b.boundary for b in result.bounces)
 
 
-def _endpoint(result: TraceResult, r_end: float) -> tuple[float, float]:
+def _offsets(pert: BeamPerturbation) -> list[tuple[float, float]]:
+    """(dp0, dz0) of each FD column, level by level: the p0 column, then the z0 one."""
+    return [offset for i in range(pert.richardson_levels)
+            for offset in ((pert.h_p / 2**i, 0.0), (0.0, pert.h_z / 2**i))]
+
+
+def _perturbed_endpoint(field_, bath, cfg, signature, launch):
+    """(p, z) at cfg.r_end of the ray-only trace from ``launch`` = (z0, p0).
+
+    A ray that leaves the water column or the field at launch, goes steep,
+    bounces otherwise than ``signature`` or ends elsewhere gives a
+    PerturbationTooLargeError, returned, not raised, so that the rays
+    mapped beside it are still traced.
+    """
+    try:
+        result = trace_from_pulse(field_, bath, cfg, *launch, variations=False)
+    except (ValueError, DomainError) as exc:
+        # perturbed launch left the water column or the field, or went steep
+        return PerturbationTooLargeError(str(exc))
+    if _bounce_signature(result) != signature:
+        return PerturbationTooLargeError(
+            "perturbed ray bounce sequence differs from the central ray")
     r_final, z, p = result.packed_samples[-7:-4]  # the final row's (r, z, p)
-    if result.status is not TraceStatus.COMPLETED or abs(r_final - r_end) > 1e-9:
-        raise PerturbationTooLargeError(
+    if result.status is not TraceStatus.COMPLETED or abs(r_final - cfg.r_end) > 1e-9:
+        return PerturbationTooLargeError(
             f"perturbed trace ended at r = {r_final:g} with status "
-            f"{result.status.value}, expected to reach {r_end:g}")
+            f"{result.status.value}, expected to reach {cfg.r_end:g}")
     return p, z
-
-
-def _centered_jacobian(field_, bath, cfg, p0, h_p, h_z, signature):
-    cols = []
-    for dp0, dz0 in ((h_p, 0.0), (0.0, h_z)):
-        try:
-            plus = trace_from_pulse(field_, bath, cfg, cfg.z0 + dz0, p0 + dp0,
-                                    variations=False)
-            minus = trace_from_pulse(field_, bath, cfg, cfg.z0 - dz0, p0 - dp0,
-                                     variations=False)
-        except (ValueError, DomainError) as exc:
-            # perturbed launch left the water column or the field, or went steep
-            raise PerturbationTooLargeError(str(exc))
-        for res in (plus, minus):
-            if _bounce_signature(res) != signature:
-                raise PerturbationTooLargeError(
-                    "perturbed ray bounce sequence differs from the central ray")
-        p_plus, z_plus = _endpoint(plus, cfg.r_end)
-        p_minus, z_minus = _endpoint(minus, cfg.r_end)
-        denom = 2.0 * (dp0 + dz0)
-        cols.append(((p_plus - p_minus) / denom, (z_plus - z_minus) / denom))
-    return tuple(zip(*cols))  # rows (p, z), columns (p0, z0)
 
 
 def _central_trace(field_, bath, cfg, *, variations: bool):
@@ -117,24 +121,43 @@ def _central_trace(field_, bath, cfg, *, variations: bool):
     return p0, central
 
 
-def _fd_levels(field_, bath, cfg, p0, central, pert):
-    """FD Jacobians about an already traced central ray, one per Richardson
-    level (see fd_jacobian); returns them with the perturbation used."""
-    signature = _bounce_signature(central)
+def _fd_levels(field_, bath, cfg, p0, central, perts):
+    """FD Jacobians about an already traced central ray (see fd_jacobian):
+    for each perturbation in ``perts``, in order, the perturbation used and
+    its levels, one 2x2 tuple of rows each.
 
-    last_error: Exception | None = None
+    Each round maps every perturbed ray still needed, a plus and a minus
+    ray per column, through one ``_fork_map`` call.  Only the
+    perturbations with a failed ray are halved and mapped again, up to
+    MAX_HALVINGS times; then the first failure in ray order is raised.
+    """
+    work = functools.partial(_perturbed_endpoint, field_, bath, cfg, _bounce_signature(central))
+    done = [None] * len(perts)
+    todo = dict(enumerate(perts))
     for _ in range(MAX_HALVINGS + 1):
-        try:
-            return pert, [
-                _centered_jacobian(field_, bath, cfg, p0, pert.h_p / 2**i, pert.h_z / 2**i,
-                                   signature)
-                for i in range(pert.richardson_levels)
-            ]
-        except PerturbationTooLargeError as exc:
-            last_error = exc
-            pert = replace(pert, h_p=0.5 * pert.h_p, h_z=0.5 * pert.h_z)
-    raise PerturbationTooLargeError(
-        f"bounce sequences still differ after {MAX_HALVINGS} halvings: {last_error}")
+        launches = [launch for pert in todo.values() for dp0, dz0 in _offsets(pert)
+                    for launch in ((cfg.z0 + dz0, p0 + dp0), (cfg.z0 - dz0, p0 - dp0))]
+        ends = iter(_fork_map(work, launches))
+        failed = {}
+        for k, pert in todo.items():
+            mine = [next(ends) for _ in range(4 * pert.richardson_levels)]
+            failure = next((e for e in mine if isinstance(e, PerturbationTooLargeError)), None)
+            if failure is not None:
+                failed[k] = failure
+                continue
+            cols = []
+            for (dp0, dz0), (p_plus, z_plus), (p_minus, z_minus) in zip(
+                    _offsets(pert), mine[::2], mine[1::2]):
+                denom = 2.0 * (dp0 + dz0)
+                cols.append(((p_plus - p_minus) / denom, (z_plus - z_minus) / denom))
+            # rows (p, z), columns (p0, z0)
+            done[k] = pert, [tuple(zip(*cols[i:i + 2])) for i in range(0, len(cols), 2)]
+        if not failed:
+            return done
+        todo = {k: replace(todo[k], h_p=0.5 * todo[k].h_p, h_z=0.5 * todo[k].h_z)
+                for k in failed}
+    raise PerturbationTooLargeError(f"bounce sequences still differ after {MAX_HALVINGS} "
+                                    f"halvings: {next(iter(failed.values()))}")
 
 
 def fd_jacobian(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
@@ -152,7 +175,7 @@ def fd_jacobian(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
     ValueError.
     """
     p0, central = _central_trace(field_, bath, cfg, variations=False)
-    pert, levels = _fd_levels(field_, bath, cfg, p0, central, pert)
+    ((pert, levels),) = _fd_levels(field_, bath, cfg, p0, central, (pert,))
     if not all(map(math.isfinite, (x for level in levels for row in level for x in row))):
         raise ValueError("finite-difference Jacobian is not finite")
     return pert, levels
@@ -190,11 +213,8 @@ def verify_kappa(field_: SoundSpeedField, bath: Bathymetry, cfg: TraceConfig,
             f"got {len(central.bounces)}")
     analytic = central.packed_samples[-4:]  # the final (q11, q12, q21, q22)
 
-    results = []
-    for pert in perts:
-        _, levels = _fd_levels(field_, bath, cfg, p0, central, pert)
-        results.append(tuple(_max_relative_error(analytic, level) for level in levels))
-    return tuple(results)
+    return tuple(tuple(_max_relative_error(analytic, level) for level in levels)
+                 for _, levels in _fd_levels(field_, bath, cfg, p0, central, perts))
 
 
 # Convergence study: one perturbation at offsets h, h/2 and h/4 (its three

@@ -44,8 +44,9 @@ that overflows or divides by zero, ends the trace as ``domain_exit``: once
 launched, a trace reports every abnormal ending as a status, never an
 exception; n = 0 (c = inf) at a stage or a sample is outside the field's
 domain too, not a vertical ray.  A fan is one ``trace_ray`` per launch
-angle, independent of every other, so the CLI traces a fan's rays on
-every usable core (``cli._fork_map``).
+angle, independent of every other, and so are the oracle's perturbed
+rays, so the CLI and the oracle trace them on every usable core
+(``_fork_map``).
 
 Each sample is written, as it is made, into two stdlib ``array('d')``: its
 seven columns in one ``fromlist`` call, row after row, and the index.  The
@@ -60,6 +61,7 @@ last row a full trace wrote.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -562,3 +564,76 @@ def spreading_at(result: TraceResult, r: float) -> float:
         raise ValueError(f"q21 is NaN at r = {r:g}: a ray-only trace "
                          "(variations=False) carries no variation matrix")
     return value
+
+
+# ---------------------------------------------------------------------------
+# Independent work on every usable core
+# ---------------------------------------------------------------------------
+
+
+def _fork_map(work, items: list) -> list:
+    """``[work(x) for x in items]``, on every usable core.
+
+    The items are dealt in turn to this process and to one forked child
+    per other usable core.  Each child works through its share, stopping
+    at its first exception, pickles the outcomes back through a pipe and
+    leaves by ``os._exit``; so ``work`` must return picklable values and
+    change nothing this process reads.  Every child is reaped before the
+    results return or the first exception in item order is raised; a
+    child that sends no result raises ChildProcessError.  With one usable
+    core or one item, no ``os.fork``, or another live thread (a child
+    forked beside one could deadlock on a lock it held), the map runs in
+    this process.
+    """
+    import threading
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    procs = min(cores, len(items))
+    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [work(x) for x in items]
+    import pickle
+
+    def outcomes(share):
+        done = []
+        for x in share:
+            try:
+                done.append((True, work(x)))
+            except Exception as exc:
+                done.append((False, exc))
+                break
+        return done
+
+    children = []  # (pid, read end of its pipe)
+    try:
+        for k in range(1, procs):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:  # the child: anything that escapes leaves the pipe empty
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(outcomes(items[k::procs])))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read))
+        shares = [outcomes(items[::procs])]
+        for _, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            shares.append(pickle.loads(data) if data else None)
+    finally:
+        for pid, read in children:
+            os.close(read)  # a child still writing then fails and leaves
+            os.waitpid(pid, 0)
+
+    results = []
+    for i in range(len(items)):
+        share = shares[i % procs]
+        if share is None:
+            raise ChildProcessError(f"worker {i % procs} of {procs} ended without a result")
+        ok, value = share[i // procs]
+        if not ok:
+            raise value
+        results.append(value)
+    return results

@@ -853,6 +853,24 @@ class TestFanCommand:
         np.testing.assert_allclose(p0, -p1, atol=1e-9)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """A function that sets the number of usable cores and returns the
+    list of forks made so far, one entry each."""
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        forked.append(1)
+        return fork()
+
+    def on_cores(cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        return forked
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return on_cores
+
+
 class TestForkedFan:
     """A fan traces its rays in this process and in one forked child per
     other usable core.  Its bytes and its stderr do not depend on how many
@@ -860,23 +878,6 @@ class TestForkedFan:
 
     FAILING_CFG = BASE_CFG.replace("z0 = 0.0", "z0 = 500.0") + \
         "\n[fan]\nangles_deg = 0, 89.7, 89.8, 5\n"
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """A function that sets the number of usable cores and returns the
-        list of forks made so far, one entry each."""
-        forked, fork = [], os.fork
-
-        def counted_fork():
-            forked.append(1)
-            return fork()
-
-        def on_cores(cores):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-            return forked
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        return on_cores
 
     def run(self, cfg, out, capsys):
         code = main(["fan", "--config", str(cfg), "--output", str(out)])
@@ -938,7 +939,7 @@ class TestForkedFan:
         assert (tmp_path / "threaded.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_items_are_dealt_in_turn_and_returned_in_order(self, forks):
-        from varitrace.cli import _fork_map
+        from varitrace.propagation import _fork_map
 
         forks(3)
         results = _fork_map(lambda x: (x, os.getpid()), list(range(7)))
@@ -948,13 +949,118 @@ class TestForkedFan:
         assert all(pids[i] == pids[i % 3] for i in range(7))
 
     def test_a_child_that_sends_nothing_raises_once_reaped(self, forks):
-        from varitrace.cli import _fork_map
+        from varitrace.propagation import _fork_map
 
         forks(2)
         with pytest.raises(ChildProcessError, match="worker 1 of 2 ended without a result"):
             _fork_map(lambda x: os._exit(3) if x == 1 else x, [0, 1, 2])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedVerify:
+    """The oracle maps its perturbed rays through ``_fork_map`` too, one
+    call per round of halvings.  verify's bytes, stderr and exit code, the
+    offsets a halving settles on and the error after the last halving do
+    not depend on how many cores there are, and no child outlives the
+    command."""
+
+    # One bounce off a flat bottom; the order study's offsets halve on the
+    # grid (its h_z = 1 m puts a launch above the grid's first depth).
+    CUSTOM_CFG = ("[environment]\nkind = gridded\nfile = ssp.txt\n"
+                  "[bathymetry]\nkind = flat\ndepth = 200.0\n"
+                  "[trace]\nr_start = 0\nr_end = 400\nz0 = 0.5\ntheta0_deg = 30\ndr = 0.5\n"
+                  "[verify]\npreset = custom\n")
+    # The bounce is near r = 214.222 m: even the study's offsets halved 5
+    # times move a perturbed ray's bounce past r_end.
+    MISMATCH_CFG = ("[environment]\nkind = constant\n"
+                    "[bathymetry]\nkind = flat\ndepth = 200.0\n"
+                    "[trace]\nr_start = 0\nr_end = 214.223\nz0 = 50\ntheta0_deg = 35\n"
+                    "dr = 0.5\n[verify]\npreset = custom\n")
+
+    def run(self, tmp_path, text, capsys, cores, forks):
+        (tmp_path / "ssp.txt").write_text("".join(
+            f"{z} {1500.0 + 0.05 * z}\n" for z in range(0, 320, 20)))
+        forked = forks(cores)
+        forked.clear()
+        out = tmp_path / f"{cores}.txt"
+        code = main(["verify", "--config", write_cfg(tmp_path, text), "--seed", "3",
+                     "--output", str(out)])
+        written = out.read_bytes() if out.exists() else None
+        return (code, capsys.readouterr().err, written), len(forked)
+
+    @pytest.mark.parametrize("which", ["all", "custom"])
+    def test_same_bytes_on_1_2_and_3_cores(self, tmp_path, capsys, forks, which):
+        """One round per preset for ``all``; for ``custom`` a second round
+        maps the study's rays alone, at halved offsets."""
+        text = "[verify]\npreset = all\n" if which == "all" else self.CUSTOM_CFG
+        runs, counts = zip(*(self.run(tmp_path, text, capsys, cores, forks)
+                             for cores in (1, 2, 3)))
+        rounds = 4 if which == "all" else 2
+        assert counts == (0, rounds, 2 * rounds)
+        assert runs[0][0] == 0 and runs[0][2].endswith(b"OVERALL PASS\n")
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_still_differing_message_on_1_and_2_cores(self, tmp_path, capsys, forks):
+        runs, counts = zip(*(self.run(tmp_path, self.MISMATCH_CFG, capsys, cores, forks)
+                             for cores in (1, 2)))
+        assert runs[0] == (2, "varitrace: config error: bounce sequences still differ after "
+                              "5 halvings: perturbed ray bounce sequence differs from the "
+                              "central ray\n", None)
+        assert runs[1] == runs[0]
+        assert counts == (0, 6)  # the first round and 5 of halved offsets
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_halving_settles_on_the_same_offsets_on_1_and_2_cores(self, forks):
+        """A ray 5e-4 m above a grid's last depth: the h_p = 1e-6 ray sinks
+        past the grid, so the offsets halve twice, in three rounds."""
+        from varitrace import BeamPerturbation, FlatBottom, GriddedField, fd_jacobian
+
+        depths = np.arange(0.0, 101.0, 20.0)
+        field = GriddedField(depths, np.full(depths.shape, 1500.0))
+        cfg = TraceConfig(r_start=0.0, r_end=1000.0, z0=99.9995, theta0=0.0, dr=10.0)
+        estimates, counts = [], []
+        for cores in (1, 2):
+            forked = forks(cores)
+            forked.clear()
+            pert, levels = fd_jacobian(field, FlatBottom(500.0), cfg, BeamPerturbation())
+            estimates.append((pert, [[x.hex() for row in level for x in row]
+                                     for level in levels]))
+            counts.append(len(forked))
+        assert estimates[0][0].h_p == 2.5e-7 and len(estimates[0][1]) == 2
+        assert estimates[1] == estimates[0]
+        assert counts == [0, 3]
+
+    def test_first_failure_in_ray_order_from_a_childs_share(self, monkeypatch, forks):
+        """Every round, the p0-minus rays (items 1 and 5, a child's on 2
+        cores) and the z0-plus rays (items 2 and 6, this process's) fail.
+        The error names item 1 of the last round, as on one core."""
+        import varitrace.oracle as oracle
+        from varitrace import BeamPerturbation, ConstantField, FlatBottom, fd_jacobian
+        from varitrace.errors import PerturbationTooLargeError
+
+        def endpoint(field_, bath, cfg, signature, launch):
+            z0, p0 = launch
+            if p0 < 0.0 or z0 > cfg.z0:
+                return PerturbationTooLargeError(f"launch {launch}")
+            return p0, z0
+
+        monkeypatch.setattr(oracle, "_perturbed_endpoint", endpoint)
+        cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=50.0, theta0=0.0, dr=1.0)
+        messages, counts = [], []
+        for cores in (1, 2):
+            forked = forks(cores)
+            forked.clear()
+            with pytest.raises(PerturbationTooLargeError) as exc:
+                fd_jacobian(ConstantField(1500.0), FlatBottom(500.0), cfg, BeamPerturbation())
+            messages.append(str(exc.value))
+            counts.append(len(forked))
+        assert messages == ["bounce sequences still differ after 5 halvings: "
+                            "launch (50.0, -3.125e-08)"] * 2
+        assert counts == [0, 6]
 
 
 def bits(values):
@@ -1023,6 +1129,23 @@ n_r = 0.0
             if float(r[1]) == 90.0 and r[5] == "1":
                 tz = math.sin(math.radians(float(r[0])))
                 assert float(r[3]) == pytest.approx(2.0 * 0.01 / tz, abs=1e-12)
+
+    def test_sink_holds_one_piece_per_theta(self, tmp_path):
+        """Each theta's rows go into the sink as one piece, not two per row:
+        the README scan's sink holds its 5 metadata and header lines, then
+        6 pieces of 181 rows, one per theta."""
+        from test_output_digests import README_SCAN_CFG
+        from varitrace.cli import _Sink, cmd_kappa_scan
+
+        out = _Sink()
+        assert cmd_kappa_scan(load_config(write_cfg(tmp_path, README_SCAN_CFG)), out, None) == 0
+        head = "".join(out[:-6])
+        assert head.count("\n") == 5
+        assert head.endswith("\ntheta_deg,alpha_deg,kappa11,kappa12,kappa22,valid_flag\n")
+        for piece, theta in zip(out[-6:], ("-80", "-60", "-30", "30", "60", "80")):
+            rows = piece.splitlines(keepends=True)
+            assert len(rows) == 181
+            assert all(row.startswith(f"{theta},") and row.endswith("\n") for row in rows)
 
     def test_empty_theta_list_is_usage_error(self, tmp_path, capsys):
         """An empty list is an error, not the default angles."""

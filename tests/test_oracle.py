@@ -1,6 +1,7 @@
 """FD-oracle tests: flow-map Jacobians vs analytic variation matrices."""
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +26,13 @@ from varitrace.oracle import PRESET_NAMES, STUDY_PERTURBATION, preset
 
 HOMOGENEOUS = ConstantField(c0=1500.0)
 DEEP = FlatBottom(5000.0)
+
+
+@pytest.fixture
+def one_core(monkeypatch):
+    """One usable core, so the oracle traces its perturbed rays in this
+    process, where a test's wrappers count them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 @dataclass(frozen=True)
@@ -172,15 +180,14 @@ class TestFdJacobian:
         """A level that is not finite is an error, not a returned estimate."""
         import varitrace.oracle as oracle
 
-        monkeypatch.setattr(oracle, "_centered_jacobian",
-                            lambda *args: np.full((2, 2), math.nan))
+        monkeypatch.setattr(oracle, "_perturbed_endpoint", lambda *args: (math.nan, math.nan))
         cfg = TraceConfig(r_start=0.0, r_end=100.0, z0=50.0,
                           theta0=math.radians(5.0), dr=1.0)
         with pytest.raises(ValueError, match="not finite"):
             fd_jacobian(HOMOGENEOUS, DEEP, cfg, BeamPerturbation())
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_every_trace_is_ray_only(self, monkeypatch, name):
+    def test_every_trace_is_ray_only(self, monkeypatch, one_core, name):
         """fd_jacobian reads endpoints and bounce sequences only, so its
         central ray is ray-only like the perturbed ones: 1 + 4 * 2 traces
         at the defaults, none integrating q.  The estimate is, bit for bit,
@@ -247,7 +254,7 @@ class TestVerifyKappa:
         # one level, as verify traces it, gives the same first-level error
         assert one == v[:1]
 
-    def test_central_ray_traced_once(self, monkeypatch):
+    def test_central_ray_traced_once(self, monkeypatch, one_core):
         """One call traces the central ray once, whatever the number of
         perturbations, and four perturbed rays per Richardson level: 1 + 4 * 1
         for one level, 1 + 4 * 2 at the defaults, 1 + 4 * 3 for the study and

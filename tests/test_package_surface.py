@@ -10,9 +10,9 @@ its objects in one call with no ``required`` getter flag, the package
 re-exports exactly each module's ``__all__``, the jump matrix
 stores only the entries it applies, the verification presets are one
 table in the oracle, which imports no numpy, the CLI opens no output
-file before its command returns, one function forks and no module loads
-a process pool, threads or ``pickle`` on import, and the README's
-library example runs as written."""
+file before its command returns, one function forks, verify forks before
+numpy is loaded and no module loads a process pool, threads or ``pickle``
+on import, and the README's library example runs as written."""
 
 import ast
 import importlib
@@ -399,25 +399,26 @@ def test_no_module_imports_scipy():
 
 
 def test_one_function_forks():
-    """The fan's ``_fork_map`` is the one place a process is forked."""
+    """``_fork_map``, which the fan and the oracle map their rays through,
+    is the one place a process is forked."""
     forking = [(path.name, func.name) for path in MODULES for func in ast.walk(parse(path))
                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
                for node in ast.walk(func)
                if isinstance(node, ast.Call) and ast.unparse(node.func) == "os.fork"]
-    assert forking == [("cli.py", "_fork_map")]
+    assert forking == [("propagation.py", "_fork_map")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 @pytest.mark.parametrize("package", ["multiprocessing", "concurrent", "threading"])
 def test_no_pool_or_threads_imported_at_module_level(path, package):
-    """A fan forks its workers itself: no module loads a process pool or
-    ``threading`` on import (``_fork_map`` imports ``threading`` to count
-    live threads)."""
+    """The fan and the oracle fork their workers themselves: no module
+    loads a process pool or ``threading`` on import (``_fork_map`` imports
+    ``threading`` to count live threads)."""
     assert module_level_imports(path, package) == [], f"{path.name}: {package} at module level"
 
 
 def test_cli_import_leaves_pickle_unloaded():
-    """``pickle`` is imported only where a forked fan sends its results, so
+    """``pickle`` is imported only where forked children send their results, so
     importing the CLI, which the benchmark's set-up time includes, does not
     load it."""
     assert run_fresh("import sys, varitrace.cli; print('pickle' in sys.modules)").split() == [
@@ -448,6 +449,28 @@ def test_trace_fan_and_kappa_scan_load_neither_numpy_nor_scipy(tmp_path, text):
     (tmp_path / "verify.cfg").write_text("[verify]\npreset = flat-linear\n")
     assert run_fresh(_COMMANDS_PROBE, tmp_path / "verify.cfg", tmp_path, "verify").split()[:2] == [
         "[0]", "True"]
+
+
+_FORK_PROBE = """\
+import os, sys
+import varitrace.cli as cli
+fork, at_forks = os.fork, []
+def recorded():
+    at_forks.append("numpy" in sys.modules)
+    return fork()
+os.fork, os.sched_getaffinity = recorded, lambda pid: {0, 1}
+code = cli.main(["verify", "--config", sys.argv[1], "--output", sys.argv[2]])
+print(code, "".join(map(str, at_forks)), "numpy" in sys.modules)
+"""
+
+
+def test_verify_forks_before_numpy_loads(tmp_path):
+    """On 2 usable cores, verify forks one child per preset for its
+    perturbed rays, each before numpy is loaded, which only the bounce-map
+    check after the presets needs."""
+    (tmp_path / "verify.cfg").write_text("[verify]\npreset = all\n")
+    assert run_fresh(_FORK_PROBE, tmp_path / "verify.cfg", tmp_path / "out").split() == [
+        "0", "False" * 4, "True"]
 
 
 def test_config_restates_no_number():

@@ -1,6 +1,7 @@
 """Tracing tests: geometry oracles, closed forms, statuses, convergence."""
 
 import math
+import os
 from collections import defaultdict
 from dataclasses import replace
 
@@ -1095,7 +1096,7 @@ class TestRayOnlyTraces:
                     "max-bounces": TraceStatus.MAX_BOUNCES}.get(case, TraceStatus.COMPLETED)
         assert statuses == {expected}
 
-    def test_variation_updates_only_where_q_is_read(self, step_calls):
+    def test_variation_updates_only_where_q_is_read(self, monkeypatch, step_calls):
         """A full trace advances q in every ``_rk4_step`` call, the landing
         search's trial steps included; a ray-only trace and the oracle's
         perturbed rays carry q = None and advance it in none."""
@@ -1122,6 +1123,8 @@ class TestRayOnlyTraces:
         sc = preset("sinusoidal-munk")
         central = trace_ray(sc.field, sc.bath, sc.cfg)
         central_steps, _ = counts()
+        # One usable core, so the perturbed rays are stepped in this process, where they are seen.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         verify_kappa(sc.field, sc.bath, sc.cfg, [BeamPerturbation()])
         steps, variation = counts()
         assert variation == central_steps >= len(central.samples) - 1

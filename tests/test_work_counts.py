@@ -69,7 +69,7 @@ EXPECTED = {
 
 # Every name the fixture counts, in the order of its table's columns.
 COUNTED = (*(name for _, name in FUNCTIONS), *(name for _, name in METHODS), "q_advance", "rows")
-# Rows of the table: this process and the fan's forked children.
+# Rows of the table: this process and the forked children of a fan or of verify.
 PROCESSES = 64
 
 
@@ -80,7 +80,7 @@ def calls(monkeypatch):
     oracle's traces keep ("rows"), as a function returning the non-zero ones.
 
     The counts live in an anonymous shared mmap, one row per process, so
-    calls a fan makes in its forked children count too: ``os.fork`` is
+    calls a fan or the oracle makes in its forked children count too: ``os.fork`` is
     wrapped to give each child the next free row, taken before it forks."""
     table = mmap.mmap(-1, 8 * PROCESSES * len(COUNTED))
     cells = memoryview(table).cast("q")
